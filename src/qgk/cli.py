@@ -129,21 +129,49 @@ def _cache_dir(cli_value: str | None) -> str | None:
     return os.environ.get("QGK_CACHE_DIR") or cli_value
 
 
-def _cache_path(directory: str, quiver: Quiver, essence: str, bound: int, flavour: str) -> str:
+def _cache_path(
+    directory: str, quiver: Quiver, command: str, essence: str, bound: int, flavour: str
+) -> str:
+    """The entry's file, named qgk-<command>-<key>.json; the command fixes its shape."""
     key = hashlib.sha256(
         "|".join(
             [str(CACHE_SCHEMA), _quiver_hash(quiver), essence, str(bound), flavour]
         ).encode()
     ).hexdigest()
-    return os.path.join(directory, f"qgk-{key}.json")
+    return os.path.join(directory, f"qgk-{command}-{key}.json")
+
+
+#: Top-level keys and value types of each cacheable command's payload.
+_PAYLOAD_SHAPES = {
+    "roots": {"rows": list},
+    "kac": {"rows": list},
+    "cuspidal": {"cabs": list, "c": list},
+    "ip": {"convention": str, "rows": list},
+    "canonical-decomp": {"rows": list},
+    "gkm-dims": {"rows": list},
+    "nakajima-decomp": {"blocks": list},
+}
 
 
 def _cache_read(path: str) -> dict | None:
+    """The cached payload, or None when it is missing, unreadable or misshapen.
+
+    The expected top-level shape is that of the command in the file name.
+    """
+    command = os.path.basename(path).removeprefix("qgk-").rpartition("-")[0]
+    shape = _PAYLOAD_SHAPES.get(command)
+    if shape is None:
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
         return None
+    if not isinstance(payload, dict) or payload.keys() != shape.keys():
+        return None
+    if not all(isinstance(payload[key], kind) for key, kind in shape.items()):
+        return None
+    return payload
 
 
 def _cache_write(path: str, payload: dict) -> None:
@@ -382,7 +410,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def c_integer_valued():
         cuspidal_from_abs(absolutely_cuspidal(quiver, bound))
-        return True, "C tables integer valued at q = 2..5"
+        return True, "C tables integer valued (exact: values at q = 0..deg are integers)"
 
     check("hua-vs-oracle", hua_vs_oracle)
     check("orientation-independence", orientation)
@@ -509,8 +537,11 @@ def _command_essence(args) -> str:
             parts.append(f"{attr}={value}")
     weights = getattr(args, "weights", None)
     if weights:
-        with open(weights, "rb") as fh:
-            parts.append("weights=" + hashlib.sha256(fh.read()).hexdigest())
+        try:
+            with open(weights, "rb") as fh:
+                parts.append("weights=" + hashlib.sha256(fh.read()).hexdigest())
+        except OSError as exc:
+            raise InputError(f"cannot read weight file: {exc}") from None
     return " ".join(parts)
 
 
@@ -533,7 +564,7 @@ def run(argv: list[str] | None = None) -> int:
         directory = _cache_dir(args.cache_dir)
         if directory is not None and args.command != "verify":
             cache_file = _cache_path(
-                directory, quiver, _command_essence(args), args.bound, args.flavour
+                directory, quiver, args.command, _command_essence(args), args.bound, args.flavour
             )
             payload = _cache_read(cache_file)
         if payload is None:

@@ -15,7 +15,9 @@ generated by indivisible m they solve
     Exp_z( sum_l C_{lm} z^{lm} ) = Exp_{z,q}( sum_l C^abs_{lm} z^{lm} ).
 
 C_d may have rational coefficients; it is only integer valued at
-integers (binomial-type polynomials), which the constructor spot-checks.
+integers (binomial-type polynomials), which the constructor checks
+exactly: by Polya, a polynomial of degree k is integer valued if and
+only if its values at 0, 1, ..., k are integers.
 
 IP polynomials repackage C^abs in the intersection-cohomology variable:
 IP_d(v) = C^abs_d(v^{-2}), a shifted Poincare polynomial (for a smooth
@@ -73,9 +75,11 @@ class CuspidalTable:
                 if not poly.has_integer_coefficients() or not poly.has_nonnegative_coefficients():
                     raise CuspidalError(f"C^abs_{d} has bad coefficients: {poly}")
             else:
-                for v in (2, 3, 4, 5):
+                if not poly.has_integral_exponents() or poly.min_half < 0:
+                    raise CuspidalError(f"C_{d} is not a polynomial in q: {poly}")
+                for v in range(int(poly.degree_q()) + 1):
                     if poly.eval_at(v).denominator != 1:
-                        raise CuspidalError(f"C_{d} is not integer valued: {poly}")
+                        raise CuspidalError(f"C_{d} is not integer valued at q = {v}: {poly}")
 
     def polynomial(self, d) -> QPoly:
         key = d.as_tuple() if isinstance(d, DimVector) else tuple(d)

@@ -15,21 +15,24 @@ with a_{mn} the symmetrised form on the root lattice.  No other pairs of
 generators are related.  All cohomological degrees must be even; there
 are no super signs anywhere.
 
+Relations are set up per pair of root classes: each pairing (m, n) is
+computed once, and letters are only paired up when the pairing is zero
+or one root is real.  Every other class pair is relation-free and costs
+nothing, however many letters it holds.
+
 Dimensions of the graded pieces are computed as (free Lie algebra
 dimension) - (rank of the relation ideal).  Free dimensions come from
 the Lyndon necklace count aggregated over letter classes; the ideal is
 closed degree by degree (I_d = R_d + sum_g [g, I_{d - deg g}]) inside
 the tensor algebra, where Lie elements embed via rho([x,y]) =
 rho(x) rho(y) - rho(y) rho(x), and ranks are taken per letter content by
-exact fraction elimination.
+exact fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from typing import NamedTuple
 
 from .qpoly import QPoly
@@ -38,15 +41,12 @@ from .roots import CartanDatum
 from .series import (
     GradedSeries,
     PlethMode,
+    _moebius,
     pleth_exp,
     pleth_log,
     series_inv,
     vectors_of_total,
 )
-
-#: Most words a single (multidegree, content) block may enumerate.
-BLOCK_CAP = 20_000
-
 
 class GkmError(ValueError):
     pass
@@ -61,7 +61,7 @@ class Letter(NamedTuple):
     index: int
 
 
-Tensor = dict[tuple[Letter, ...], Fraction]
+Tensor = dict[tuple[Letter, ...], int]
 
 
 @dataclass
@@ -94,14 +94,6 @@ class GkmDimTable:
         return out
 
 
-@dataclass
-class GkmBasis:
-    """Surviving Lyndon-bracket labels of one multidegree block."""
-
-    root: tuple[int, ...]
-    entries: list[tuple[tuple[Letter, ...], int]]
-
-
 # -- tensor algebra helpers ------------------------------------------------------
 
 
@@ -111,26 +103,22 @@ def _tensor_bracket(a: Tensor, b: Tensor) -> Tensor:
         for wb, cb in b.items():
             c = ca * cb
             key = wa + wb
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
             key = wb + wa
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, 0) - c
     return {w: c for w, c in out.items() if c}
 
 
-def _is_lyndon(word: tuple[Letter, ...]) -> bool:
-    return all(word < word[i:] for i in range(1, len(word)))
-
-
-def _standard_factor(word: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """w = uv with v the longest proper Lyndon suffix; both are Lyndon."""
-    for i in range(1, len(word)):
-        if _is_lyndon(word[i:]):
-            return word[:i], word[i:]
-    raise GkmError("not a composable word")
-
-
 class _Echelon:
-    """Reduced spanning rows of one letter-content block, exact fractions."""
+    """Spanning rows of one letter-content block, exact integers.
+
+    Each row is scaled to coprime integer coefficients with a positive
+    coefficient at its lead, its minimal word, and no two rows share a
+    lead.  Rows are not back-substituted, so a row may still contain
+    another row's lead; reduction terminates all the same, because each
+    step removes the current minimal word and adds only larger ones.
+    Elimination is fraction-free, so spans and ranks are those over Q.
+    """
 
     __slots__ = ("pivots",)
 
@@ -144,13 +132,16 @@ class _Echelon:
             pivot = self.pivots.get(lead)
             if pivot is None:
                 return row
-            c = row[lead]
+            g = gcd(row[lead], pivot[lead])
+            scale, c = pivot[lead] // g, row[lead] // g
+            if scale != 1:
+                row = {w: scale * v for w, v in row.items()}
             for w, v in pivot.items():
-                nv = row.get(w, Fraction(0)) - c * v
+                nv = row.get(w, 0) - c * v
                 if nv:
                     row[w] = nv
                 else:
-                    row.pop(w, None)
+                    del row[w]
         return row
 
     def insert(self, row: Tensor) -> bool:
@@ -158,62 +149,15 @@ class _Echelon:
         if not row:
             return False
         lead = min(row)
-        inv = Fraction(1) / row[lead]
-        row = {w: c * inv for w, c in row.items()}
-        for other in self.pivots.values():
-            c = other.get(lead)
-            if c:
-                for w, v in row.items():
-                    nv = other.get(w, Fraction(0)) - c * v
-                    if nv:
-                        other[w] = nv
-                    else:
-                        other.pop(w, None)
-        self.pivots[lead] = row
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        self.pivots[lead] = {w: v // g for w, v in row.items()} if g != 1 else row
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _multiset_permutations(items: list[Letter]):
-    """Distinct orderings of a sorted multiset, lexicographically."""
-    counts: dict[Letter, int] = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    word: list[Letter] = []
-
-    def rec():
-        if len(word) == len(items):
-            yield tuple(word)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                word.append(k)
-                yield from rec()
-                word.pop()
-                counts[k] += 1
-
-    yield from rec()
-
-
-def _moebius(n: int) -> int:
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
 
 
 # -- the engine ------------------------------------------------------------------
@@ -234,10 +178,11 @@ class GkmEngine:
         self.bound = bound
         self.letters: list[Letter] = []
         self._class_sizes: dict[tuple[tuple[int, ...], int], int] = {}
+        self._root_letters: dict[tuple[int, ...], list[Letter]] = {}
+        self._norms: dict[tuple[int, ...], int] = {}
         self._relations: dict[tuple[int, ...], list[Tensor]] = {}
         self._ideal_cache: dict[tuple[int, ...], dict[tuple[Letter, ...], _Echelon]] = {}
         self._dims_cache: dict[tuple[int, ...], dict[int, int]] = {}
-        self._rho_cache: dict[tuple[Letter, ...], Tensor] = {}
         self._max_query = 0
 
     # -- registration -------------------------------------------------------
@@ -264,43 +209,58 @@ class GkmEngine:
             total_mult = sum(int(c) for _, c in multiplicity.items())
             if total_mult > 1:
                 raise GkmError("a real simple root must have multiplicity one")
+        pairings = {r: self.cartan.form(r, root) for r in self._root_letters if r != root}
+        for r, pairing in pairings.items():
+            if pairing > 0:
+                raise GkmError(f"simple roots {r} and {root} pair positively ({pairing})")
+        pairings[root] = diag
         new_letters: list[Letter] = []
         for half, coeff in multiplicity.items():
             base = self._class_sizes.get((root, half), 0)
             for l in range(base + 1, base + int(coeff) + 1):
                 new_letters.append(Letter(sum(root), root, half, l))
             self._class_sizes[(root, half)] = base + int(coeff)
-        for b in new_letters:
-            for a in self.letters:
-                self._relate(a, b)
-            self.letters.append(b)
+        self._norms[root] = diag
+        old_at_root = self._root_letters.setdefault(root, [])
+        for r, pairing in pairings.items():
+            # lazy: most class pairs never look at their letters
+            if r == root:
+                pairs = (
+                    (a, b)
+                    for j, b in enumerate(new_letters)
+                    for a in old_at_root + new_letters[:j]
+                )
+            else:
+                pairs = ((a, b) for a in self._root_letters[r] for b in new_letters)
+            self._relate_classes(r, root, pairing, pairs)
+        old_at_root.extend(new_letters)
+        self.letters.extend(new_letters)
         self.letters.sort()
         self._dims_cache.pop(root, None)
         return new_letters
 
-    def _relate(self, a: Letter, b: Letter) -> None:
-        pairing = self.cartan.form(a.root, b.root)
-        if a.root != b.root and pairing > 0:
-            raise GkmError(
-                f"simple roots {a.root} and {b.root} pair positively ({pairing})"
-            )
-        if pairing == 0 and a != b:
-            self._add_relation(_tensor_bracket({(a,): Fraction(1)}, {(b,): Fraction(1)}))
+    def _relate_classes(self, r, m, pairing: int, pairs) -> None:
+        """Relations between the letters of roots r and m, whose pairing is given."""
+        if pairing == 0:
+            if sum(r) + sum(m) > self.bound:
+                return
+            for a, b in pairs:
+                self._add_relation(_tensor_bracket({(a,): 1}, {(b,): 1}))
             return
-        if pairing >= 0:
+        if pairing > 0 or (self._norms[r] != 2 and self._norms[m] != 2):
             return
-        for actor, target in ((a, b), (b, a)):
-            if self.cartan.form(actor.root, actor.root) != 2:
-                continue
-            power = 1 - pairing
-            degree = tuple(power * x + y for x, y in zip(actor.root, target.root))
-            if sum(degree) > self.bound:
-                continue
-            rel: Tensor = {(target,): Fraction(1)}
-            actor_tensor: Tensor = {(actor,): Fraction(1)}
-            for _ in range(power):
-                rel = _tensor_bracket(actor_tensor, rel)
-            self._add_relation(rel)
+        power = 1 - pairing
+        for a, b in pairs:
+            for actor, target in ((a, b), (b, a)):
+                if self._norms[actor.root] != 2:
+                    continue
+                if power * actor.total + target.total > self.bound:
+                    continue
+                rel: Tensor = {(target,): 1}
+                actor_tensor: Tensor = {(actor,): 1}
+                for _ in range(power):
+                    rel = _tensor_bracket(actor_tensor, rel)
+                self._add_relation(rel)
 
     def _add_relation(self, rel: Tensor) -> None:
         if not rel:
@@ -391,63 +351,12 @@ class GkmEngine:
             prev = tuple(x - y for x, y in zip(d, g.root))
             if any(x < 0 for x in prev) or not any(prev):
                 continue
-            g_tensor: Tensor = {(g,): Fraction(1)}
+            g_tensor: Tensor = {(g,): 1}
             for echelon in self._ideal_at(prev).values():
                 for row in echelon.pivots.values():
                     insert(_tensor_bracket(g_tensor, row))
         self._ideal_cache[d] = blocks
         return blocks
-
-    # -- explicit bases -------------------------------------------------------
-
-    def _rho(self, word: tuple[Letter, ...]) -> Tensor:
-        cached = self._rho_cache.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            result: Tensor = {word: Fraction(1)}
-        else:
-            u, v = _standard_factor(word)
-            result = _tensor_bracket(self._rho(u), self._rho(v))
-        self._rho_cache[word] = result
-        return result
-
-    def basis_at(self, d) -> GkmBasis:
-        """Lyndon-bracket labels spanning the block, modulo the ideal."""
-        d = tuple(d)
-        ideal = self._ideal_at(d)
-        entries: list[tuple[tuple[Letter, ...], int]] = []
-        for gamma in self._class_contents(d):
-            pools: list[tuple[list[Letter], int]] = []
-            count = 1
-            for (root, half), number in gamma:
-                size = self._class_sizes[(root, half)]
-                pool = [
-                    Letter(sum(root), root, half, l) for l in range(1, size + 1)
-                ]
-                count *= comb(size + number - 1, number)
-                pools.append((pool, number))
-            if count > BLOCK_CAP:
-                raise GkmError(f"block {d} content exceeds the cap of {BLOCK_CAP}")
-            for picks in itertools.product(
-                *(itertools.combinations_with_replacement(pool, k) for pool, k in pools)
-            ):
-                content = sorted(x for pick in picks for x in pick)
-                n_words = factorial(len(content))
-                if n_words > BLOCK_CAP:
-                    raise GkmError(f"block {d} content exceeds the cap of {BLOCK_CAP}")
-                echelon = _Echelon()
-                base = ideal.get(tuple(content))
-                if base is not None:
-                    for row in base.pivots.values():
-                        echelon.insert(dict(row))
-                for word in _multiset_permutations(content):
-                    if not _is_lyndon(word):
-                        continue
-                    if echelon.insert(self._rho(word)):
-                        entries.append((word, sum(l.half_degree for l in word)))
-        entries.sort()
-        return GkmBasis(d, entries)
 
 
 def _weighted_lyndon_count(

@@ -38,7 +38,7 @@ from . import _burnside
 from ._burnside import BudgetError, CountingError, brute_force_counts
 from .qpoly import QPoly, QPolyError
 from .quiver import DimVector, Quiver, euler_form
-from .series import GradedSeries, PlethMode, pleth_exp, vectors_of_total
+from .series import GradedSeries, PlethMode, _moebius, pleth_exp, vectors_of_total
 
 __all__ = [
     "DEFAULT_FIELDS",
@@ -280,22 +280,6 @@ def _ratq_convolve(
             prod = va * vb
             out[key] = out[key] + prod if key in out else prod
     return out
-
-
-def _moebius(n: int) -> int:
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
 
 
 def _ratq_pleth_log(raw: dict[tuple[int, ...], _RatQ], bound: int) -> dict[tuple[int, ...], _RatQ]:

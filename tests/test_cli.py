@@ -207,6 +207,30 @@ def test_cache_cold_and_warm_agree(kron_file, tmp_path, monkeypatch, capsys):
     assert json.loads(entries[0].read_text())["cabs"]
 
 
+@pytest.mark.parametrize(
+    "entry", [b'{"x": 1}', b'{"cabs": 1, "c": []}', b"[]", b"null", b'"\xff"']
+)
+def test_misshapen_cache_entry_is_rebuilt(kron_file, tmp_path, capsys, entry):
+    cache = tmp_path / "cache"
+    argv = ["cuspidal", kron_file, "--bound", "3", "--cache-dir", str(cache)]
+    assert run(argv) == 0
+    cold = _out(capsys)
+    (path,) = cache.glob("qgk-*.json")
+    path.write_bytes(entry)
+    assert run(argv) == 0
+    assert _out(capsys) == cold
+    assert set(json.loads(path.read_text())) == {"cabs", "c"}
+
+
+def test_missing_weight_file_with_cache_is_invalid_input(a2_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["gkm-dims", a2_file, "--weights", missing, "--cache-dir", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read weight file")
+    assert "Traceback" not in err
+
+
 def test_cache_keys_separate_commands_and_bounds(kron_file, tmp_path, capsys):
     cache = tmp_path / "cache"
     assert run(["kac", kron_file, "--bound", "2", "--cache-dir", str(cache)]) == 0

@@ -173,10 +173,31 @@ def test_table_validation(jordan):
         CuspidalTable(jordan, 1, "plain", True, {(1,): QPoly.half_power(1)})
     with pytest.raises(CuspidalError):
         CuspidalTable(jordan, 1, "plain", True, {(1,): Q(1, Fraction(1, 2))})
-    # integer valued at q = 2..5 is enough for a non-absolute entry
+    # integer valued, not integer coefficients, is what a non-absolute entry needs
     CuspidalTable(jordan, 2, "plain", False, {(2,): Q(2, Fraction(1, 2)) + Q(1, Fraction(1, 2))})
     with pytest.raises(CuspidalError):
         CuspidalTable(jordan, 1, "plain", False, {(1,): Q(1, Fraction(1, 2))})
+    with pytest.raises(CuspidalError):
+        CuspidalTable(jordan, 1, "plain", False, {(1,): Q(-1) + ONE})
+
+
+def _falling(shifts, denominator):
+    poly = ONE
+    for a in shifts:
+        poly = poly * (Q(1) - QPoly.constant(a))
+    return poly.scale(Fraction(1, denominator))
+
+
+def test_integer_valued_check_is_exact(jordan):
+    # binomial(q, 5) is integer valued everywhere
+    CuspidalTable(jordan, 5, "plain", False, {(5,): _falling(range(5), 120)})
+    # vanishes at q = 2..6, so it is integral at 2..5, but equals -1/2 at q = 1
+    bad = _falling(range(2, 7), 240)
+    assert bad.degree_q() == 5
+    assert all(bad.eval_at(v).denominator == 1 for v in (2, 3, 4, 5))
+    assert bad.eval_at(1) == Fraction(-1, 2)
+    with pytest.raises(CuspidalError, match="integer valued"):
+        CuspidalTable(jordan, 5, "plain", False, {(5,): bad})
 
 
 # -- IP polynomials -------------------------------------------------------------------

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,9 @@ from qgk import (
     lowest_weight_extract,
     uea_character,
 )
+from qgk.cuspidal import absolutely_cuspidal
+from qgk.series import vectors_up_to
+from qgk.gkm import Letter, Tensor, _Echelon, _tensor_bracket
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -34,6 +41,147 @@ def _moebius(n):
             out = -out
         p += 1
     return -out if m > 1 else out
+
+
+# -- oracle: explicit Lyndon-bracket bases ------------------------------------------
+
+#: Most words a single (multidegree, content) block may enumerate.
+BLOCK_CAP = 20_000
+
+
+@dataclass
+class GkmBasis:
+    """Surviving Lyndon-bracket labels of one multidegree block."""
+
+    root: tuple[int, ...]
+    entries: list[tuple[tuple[Letter, ...], int]]
+
+
+def _is_lyndon(word):
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def _standard_factor(word):
+    """w = uv with v the longest proper Lyndon suffix; both are Lyndon."""
+    for i in range(1, len(word)):
+        if _is_lyndon(word[i:]):
+            return word[:i], word[i:]
+    raise GkmError("not a composable word")
+
+
+def _multiset_permutations(items):
+    """Distinct orderings of a sorted multiset, lexicographically."""
+    counts: dict[Letter, int] = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    keys = sorted(counts)
+    word: list[Letter] = []
+
+    def rec():
+        if len(word) == len(items):
+            yield tuple(word)
+            return
+        for k in keys:
+            if counts[k]:
+                counts[k] -= 1
+                word.append(k)
+                yield from rec()
+                word.pop()
+                counts[k] += 1
+
+    yield from rec()
+
+
+def _rho(word, cache: dict) -> Tensor:
+    """The tensor image of the Lyndon bracket labelled by word."""
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+    if len(word) == 1:
+        result: Tensor = {word: 1}
+    else:
+        u, v = _standard_factor(word)
+        result = _tensor_bracket(_rho(u, cache), _rho(v, cache))
+    cache[word] = result
+    return result
+
+
+def basis_at(engine: GkmEngine, d) -> GkmBasis:
+    """Lyndon-bracket labels spanning the block, modulo the ideal."""
+    d = tuple(d)
+    ideal = engine._ideal_at(d)
+    rho_cache: dict = {}
+    entries: list[tuple[tuple[Letter, ...], int]] = []
+    for gamma in engine._class_contents(d):
+        pools: list[tuple[list[Letter], int]] = []
+        count = 1
+        for (root, half), number in gamma:
+            size = engine._class_sizes[(root, half)]
+            pool = [Letter(sum(root), root, half, l) for l in range(1, size + 1)]
+            count *= comb(size + number - 1, number)
+            pools.append((pool, number))
+        if count > BLOCK_CAP:
+            raise GkmError(f"block {d} content exceeds the cap of {BLOCK_CAP}")
+        for picks in itertools.product(
+            *(itertools.combinations_with_replacement(pool, k) for pool, k in pools)
+        ):
+            content = sorted(x for pick in picks for x in pick)
+            if factorial(len(content)) > BLOCK_CAP:
+                raise GkmError(f"block {d} content exceeds the cap of {BLOCK_CAP}")
+            echelon = _Echelon()
+            base = ideal.get(tuple(content))
+            if base is not None:
+                for row in base.pivots.values():
+                    echelon.insert(row)
+            for word in _multiset_permutations(content):
+                if _is_lyndon(word) and echelon.insert(_rho(word, rho_cache)):
+                    entries.append((word, sum(l.half_degree for l in word)))
+    entries.sort()
+    return GkmBasis(d, entries)
+
+
+# -- oracle: relations set up one letter pair at a time ---------------------------------
+
+
+def _relate(engine: GkmEngine, a: Letter, b: Letter) -> None:
+    """Every relation between two letters, from their pairing alone."""
+    cartan = engine.cartan
+    pairing = cartan.form(a.root, b.root)
+    if a.root != b.root and pairing > 0:
+        raise GkmError(f"simple roots {a.root} and {b.root} pair positively ({pairing})")
+    if pairing == 0 and a != b:
+        engine._add_relation(_tensor_bracket({(a,): 1}, {(b,): 1}))
+        return
+    if pairing >= 0:
+        return
+    for actor, target in ((a, b), (b, a)):
+        if cartan.form(actor.root, actor.root) != 2:
+            continue
+        power = 1 - pairing
+        degree = tuple(power * x + y for x, y in zip(actor.root, target.root))
+        if sum(degree) > engine.bound:
+            continue
+        rel: Tensor = {(target,): 1}
+        actor_tensor: Tensor = {(actor,): 1}
+        for _ in range(power):
+            rel = _tensor_bracket(actor_tensor, rel)
+        engine._add_relation(rel)
+
+
+def _registered(cartan: CartanDatum, weights: dict, bound: int) -> GkmEngine:
+    engine = GkmEngine(cartan, bound)
+    for root in sorted(weights, key=lambda t: (sum(t), t)):
+        engine.add_generators(root, weights[root])
+    return engine
+
+
+def _with_pairwise_relations(engine: GkmEngine) -> GkmEngine:
+    """Replace the engine's relations by those of every pair of its letters."""
+    engine._relations = {}
+    for j, b in enumerate(engine.letters):
+        for a in engine.letters[:j]:
+            _relate(engine, a, b)
+    return engine
 
 
 # -- free Lie characters -------------------------------------------------------------
@@ -116,14 +264,57 @@ def test_affine_sl2_root_multiplicities(kronecker):
 def test_basis_matches_dimensions(a2, kronecker):
     engine = _sl3_engine(a2)
     for d in ((1, 0), (1, 1), (2, 1), (2, 2)):
-        basis = engine.basis_at(d)
+        basis = basis_at(engine, d)
         assert len(basis.entries) == sum(engine.dims_at(d).values())
     engine = GkmEngine(CartanDatum.from_quiver(kronecker), 4)
     engine.add_generators((1, 0), ONE)
     engine.add_generators((0, 1), ONE)
     for d in ((1, 1), (2, 1), (2, 2), (3, 1)):
-        basis = engine.basis_at(d)
+        basis = basis_at(engine, d)
         assert len(basis.entries) == sum(engine.dims_at(d).values())
+
+
+LOOP_PLUS_LEG = Quiver(["0", "1"], [("0", "0"), ("0", "1")])
+# the same quiver with the loop at the second vertex: the real root is
+# then registered after the isotropic one instead of before it
+LEG_PLUS_LOOP = Quiver(["0", "1"], [("1", "1"), ("0", "1")])
+
+
+@pytest.mark.parametrize(
+    "quiver, doubled",
+    [
+        (LOOP_PLUS_LEG, False),
+        (LEG_PLUS_LOOP, False),
+        # plain C^abs gives every isotropic root of this quiver one letter;
+        # q + 1 there puts two commuting letters at each isotropic root
+        (LOOP_PLUS_LEG, True),
+        (Quiver(["0"], [("0", "0"), ("0", "0")]), False),
+    ],
+    ids=["loop-plus-leg", "leg-plus-loop", "loop-plus-leg-doubled", "two-loop"],
+)
+def test_class_setup_matches_letter_pairs(quiver, doubled):
+    bound = 5
+    cartan = CartanDatum.from_quiver(quiver)
+    weights = dict(absolutely_cuspidal(quiver, bound).table)
+    if doubled:
+        weights = {
+            d: p + ONE if cartan.form(d, d) == 0 else p for d, p in weights.items()
+        }
+    engine = _registered(cartan, weights, bound)
+    oracle = _with_pairwise_relations(_registered(cartan, weights, bound))
+    relations = sum(len(rels) for rels in engine._relations.values())
+    assert relations == sum(len(rels) for rels in oracle._relations.values())
+    for d in vectors_up_to(cartan.rank, bound):
+        if any(d):
+            assert engine.dims_at(d) == oracle.dims_at(d), d
+
+
+def test_positively_pairing_roots_are_rejected(a2):
+    engine = GkmEngine(CartanDatum.from_quiver(a2), 3)
+    engine.add_generators((1, 0), ONE)
+    with pytest.raises(GkmError, match="pair positively"):
+        engine.add_generators((1, 1), ONE)
+    assert engine.letters == [Letter(1, (1, 0), 0, 1)]
 
 
 def test_hyperbolic_root_is_relation_free(g2loop):
