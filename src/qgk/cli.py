@@ -16,7 +16,9 @@ reported with the offending dimension vector.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -25,7 +27,9 @@ import tempfile
 from ._burnside import BudgetError, CountingError
 from .cuspidal import (
     CuspidalError,
+    CuspidalTable,
     absolutely_cuspidal,
+    absolutely_cuspidal_from_kac,
     cuspidal_from_abs,
     ip_table,
 )
@@ -37,10 +41,10 @@ from .gkm import (
     gkm_dims,
     uea_character,
 )
-from .kac import DEFAULT_FIELDS, FLAVOURS, hua_kac, oracle_kac_full
+from .kac import DEFAULT_FIELDS, FLAVOURS, KacTable, _oracle_stages, hua_kac, oracle_kac_full
 from .nakajima import NakajimaError, lw_decompose
 from .qpoly import QPoly, QPolyError
-from .quiver import DimVector, Quiver, QuiverError
+from .quiver import DimVector, Quiver, QuiverError, euler_form
 from .roots import (
     CartanDatum,
     RootError,
@@ -141,22 +145,47 @@ def _cache_path(
     return os.path.join(directory, f"qgk-{command}-{key}.json")
 
 
-#: Top-level keys and value types of each cacheable command's payload.
+#: Each cacheable command's payload: top-level key -> `str` for a string,
+#: else the shape of each row of a list: the width of a list of strings,
+#: or a dict of key -> value type.
 _PAYLOAD_SHAPES = {
-    "roots": {"rows": list},
-    "kac": {"rows": list},
-    "cuspidal": {"cabs": list, "c": list},
-    "ip": {"convention": str, "rows": list},
-    "canonical-decomp": {"rows": list},
-    "gkm-dims": {"rows": list},
-    "nakajima-decomp": {"blocks": list},
+    "roots": {
+        "rows": {"d": str, "class": str, "sigma": bool, "primitive": str, "multiplier": int}
+    },
+    "kac": {"rows": 2},
+    "cuspidal": {"cabs": 2, "c": 2},
+    "ip": {"convention": str, "rows": 2},
+    "canonical-decomp": {"rows": 2},
+    "gkm-dims": {"rows": 3},
+    "nakajima-decomp": {
+        "blocks": {"d": str, "multiplicity": str, "weight": list, "character": dict}
+    },
 }
+
+
+def _fits(value, shape) -> bool:
+    if shape is str:
+        return isinstance(value, str)
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, int):
+        return all(
+            isinstance(row, list) and len(row) == shape and all(isinstance(x, str) for x in row)
+            for row in value
+        )
+    return all(
+        isinstance(row, dict)
+        and row.keys() == shape.keys()
+        and all(isinstance(row[key], kind) for key, kind in shape.items())
+        for row in value
+    )
 
 
 def _cache_read(path: str) -> dict | None:
     """The cached payload, or None when it is missing, unreadable or misshapen.
 
-    The expected top-level shape is that of the command in the file name.
+    The expected shape, down to each row, is that of the command in the
+    file name.
     """
     command = os.path.basename(path).removeprefix("qgk-").rpartition("-")[0]
     shape = _PAYLOAD_SHAPES.get(command)
@@ -169,9 +198,7 @@ def _cache_read(path: str) -> dict | None:
         return None
     if not isinstance(payload, dict) or payload.keys() != shape.keys():
         return None
-    if not all(isinstance(payload[key], kind) for key, kind in shape.items()):
-        return None
-    return payload
+    return payload if all(_fits(payload[key], rows) for key, rows in shape.items()) else None
 
 
 def _cache_write(path: str, payload: dict) -> None:
@@ -212,7 +239,7 @@ def _cmd_kac(quiver: Quiver, args) -> dict:
     if args.method == "hua":
         if args.flavour != "plain":
             raise InputError("nilpotent flavours are oracle-only; use --method oracle")
-        table = hua_kac(quiver, args.bound, workers=args.workers)
+        table = hua_kac(quiver, args.bound)
     else:
         table = oracle_kac_full(quiver, args.bound, args.flavour, args.fields)
     return {"rows": [[_csv(d), str(p)] for d, p in table.items()]}
@@ -294,7 +321,7 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
         weights = WeightFunction(quiver, dict(table.table))
     else:
         weights = _load_weights(quiver, args.weights)
-    dims = gkm_dims(CartanDatum.from_quiver(quiver), weights, args.bound, args.workers)
+    dims = gkm_dims(CartanDatum.from_quiver(quiver), weights, args.bound)
     rows = []
     for d in sorted(dims.dims, key=lambda t: (sum(t), t)):
         for j in sorted(dims.dims[d]):
@@ -322,39 +349,68 @@ def _cmd_nakajima(quiver: Quiver, args) -> dict:
 
 
 def _cmd_verify(quiver: Quiver, args) -> dict:
+    """Run the checks; each row's status is pass, fail or vacuous (covered nothing).
+
+    Shared tables are computed once, when a check first needs them, so an
+    exception lands in that check's row.
+    """
     results = []
 
     def check(name: str, thunk) -> None:
         try:
-            ok, detail = thunk()
+            status, detail = thunk()
         except Exception as exc:  # noqa: BLE001 - verification must report, not crash
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append({"property": name, "ok": bool(ok), "detail": detail})
+            status, detail = "fail", f"{type(exc).__name__}: {exc}"
+        results.append({"property": name, "status": status, "detail": detail})
 
     bound = args.bound
+    rank = len(quiver.vertices)
     cartan = CartanDatum.from_quiver(quiver)
+    vectors = [d for d in vectors_up_to(rank, bound) if any(d)]
+
+    @functools.cache
+    def kac() -> KacTable:
+        return hua_kac(quiver, bound)
+
+    @functools.cache
+    def cabs() -> CuspidalTable:
+        return absolutely_cuspidal_from_kac(kac())
 
     def hua_vs_oracle():
-        hua = hua_kac(quiver, bound).to_series()
-        small = min(bound, 3 if len(quiver.vertices) == 1 else 2)
-        oracle = oracle_kac_full(quiver, small, "plain", args.fields)
+        horizon = min(bound, 3 if rank == 1 else 2)
+        stages: list[tuple[int, ...]] = []
+        skipped: dict[tuple[int, ...], str] = {}
+        for d in (d for d in vectors if sum(d) <= horizon):
+            dv = DimVector(quiver, d)
+            samples = 2 - euler_form(quiver, dv, dv)
+            below = [e for e in skipped if all(x <= y for x, y in zip(e, d))]
+            if samples > len(args.fields):
+                skipped[d] = f"needs {samples} field sizes, have {len(args.fields)}"
+            elif below:
+                skipped[d] = f"needs A at skipped {_csv(below[0])}"
+            else:
+                stages.append(d)
+        oracle = _oracle_stages(quiver, stages, "plain", args.fields)
+        hua = kac().to_series()
         bad = [d for d, p in oracle.items() if hua.coeff(d) != p]
-        return not bad, f"mismatch at {bad[:1]}" if bad else f"agree to |d| <= {small}"
+        notes = "".join(f"; skipped {_csv(d)} ({why})" for d, why in skipped.items())
+        if bad:
+            return "fail", f"mismatch at {bad[:1]}{notes}"
+        status = "pass" if stages else "vacuous"
+        return status, f"agree on {len(stages)} vectors with |d| <= {horizon}{notes}"
 
     def orientation():
         flipped = Quiver(list(quiver.vertices), [(t, s) for s, t in quiver.arrows])
-        same = hua_kac(quiver, bound).table == hua_kac(flipped, bound).table
-        return same, "A-table invariant under arrow reversal"
+        same = kac().table == hua_kac(flipped, bound).table
+        return ("pass" if same else "fail"), "A-table invariant under arrow reversal"
 
     def weyl():
-        table = hua_kac(quiver, bound).to_series()
+        table = kac().to_series()
         free = [v for v in quiver.vertices if quiver.loops_at(v) == 0]
         seen = 0
-        for d in vectors_up_to(len(quiver.vertices), bound):
-            if not any(d):
-                continue
+        for d in vectors:
             for length in range(1, 4):
-                for word in _words(free, length):
+                for word in itertools.product(free, repeat=length):
                     image = DimVector(quiver, d)
                     for v in word:
                         image = weyl_reflect(quiver, v, image)
@@ -363,54 +419,43 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
                         continue
                     seen += 1
                     if table.coeff(d) != table.coeff(tup):
-                        return False, f"A differs along {word} at {d}"
-        return True, f"checked {seen} reflected pairs"
+                        return "fail", f"A differs along {word} at {d}"
+        return ("pass" if seen else "vacuous"), f"checked {seen} reflected pairs"
 
     def kac_support():
-        table = hua_kac(quiver, bound)
         roots = {r.as_tuple() for r in positive_roots(quiver, bound)}
-        stored = set(table.table)
-        return stored == roots, "A_d nonzero exactly on positive roots"
+        same = set(kac().table) == roots
+        return ("pass" if same else "fail"), "A_d nonzero exactly on positive roots"
 
     def cuspidal_shape():
-        absolutely_cuspidal(quiver, bound)
-        return True, "support, degree, monicity, positivity asserted"
+        cabs()
+        return "pass", "support, degree, monicity, positivity asserted"
 
     def gkm_roundtrip():
-        kac = hua_kac(quiver, bound).to_series()
-        table = absolutely_cuspidal(quiver, bound)
-        weights = WeightFunction(quiver, dict(table.table))
-        dims = gkm_dims(cartan, weights, bound, args.workers)
-        back = gkm_character(dims)
-        same = all(
-            back.coeff(d) == kac.coeff(d)
-            for d in vectors_up_to(len(quiver.vertices), bound)
-        )
-        return same, "gkm_character(gkm_dims(C^abs)) equals the Kac series"
+        dims = gkm_dims(cartan, WeightFunction(quiver, dict(cabs().table)), bound)
+        back, series = gkm_character(dims), kac().to_series()
+        same = all(back.coeff(d) == series.coeff(d) for d in vectors)
+        return ("pass" if same else "fail"), "gkm_character(gkm_dims(C^abs)) equals the Kac series"
 
     def uea_positive():
-        kac = hua_kac(quiver, bound).to_series()
-        env = uea_character(kac)
-        for d in vectors_up_to(len(quiver.vertices), bound):
+        env = uea_character(kac().to_series())
+        for d in vectors:
             p = env.coeff(d)
             if not p.has_integer_coefficients() or not p.has_nonnegative_coefficients():
-                return False, f"bad enveloping coefficient at {d}"
-        return True, "enveloping character has nonnegative integer coefficients"
+                return "fail", f"bad enveloping coefficient at {d}"
+        return "pass", "enveloping character has nonnegative integer coefficients"
 
     def exp_log():
-        kac = hua_kac(quiver, bound).to_series()
+        series = kac().to_series()
         for mode in (PlethMode.Z_ONLY, PlethMode.QZ):
-            back = pleth_log(pleth_exp(kac, mode), mode)
-            if any(
-                back.coeff(d) != kac.coeff(d)
-                for d in vectors_up_to(len(quiver.vertices), bound)
-            ):
-                return False, f"Exp/Log roundtrip failed in {mode.name}"
-        return True, "Log(Exp(A)) = A in both modes"
+            back = pleth_log(pleth_exp(series, mode), mode)
+            if any(back.coeff(d) != series.coeff(d) for d in vectors):
+                return "fail", f"Exp/Log roundtrip failed in {mode.name}"
+        return "pass", "Log(Exp(A)) = A in both modes"
 
     def c_integer_valued():
-        cuspidal_from_abs(absolutely_cuspidal(quiver, bound))
-        return True, "C tables integer valued (exact: values at q = 0..deg are integers)"
+        cuspidal_from_abs(cabs())
+        return "pass", "C tables integer valued (exact: values at q = 0..deg are integers)"
 
     check("hua-vs-oracle", hua_vs_oracle)
     check("orientation-independence", orientation)
@@ -422,15 +467,6 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     check("exp-log-roundtrip", exp_log)
     check("cuspidal-integer-valued", c_integer_valued)
     return {"results": results}
-
-
-def _words(letters: list[str], length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _words(letters, length - 1):
-        for letter in letters:
-            yield rest + (letter,)
 
 
 # -- rendering --------------------------------------------------------------------
@@ -450,7 +486,7 @@ def _render_tsv(command: str, payload: dict) -> str:
                     [row["d"], row["class"], member, row["primitive"], str(row["multiplier"])]
                 )
             )
-    elif command in ("kac", "canonical-decomp"):
+    elif command in ("kac", "canonical-decomp", "gkm-dims"):
         lines += ["\t".join(row) for row in payload["rows"]]
     elif command == "cuspidal":
         lines.append("# C^abs")
@@ -459,8 +495,6 @@ def _render_tsv(command: str, payload: dict) -> str:
         lines += ["\t".join(row) for row in payload["c"]]
     elif command == "ip":
         lines.append(f"# IP convention: {payload['convention']}")
-        lines += ["\t".join(row) for row in payload["rows"]]
-    elif command == "gkm-dims":
         lines += ["\t".join(row) for row in payload["rows"]]
     elif command == "nakajima-decomp":
         for block in payload["blocks"]:
@@ -474,8 +508,7 @@ def _render_tsv(command: str, payload: dict) -> str:
                 lines.append("\t".join([block["d"], e, block["character"][e]]))
     elif command == "verify":
         for row in payload["results"]:
-            status = "PASS" if row["ok"] else "FAIL"
-            lines.append("\t".join([status, row["property"], row["detail"]]))
+            lines.append("\t".join([row["status"].upper(), row["property"], row["detail"]]))
     else:
         raise InputError(f"unknown command {command!r}")
     return "".join(line + "\n" for line in lines)
@@ -504,7 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--workers", type=int, default=1)
         if name == "kac":
             p.add_argument("--method", choices=("hua", "oracle"), default="hua")
         if name in ("ip", "canonical-decomp"):
@@ -554,8 +586,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.bound < 1:
             raise InputError("--bound must be >= 1")
-        if args.workers < 1:
-            raise InputError("--workers must be >= 1")
         args.fields = _parse_fields(args.fields)
         quiver = _load_quiver(args.quiver)
 
@@ -574,7 +604,7 @@ def run(argv: list[str] | None = None) -> int:
 
         text = _render_json(payload) if args.format == "json" else _render_tsv(args.command, payload)
         sys.stdout.write(text)
-        if args.command == "verify" and not all(r["ok"] for r in payload["results"]):
+        if args.command == "verify" and any(r["status"] == "fail" for r in payload["results"]):
             return 2
         return 0
     except (InputError, QuiverError, BudgetError, AmbiguousDecompositionError) as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gkm import GkmEngine, GkmError, WeightFunction
-from .kac import DEFAULT_FIELDS, hua_kac, oracle_kac_full
+from .kac import DEFAULT_FIELDS, KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver
 from .roots import (
@@ -131,13 +131,16 @@ def absolutely_cuspidal(
     flavours fall back to the finite-field counting oracle.
     """
     if flavour == "plain":
-        kac = hua_kac(quiver, bound)
-    else:
-        kac = oracle_kac_full(quiver, bound, flavour, fields)
-    cartan = CartanDatum.from_quiver(quiver)
-    weights = invert_character(cartan, kac.to_series(), bound)
-    table = CuspidalTable(quiver, bound, flavour, True, dict(weights.table))
-    if flavour == "plain":
+        return absolutely_cuspidal_from_kac(hua_kac(quiver, bound))
+    return absolutely_cuspidal_from_kac(oracle_kac_full(quiver, bound, flavour, fields))
+
+
+def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
+    """C^abs_d for |d| <= kac.bound, by inverting the character of a Kac table."""
+    cartan = CartanDatum.from_quiver(kac.quiver)
+    weights = invert_character(cartan, kac.to_series(), kac.bound)
+    table = CuspidalTable(kac.quiver, kac.bound, kac.flavour, True, dict(weights.table))
+    if kac.flavour == "plain":
         _check_plain_shape(table, cartan)
     return table
 

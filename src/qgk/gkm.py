@@ -207,7 +207,7 @@ class GkmEngine:
                 raise GkmError(f"multiplicity {multiplicity} is not a nonnegative integer")
         if diag == 2:
             total_mult = sum(int(c) for _, c in multiplicity.items())
-            if total_mult > 1:
+            if total_mult > 1 or self._root_letters.get(root):
                 raise GkmError("a real simple root must have multiplicity one")
         pairings = {r: self.cartan.form(r, root) for r in self._root_letters if r != root}
         for r, pairing in pairings.items():
@@ -392,17 +392,8 @@ def _weighted_lyndon_count(
 # -- module-level characters -------------------------------------------------------
 
 
-def gkm_dims(
-    cartan: CartanDatum, weights: WeightFunction, bound: int, workers: int = 1
-) -> GkmDimTable:
-    """Graded dimensions of n^+ presented by the weight function.
-
-    Blocks at one total degree are independent once all lower ideal
-    spans exist, so they are dealt onto `workers` chunks whose results
-    are merged in chunk order; the table cannot depend on the count.
-    """
-    if workers < 1:
-        raise GkmError("workers must be >= 1")
+def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDimTable:
+    """Graded dimensions of n^+ presented by the weight function."""
     engine = GkmEngine(cartan, bound)
     for root, poly in weights.items():
         if sum(root) > bound:
@@ -411,16 +402,10 @@ def gkm_dims(
     rank = len(weights.quiver.vertices)
     dims: dict[tuple[int, ...], dict[int, int]] = {}
     for total in range(1, bound + 1):
-        block_list = list(vectors_of_total(rank, total))
-        chunks = [block_list[i::workers] for i in range(workers)]
-        merged: dict[tuple[int, ...], dict[int, int]] = {}
-        for chunk in chunks:
-            for d in chunk:
-                block = engine.dims_at(d)
-                if block:
-                    merged[d] = block
-        for d in sorted(merged, key=lambda t: (sum(t), t)):
-            dims[d] = merged[d]
+        for d in vectors_of_total(rank, total):
+            block = engine.dims_at(d)
+            if block:
+                dims[d] = block
     return GkmDimTable(weights.quiver, bound, dims)
 
 

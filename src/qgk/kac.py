@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import _burnside
 from ._burnside import BudgetError, CountingError, brute_force_counts
-from .qpoly import QPoly, QPolyError
+from .qpoly import QPoly
 from .quiver import DimVector, Quiver, euler_form
 from .series import GradedSeries, PlethMode, _moebius, pleth_exp, vectors_of_total
 
@@ -45,7 +45,6 @@ __all__ = [
     "FLAVOURS",
     "BudgetError",
     "CountingError",
-    "HUA_NORMALISATION",
     "KacTable",
     "MultiPartition",
     "brute_force_counts",
@@ -54,7 +53,6 @@ __all__ = [
     "oracle_kac_full",
     "oracle_kac_table",
     "partitions",
-    "select_hua_normalisation",
 ]
 
 FLAVOURS = _burnside.FLAVOURS
@@ -105,9 +103,6 @@ class MultiPartition:
 
     parts: tuple[tuple[int, ...], ...]
 
-    def degree(self) -> tuple[int, ...]:
-        return tuple(sum(p) for p in self.parts)
-
 
 # -- rational coefficients with structured denominators ---------------------------
 
@@ -120,10 +115,6 @@ class _RatQ:
     def __init__(self, num: QPoly, den: tuple[tuple[int, int], ...] = ()):
         self.num = num
         self.den = tuple(sorted((j, e) for j, e in den if e)) if not num.is_zero() else ()
-
-    @classmethod
-    def one(cls) -> "_RatQ":
-        return cls(QPoly.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -235,35 +226,16 @@ def _hua_term(quiver: Quiver, pi: MultiPartition) -> _RatQ:
     return _RatQ(QPoly.q_power(exponent), tuple(den.items()))
 
 
-def _hua_raw_series(
-    quiver: Quiver, bound: int, workers: int = 1
-) -> dict[tuple[int, ...], _RatQ]:
-    """Nonconstant coefficients of Hua's sum; the constant term is 1.
-
-    The multipartition stream at each d is dealt round-robin onto
-    `workers` partial sums, which are then combined in worker order, so
-    the grouping (and any future actual parallelism) cannot affect the
-    exact result.
-    """
-    if workers < 1:
-        raise CountingError("workers must be >= 1")
+def _hua_raw_series(quiver: Quiver, bound: int) -> dict[tuple[int, ...], _RatQ]:
+    """Nonconstant coefficients of Hua's sum; the constant term is 1."""
     rank = len(quiver.vertices)
     raw: dict[tuple[int, ...], _RatQ] = {}
     for total in range(1, bound + 1):
         for d in vectors_of_total(rank, total):
-            parts: list[_RatQ | None] = [None] * workers
-            for i, combo in enumerate(
-                itertools.product(*(partitions(n) for n in d))
-            ):
-                term = _hua_term(quiver, MultiPartition(combo))
-                slot = i % workers
-                held = parts[slot]
-                parts[slot] = term if held is None else held + term
             acc = None
-            for held in parts:
-                if held is None:
-                    continue
-                acc = held if acc is None else acc + held
+            for combo in itertools.product(*(partitions(n) for n in d)):
+                term = _hua_term(quiver, MultiPartition(combo))
+                acc = term if acc is None else acc + term
             raw[d] = acc
     return raw
 
@@ -308,76 +280,22 @@ def _ratq_pleth_log(raw: dict[tuple[int, ...], _RatQ], bound: int) -> dict[tuple
     return out
 
 
-HUA_NORMALISATION = "qminus1_log"
-"""Where the clearing factor sits between the raw Hua sum and A_d.
+def hua_kac(quiver: Quiver, bound: int) -> KacTable:
+    """Kac polynomials A_d for all 0 < |d| <= bound via Hua's sum.
 
-The sources disagree on whether the raw sum is already sum_d M_d z^d
-(so A = Log of it) or off by a global q - 1 (so A = (q - 1) Log).  The
-constant is frozen to whichever select_hua_normalisation picks against
-the counting oracle; the test suite re-runs the selection.
-"""
-
-_HUA_CANDIDATES = ("plain_log", "qminus1_log")
-
-
-def _hua_clearing_factor(convention: str) -> QPoly:
-    if convention == "qminus1_log":
-        return QPoly.q_power(1) - QPoly.one()
-    if convention == "plain_log":
-        return QPoly.one()
-    raise CountingError(f"unknown Hua normalisation {convention!r}")
-
-
-def hua_kac(quiver: Quiver, bound: int, workers: int = 1) -> KacTable:
-    """Kac polynomials A_d for all 0 < |d| <= bound via Hua's sum."""
+    A_d = (q - 1) * [Log_{q,z} of the sum]_d; see the module docstring for
+    why the factor is q - 1.
+    """
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    raw = _hua_raw_series(quiver, bound, workers)
-    logged = _ratq_pleth_log(raw, bound)
-    factor = _hua_clearing_factor(HUA_NORMALISATION)
+    logged = _ratq_pleth_log(_hua_raw_series(quiver, bound), bound)
+    factor = QPoly.q_power(1) - QPoly.one()
     table: dict[tuple[int, ...], QPoly] = {}
     for d, val in logged.items():
         poly = _RatQ(val.num * factor, val.den).to_qpoly()
         if not poly.is_zero():
             table[d] = poly
     return KacTable(quiver, bound, "plain", table)
-
-
-def select_hua_normalisation() -> str:
-    """Pick the Hua normalisation that reproduces the counting oracle.
-
-    Both candidate conventions are evaluated on the Jordan quiver up to
-    d = 3, a loop-free unit, and the Kronecker (1,1), against class
-    counts interpolated from finite fields.  Exactly one candidate must
-    survive; anything else signals a convention or counting bug.
-    """
-    jordan = Quiver(["0"], [("0", "0")])
-    a2 = Quiver(["0", "1"], [("0", "1")])
-    kron = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
-    probes: list[tuple[Quiver, int, list[tuple[int, ...]]]] = [
-        (jordan, 3, [(1,), (2,), (3,)]),
-        (a2, 1, [(1, 0)]),
-        (kron, 2, [(1, 1)]),
-    ]
-    survivors = set(_HUA_CANDIDATES)
-    for quiver, bound, spots in probes:
-        logged = _ratq_pleth_log(_hua_raw_series(quiver, bound), bound)
-        for d in spots:
-            expected = oracle_kac(quiver, DimVector(quiver, d))
-            val = logged.get(d, _RatQ(QPoly.zero()))
-            for name in list(survivors):
-                try:
-                    poly = _RatQ(
-                        val.num * _hua_clearing_factor(name), val.den
-                    ).to_qpoly()
-                except QPolyError:
-                    survivors.discard(name)
-                    continue
-                if poly != expected:
-                    survivors.discard(name)
-    if len(survivors) != 1:
-        raise CountingError(f"Hua normalisation not pinned: {sorted(survivors)}")
-    return survivors.pop()
 
 
 # -- the counting oracle ----------------------------------------------------------

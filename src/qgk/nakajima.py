@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cuspidal import absolutely_cuspidal
+from .cuspidal import absolutely_cuspidal_from_kac
 from .gkm import lowest_weight_extract
-from .kac import hua_kac
+from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver, frame, framed_vector, sym_form
 from .roots import CartanDatum, phi_plus
@@ -41,8 +41,12 @@ class NakajimaError(ValueError):
 
 def framed_character(quiver: Quiver, framing: DimVector, bound: int) -> GradedSeries:
     """F(z) = sum_{|e| <= bound} A_{Q_f,(e,1)}(q^{-1}) z^e."""
-    framed = frame(quiver, framing)
-    kac = hua_kac(framed, bound + 1).to_series()
+    return _framed_series(quiver, hua_kac(frame(quiver, framing), bound + 1), bound)
+
+
+def _framed_series(quiver: Quiver, framed_kac: KacTable, bound: int) -> GradedSeries:
+    """F(z) read off the Kac table of the framed quiver up to bound + 1."""
+    kac = framed_kac.to_series()
     rank = len(quiver.vertices)
     terms: dict[tuple[int, ...], QPoly] = {}
     for e in vectors_up_to(rank, bound):
@@ -86,8 +90,9 @@ def lw_decompose(
     framed = frame(quiver, framing)
     cartan = CartanDatum.from_quiver(framed)
     roots = phi_plus(cartan, bound + 1)
-    table = absolutely_cuspidal(framed, bound + 1)
-    total = framed_character(quiver, framing, bound)
+    kac = hua_kac(framed, bound + 1)
+    table = absolutely_cuspidal_from_kac(kac)
+    total = _framed_series(quiver, kac, bound)
     rank = len(quiver.vertices)
 
     multiplicities: dict[tuple[int, ...], QPoly] = {}

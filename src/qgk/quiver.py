@@ -296,16 +296,8 @@ class DimVector(Mapping[str, int]):
     def __hash__(self) -> int:
         return hash(self.as_tuple())
 
-    def sort_key(self) -> tuple:
-        """(|d|, lexicographic) sort key used for all table output."""
-        return (self.total, self.as_tuple())
-
     def __repr__(self) -> str:
         return f"DimVector({self.as_tuple()})"
-
-    def csv(self) -> str:
-        """Comma-separated entries in vertex input order (the CLI format)."""
-        return ",".join(str(n) for n in self.as_tuple())
 
 
 # -- bilinear forms ----------------------------------------------------------

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .quiver import DimVector, Quiver, QuiverError, sym_form
+from .series import vectors_of_total
 
 
 class RootError(ValueError):
@@ -51,10 +52,6 @@ class CartanDatum:
         units = [DimVector.unit(quiver, v) for v in quiver.vertices]
         matrix = [[sym_form(quiver, a, b) for b in units] for a in units]
         return cls(matrix)
-
-    def real_capable(self, i: int) -> bool:
-        """Whether the i-th basis vector can be a real root ((1_i, 1_i) = 2)."""
-        return self.matrix[i][i] == 2
 
     def form(self, d: tuple[int, ...], e: tuple[int, ...]) -> int:
         total = 0
@@ -171,7 +168,7 @@ def phi_plus(cartan: CartanDatum, bound: int) -> RootTables:
     tables = RootTables(cartan, bound)
     rank = cartan.rank
     for total in range(1, bound + 1):
-        for d in _tuples_of_total(rank, total):
+        for d in vectors_of_total(rank, total):
             if cartan.sigma_membership_tuple(d):
                 tables.sigma.add(d)
                 cls = _classification(cartan.form(d, d))
@@ -186,15 +183,6 @@ def phi_plus(cartan: CartanDatum, bound: int) -> RootTables:
                 tables.entries[ld] = RootEntry(ld, ISOTROPIC, cartan.p(ld), d, l)
             l += 1
     return tables
-
-
-def _tuples_of_total(rank: int, total: int):
-    if rank == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _tuples_of_total(rank - 1, total - head):
-            yield (head,) + tail
 
 
 # -- Weyl group and positive roots -----------------------------------------------
@@ -240,7 +228,7 @@ def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
         seeds.add(DimVector.unit(quiver, v).as_tuple())
     rank = len(quiver.vertices)
     for total in range(1, bound + 1):
-        for t in _tuples_of_total(rank, total):
+        for t in vectors_of_total(rank, total):
             d = DimVector(quiver, t)
             if fundamental_cone_membership(quiver, d):
                 seeds.add(t)
@@ -263,42 +251,6 @@ def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
             if any(s) and all(n >= 0 for n in s) and sum(s) <= bound:
                 result.add(s)
     return [DimVector(quiver, t) for t in sorted(result, key=lambda t: (sum(t), t))]
-
-
-def sigma_via_positive_roots(quiver: Quiver, bound: int) -> set[tuple[int, ...]]:
-    """The cross-check definition of Sigma through the root system.
-
-    d is accepted when d is a positive root and p(d) strictly dominates
-    every decomposition of d into positive roots.  Used by the test suite
-    to confirm it coincides with the dynamic-programming definition.
-    """
-    cartan = CartanDatum.from_quiver(quiver)
-    roots = [r.as_tuple() for r in positive_roots(quiver, bound)]
-    root_set = set(roots)
-
-    def decompositions(d: tuple[int, ...], allowed: list[tuple[int, ...]]):
-        if not any(d):
-            yield []
-            return
-        for k, r in enumerate(allowed):
-            if all(x <= y for x, y in zip(r, d)):
-                rest = tuple(y - x for x, y in zip(r, d))
-                for tail in decompositions(rest, allowed[k:]):
-                    yield [r] + tail
-
-    accepted: set[tuple[int, ...]] = set()
-    for d in roots:
-        pd = cartan.p(d)
-        dominated = True
-        for parts in decompositions(d, roots):
-            if len(parts) == 1:
-                continue
-            if not pd > sum(cartan.p(r) for r in parts):
-                dominated = False
-                break
-        if dominated and d in root_set:
-            accepted.add(d)
-    return accepted
 
 
 # -- canonical decomposition ---------------------------------------------------

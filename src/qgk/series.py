@@ -86,12 +86,6 @@ class GradedSeries:
         rank = len(quiver.vertices)
         return cls(quiver, bound, {(0,) * rank: QPoly.one()})
 
-    @classmethod
-    def from_dimvector_terms(
-        cls, quiver: Quiver, bound: int, terms: Mapping[DimVector, QPoly]
-    ) -> "GradedSeries":
-        return cls(quiver, bound, {d.as_tuple(): p for d, p in terms.items()})
-
     # -- accessors --------------------------------------------------------------
 
     def coeff(self, d: "DimVector | tuple[int, ...]") -> QPoly:
@@ -106,9 +100,6 @@ class GradedSeries:
 
     def support(self) -> list[tuple[int, ...]]:
         return [k for k, _ in self.items()]
-
-    def dim_vector(self, key: tuple[int, ...]) -> DimVector:
-        return DimVector(self.quiver, key)
 
     def is_zero(self) -> bool:
         return not self._terms

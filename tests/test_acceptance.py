@@ -7,12 +7,13 @@ lines as they appear.
 
 from __future__ import annotations
 
+import io
 import itertools
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import test_gkm
-import test_kac
 import test_roots
 import test_series
 
@@ -41,6 +42,7 @@ from qgk import (
     sigma_membership,
     weyl_reflect,
 )
+from qgk.cli import run
 from qgk.series import vectors_up_to
 
 Q = QPoly.q_power
@@ -188,9 +190,19 @@ def test_nilpotent_jordan():
             assert cusp.polynomial((n,)) == ONE
 
 
+def test_verify_passes_on_every_demo_quiver():
+    demos = sorted((Path(__file__).parent.parent / "demos" / "quivers").glob("*.json"))
+    with gate(f"qgk verify exits 0 on all {len(demos)} demo quivers at the default bound", 15.0):
+        assert demos
+        for path in demos:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = run(["verify", str(path)])
+            assert code == 0, f"{path.name}:\n{out.getvalue()}"
+
+
 def test_randomised_property_suites():
-    with gate("randomised suites: Exp/Log, additivity, ordering, workers"):
+    with gate("randomised suites: Exp/Log, additivity, ordering"):
         test_series.test_exp_log_inverse_both_modes()
         test_series.test_exp_additivity_both_modes()
         test_gkm.test_engine_dims_do_not_depend_on_registration_order()
-        test_kac.test_workers_determinism()

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import qgk.cli
+import qgk.cuspidal
 from qgk.cli import run
 
 
@@ -156,7 +158,6 @@ def test_nakajima_requires_framing(a2_file):
 def test_exit_codes_for_bad_input(jordan_file, a2_file):
     assert run(["kac", "/nonexistent/q.json"]) == 1
     assert run(["kac", jordan_file, "--bound", "0"]) == 1
-    assert run(["kac", jordan_file, "--workers", "0"]) == 1
     assert run(["kac", jordan_file, "--fields", "1,2"]) == 1
     assert run(["kac", jordan_file, "--fields", "2,2"]) == 1
     assert run(["kac", jordan_file, "--fields", "x"]) == 1
@@ -191,6 +192,57 @@ def test_verify_passes(a2_file, capsys):
     assert "gkm-roundtrip" in names
 
 
+def test_verify_computes_the_kac_table_once(kron_file, monkeypatch, capsys):
+    calls = []
+    real = qgk.cli.hua_kac
+
+    def counting(quiver, bound):
+        calls.append(quiver)
+        return real(quiver, bound)
+
+    for module in (qgk.cli, qgk.cuspidal):
+        monkeypatch.setattr(module, "hua_kac", counting)
+    assert run(["verify", kron_file, "--bound", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # the quiver and its arrow reversal
+    assert calls[0].arrows != calls[1].arrows
+
+
+def _verify_rows(capsys) -> dict[str, list[str]]:
+    return {line.split("\t")[1]: line.split("\t") for line in _out(capsys).splitlines()}
+
+
+def test_verify_statuses(jordan_file, qfile, capsys):
+    # Jordan has no loop-free vertex: Weyl invariance covers nothing
+    assert run(["verify", jordan_file, "--bound", "3"]) == 0
+    rows = _verify_rows(capsys)
+    assert rows["weyl-invariance"][0] == "VACUOUS"
+    assert rows["hua-vs-oracle"][0] == "PASS"
+    # A_(3) of the two-loop quiver needs 11 field sizes; |d| <= 2 is still checked
+    two_loop = qfile("two_loop", ["0"], [["0", "0"], ["0", "0"]])
+    assert run(["verify", two_loop]) == 0
+    status, _, detail = _verify_rows(capsys)["hua-vs-oracle"]
+    assert status == "PASS"
+    assert detail == (
+        "agree on 2 vectors with |d| <= 3; skipped 3 (needs 11 field sizes, have 7)"
+    )
+    assert run(["verify", two_loop, "--fields", "2"]) == 0
+    assert _verify_rows(capsys)["hua-vs-oracle"][0] == "VACUOUS"
+    # (1,1) is cheap but the oracle reaches it through the skipped (1,0)
+    loop_and_point = qfile("loop_and_point", ["0", "1"], [["0", "0"]])
+    assert run(["verify", loop_and_point, "--bound", "2", "--fields", "2"]) == 0
+    detail = _verify_rows(capsys)["hua-vs-oracle"][2]
+    assert "skipped 1,0 (needs 2 field sizes, have 1)" in detail
+    assert "skipped 1,1 (needs A at skipped 1,0)" in detail
+
+
+def test_verify_json_statuses(a2_file, capsys):
+    assert run(["verify", a2_file, "--bound", "2", "--format", "json"]) == 0
+    results = json.loads(_out(capsys))["results"]
+    assert {r["status"] for r in results} == {"pass"}
+    assert set(results[0]) == {"property", "status", "detail"}
+
+
 def test_cache_cold_and_warm_agree(kron_file, tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     monkeypatch.setenv("QGK_CACHE_DIR", str(cache))
@@ -222,6 +274,19 @@ def test_misshapen_cache_entry_is_rebuilt(kron_file, tmp_path, capsys, entry):
     assert set(json.loads(path.read_text())) == {"cabs", "c"}
 
 
+@pytest.mark.parametrize("entry", [b'{"rows": [1]}', b'{"rows": [["1"]]}'])
+def test_misshapen_cache_rows_are_rebuilt(jordan_file, tmp_path, capsys, entry):
+    cache = tmp_path / "cache"
+    argv = ["kac", jordan_file, "--bound", "3", "--cache-dir", str(cache)]
+    assert run(argv) == 0
+    cold = _out(capsys)
+    (path,) = cache.glob("qgk-*.json")
+    path.write_bytes(entry)
+    assert run(argv) == 0
+    assert _out(capsys) == cold
+    assert json.loads(path.read_text())["rows"] == [["1", "q"], ["2", "q"], ["3", "q"]]
+
+
 def test_missing_weight_file_with_cache_is_invalid_input(a2_file, tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     argv = ["gkm-dims", a2_file, "--weights", missing, "--cache-dir", str(tmp_path)]
@@ -238,17 +303,6 @@ def test_cache_keys_separate_commands_and_bounds(kron_file, tmp_path, capsys):
     assert run(["roots", kron_file, "--bound", "2", "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     assert len(list(cache.glob("qgk-*.json"))) == 3
-
-
-def test_workers_do_not_change_output(kron_file, a2_file, capsys):
-    assert run(["kac", kron_file, "--bound", "4"]) == 0
-    serial = _out(capsys)
-    assert run(["kac", kron_file, "--bound", "4", "--workers", "3"]) == 0
-    assert _out(capsys) == serial
-    assert run(["gkm-dims", a2_file, "--from-kac", "--bound", "3", "--workers", "2"]) == 0
-    dealt = _out(capsys)
-    assert run(["gkm-dims", a2_file, "--from-kac", "--bound", "3"]) == 0
-    assert _out(capsys) == dealt
 
 
 def test_module_entry_point():

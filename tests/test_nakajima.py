@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import qgk.cuspidal
+import qgk.nakajima
 from qgk import (
     AmbiguousDecompositionError,
     DimVector,
@@ -44,6 +46,21 @@ def test_framed_a1_gives_the_two_dimensional_block(a1):
     block = dec.blocks[0]
     assert block.weight == (-1,)
     assert block.character.items() == [((0,), ONE), ((1,), ONE)]
+
+
+def test_lw_decompose_computes_the_framed_table_once(a2, monkeypatch):
+    calls = []
+    real = qgk.nakajima.hua_kac
+
+    def counting(quiver, bound):
+        calls.append(bound)
+        return real(quiver, bound)
+
+    for module in (qgk.nakajima, qgk.cuspidal):
+        monkeypatch.setattr(module, "hua_kac", counting)
+    dec = lw_decompose(a2, DimVector(a2, (1, 0)), 2)
+    assert calls == [3]
+    assert dec.total.items() == framed_character(a2, DimVector(a2, (1, 0)), 2).items()
 
 
 def test_zero_framing_leaves_the_trivial_block(a2):

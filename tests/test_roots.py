@@ -20,8 +20,43 @@ from qgk import (
     sym_form,
     weyl_reflect,
 )
-from qgk.roots import sigma_via_positive_roots
 from qgk.series import vectors_up_to
+
+
+def sigma_via_positive_roots(quiver: Quiver, bound: int) -> set[tuple[int, ...]]:
+    """The cross-check definition of Sigma through the root system.
+
+    d is accepted when d is a positive root and p(d) strictly dominates
+    every decomposition of d into positive roots; the library's Sigma is
+    the dynamic-programming definition, checked against this one below.
+    """
+    cartan = CartanDatum.from_quiver(quiver)
+    roots = [r.as_tuple() for r in positive_roots(quiver, bound)]
+    root_set = set(roots)
+
+    def decompositions(d: tuple[int, ...], allowed: list[tuple[int, ...]]):
+        if not any(d):
+            yield []
+            return
+        for k, r in enumerate(allowed):
+            if all(x <= y for x, y in zip(r, d)):
+                rest = tuple(y - x for x, y in zip(r, d))
+                for tail in decompositions(rest, allowed[k:]):
+                    yield [r] + tail
+
+    accepted: set[tuple[int, ...]] = set()
+    for d in roots:
+        pd = cartan.p(d)
+        dominated = True
+        for parts in decompositions(d, roots):
+            if len(parts) == 1:
+                continue
+            if not pd > sum(cartan.p(r) for r in parts):
+                dominated = False
+                break
+        if dominated and d in root_set:
+            accepted.add(d)
+    return accepted
 
 
 def _sigma_box(quiver, bound):
