@@ -145,9 +145,26 @@ def _cache_path(
     return os.path.join(directory, f"qgk-{command}-{key}.json")
 
 
+_BLOCK = {"d": str, "multiplicity": str, "weight": list, "character": dict}
+
+
+def _is_block(row) -> bool:
+    """A nakajima-decomp block whose d and character keys have the quiver's rank.
+
+    The weight has one entry per vertex, so its length is that rank.
+    """
+    if not _row_fits(row, _BLOCK):
+        return False
+    vectors = [v.split(",") for v in (row["d"], *row["character"])]
+    return all(isinstance(p, str) for p in row["character"].values()) and all(
+        len(v) == len(row["weight"]) and all(n.isascii() and n.isdigit() for n in v)
+        for v in vectors
+    )
+
+
 #: Each cacheable command's payload: top-level key -> `str` for a string,
 #: else the shape of each row of a list: the width of a list of strings,
-#: or a dict of key -> value type.
+#: a dict of key -> value type, or a predicate on the row.
 _PAYLOAD_SHAPES = {
     "roots": {
         "rows": {"d": str, "class": str, "sigma": bool, "primitive": str, "multiplier": int}
@@ -157,28 +174,26 @@ _PAYLOAD_SHAPES = {
     "ip": {"convention": str, "rows": 2},
     "canonical-decomp": {"rows": 2},
     "gkm-dims": {"rows": 3},
-    "nakajima-decomp": {
-        "blocks": {"d": str, "multiplicity": str, "weight": list, "character": dict}
-    },
+    "nakajima-decomp": {"blocks": _is_block},
 }
+
+
+def _row_fits(row, shape) -> bool:
+    if isinstance(shape, int):
+        return isinstance(row, list) and len(row) == shape and all(isinstance(x, str) for x in row)
+    if isinstance(shape, dict):
+        return (
+            isinstance(row, dict)
+            and row.keys() == shape.keys()
+            and all(isinstance(row[key], kind) for key, kind in shape.items())
+        )
+    return shape(row)
 
 
 def _fits(value, shape) -> bool:
     if shape is str:
         return isinstance(value, str)
-    if not isinstance(value, list):
-        return False
-    if isinstance(shape, int):
-        return all(
-            isinstance(row, list) and len(row) == shape and all(isinstance(x, str) for x in row)
-            for row in value
-        )
-    return all(
-        isinstance(row, dict)
-        and row.keys() == shape.keys()
-        and all(isinstance(row[key], kind) for key, kind in shape.items())
-        for row in value
-    )
+    return isinstance(value, list) and all(_row_fits(row, shape) for row in value)
 
 
 def _cache_read(path: str) -> dict | None:

@@ -14,9 +14,13 @@ pi = (pi_v) is
 so A_d = (q-1) * [Log_{q,z} of the sum]_d.  The normalisation is pinned by
 the one-loop quiver at d = 1: the degree-1 coefficient of the sum is
 q/(q-1) = A_1/(q-1) with A_1 = q, while reading the sum as the class count
-itself would make A_1 non-polynomial.  Coefficients are carried with their
-denominators as explicit (1 - q^{-j}) exponent vectors; the final division
-must be exact and is asserted.
+itself would make A_1 non-polynomial.
+
+The coefficient at z^d of the sum, of its products and of their Adams
+images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
+the sum, its log (by the recurrence in |d|, scaled by L = lcm(1..N)) and
+the Moebius sum are carried as integer numerators over D_d, dense in x,
+and each A_d takes one exact division by L^2 D_d at the end.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -30,7 +34,10 @@ values at deg + 1 field sizes, with deg = 1 - chi(e, e).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +53,6 @@ __all__ = [
     "BudgetError",
     "CountingError",
     "KacTable",
-    "MultiPartition",
     "brute_force_counts",
     "hua_kac",
     "oracle_kac",
@@ -68,22 +74,17 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as descending tuples."""
     if n < 0:
         raise ValueError("partitions of negative integers do not exist")
-    if n in _PARTITION_CACHE:
-        return _PARTITION_CACHE[n]
-
-    def generate(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for head in range(min(remaining, cap), 0, -1):
-            for tail in generate(remaining - head, head):
-                yield (head,) + tail
-
-    result = list(generate(n, n))
-    _PARTITION_CACHE[n] = result
-    return result
+    if n not in _PARTITION_CACHE:
+        _PARTITION_CACHE[n] = [
+            (head,) + tail
+            for head in range(n, 0, -1)
+            for tail in partitions(n - head)
+            if not tail or tail[0] <= head
+        ]
+    return _PARTITION_CACHE[n]
 
 
+@functools.cache
 def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     if not lam:
         return ()
@@ -95,67 +96,6 @@ def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     lc = conjugate_partition(lam)
     mc = conjugate_partition(mu)
     return sum(a * b for a, b in zip(lc, mc))
-
-
-@dataclass(frozen=True)
-class MultiPartition:
-    """One partition per vertex, in vertex order."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-
-# -- rational coefficients with structured denominators ---------------------------
-
-
-class _RatQ:
-    """num / prod_j (1 - q^{-j})^{e_j} with an exact QPoly numerator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QPoly, den: tuple[tuple[int, int], ...] = ()):
-        self.num = num
-        self.den = tuple(sorted((j, e) for j, e in den if e)) if not num.is_zero() else ()
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other: "_RatQ") -> "_RatQ":
-        merged: dict[int, int] = dict(self.den)
-        for j, e in other.den:
-            merged[j] = merged.get(j, 0) + e
-        return _RatQ(self.num * other.num, tuple(merged.items()))
-
-    def __add__(self, other: "_RatQ") -> "_RatQ":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        mine = dict(self.den)
-        theirs = dict(other.den)
-        lcm = {j: max(mine.get(j, 0), theirs.get(j, 0)) for j in set(mine) | set(theirs)}
-        a = self.num * _den_poly({j: e - mine.get(j, 0) for j, e in lcm.items()})
-        b = other.num * _den_poly({j: e - theirs.get(j, 0) for j, e in lcm.items()})
-        return _RatQ(a + b, tuple(lcm.items()))
-
-    def scale(self, c: Fraction) -> "_RatQ":
-        return _RatQ(self.num.scale(c), self.den)
-
-    def substitute_power(self, n: int) -> "_RatQ":
-        return _RatQ(self.num.substitute_power(n), tuple((j * n, e) for j, e in self.den))
-
-    def to_qpoly(self) -> QPoly:
-        return self.num.divexact(_den_poly(dict(self.den)))
-
-
-def _den_poly(exponents: dict[int, int]) -> QPoly:
-    result = QPoly.one()
-    for j, e in sorted(exponents.items()):
-        if e < 0:
-            raise CountingError("negative denominator exponent")
-        factor = QPoly.one() - QPoly.q_power(-j)
-        for _ in range(e):
-            result = result * factor
-    return result
 
 
 # -- the Kac table ----------------------------------------------------------------
@@ -208,76 +148,106 @@ class KacTable:
 
 # -- Hua's formula ----------------------------------------------------------------
 
-
-def _hua_term(quiver: Quiver, pi: MultiPartition) -> _RatQ:
-    exponent = 0
-    by_vertex = dict(zip(quiver.vertices, pi.parts))
-    for s, t in quiver.arrows:
-        exponent += partition_pairing(by_vertex[s], by_vertex[t])
-    den: dict[int, int] = {}
-    for lam in pi.parts:
-        exponent -= partition_pairing(lam, lam)
-        mults: dict[int, int] = {}
-        for part in lam:
-            mults[part] = mults.get(part, 0) + 1
-        for m in mults.values():
-            for j in range(1, m + 1):
-                den[j] = den.get(j, 0) + 1
-    return _RatQ(QPoly.q_power(exponent), tuple(den.items()))
+# A numerator (top, c) stands for q^top * sum_i c[i] x^i with x = q^{-1}.
 
 
-def _hua_raw_series(quiver: Quiver, bound: int) -> dict[tuple[int, ...], _RatQ]:
-    """Nonconstant coefficients of Hua's sum; the constant term is 1."""
-    rank = len(quiver.vertices)
-    raw: dict[tuple[int, ...], _RatQ] = {}
+def _mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def _times_one_minus(c, j: int) -> list[int]:
+    """c * (1 - x^j)."""
+    out = list(c) + [0] * j
+    for i in range(len(out) - 1, j - 1, -1):
+        out[i] -= out[i - j]
+    return out
+
+
+def _over_one_minus(c, j: int) -> list[int]:
+    """c / (1 - x^j); raises CountingError unless the division is exact."""
+    out = list(c)
+    for i in range(j, len(out)):
+        out[i] += out[i - j]
+    cut = max(len(out) - j, 0)
+    if any(out[cut:]):
+        raise CountingError(f"inexact division by 1 - q^-{j}")
+    return out[:cut]
+
+
+def _ratio(top, bottom) -> tuple[int, ...]:
+    """prod_{j in top} (1 - x^j) / prod_{j in bottom} (1 - x^j), a polynomial in x."""
+    top, bottom = Counter(top), Counter(bottom)
+    c = functools.reduce(_times_one_minus, (top - bottom).elements(), [1])
+    return tuple(functools.reduce(_over_one_minus, (bottom - top).elements(), c))
+
+
+@functools.cache
+def _vertex_numerator(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """lam's Hua denominator prod_k (x;x)_{m_k(lam)} cleared by (x;x)_{|lam|}."""
+    mults = Counter(lam).values()
+    return _ratio(range(1, sum(lam) + 1), [j for m in mults for j in range(1, m + 1)])
+
+
+@functools.cache
+def _gauss(n: int, k: int) -> tuple[int, ...]:
+    """The Gaussian binomial [n choose k] in x."""
+    return _ratio(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
+
+
+def _combine(terms: list[tuple[int, int, list[int]]]) -> tuple[int, list[int]]:
+    """sum of k * q^t * c over the (k, t, c), as a numerator without zero ends."""
+    top = max(t for _, t, _ in terms)
+    out = [0] * max(top - t + len(c) for _, t, c in terms)
+    for k, t, c in terms:
+        for i, ci in enumerate(c, top - t):
+            out[i] += k * ci
+    while out and not out[-1]:
+        out.pop()
+    lead = next((i for i, ci in enumerate(out) if ci), len(out))
+    return top - lead, out[lead:]
+
+
+def _hua_numerators(quiver: Quiver, bound: int) -> dict[tuple[int, ...], tuple[int, list[int]]]:
+    """N_d = D_d * [z^d] of Hua's sum for 0 < |d| <= bound, by (|d|, lex)."""
+    index = {v: i for i, v in enumerate(quiver.vertices)}
+    arrows = [(index[s], index[t]) for s, t in quiver.arrows]
+    out = {}
     for total in range(1, bound + 1):
-        for d in vectors_of_total(rank, total):
-            acc = None
-            for combo in itertools.product(*(partitions(n) for n in d)):
-                term = _hua_term(quiver, MultiPartition(combo))
-                acc = term if acc is None else acc + term
-            raw[d] = acc
-    return raw
-
-
-def _ratq_convolve(
-    a: dict[tuple[int, ...], _RatQ], b: dict[tuple[int, ...], _RatQ], bound: int
-) -> dict[tuple[int, ...], _RatQ]:
-    out: dict[tuple[int, ...], _RatQ] = {}
-    for da, va in a.items():
-        for db, vb in b.items():
-            if sum(da) + sum(db) > bound:
-                continue
-            key = tuple(x + y for x, y in zip(da, db))
-            prod = va * vb
-            out[key] = out[key] + prod if key in out else prod
+        for d in vectors_of_total(len(index), total):
+            terms = []
+            for pi in itertools.product(*(partitions(n) for n in d)):
+                exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
+                exponent -= sum(partition_pairing(lam, lam) for lam in pi)
+                terms.append((1, exponent, functools.reduce(_mul, map(_vertex_numerator, pi))))
+            out[d] = _combine(terms)
     return out
 
 
-def _ratq_pleth_log(raw: dict[tuple[int, ...], _RatQ], bound: int) -> dict[tuple[int, ...], _RatQ]:
-    """Log_{q,z} of 1 + raw, with q |-> q^n inside the Adams operations."""
-    ln: dict[tuple[int, ...], _RatQ] = {}
-    power = dict(raw)
-    sign = Fraction(1)
-    for k in range(1, bound + 1):
-        if k > 1:
-            power = _ratq_convolve(power, raw, bound)
-            sign = Fraction((-1) ** (k + 1), k)
-        for key, val in power.items():
-            scaled = val.scale(sign)
-            ln[key] = ln[key] + scaled if key in ln else scaled
-    out: dict[tuple[int, ...], _RatQ] = {}
-    for n in range(1, bound + 1):
-        mu = _moebius(n)
-        if mu == 0:
-            continue
-        for key, val in ln.items():
-            if sum(key) * n > bound:
-                continue
-            stretched = tuple(x * n for x in key)
-            term = val.substitute_power(n).scale(Fraction(mu, n))
-            out[stretched] = out[stretched] + term if stretched in out else term
-    return out
+def _hua_log(numerators: dict, scale: int) -> dict[tuple[int, ...], tuple[int, list[int]]]:
+    """M_d = scale * D_d * [z^d] log(1 + sum_d N_d z^d / D_d), by (|d|, lex).
+
+    |d| M_d = |d| scale N_d - sum_{0<e<d} |e| M_e N_{d-e} prod_v [d_v choose e_v];
+    M_d has integer coefficients when lcm(1..|d|) divides scale.
+    """
+    logs: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for d, (top, num) in numerators.items():
+        size = sum(d)
+        terms = [(size * scale, top, num)]
+        for e, (e_top, m) in logs.items():
+            if all(a <= b for a, b in zip(e, d)):
+                rest_top, rest = numerators[tuple(b - a for a, b in zip(e, d))]
+                rest = functools.reduce(_mul, map(_gauss, d, e), rest)
+                terms.append((-sum(e), e_top + rest_top, _mul(m, rest)))
+        top, total = _combine(terms)
+        if any(c % size for c in total):
+            raise CountingError(f"the Hua Log at {d} is not divisible by {size}")
+        logs[d] = (top, [c // size for c in total])
+    return logs
 
 
 def hua_kac(quiver: Quiver, bound: int) -> KacTable:
@@ -288,11 +258,25 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
     """
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    logged = _ratq_pleth_log(_hua_raw_series(quiver, bound), bound)
-    factor = QPoly.q_power(1) - QPoly.one()
+    scale = math.lcm(*range(1, bound + 1))
+    logs = _hua_log(_hua_numerators(quiver, bound), scale)
     table: dict[tuple[int, ...], QPoly] = {}
-    for d, val in logged.items():
-        poly = _RatQ(val.num * factor, val.den).to_qpoly()
+    for d in logs:
+        # Log_{q,z} at d is sum_{n | d} mu(n)/n psi_n(log at d/n), and
+        # D_d / psi_n(D_{d/n}) = prod_v prod_{j <= d_v, n does not divide j} (1 - x^j).
+        terms = []
+        for n in range(1, math.gcd(*d) + 1):
+            if _moebius(n) and not any(a % n for a in d):
+                top, m = logs[tuple(a // n for a in d)]
+                stretched = [0] * (n * (len(m) - 1) + 1)
+                stretched[::n] = m
+                factors = [j for a in d for j in range(1, a + 1) if j % n]
+                stretched = functools.reduce(_times_one_minus, factors, stretched)
+                terms.append((_moebius(n) * (scale // n), n * top, stretched))
+        top, num = _combine(terms)
+        num = _times_one_minus(num, 1)  # q - 1 = q (1 - x)
+        num = functools.reduce(_over_one_minus, [j for a in d for j in range(1, a + 1)], num)
+        poly = QPoly({2 * (top + 1 - i): Fraction(c, scale * scale) for i, c in enumerate(num)})
         if not poly.is_zero():
             table[d] = poly
     return KacTable(quiver, bound, "plain", table)

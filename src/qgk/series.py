@@ -16,11 +16,10 @@ Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.
 from __future__ import annotations
 
 import enum
-import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .qpoly import QPoly, QPolyError
+from .qpoly import QPoly
 from .quiver import DimVector, Quiver, QuiverError
 
 
@@ -97,9 +96,6 @@ class GradedSeries:
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def support(self) -> list[tuple[int, ...]]:
-        return [k for k, _ in self.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -182,31 +178,37 @@ def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     return GradedSeries(f.quiver, bound, out)
 
 
+def _by_degree(terms: Mapping[tuple[int, ...], QPoly], bound: int) -> list[dict]:
+    levels: list[dict] = [{} for _ in range(bound + 1)]
+    for key, poly in terms.items():
+        levels[sum(key)][key] = poly
+    return levels
+
+
+def _add_product(out: dict, a: list[dict], b: list[dict], total: int) -> dict:
+    """Add the degree-``total`` part of a * b, both bucketed by degree, into out."""
+    for size in range(total + 1):
+        for e, p in a[size].items():
+            for f, r in b[total - size].items():
+                key = tuple(x + y for x, y in zip(e, f))
+                out[key] = out[key] + p * r if key in out else p * r
+    return out
+
+
 def series_inv(f: GradedSeries) -> GradedSeries:
     """Truncated inverse; the constant term must be a unit (a single term)."""
-    rank = len(f.quiver.vertices)
-    zero_key = (0,) * rank
     u = f.constant_term()
     if u.is_zero() or len(u.items()) != 1:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    inv: dict[tuple[int, ...], QPoly] = {zero_key: u_inv}
     # g_d = -u^{-1} * sum_{0 < e <= d} f_e g_{d-e}, by ascending total degree.
-    pos_terms = [(k, p) for k, p in f._terms.items() if k != zero_key]
-    for key in vectors_up_to(rank, f.bound):
-        if key == zero_key:
-            continue
-        acc = QPoly.zero()
-        for k, p in pos_terms:
-            if all(a <= b for a, b in zip(k, key)):
-                rest = tuple(b - a for a, b in zip(k, key))
-                g = inv.get(rest)
-                if g is not None:
-                    acc = acc + p * g
-        if not acc.is_zero():
-            inv[key] = -(u_inv * acc)
-    return GradedSeries(f.quiver, f.bound, inv)
+    positive = _by_degree(f.drop_constant()._terms, f.bound)
+    inv = _by_degree({(0,) * len(f.quiver.vertices): u_inv}, f.bound)
+    for total in range(1, f.bound + 1):
+        level = _add_product({}, positive, inv, total)
+        inv[total] = {d: -(u_inv * p) for d, p in level.items() if p}
+    return GradedSeries(f.quiver, f.bound, {d: p for level in inv for d, p in level.items()})
 
 
 def _moebius(n: int) -> int:
@@ -238,32 +240,28 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
 
 
 def _exp_truncated(s: GradedSeries) -> GradedSeries:
+    """exp(s), degree by degree: |d| E_d = sum_{0<e<=d} |e| s_e E_{d-e}."""
     if not s.constant_term().is_zero():
         raise SeriesError("exp needs zero constant term")
-    result = GradedSeries.one(s.quiver, s.bound)
-    power = GradedSeries.one(s.quiver, s.bound)
-    factorial = 1
-    for k in range(1, s.bound + 1):
-        power = series_mul(power, s)
-        if power.is_zero():
-            break
-        factorial *= k
-        result = result + power.scale(Fraction(1, factorial))
-    return result
+    euler = _by_degree({e: p.scale(sum(e)) for e, p in s._terms.items()}, s.bound)
+    exp = _by_degree({(0,) * len(s.quiver.vertices): QPoly.one()}, s.bound)
+    for total in range(1, s.bound + 1):
+        level = _add_product({}, euler, exp, total)
+        exp[total] = {d: p.scale(Fraction(1, total)) for d, p in level.items() if p}
+    return GradedSeries(s.quiver, s.bound, {d: p for level in exp for d, p in level.items()})
 
 
 def _log_truncated(g: GradedSeries) -> GradedSeries:
+    """log(g), degree by degree: |d| L_d = |d| h_d - sum_{0<e<d} |e| L_e h_{d-e}, h = g - 1."""
     if not g.constant_term().is_one():
         raise SeriesError("log needs constant term 1")
-    h = g.drop_constant()
-    result = GradedSeries.zero(g.quiver, g.bound)
-    power = GradedSeries.one(g.quiver, g.bound)
-    for k in range(1, g.bound + 1):
-        power = series_mul(power, h)
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction((-1) ** (k + 1), k))
-    return result
+    minus_h = _by_degree((-g.drop_constant())._terms, g.bound)
+    euler: list[dict] = [{} for _ in range(g.bound + 1)]  # |d| L_d
+    for total in range(1, g.bound + 1):
+        level = {d: p.scale(-total) for d, p in minus_h[total].items()}
+        euler[total] = {d: p for d, p in _add_product(level, euler, minus_h, total).items() if p}
+    log = {d: p.scale(Fraction(1, sum(d))) for level in euler for d, p in level.items()}
+    return GradedSeries(g.quiver, g.bound, log)
 
 
 def pleth_exp(f: GradedSeries, mode: PlethMode) -> GradedSeries:
@@ -296,18 +294,16 @@ def pleth_log(g: GradedSeries, mode: PlethMode) -> GradedSeries:
     return result
 
 
-_AUX = Quiver(["u"])
-
-
 def sym_power_coeff(p: QPoly, m: int) -> QPoly:
     """Coefficient of u^m in Exp_{t,u}(p(t) * u).
 
     This is the character of the m-th symmetric power of a graded vector
-    space with character p.
+    space with character p, by Newton: n h_n = sum_{k=1}^n p(t^k) h_{n-k}.
     """
     if m < 0:
         raise SeriesError("symmetric power index must be >= 0")
-    if m == 0:
-        return QPoly.one()
-    line = GradedSeries(_AUX, m, {(1,): p})
-    return pleth_exp(line, PlethMode.QZ).coeff((m,))
+    h = [QPoly.one()]
+    for n in range(1, m + 1):
+        terms = (p.substitute_power(k) * h[n - k] for k in range(1, n + 1))
+        h.append(sum(terms, QPoly.zero()).scale(Fraction(1, n)))
+    return h[m]

@@ -80,6 +80,16 @@ def test_jordan_kac_line():
             assert oracle.polynomial((n,)) == table.polynomial((n,))
 
 
+def test_hua_tables_are_fast():
+    with gate("hua_kac Kronecker N=9 and Jordan N=16", 2):
+        kronecker = hua_kac(KRON, 9)
+        jordan = hua_kac(JORDAN, 16)
+    for n in range(1, 5):
+        assert kronecker.polynomial((n, n)) == Q(1) + ONE
+    for n in range(1, 17):
+        assert jordan.polynomial((n,)) == Q(1)
+
+
 def test_kronecker_isotropic_cuspidal():
     with gate("Kronecker A_(1,1) vs oracle, C^abs on the isotropic ray", 30.0):
         table = hua_kac(KRON, 6)

@@ -287,6 +287,25 @@ def test_misshapen_cache_rows_are_rebuilt(jordan_file, tmp_path, capsys, entry):
     assert json.loads(path.read_text())["rows"] == [["1", "q"], ["2", "q"], ["3", "q"]]
 
 
+@pytest.mark.parametrize(
+    "character", [{"x": 1}, {"1,0": 1}, {"1": "1"}, {"1,x": "1"}, {"²,0": "1"}]
+)
+def test_misshapen_cached_character_is_rebuilt(a2_file, tmp_path, capsys, character):
+    cache = tmp_path / "cache"
+    argv = ["nakajima-decomp", a2_file, "--framing", "1,0", "--bound", "2"]
+    argv += ["--cache-dir", str(cache)]
+    assert run(argv) == 0
+    cold = _out(capsys)
+    (path,) = cache.glob("qgk-*.json")
+    good = path.read_text()
+    payload = json.loads(good)
+    payload["blocks"][0]["character"] = character
+    path.write_text(json.dumps(payload))
+    assert run(argv) == 0
+    assert _out(capsys) == cold
+    assert path.read_text() == good
+
+
 def test_missing_weight_file_with_cache_is_invalid_input(a2_file, tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     argv = ["gkm-dims", a2_file, "--weights", missing, "--cache-dir", str(tmp_path)]

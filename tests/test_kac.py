@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from qgk import (
@@ -9,12 +12,15 @@ from qgk import (
     QPoly,
     Quiver,
     euler_form,
+    frame,
     hua_kac,
     oracle_kac,
     oracle_kac_full,
     positive_roots,
     weyl_reflect,
 )
+from qgk.kac import _over_one_minus, partition_pairing, partitions
+from qgk.series import _moebius, vectors_of_total
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -144,6 +150,154 @@ def test_hua_normalisation_matches_oracle(jordan, a2, kronecker):
         table = hua_kac(quiver, bound).to_series()
         for d in spots:
             assert table.coeff(d) == oracle_kac(quiver, DimVector(quiver, d))
+
+
+# -- oracle: Hua's Log by powers of the sum, over explicit denominators ------------------
+
+
+class _RatQ:
+    """num / prod_j (1 - q^{-j})^{e_j} with an exact QPoly numerator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: QPoly, den: tuple[tuple[int, int], ...] = ()):
+        self.num = num
+        self.den = tuple(sorted((j, e) for j, e in den if e)) if not num.is_zero() else ()
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __mul__(self, other: "_RatQ") -> "_RatQ":
+        merged: dict[int, int] = dict(self.den)
+        for j, e in other.den:
+            merged[j] = merged.get(j, 0) + e
+        return _RatQ(self.num * other.num, tuple(merged.items()))
+
+    def __add__(self, other: "_RatQ") -> "_RatQ":
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        mine = dict(self.den)
+        theirs = dict(other.den)
+        lcm = {j: max(mine.get(j, 0), theirs.get(j, 0)) for j in set(mine) | set(theirs)}
+        a = self.num * _den_poly({j: e - mine.get(j, 0) for j, e in lcm.items()})
+        b = other.num * _den_poly({j: e - theirs.get(j, 0) for j, e in lcm.items()})
+        return _RatQ(a + b, tuple(lcm.items()))
+
+    def scale(self, c: Fraction) -> "_RatQ":
+        return _RatQ(self.num.scale(c), self.den)
+
+    def substitute_power(self, n: int) -> "_RatQ":
+        return _RatQ(self.num.substitute_power(n), tuple((j * n, e) for j, e in self.den))
+
+    def to_qpoly(self) -> QPoly:
+        return self.num.divexact(_den_poly(dict(self.den)))
+
+
+def _den_poly(exponents: dict[int, int]) -> QPoly:
+    result = QPoly.one()
+    for j, e in sorted(exponents.items()):
+        factor = QPoly.one() - QPoly.q_power(-j)
+        for _ in range(e):
+            result = result * factor
+    return result
+
+
+def _hua_term(quiver: Quiver, parts: tuple[tuple[int, ...], ...]) -> _RatQ:
+    exponent = 0
+    by_vertex = dict(zip(quiver.vertices, parts))
+    for s, t in quiver.arrows:
+        exponent += partition_pairing(by_vertex[s], by_vertex[t])
+    den: dict[int, int] = {}
+    for lam in parts:
+        exponent -= partition_pairing(lam, lam)
+        mults: dict[int, int] = {}
+        for part in lam:
+            mults[part] = mults.get(part, 0) + 1
+        for m in mults.values():
+            for j in range(1, m + 1):
+                den[j] = den.get(j, 0) + 1
+    return _RatQ(QPoly.q_power(exponent), tuple(den.items()))
+
+
+def _ratq_convolve(
+    a: dict[tuple[int, ...], _RatQ], b: dict[tuple[int, ...], _RatQ], bound: int
+) -> dict[tuple[int, ...], _RatQ]:
+    out: dict[tuple[int, ...], _RatQ] = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            if sum(da) + sum(db) > bound:
+                continue
+            key = tuple(x + y for x, y in zip(da, db))
+            prod = va * vb
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def _ratq_hua_kac(quiver: Quiver, bound: int) -> KacTable:
+    """(q - 1) Log_{q,z} of Hua's sum from sum_k (-1)^{k+1} raw^k / k."""
+    raw: dict[tuple[int, ...], _RatQ] = {}
+    for total in range(1, bound + 1):
+        for d in vectors_of_total(len(quiver.vertices), total):
+            terms = [_hua_term(quiver, combo) for combo in itertools.product(*map(partitions, d))]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = acc + term
+            raw[d] = acc
+    ln: dict[tuple[int, ...], _RatQ] = {}
+    power = dict(raw)
+    for k in range(1, bound + 1):
+        if k > 1:
+            power = _ratq_convolve(power, raw, bound)
+        for key, val in power.items():
+            scaled = val.scale(Fraction((-1) ** (k + 1), k))
+            ln[key] = ln[key] + scaled if key in ln else scaled
+    logged: dict[tuple[int, ...], _RatQ] = {}
+    for n in range(1, bound + 1):
+        mu = _moebius(n)
+        if mu == 0:
+            continue
+        for key, val in ln.items():
+            if sum(key) * n > bound:
+                continue
+            stretched = tuple(x * n for x in key)
+            term = val.substitute_power(n).scale(Fraction(mu, n))
+            logged[stretched] = logged[stretched] + term if stretched in logged else term
+    factor = _RatQ(Q(1) - ONE)
+    table = {d: (val * factor).to_qpoly() for d, val in logged.items()}
+    return KacTable(quiver, bound, "plain", {d: p for d, p in table.items() if not p.is_zero()})
+
+
+KRONECKER = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
+
+DIFFERENTIAL_CASES = [
+    (KRONECKER, 7),
+    (Quiver(["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "0")]), 5),
+    (Quiver(["0"], [("0", "0")]), 10),
+    (Quiver(["0"], [("0", "0"), ("0", "0")]), 6),
+    (Quiver(["0", "1"], [("0", "0"), ("0", "1")]), 6),
+    (Quiver(["c", "a", "b", "d", "e"], [("a", "c"), ("b", "c"), ("d", "c"), ("e", "c")]), 4),
+    (frame(KRONECKER, DimVector(KRONECKER, (1, 2))), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    DIFFERENTIAL_CASES,
+    ids=["kronecker", "cycle3", "jordan", "two_loop", "loop_plus_leg", "affine_d4", "framed"],
+)
+def test_hua_matches_explicit_denominator_log(quiver, bound):
+    assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
+
+
+def test_numerator_division_must_be_exact():
+    assert _over_one_minus([1, 0, -1], 2) == [1]
+    assert _over_one_minus([1, 1, -1, -1], 2) == [1, 1]
+    with pytest.raises(CountingError):
+        _over_one_minus([1], 1)
+    with pytest.raises(CountingError):
+        _over_one_minus([1, 0, 0, -2], 3)
 
 
 # -- table hygiene ------------------------------------------------------------------
