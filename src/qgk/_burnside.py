@@ -17,6 +17,10 @@ than a formula imported from the theory being tested.
 
 Nilpotent flavours enumerate the fixed subspace of one representative per
 type tuple and test the nilpotency condition directly on each point.
+
+This is the only module of the package that imports numpy.  It is loaded
+on first use, through kac.brute_force_counts, so that importing qgk and
+running the CLI without the oracle do not pay for numpy.
 """
 
 from __future__ import annotations
@@ -28,42 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .kac import FLAVOURS, BudgetError, CountingError, _prime_power
 from .quiver import DimVector, Quiver
-
-FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
 
 ENUM_BUDGET = 8_000_000
 FIX_BUDGET = 2_000_000
 PATH_BUDGET = 20_000
 TYPE_TUPLE_BUDGET = 200_000
-
-
-class BudgetError(RuntimeError):
-    """The requested brute-force count exceeds the enumeration budget."""
-
-
-class CountingError(RuntimeError):
-    pass
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise CountingError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise CountingError(f"{q} is not a prime power")
-    return p, k
 
 
 class _Field:

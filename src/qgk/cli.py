@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 
-from ._burnside import BudgetError, CountingError
 from .cuspidal import (
     CuspidalError,
     CuspidalTable,
@@ -41,7 +40,18 @@ from .gkm import (
     gkm_dims,
     uea_character,
 )
-from .kac import DEFAULT_FIELDS, FLAVOURS, KacTable, _oracle_stages, hua_kac, oracle_kac_full
+from .kac import (
+    DEFAULT_FIELDS,
+    FLAVOURS,
+    BudgetError,
+    CountingError,
+    KacTable,
+    _oracle_stages,
+    _prime_power,
+    check_hua_budget,
+    hua_kac,
+    oracle_kac_full,
+)
 from .nakajima import NakajimaError, lw_decompose
 from .qpoly import QPoly, QPolyError
 from .quiver import DimVector, Quiver, QuiverError, euler_form
@@ -85,7 +95,7 @@ def _load_quiver(path: str) -> Quiver:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read quiver file: {exc}") from None
     return Quiver.from_json(text)
 
@@ -106,6 +116,11 @@ def _parse_fields(text: str) -> tuple[int, ...]:
         raise InputError(f"bad prime-power list {text!r}") from None
     if len(set(fields)) != len(fields) or any(v < 2 or v > 16 for v in fields):
         raise InputError("prime powers must be distinct and between 2 and 16")
+    for v in fields:
+        try:
+            _prime_power(v)
+        except CountingError as exc:
+            raise InputError(f"bad --fields: {exc}") from None
     return fields
 
 
@@ -305,7 +320,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read weight file: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("weights"), dict):
         raise InputError('weight file must be {"weights": {"d,e": {half: coeff}}}')
@@ -367,8 +382,10 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     """Run the checks; each row's status is pass, fail or vacuous (covered nothing).
 
     Shared tables are computed once, when a check first needs them, so an
-    exception lands in that check's row.
+    exception lands in that check's row.  A bound past the Hua budget is
+    refused before any check runs.
     """
+    check_hua_budget(quiver, args.bound)
     results = []
 
     def check(name: str, thunk) -> None:

@@ -20,7 +20,9 @@ The coefficient at z^d of the sum, of its products and of their Adams
 images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
 the sum, its log (by the recurrence in |d|, scaled by L = lcm(1..N)) and
 the Moebius sum are carried as integer numerators over D_d, dense in x,
-and each A_d takes one exact division by L^2 D_d at the end.
+and each A_d takes one exact division by L^2 D_d at the end.  Before
+summing, hua_kac counts the multipartitions and raises BudgetError past
+HUA_BUDGET.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -30,6 +32,11 @@ in _burnside) through the staged relation
 
 peeling one dimension vector at a time and interpolating A_e from its
 values at deg + 1 field sizes, with deg = 1 - chi(e, e).
+
+_burnside is the only module that imports numpy, and nothing imports it
+at load time: brute_force_counts loads it on first call.  The exceptions,
+FLAVOURS and _prime_power live here so that the CLI, and _burnside itself,
+use them without that import.
 """
 
 from __future__ import annotations
@@ -41,8 +48,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _burnside
-from ._burnside import BudgetError, CountingError, brute_force_counts
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver, euler_form
 from .series import GradedSeries, PlethMode, _moebius, pleth_exp, vectors_of_total
@@ -50,10 +55,12 @@ from .series import GradedSeries, PlethMode, _moebius, pleth_exp, vectors_of_tot
 __all__ = [
     "DEFAULT_FIELDS",
     "FLAVOURS",
+    "HUA_BUDGET",
     "BudgetError",
     "CountingError",
     "KacTable",
     "brute_force_counts",
+    "check_hua_budget",
     "hua_kac",
     "oracle_kac",
     "oracle_kac_full",
@@ -61,8 +68,41 @@ __all__ = [
     "partitions",
 ]
 
-FLAVOURS = _burnside.FLAVOURS
+FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
 DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+#: The most multipartitions hua_kac sums over.  Jordan N=28 (18,459 of them)
+#: takes about 7 s on a shared 2-vCPU VM, and the time grows faster than
+#: the count; the largest benchmark case, affine D4 N=6, has 2,051.
+HUA_BUDGET = 50_000
+
+
+class BudgetError(RuntimeError):
+    """The requested computation exceeds its size budget."""
+
+
+class CountingError(RuntimeError):
+    pass
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; raises CountingError unless q is a prime power."""
+    if q < 2:
+        raise CountingError(f"{q} is not a prime power")
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise CountingError(f"{q} is not a prime power")
+    return p, k
 
 
 # -- partitions -------------------------------------------------------------------
@@ -82,6 +122,24 @@ def partitions(n: int) -> list[tuple[int, ...]]:
             if not tail or tail[0] <= head
         ]
     return _PARTITION_CACHE[n]
+
+
+_PARTITION_COUNTS = [1]
+
+
+def _partition_count(n: int) -> int:
+    """p(n), by Euler's pentagonal number recurrence."""
+    counts = _PARTITION_COUNTS
+    while len(counts) <= n:
+        m, k, total = len(counts), 1, 0
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * counts[m - k * (3 * k + 1) // 2]
+            k += 1
+        counts.append(total)
+    return counts[n]
 
 
 @functools.cache
@@ -250,14 +308,33 @@ def _hua_log(numerators: dict, scale: int) -> dict[tuple[int, ...], tuple[int, l
     return logs
 
 
+def check_hua_budget(quiver: Quiver, bound: int) -> None:
+    """Raise BudgetError if Hua's sum up to |d| <= bound exceeds HUA_BUDGET.
+
+    The sum runs over sum_{0<|d|<=bound} prod_v p(d_v) multipartitions; the
+    tally stops as soon as it passes the budget, so a huge bound costs
+    no more than the budget.
+    """
+    tally = 0
+    for total in range(1, bound + 1):
+        for d in vectors_of_total(len(quiver.vertices), total):
+            tally += math.prod(map(_partition_count, d))
+            if tally > HUA_BUDGET:
+                raise BudgetError(
+                    f"Hua's sum up to |d| = {bound} runs over at least {tally} "
+                    f"multipartitions (budget {HUA_BUDGET})"
+                )
+
+
 def hua_kac(quiver: Quiver, bound: int) -> KacTable:
     """Kac polynomials A_d for all 0 < |d| <= bound via Hua's sum.
 
     A_d = (q - 1) * [Log_{q,z} of the sum]_d; see the module docstring for
-    why the factor is q - 1.
+    why the factor is q - 1.  Raises BudgetError past HUA_BUDGET.
     """
     if bound < 1:
         raise CountingError("bound must be >= 1")
+    check_hua_budget(quiver, bound)
     scale = math.lcm(*range(1, bound + 1))
     logs = _hua_log(_hua_numerators(quiver, bound), scale)
     table: dict[tuple[int, ...], QPoly] = {}
@@ -283,6 +360,19 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
 
 
 # -- the counting oracle ----------------------------------------------------------
+
+
+def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "plain") -> int:
+    """Number of isomorphism classes of F_q-representations of dimension d.
+
+    flavour selects the counted class: "plain" counts all representations,
+    "nilpotent" those where every length-|d| path acts by zero, and
+    "one_nilpotent" those where each loop arrow acts nilpotently.  The
+    census runs in _burnside, which is loaded (with numpy) on first use.
+    """
+    from . import _burnside
+
+    return _burnside.brute_force_counts(quiver, d, q, flavour)
 
 
 def _lagrange(points: list[tuple[int, Fraction]]) -> QPoly:

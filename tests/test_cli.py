@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,9 +132,9 @@ def test_gkm_dims_weight_file_validation(kron_file, tmp_path, capsys):
         json.dumps({"weights": "nope"}),
         json.dumps({"weights": {"9,9,9": {"0": "1"}}}),  # wrong rank
     ]
-    for text in bad_texts:
+    for text in [t.encode() for t in bad_texts] + [b"\xff\xfe{}"]:  # last: not UTF-8
         path = tmp_path / "w.json"
-        path.write_text(text)
+        path.write_bytes(text)
         assert run(["gkm-dims", kron_file, "--weights", str(path)]) == 1
 
 
@@ -155,12 +157,17 @@ def test_nakajima_requires_framing(a2_file):
     assert run(["nakajima-decomp", a2_file]) == 1
 
 
-def test_exit_codes_for_bad_input(jordan_file, a2_file):
+def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path):
+    not_utf8 = tmp_path / "bad.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
     assert run(["kac", "/nonexistent/q.json"]) == 1
+    assert run(["kac", str(not_utf8)]) == 1
     assert run(["kac", jordan_file, "--bound", "0"]) == 1
     assert run(["kac", jordan_file, "--fields", "1,2"]) == 1
     assert run(["kac", jordan_file, "--fields", "2,2"]) == 1
     assert run(["kac", jordan_file, "--fields", "x"]) == 1
+    assert run(["kac", jordan_file, "--method", "oracle", "--fields", "6,10"]) == 1
+    assert run(["verify", jordan_file, "--fields", "2,3,12"]) == 1
     assert run(["kac", jordan_file, "--flavour", "nilpotent"]) == 1  # hua is plain-only
     assert run(["ip", a2_file, "--dim", "0,0"]) == 1
     assert run(["ip", a2_file, "--dim", "1,borken"]) == 1
@@ -171,8 +178,13 @@ def test_ambiguous_decomposition_is_invalid_input(jordan_file):
     assert run(["nakajima-decomp", jordan_file, "--framing", "2", "--bound", "3"]) == 1
 
 
-def test_budget_error_is_invalid_input(jordan_file):
+def test_budget_error_is_invalid_input(jordan_file, capsys):
     assert run(["kac", jordan_file, "--method", "oracle", "--bound", "6"]) == 1
+    start = time.perf_counter()
+    for command in ("kac", "cuspidal", "verify"):  # Hua's sum would not finish
+        assert run([command, jordan_file, "--bound", "100000000"]) == 1
+    assert time.perf_counter() - start < 5
+    assert "runs over at least" in capsys.readouterr().err
 
 
 def test_help_and_parse_errors():
@@ -332,3 +344,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "qgk" in proc.stdout
+
+
+_STARTUP_PROBE = """
+import contextlib, io, sys
+import qgk, qgk.cli
+
+quiver, cache = sys.argv[1:]
+seen = []
+
+def kac(*extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert qgk.cli.run(["kac", quiver, "--bound", "2", *extra]) == 0
+    seen.append("numpy" in sys.modules)
+    return out.getvalue()
+
+seen.append("numpy" in sys.modules)
+cold = kac("--cache-dir", cache)
+warm = kac("--cache-dir", cache)
+oracle = kac("--method", "oracle")
+print(seen, repr(cold), warm == cold, oracle == cold)
+"""
+
+
+def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(qgk.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cache = tmp_path / "cache"
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, jordan_file, str(cache)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # import, Hua run, cache hit: no numpy; the oracle loads it and agrees.
+    assert proc.stdout == "[False, False, False, True] '1\\tq\\n2\\tq\\n' True True\n"
+    assert len(list(cache.glob("qgk-kac-*.json"))) == 1

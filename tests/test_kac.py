@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgk import (
+    BudgetError,
     CountingError,
     DimVector,
     KacTable,
@@ -19,7 +20,14 @@ from qgk import (
     positive_roots,
     weyl_reflect,
 )
-from qgk.kac import _over_one_minus, partition_pairing, partitions
+from qgk.kac import (
+    HUA_BUDGET,
+    _over_one_minus,
+    _partition_count,
+    check_hua_budget,
+    partition_pairing,
+    partitions,
+)
 from qgk.series import _moebius, vectors_of_total
 
 Q = QPoly.q_power
@@ -298,6 +306,20 @@ def test_numerator_division_must_be_exact():
         _over_one_minus([1], 1)
     with pytest.raises(CountingError):
         _over_one_minus([1, 0, 0, -2], 3)
+
+
+def test_partition_count_matches_enumeration():
+    assert [_partition_count(n) for n in range(25)] == [len(partitions(n)) for n in range(25)]
+    assert _partition_count(100) == 190_569_292
+
+
+def test_hua_budget(jordan, kronecker):
+    check_hua_budget(jordan, 16)  # 914 multipartitions
+    check_hua_budget(kronecker, 9)
+    with pytest.raises(BudgetError, match=f"budget {HUA_BUDGET}"):
+        hua_kac(jordan, 100_000_000)
+    with pytest.raises(BudgetError):
+        hua_kac(kronecker, 10**9)
 
 
 # -- table hygiene ------------------------------------------------------------------
