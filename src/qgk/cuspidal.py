@@ -3,10 +3,11 @@ Cuspidal and absolutely cuspidal polynomials, and IP polynomials.
 
 The absolutely cuspidal polynomials C^abs_d are the simple-root
 multiplicities of the generalised Kac-Moody algebra whose character is
-the Kac-polynomial series: peeling sum_d A_d z^d block by block against
-the presented algebra leaves, at each d, a deficit that must vanish off
-the simple positive roots Phi^+ and be a polynomial in q with
-nonnegative integer coefficients on them.
+the Kac-polynomial series.  invert_character solves Borcherds'
+denominator identity for them, block by block in (|d|, lex) order: at
+each d the identity leaves a deficit that must vanish off the simple
+positive roots Phi^+ and be a polynomial in q with nonnegative integer
+coefficients on them.
 
 Cuspidal polynomials C_d agree with C^abs_d at hyperbolic d and at basis
 vectors (where both equal q^{g_i} for g_i loops); along an isotropic ray
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gkm import GkmEngine, GkmError, WeightFunction
+from .gkm import WeightFunction, _Denominator
 from .kac import DEFAULT_FIELDS, KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver
@@ -94,19 +95,25 @@ def invert_character(
 ) -> WeightFunction:
     """Simple-root multiplicities of the presented algebra with character target.
 
-    Processes dimension vectors by (|d|, lex); at each d the deficit
-    target_d minus the character of the algebra-so-far is the new
-    multiplicity.  A nonzero deficit off Phi^+ or with negative or
-    non-integer coefficients aborts: the target is then not a GKM
-    character for this Cartan datum.
+    Solves Borcherds' denominator identity Exp_{q,z}(-target) = sum_w
+    sum_S eps(w) (-1)^{|S|} q^{deg S} z^{w*s(S)} (see gkm) for the
+    multiplicities, peeling dimension vectors by (|d|, lex).  At d the one
+    term of the right side that holds the unknown is -C_d, from S = the
+    letters at d and w = 1; every other term comes from roots already
+    registered.  So C_d = (right side of those roots)_d - [Exp(-target)]_d,
+    which is the deficit of target_d against the algebra so far.  A
+    nonzero deficit off Phi^+ or with negative or non-integer coefficients
+    aborts: the target is then not a GKM character for this Cartan datum.
     """
     roots = phi_plus(cartan, bound)
-    engine = GkmEngine(cartan, bound)
+    minus = {d: -p for d, p in target.items() if any(d)}
+    exp_minus = pleth_exp(GradedSeries(target.quiver, bound, minus), PlethMode.QZ)
+    denominator = _Denominator(cartan, bound)
     weights: dict[tuple[int, ...], QPoly] = {}
     for d in vectors_up_to(cartan.rank, bound):
         if not any(d):
             continue
-        deficit = target.coeff(d) - engine.character_at(d)
+        deficit = denominator.coeff(d) - exp_minus.coeff(d)
         if deficit.is_zero():
             continue
         if not roots.in_phi(d):
@@ -114,7 +121,7 @@ def invert_character(
         for half, coeff in deficit.items():
             if half % 2 or coeff.denominator != 1 or coeff < 0:
                 raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
-        engine.add_generators(d, deficit)
+        denominator.add(d, deficit)
         weights[d] = deficit
     return WeightFunction(target.quiver, weights)
 

@@ -1,5 +1,5 @@
 r"""
-Generalised Kac-Moody algebras presented by generators and relations.
+Generalised Kac-Moody (Borcherds) algebras from simple-root multiplicities.
 
 The positive half n^+ is generated by a graded alphabet: for each simple
 root m (a dimension vector) and each cohomological degree j there are
@@ -15,18 +15,32 @@ with a_{mn} the symmetrised form on the root lattice.  No other pairs of
 generators are related.  All cohomological degrees must be even; there
 are no super signs anywhere.
 
-Relations are set up per pair of root classes: each pairing (m, n) is
-computed once, and letters are only paired up when the pairing is zero
-or one root is real.  Every other class pair is relation-free and costs
-nothing, however many letters it holds.
+There are two routes to the graded dimensions of n^+.
 
-Dimensions of the graded pieces are computed as (free Lie algebra
-dimension) - (rank of the relation ideal).  Free dimensions come from
-the Lyndon necklace count aggregated over letter classes; the ideal is
-closed degree by degree (I_d = R_d + sum_g [g, I_{d - deg g}]) inside
-the tensor algebra, where Lie elements embed via rho([x,y]) =
-rho(x) rho(y) - rho(y) rho(x), and ranks are taken per letter content by
-exact fraction-free elimination over the integers.
+The pipeline reads them off Borcherds' denominator identity (Borcherds,
+Generalized Kac-Moody algebras, J. Algebra 115 (1988); Kac,
+Infinite-dimensional Lie algebras, 11.13):
+
+    Exp_{q,z}(-ch n^+) = sum_{w in W} sum_S eps(w) (-1)^{|S|} q^{deg S} z^{w*s(S)}.
+
+W is generated by the reflections in the real simple roots, S runs over
+sets of pairwise orthogonal imaginary letters with root sum s(S), and
+w*b = rho - w(rho - b), so that s_i*b = b + (1 - (b, a_i)) a_i; a real
+letter at half-degree h adds k*h to the q-degree of a step by k*a_i.  A
+hyperbolic root gives S at most one letter; an isotropic root gives any
+k of its letters, which sum to (-1)^k Lambda^k of its weight.  gkm_dims
+takes ch n^+ = -Log_{q,z} of the right side, and cuspidal.invert_character
+solves the identity for the multiplicities.  Both enumerate at most
+GKM_BUDGET cliques and Weyl group elements.
+
+The presented-algebra oracle, GkmEngine, closes the relation ideal
+degree by degree inside the tensor algebra: dim = (free Lie algebra
+dimension) - (rank of the ideal), with free dimensions from the Lyndon
+necklace count over letter classes, ideal blocks I_d = R_d + sum_g [g,
+I_{d - deg g}] under rho([x,y]) = rho(x) rho(y) - rho(y) rho(x), and ranks
+by exact fraction-free elimination per letter content.  Its cost grows
+super-polynomially in the bound; verify's gkm-presentation check and the
+tests compare it with the denominator route.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 from typing import NamedTuple
 
+from .kac import BudgetError, check_vector_budget
 from .qpoly import QPoly
 from .quiver import Quiver
 from .roots import CartanDatum
@@ -42,26 +57,18 @@ from .series import (
     GradedSeries,
     PlethMode,
     _moebius,
+    _sym_powers,
     pleth_exp,
     pleth_log,
-    series_inv,
     vectors_of_total,
 )
 
+#: The most cliques and Weyl group elements one denominator may enumerate.
+GKM_BUDGET = 200_000
+
+
 class GkmError(ValueError):
     pass
-
-
-class Letter(NamedTuple):
-    """One generator; tuple order is the alphabet order (|m|, m, j, l)."""
-
-    total: int
-    root: tuple[int, ...]
-    half_degree: int
-    index: int
-
-
-Tensor = dict[tuple[Letter, ...], int]
 
 
 @dataclass
@@ -94,7 +101,277 @@ class GkmDimTable:
         return out
 
 
-# -- tensor algebra helpers ------------------------------------------------------
+class _SimpleRoots:
+    """The simple roots registered so far, checked as they arrive.
+
+    ``horizon`` is the largest total degree already read off; a root below
+    it arrives too late to be seen there.
+    """
+
+    __slots__ = ("cartan", "norms", "horizon")
+
+    def __init__(self, cartan: CartanDatum):
+        self.cartan = cartan
+        self.norms: dict[tuple[int, ...], int] = {}
+        self.horizon = 0
+
+    def admit(self, root: tuple[int, ...], multiplicity: QPoly) -> dict | None:
+        """Check root and multiplicity, then register the root.
+
+        Returns the pairing of root with every registered root, itself
+        included, or None when the multiplicity is zero.
+        """
+        if len(root) != self.cartan.rank:
+            raise GkmError("root has the wrong rank")
+        if not any(root) or any(x < 0 for x in root):
+            raise GkmError("simple roots must be nonzero and nonnegative")
+        if multiplicity.is_zero():
+            return None
+        if sum(root) < self.horizon:
+            raise GkmError("generators must arrive in nondecreasing degree order")
+        diag = self.cartan.form(root, root)
+        if diag > 2:
+            raise GkmError(f"(m,m) = {diag} > 2 is not a valid simple root")
+        for half, coeff in multiplicity.items():
+            if half % 2:
+                raise GkmError("odd cohomological degrees are not supported")
+            if coeff.denominator != 1 or coeff <= 0:
+                raise GkmError(f"multiplicity {multiplicity} is not a nonnegative integer")
+        if diag == 2:
+            total_mult = sum(int(c) for _, c in multiplicity.items())
+            if total_mult > 1 or root in self.norms:
+                raise GkmError("a real simple root must have multiplicity one")
+        pairings = {r: self.cartan.form(r, root) for r in self.norms if r != root}
+        for r, pairing in pairings.items():
+            if pairing > 0:
+                raise GkmError(f"simple roots {r} and {root} pair positively ({pairing})")
+        pairings[root] = diag
+        self.norms[root] = diag
+        return pairings
+
+
+# -- the denominator identity ------------------------------------------------------
+
+
+class _Denominator:
+    """The right side of the denominator identity, one simple root at a time.
+
+    Cliques (sets S) are summed by their root sum s(S); each sum is carried
+    along its Weyl orbit once, when the right side is next read.  A real
+    root that arrives after that sends every sum round its orbit again;
+    in an inversion the real simple roots are loop-free unit vectors, so
+    that happens only in degree 1.
+    """
+
+    def __init__(self, cartan: CartanDatum, bound: int):
+        if bound < 1:
+            raise GkmError("bound must be >= 1")
+        self.cartan = cartan
+        self.bound = bound
+        self.roots = _SimpleRoots(cartan)
+        zero = (0,) * cartan.rank
+        #: (root, half degree, row of the form) per real simple root
+        self._reals: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+        #: (imaginary roots, s(S), (-1)^{|S|} q^{deg S} summed over letters)
+        self._cliques: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], QPoly]] = [
+            ((), zero, QPoly.one())
+        ]
+        self._sums: dict[tuple[int, ...], QPoly] = {zero: QPoly.one()}
+        self._pending: dict[tuple[int, ...], QPoly] = dict(self._sums)
+        self._terms: dict[tuple[int, ...], QPoly] = {}
+        self.enumerated = 0
+
+    def add(self, root, multiplicity: QPoly) -> None:
+        """Register the letters at one simple root; each root arrives once."""
+        root = tuple(root)
+        pairings = self.roots.admit(root, multiplicity)
+        if pairings is None:
+            return
+        norm = pairings[root]
+        if norm == 2:
+            ((half, _),) = multiplicity.items()
+            row = tuple(sum(a * x for a, x in zip(root, line)) for line in self.cartan.matrix)
+            self._reals.append((root, half, row))
+            self._pending, self._terms = dict(self._sums), {}
+            return
+        most = 1 if norm < 0 else self.bound // sum(root)
+        wedges = _sym_powers(-multiplicity, most)  # (-1)^k Lambda^k
+        grown = []
+        for members, s, weight in self._cliques:
+            if any(pairings[m] for m in members):
+                continue
+            for k in range(1, most + 1):
+                t = tuple(x + k * y for x, y in zip(s, root))
+                if sum(t) > self.bound:
+                    break
+                self._count()
+                term = weight * wedges[k]
+                grown.append((members + (root,), t, term))
+                for sums in (self._sums, self._pending):
+                    sums[t] = sums[t] + term if t in sums else term
+        self._cliques += grown
+
+    def coeff(self, d) -> QPoly:
+        """The right side at d; roots of smaller total may not follow."""
+        self._expand()
+        self.roots.horizon = max(self.roots.horizon, sum(d))
+        return self._terms.get(tuple(d), QPoly.zero())
+
+    def series(self, quiver: Quiver) -> GradedSeries:
+        self._expand()
+        self.roots.horizon = self.bound
+        return GradedSeries(quiver, self.bound, self._terms)
+
+    def _count(self) -> None:
+        self.enumerated += 1
+        if self.enumerated > GKM_BUDGET:
+            raise BudgetError(
+                f"the denominator identity up to |d| = {self.bound} stopped after "
+                f"{self.enumerated} cliques and Weyl group elements (budget {GKM_BUDGET})"
+            )
+
+    def _expand(self) -> None:
+        pending, self._pending = self._pending, {}
+        for source, weight in pending.items():
+            if not weight.is_zero():
+                self._orbit(source, weight)
+
+    def _orbit(self, source: tuple[int, ...], weight: QPoly) -> None:
+        """Add sum_w eps(w) weight q^{shift} z^{w*source}, one length at a time.
+
+        rho - source is regular dominant, so the orbit is free: a step by
+        k = 1 - (b, a_i) > 0 lengthens w, and w is keyed by how many times
+        each real root was added, which distinct w never share.
+        """
+        terms = self._terms
+        layer = {(0,) * len(self._reals): source}
+        while layer:
+            following = {}
+            for steps, beta in layer.items():
+                self._count()
+                shift = sum(c * half for c, (_, half, _) in zip(steps, self._reals))
+                term = weight * QPoly.half_power(shift) if shift else weight
+                terms[beta] = terms[beta] + term if beta in terms else term
+                for i, (alpha, _, row) in enumerate(self._reals):
+                    k = 1 - sum(b * r for b, r in zip(beta, row))
+                    if k <= 0 or sum(beta) + k * sum(alpha) > self.bound:
+                        continue
+                    image = tuple(b + k * a for b, a in zip(beta, alpha))
+                    following[steps[:i] + (steps[i] + k,) + steps[i + 1 :]] = image
+            layer = following
+            weight = -weight
+
+
+# -- module-level characters -------------------------------------------------------
+
+
+def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDimTable:
+    """Graded dimensions of n^+ presented by the weight function.
+
+    ch n^+ = -Log_{q,z} of the denominator identity's right side; a
+    negative or non-integer dimension raises GkmError.
+    """
+    check_vector_budget(cartan.rank, bound)
+    denominator = _Denominator(cartan, bound)
+    for root, poly in weights.items():
+        if sum(root) <= bound:
+            denominator.add(root, poly)
+    character = pleth_log(denominator.series(weights.quiver), PlethMode.QZ)
+    dims: dict[tuple[int, ...], dict[int, int]] = {}
+    for d, poly in character.items():
+        block = {}
+        for j, coeff in poly.items():
+            if coeff.denominator != 1 or coeff > 0:
+                raise GkmError(
+                    f"dimension {-coeff} at block {d}, degree {j} is not a nonnegative integer"
+                )
+            block[j] = -int(coeff)
+        dims[d] = block
+    return GkmDimTable(weights.quiver, bound, dims)
+
+
+def gkm_character(table: GkmDimTable) -> GradedSeries:
+    """sum over blocks of dim n_{d,j} q^{j/2} z^d."""
+    terms = {d: table.character(d) for d in table.dims}
+    return GradedSeries(table.quiver, table.bound, terms)
+
+
+def uea_character(chL: GradedSeries) -> GradedSeries:
+    """Character of the enveloping algebra: Exp_{q,z}(chL)."""
+    return pleth_exp(chL, PlethMode.QZ)
+
+
+# -- lowest weight extraction -------------------------------------------------------
+
+
+class AmbiguousDecompositionError(GkmError):
+    """Raised when block characters cannot be recovered one equation at a time."""
+
+
+def lowest_weight_extract(
+    framed: GradedSeries,
+    multiplicities: dict[tuple[int, ...], QPoly],
+    bound: int,
+) -> dict[tuple[int, ...], GradedSeries]:
+    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d.
+
+    Each chL_d is pinned to constant term 1.  Equations are scanned in
+    (|e|, lex) order; the unknown chL_d(e - d) appears in the single
+    equation e = d + (e - d), so every equation must contain at most one
+    unknown, and equations with none are consistency checks.  Systems
+    with two or more comparable blocks are genuinely underdetermined and
+    raise AmbiguousDecompositionError.
+    """
+    quiver = framed.quiver
+    rank = len(quiver.vertices)
+    blocks = sorted(
+        (d for d, v in multiplicities.items() if not v.is_zero()),
+        key=lambda t: (sum(t), t),
+    )
+    chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
+        d: {tuple([0] * rank): QPoly.one()} for d in blocks
+    }
+    for total in range(0, bound + 1):
+        for e in vectors_of_total(rank, total):
+            knowns = QPoly.zero()
+            unknowns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            for d in blocks:
+                c = tuple(x - y for x, y in zip(e, d))
+                if any(x < 0 for x in c):
+                    continue
+                if c in chl[d]:
+                    knowns = knowns + multiplicities[d] * chl[d][c]
+                else:
+                    unknowns.append((d, c))
+            lhs = framed.coeff(e)
+            if len(unknowns) > 1:
+                raise AmbiguousDecompositionError(
+                    f"equation at {e} involves {len(unknowns)} unknown block terms"
+                )
+            if not unknowns:
+                if lhs != knowns:
+                    raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {knowns}")
+                continue
+            d, c = unknowns[0]
+            chl[d][c] = (lhs - knowns).divexact(multiplicities[d])
+    return {
+        d: GradedSeries(quiver, bound - sum(d), terms) for d, terms in chl.items()
+    }
+
+
+# -- presented-algebra oracle ---------------------------------------------------------
+
+
+class Letter(NamedTuple):
+    """One generator; tuple order is the alphabet order (|m|, m, j, l)."""
+
+    total: int
+    root: tuple[int, ...]
+    half_degree: int
+    index: int
+
+
+Tensor = dict[tuple[Letter, ...], int]
 
 
 def _tensor_bracket(a: Tensor, b: Tensor) -> Tensor:
@@ -160,9 +437,6 @@ class _Echelon:
         return len(self.pivots)
 
 
-# -- the engine ------------------------------------------------------------------
-
-
 class GkmEngine:
     """Incremental dimension bookkeeping for one presented algebra.
 
@@ -179,48 +453,24 @@ class GkmEngine:
         self.letters: list[Letter] = []
         self._class_sizes: dict[tuple[tuple[int, ...], int], int] = {}
         self._root_letters: dict[tuple[int, ...], list[Letter]] = {}
-        self._norms: dict[tuple[int, ...], int] = {}
+        self._roots = _SimpleRoots(cartan)
         self._relations: dict[tuple[int, ...], list[Tensor]] = {}
         self._ideal_cache: dict[tuple[int, ...], dict[tuple[Letter, ...], _Echelon]] = {}
         self._dims_cache: dict[tuple[int, ...], dict[int, int]] = {}
-        self._max_query = 0
 
     # -- registration -------------------------------------------------------
 
     def add_generators(self, root, multiplicity: QPoly) -> list[Letter]:
         root = tuple(root)
-        if len(root) != self.cartan.rank:
-            raise GkmError("root has the wrong rank")
-        if not any(root) or any(x < 0 for x in root):
-            raise GkmError("simple roots must be nonzero and nonnegative")
-        if multiplicity.is_zero():
+        pairings = self._roots.admit(root, multiplicity)
+        if pairings is None:
             return []
-        if sum(root) < self._max_query:
-            raise GkmError("generators must arrive in nondecreasing degree order")
-        diag = self.cartan.form(root, root)
-        if diag > 2:
-            raise GkmError(f"(m,m) = {diag} > 2 is not a valid simple root")
-        for half, coeff in multiplicity.items():
-            if half % 2:
-                raise GkmError("odd cohomological degrees are not supported")
-            if coeff.denominator != 1 or coeff <= 0:
-                raise GkmError(f"multiplicity {multiplicity} is not a nonnegative integer")
-        if diag == 2:
-            total_mult = sum(int(c) for _, c in multiplicity.items())
-            if total_mult > 1 or self._root_letters.get(root):
-                raise GkmError("a real simple root must have multiplicity one")
-        pairings = {r: self.cartan.form(r, root) for r in self._root_letters if r != root}
-        for r, pairing in pairings.items():
-            if pairing > 0:
-                raise GkmError(f"simple roots {r} and {root} pair positively ({pairing})")
-        pairings[root] = diag
         new_letters: list[Letter] = []
         for half, coeff in multiplicity.items():
             base = self._class_sizes.get((root, half), 0)
             for l in range(base + 1, base + int(coeff) + 1):
                 new_letters.append(Letter(sum(root), root, half, l))
             self._class_sizes[(root, half)] = base + int(coeff)
-        self._norms[root] = diag
         old_at_root = self._root_letters.setdefault(root, [])
         for r, pairing in pairings.items():
             # lazy: most class pairs never look at their letters
@@ -247,12 +497,13 @@ class GkmEngine:
             for a, b in pairs:
                 self._add_relation(_tensor_bracket({(a,): 1}, {(b,): 1}))
             return
-        if pairing > 0 or (self._norms[r] != 2 and self._norms[m] != 2):
+        norms = self._roots.norms
+        if pairing > 0 or (norms[r] != 2 and norms[m] != 2):
             return
         power = 1 - pairing
         for a, b in pairs:
             for actor, target in ((a, b), (b, a)):
-                if self._norms[actor.root] != 2:
+                if norms[actor.root] != 2:
                     continue
                 if power * actor.total + target.total > self.bound:
                     continue
@@ -282,7 +533,7 @@ class GkmEngine:
         cached = self._dims_cache.get(d)
         if cached is not None:
             return dict(cached)
-        self._max_query = max(self._max_query, sum(d))
+        self._roots.horizon = max(self._roots.horizon, sum(d))
         dims: dict[int, int] = {}
         for gamma in self._class_contents(d):
             free = _weighted_lyndon_count(gamma, self._class_sizes)
@@ -298,12 +549,6 @@ class GkmEngine:
         dims = {j: dim for j, dim in dims.items() if dim}
         self._dims_cache[d] = dims
         return dict(dims)
-
-    def character_at(self, d) -> QPoly:
-        out = QPoly.zero()
-        for j, dim in sorted(self.dims_at(d).items()):
-            out = out + QPoly.half_power(j, dim)
-        return out
 
     def _class_contents(self, d: tuple[int, ...]):
         """Multisets of letter classes with roots summing to d."""
@@ -389,105 +634,16 @@ def _weighted_lyndon_count(
     return total // n
 
 
-# -- module-level characters -------------------------------------------------------
-
-
-def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDimTable:
-    """Graded dimensions of n^+ presented by the weight function."""
+def presented_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDimTable:
+    """The table gkm_dims gives, computed in the presented algebra instead."""
     engine = GkmEngine(cartan, bound)
     for root, poly in weights.items():
-        if sum(root) > bound:
-            continue
-        engine.add_generators(root, poly)
-    rank = len(weights.quiver.vertices)
+        if sum(root) <= bound:
+            engine.add_generators(root, poly)
     dims: dict[tuple[int, ...], dict[int, int]] = {}
     for total in range(1, bound + 1):
-        for d in vectors_of_total(rank, total):
+        for d in vectors_of_total(cartan.rank, total):
             block = engine.dims_at(d)
             if block:
                 dims[d] = block
     return GkmDimTable(weights.quiver, bound, dims)
-
-
-def gkm_character(table: GkmDimTable) -> GradedSeries:
-    """sum over blocks of dim n_{d,j} q^{j/2} z^d."""
-    terms = {d: table.character(d) for d in table.dims}
-    return GradedSeries(table.quiver, table.bound, terms)
-
-
-def uea_character(chL: GradedSeries) -> GradedSeries:
-    """Character of the enveloping algebra: Exp_{q,z}(chL)."""
-    return pleth_exp(chL, PlethMode.QZ)
-
-
-def free_lie_character(chV: GradedSeries, bound: int) -> GradedSeries:
-    """Character of the free Lie algebra on a graded space V.
-
-    The tensor algebra has character 1/(1 - chV), and the free Lie algebra
-    is its plethystic logarithm.
-    """
-    if bound > chV.bound:
-        raise GkmError("bound exceeds the generator series bound")
-    chV = chV.truncate(bound) if bound < chV.bound else chV
-    if not chV.constant_term().is_zero():
-        raise GkmError("generator series must have zero constant term")
-    tensor = series_inv(GradedSeries.one(chV.quiver, bound) - chV)
-    return pleth_log(tensor, PlethMode.QZ)
-
-
-# -- lowest weight extraction -------------------------------------------------------
-
-
-class AmbiguousDecompositionError(GkmError):
-    """Raised when block characters cannot be recovered one equation at a time."""
-
-
-def lowest_weight_extract(
-    framed: GradedSeries,
-    multiplicities: dict[tuple[int, ...], QPoly],
-    bound: int,
-) -> dict[tuple[int, ...], GradedSeries]:
-    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d.
-
-    Each chL_d is pinned to constant term 1.  Equations are scanned in
-    (|e|, lex) order; the unknown chL_d(e - d) appears in the single
-    equation e = d + (e - d), so every equation must contain at most one
-    unknown, and equations with none are consistency checks.  Systems
-    with two or more comparable blocks are genuinely underdetermined and
-    raise AmbiguousDecompositionError.
-    """
-    quiver = framed.quiver
-    rank = len(quiver.vertices)
-    blocks = sorted(
-        (d for d, v in multiplicities.items() if not v.is_zero()),
-        key=lambda t: (sum(t), t),
-    )
-    chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
-        d: {tuple([0] * rank): QPoly.one()} for d in blocks
-    }
-    for total in range(0, bound + 1):
-        for e in vectors_of_total(rank, total):
-            knowns = QPoly.zero()
-            unknowns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            for d in blocks:
-                c = tuple(x - y for x, y in zip(e, d))
-                if any(x < 0 for x in c):
-                    continue
-                if c in chl[d]:
-                    knowns = knowns + multiplicities[d] * chl[d][c]
-                else:
-                    unknowns.append((d, c))
-            lhs = framed.coeff(e)
-            if len(unknowns) > 1:
-                raise AmbiguousDecompositionError(
-                    f"equation at {e} involves {len(unknowns)} unknown block terms"
-                )
-            if not unknowns:
-                if lhs != knowns:
-                    raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {knowns}")
-                continue
-            d, c = unknowns[0]
-            chl[d][c] = (lhs - knowns).divexact(multiplicities[d])
-    return {
-        d: GradedSeries(quiver, bound - sum(d), terms) for d, terms in chl.items()
-    }

@@ -22,7 +22,8 @@ the sum, its log (by the recurrence in |d|, scaled by L = lcm(1..N)) and
 the Moebius sum are carried as integer numerators over D_d, dense in x,
 and each A_d takes one exact division by L^2 D_d at the end.  Before
 summing, hua_kac counts the multipartitions and raises BudgetError past
-HUA_BUDGET.
+HUA_BUDGET.  check_vector_budget does the same, against VECTOR_BUDGET, for
+the root tables and GKM dimensions, which range over every d with |d| <= N.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -56,11 +57,13 @@ __all__ = [
     "DEFAULT_FIELDS",
     "FLAVOURS",
     "HUA_BUDGET",
+    "VECTOR_BUDGET",
     "BudgetError",
     "CountingError",
     "KacTable",
     "brute_force_counts",
     "check_hua_budget",
+    "check_vector_budget",
     "hua_kac",
     "oracle_kac",
     "oracle_kac_full",
@@ -74,6 +77,9 @@ DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 #: takes about 7 s on a shared 2-vCPU VM, and the time grows faster than
 #: the count; the largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
+#: The most dimension vectors (|d| <= N, zero included) a table may range
+#: over.  The largest test or benchmark table, affine D4 N=7, has 792.
+VECTOR_BUDGET = 10_000
 
 
 class BudgetError(RuntimeError):
@@ -306,6 +312,16 @@ def _hua_log(numerators: dict, scale: int) -> dict[tuple[int, ...], tuple[int, l
             raise CountingError(f"the Hua Log at {d} is not divisible by {size}")
         logs[d] = (top, [c // size for c in total])
     return logs
+
+
+def check_vector_budget(rank: int, bound: int) -> None:
+    """Raise BudgetError if the C(N + rank, rank) vectors with |d| <= N exceed VECTOR_BUDGET."""
+    count = math.comb(bound + rank, rank)
+    if count > VECTOR_BUDGET:
+        raise BudgetError(
+            f"|d| <= {bound} in rank {rank} spans {count} dimension vectors "
+            f"(budget {VECTOR_BUDGET})"
+        )
 
 
 def check_hua_budget(quiver: Quiver, bound: int) -> None:

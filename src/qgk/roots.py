@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .kac import check_vector_budget
 from .quiver import DimVector, Quiver, QuiverError, sym_form
 from .series import vectors_of_total
 
@@ -165,6 +166,7 @@ def phi_plus(cartan: CartanDatum, bound: int) -> RootTables:
     """All of Sigma and Phi^+ with |d| <= bound, classified."""
     if bound < 1:
         raise RootError("bound must be >= 1")
+    check_vector_budget(cartan.rank, bound)
     tables = RootTables(cartan, bound)
     rank = cartan.rank
     for total in range(1, bound + 1):
@@ -222,6 +224,7 @@ def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
     """
     if bound < 1:
         raise RootError("bound must be >= 1")
+    check_vector_budget(len(quiver.vertices), bound)
     reflect_at = [v for v in quiver.vertices if quiver.loops_at(v) == 0]
     seeds: set[tuple[int, ...]] = set()
     for v in quiver.vertices:

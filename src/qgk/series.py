@@ -302,8 +302,14 @@ def sym_power_coeff(p: QPoly, m: int) -> QPoly:
     """
     if m < 0:
         raise SeriesError("symmetric power index must be >= 0")
+    return _sym_powers(p, m)[m]
+
+
+def _sym_powers(p: QPoly, m: int) -> list[QPoly]:
+    """The coefficients of u^0, ..., u^m in Exp_{t,u}(p(t) * u)."""
+    powers = [p.substitute_power(k) for k in range(1, m + 1)]
     h = [QPoly.one()]
     for n in range(1, m + 1):
-        terms = (p.substitute_power(k) * h[n - k] for k in range(1, n + 1))
+        terms = (powers[k - 1] * h[n - k] for k in range(1, n + 1))
         h.append(sum(terms, QPoly.zero()).scale(Fraction(1, n)))
-    return h[m]
+    return h

@@ -26,6 +26,7 @@ from qgk import (
     Quiver,
     WeightFunction,
     absolutely_cuspidal,
+    absolutely_cuspidal_from_kac,
     canonical_decomposition,
     framed_character,
     gkm_dims,
@@ -90,6 +91,22 @@ def test_hua_tables_are_fast():
         assert jordan.polynomial((n,)) == Q(1)
 
 
+def test_gkm_characters_are_fast():
+    kac = hua_kac(KRON, 12)
+    d4 = Quiver(["0", "1", "2", "3", "4"], [("1", "0"), ("2", "0"), ("3", "0"), ("4", "0")])
+    cartan = CartanDatum.from_quiver(d4)
+    units = {tuple(int(i == k) for i in range(5)): ONE for k in range(5)}
+    with gate("C^abs Kronecker N=12 and affine D4 gkm_dims N=7", 2):
+        cusp = absolutely_cuspidal_from_kac(kac)
+        dims = gkm_dims(cartan, WeightFunction(d4, units), 7).dims
+    assert cusp.table == {(1, 0): ONE, (0, 1): ONE, **{(k, k): Q(1) for k in range(1, 7)}}
+    delta = (2, 1, 1, 1, 1)
+    assert dims.pop(delta) == {0: 4}
+    assert len(dims) == 29  # 24 real roots with |d| <= 6, and delta + 1_i
+    assert all(block == {0: 1} and sum(d) in range(1, 8) for d, block in dims.items())
+    assert all(cartan.form(d, d) == 2 for d in dims)
+
+
 def test_kronecker_isotropic_cuspidal():
     with gate("Kronecker A_(1,1) vs oracle, C^abs on the isotropic ray", 30.0):
         table = hua_kac(KRON, 6)
@@ -118,7 +135,7 @@ def test_a2_relation_sentinel():
 
 
 def test_loop_quiver_dual_route_inversion():
-    with gate("2-loop quiver: relation engine and series inversion agree", 60.0):
+    with gate("2-loop quiver: denominator route and series inversion agree", 60.0):
         cusp = absolutely_cuspidal(G2, 5)
         kac = hua_kac(G2, 5)
         uea = pleth_exp(kac.to_series(), PlethMode.QZ)

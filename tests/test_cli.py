@@ -187,6 +187,23 @@ def test_budget_error_is_invalid_input(jordan_file, capsys):
     assert "runs over at least" in capsys.readouterr().err
 
 
+def test_vector_budget_is_invalid_input(jordan_file, tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"weights": {"1": {"2": "1"}}}))
+    commands = [
+        ["roots", jordan_file],
+        ["canonical-decomp", jordan_file],
+        ["canonical-decomp", jordan_file, "--dim", "100000000"],
+        ["gkm-dims", jordan_file, "--weights", str(weights)],
+    ]
+    start = time.perf_counter()
+    for argv in commands:  # each would build every vector up to the bound
+        assert run([*argv, "--bound", "100000000"]) == 1
+    assert time.perf_counter() - start < 5
+    expected = "error: |d| <= 100000000 in rank 1 spans 100000001 dimension vectors (budget 10000)"
+    assert capsys.readouterr().err.splitlines() == [expected] * len(commands)
+
+
 def test_help_and_parse_errors():
     assert run(["--help"]) == 0
     assert run(["kac", "--help"]) == 0
@@ -201,7 +218,27 @@ def test_verify_passes(a2_file, capsys):
     assert all(line.startswith("PASS\t") for line in lines)
     names = {line.split("\t")[1] for line in lines}
     assert "hua-vs-oracle" in names
-    assert "gkm-roundtrip" in names
+    assert "gkm-presentation" in names
+    assert (
+        "PASS\tgkm-presentation\tpresented algebra and denominator identity agree on "
+        "9 blocks with |d| <= 3"
+    ) in lines
+
+
+def test_verify_presentation_check_catches_wrong_dims(a2_file, monkeypatch, capsys):
+    real = qgk.cli.gkm_dims
+
+    def off_by_one(cartan, weights, bound):
+        table = real(cartan, weights, bound)
+        table.dims[(1, 1)][0] += 1
+        return table
+
+    monkeypatch.setattr(qgk.cli, "gkm_dims", off_by_one)
+    assert run(["verify", a2_file, "--bound", "3"]) == 2
+    failed = [line for line in _out(capsys).splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL\tgkm-presentation\tdims of C^abs differ at 1,1; compared 9 blocks with |d| <= 3"
+    ]
 
 
 def test_verify_computes_the_kac_table_once(kron_file, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_gkm import character_at
 
 from qgk import (
     CartanDatum,
@@ -12,7 +13,9 @@ from qgk import (
     DimVector,
     GradedSeries,
     QPoly,
+    Quiver,
     absolutely_cuspidal,
+    absolutely_cuspidal_from_kac,
     cuspidal_from_abs,
     euler_form,
     hua_kac,
@@ -21,6 +24,8 @@ from qgk import (
     ip_polynomial,
     ip_table,
 )
+from qgk.gkm import GkmEngine
+from qgk.series import vectors_up_to
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -69,7 +74,7 @@ def test_invert_character_rejects_deficit_off_roots(a2):
 def test_invert_character_rejects_bad_deficits(kronecker):
     cartan = CartanDatum.from_quiver(kronecker)
     units = {(1, 0): ONE, (0, 1): ONE}
-    # engine already accounts for [e0, e1] at (1,1); deficit -1 there
+    # the units already generate [e0, e1] at (1,1); deficit -1 there
     target = GradedSeries(kronecker, 2, {**units, (1, 1): QPoly.zero()})
     with pytest.raises(CuspidalError):
         invert_character(cartan, target, 2)
@@ -79,6 +84,56 @@ def test_invert_character_rejects_bad_deficits(kronecker):
     target = GradedSeries(kronecker, 2, {**units, (1, 1): ONE + QPoly.half_power(1)})
     with pytest.raises(CuspidalError):
         invert_character(cartan, target, 2)
+
+
+def _presented_inversion(cartan, target, bound):
+    """Peel target against the character of the presented algebra so far."""
+    engine = GkmEngine(cartan, bound)
+    weights = {}
+    for d in vectors_up_to(cartan.rank, bound):
+        if not any(d):
+            continue
+        deficit = target.coeff(d) - character_at(engine, d)
+        if not deficit.is_zero():
+            engine.add_generators(d, deficit)
+            weights[d] = deficit
+    return weights
+
+
+def _quiver(rank, arrows):
+    return Quiver([str(v) for v in range(rank)], [(str(s), str(t)) for s, t in arrows])
+
+
+INVERSION_QUIVERS = {
+    "kronecker": (_quiver(2, [(0, 1), (0, 1)]), 8),
+    "jordan": (_quiver(1, [(0, 0)]), 10),
+    "two-loop": (_quiver(1, [(0, 0), (0, 0)]), 7),
+    "a2": (_quiver(2, [(0, 1)]), 5),
+    "3-cycle": (_quiver(3, [(0, 1), (1, 2), (2, 0)]), 6),
+    "affine-d4": (_quiver(5, [(1, 0), (2, 0), (3, 0), (4, 0)]), 4),
+    "loop-plus-leg": (_quiver(2, [(0, 0), (0, 1)]), 7),
+    "three-loop": (_quiver(1, [(0, 0)] * 3), 5),
+    "3-arrow-kronecker": (_quiver(2, [(0, 1)] * 3), 7),
+    "a3": (_quiver(3, [(0, 1), (1, 2)]), 5),
+    "jordan-plus-two-legs": (_quiver(3, [(0, 0), (0, 1), (0, 2)]), 5),
+}
+
+
+@pytest.mark.parametrize("name", INVERSION_QUIVERS)
+def test_inversion_matches_the_presented_algebra(name):
+    quiver, bound = INVERSION_QUIVERS[name]
+    cartan = CartanDatum.from_quiver(quiver)
+    target = hua_kac(quiver, bound).to_series()
+    weights = invert_character(cartan, target, bound)
+    assert weights.table == _presented_inversion(cartan, target, bound)
+    assert weights.table
+
+
+def test_kronecker_cabs_closed_form():
+    kronecker = _quiver(2, [(0, 1), (0, 1)])
+    table = absolutely_cuspidal_from_kac(hua_kac(kronecker, 12))
+    expected = {(1, 0): ONE, (0, 1): ONE, **{(k, k): Q(1) for k in range(1, 7)}}
+    assert table.table == expected
 
 
 # -- absolutely cuspidal tables ----------------------------------------------------

@@ -8,24 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgk.gkm
 from qgk import (
     AmbiguousDecompositionError,
+    BudgetError,
     CartanDatum,
-    GkmEngine,
     GkmError,
     GradedSeries,
+    PlethMode,
     QPoly,
     Quiver,
     WeightFunction,
-    free_lie_character,
     gkm_character,
     gkm_dims,
     lowest_weight_extract,
+    pleth_log,
+    series_inv,
     uea_character,
 )
 from qgk.cuspidal import absolutely_cuspidal
 from qgk.series import vectors_up_to
-from qgk.gkm import Letter, Tensor, _Echelon, _tensor_bracket
+from qgk.gkm import GkmEngine, Letter, Tensor, _Echelon, _tensor_bracket, presented_dims
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -41,6 +44,29 @@ def _moebius(n):
             out = -out
         p += 1
     return -out if m > 1 else out
+
+
+def character_at(engine: GkmEngine, d) -> QPoly:
+    """sum_j dim n_{d,j} q^{j/2} in the presented algebra."""
+    out = QPoly.zero()
+    for j, dim in sorted(engine.dims_at(d).items()):
+        out = out + QPoly.half_power(j, dim)
+    return out
+
+
+def free_lie_character(chV: GradedSeries, bound: int) -> GradedSeries:
+    """Character of the free Lie algebra on a graded space V.
+
+    The tensor algebra has character 1/(1 - chV), and the free Lie algebra
+    is its plethystic logarithm.
+    """
+    if bound > chV.bound:
+        raise GkmError("bound exceeds the generator series bound")
+    chV = chV.truncate(bound) if bound < chV.bound else chV
+    if not chV.constant_term().is_zero():
+        raise GkmError("generator series must have zero constant term")
+    tensor = series_inv(GradedSeries.one(chV.quiver, bound) - chV)
+    return pleth_log(tensor, PlethMode.QZ)
 
 
 # -- oracle: explicit Lyndon-bracket bases ------------------------------------------
@@ -242,8 +268,8 @@ def test_sl3_dimensions(a2):
     assert engine.dims_at((2, 1)) == {}
     assert engine.dims_at((1, 2)) == {}
     assert engine.dims_at((2, 2)) == {}
-    assert engine.character_at((1, 1)) == ONE
-    assert engine.character_at((2, 1)).is_zero()
+    assert character_at(engine, (1, 1)) == ONE
+    assert character_at(engine, (2, 1)).is_zero()
 
 
 def test_affine_sl2_root_multiplicities(kronecker):
@@ -338,7 +364,7 @@ def test_engine_agrees_with_free_lie_series(g2loop):
     engine.add_generators((1,), weight)
     lie = free_lie_character(GradedSeries(g2loop, 4, {(1,): weight}), 4)
     for n in range(1, 5):
-        assert engine.character_at((n,)) == lie.coeff((n,))
+        assert character_at(engine, (n,)) == lie.coeff((n,))
 
 
 def test_isotropic_letters_commute(jordan):
@@ -388,6 +414,130 @@ def test_engine_add_order_independence(kronecker):
         return [engine.dims_at((a, t - a)) for t in range(1, 5) for a in range(t + 1)]
 
     assert build([(1, 0), (0, 1)]) == build([(0, 1), (1, 0)])
+
+
+# -- the denominator identity against the presented algebra ---------------------------
+
+AFFINE_D4 = Quiver(["0", "1", "2", "3", "4"], [("1", "0"), ("2", "0"), ("3", "0"), ("4", "0")])
+D4_UNITS = {tuple(int(i == k) for i in range(5)): ONE for k in range(5)}
+KRONECKER = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
+JORDAN = Quiver(["0"], [("0", "0")])
+
+#: Hand-made weight functions: (quiver, weights, bound).
+HAND_MADE = {
+    "affine-d4-units": (AFFINE_D4, D4_UNITS, 6),
+    "affine-d4-extra-letter-at-delta": (AFFINE_D4, {**D4_UNITS, (2, 1, 1, 1, 1): ONE}, 6),
+    "jordan-2+q-and-q": (JORDAN, {(1,): QPoly.constant(2) + Q(1), (2,): Q(1)}, 6),
+    "kronecker-real-letter-at-q": (KRONECKER, {(1, 0): Q(1), (0, 1): ONE}, 6),
+    "kronecker-real-letter-at-q-with-rays": (
+        KRONECKER,
+        {(1, 0): Q(1), (0, 1): ONE, (1, 1): Q(1) + ONE, (2, 2): Q(2)},
+        6,
+    ),
+}
+
+#: Quivers whose C^abs is the weight function, with the bound.
+CABS_QUIVERS = {
+    "two-loop": (Quiver(["0"], [("0", "0"), ("0", "0")]), 5),
+    "kronecker": (KRONECKER, 8),
+    "jordan": (JORDAN, 8),
+    "3-cycle": (Quiver(["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "0")]), 5),
+    "loop-plus-leg": (LOOP_PLUS_LEG, 6),
+    "leg-plus-loop": (LEG_PLUS_LOOP, 6),
+    "three-loop": (Quiver(["0"], [("0", "0")] * 3), 4),
+}
+
+
+def _denominator_cases():
+    for name, (quiver, weights, bound) in HAND_MADE.items():
+        yield pytest.param(quiver, weights, bound, id=name)
+    for name, (quiver, bound) in CABS_QUIVERS.items():
+        yield pytest.param(quiver, None, bound, id=f"cabs-{name}")
+
+
+@pytest.mark.parametrize("quiver, weights, bound", _denominator_cases())
+def test_denominator_dims_match_the_presented_algebra(quiver, weights, bound):
+    if weights is None:
+        weights = dict(absolutely_cuspidal(quiver, bound).table)
+    cartan = CartanDatum.from_quiver(quiver)
+    function = WeightFunction(quiver, weights)
+    dims = gkm_dims(cartan, function, bound).dims
+    assert dims == presented_dims(cartan, function, bound).dims
+    assert list(dims) == sorted(dims, key=lambda t: (sum(t), t))
+
+
+def test_affine_d4_dims_are_the_root_multiplicities():
+    cartan = CartanDatum.from_quiver(AFFINE_D4)
+    plain = gkm_dims(cartan, WeightFunction(AFFINE_D4, D4_UNITS), 7).dims
+    extra = {**D4_UNITS, (2, 1, 1, 1, 1): ONE}
+    grown = gkm_dims(cartan, WeightFunction(AFFINE_D4, extra), 7).dims
+    delta = (2, 1, 1, 1, 1)
+    assert plain[delta] == {0: 4} and grown[delta] == {0: 5}
+    for d, block in plain.items():
+        if d != delta:
+            assert cartan.form(d, d) == 2 and block == {0: 1}, d
+    assert sum(1 for d in plain if d != delta) == 24 + 5  # 24 at |d| <= 6, 5 at 7
+    # the letter at delta commutes with every unit, since (delta, 1_i) = 0
+    assert {d: b for d, b in grown.items() if d != delta} == {
+        d: b for d, b in plain.items() if d != delta
+    }
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(1, 0): ONE, (1, 1): ONE}, "pair positively"),
+        ({(1, 0): QPoly.constant(2)}, "multiplicity one"),
+        ({(1, 0): QPoly.half_power(1)}, "odd cohomological degrees"),
+        ({(1, 0): Q(1, -1)}, "not a nonnegative integer"),
+        ({(0, 0): ONE}, "nonzero and nonnegative"),
+        ({(1, 0, 0): ONE}, "wrong rank"),
+    ],
+)
+def test_both_routes_share_the_generator_checks(a2, weights, message):
+    cartan = CartanDatum.from_quiver(a2)
+    for route in (gkm_dims, presented_dims):
+        with pytest.raises(GkmError, match=message):
+            route(cartan, WeightFunction(a2, weights), 3)
+
+
+def test_denominator_arrival_order(a2):
+    # (1 - a)(1 - b)(1 - ab) = 1 - a - b + a^2 b + a b^2 - a^2 b^2
+    denominator = qgk.gkm._Denominator(CartanDatum.from_quiver(a2), 3)
+    assert denominator.coeff((1, 0)).is_zero()
+    denominator.add((1, 0), ONE)
+    assert denominator.coeff((0, 1)).is_zero()
+    denominator.add((0, 1), ONE)  # a reflection after an expansion redoes the orbits
+    assert denominator.coeff((1, 0)) == -ONE
+    assert denominator.coeff((1, 1)).is_zero()
+    assert denominator.coeff((2, 1)) == ONE
+    with pytest.raises(GkmError, match="nondecreasing degree order"):
+        denominator.add((1, 1), ONE)
+    with pytest.raises(GkmError):
+        qgk.gkm._Denominator(CartanDatum.from_quiver(a2), 0)
+
+
+def test_denominator_budget(kronecker, monkeypatch):
+    weights = WeightFunction(kronecker, {(1, 0): ONE, (0, 1): ONE, (1, 1): Q(1)})
+    cartan = CartanDatum.from_quiver(kronecker)
+    gkm_dims(cartan, weights, 8)
+    monkeypatch.setattr(qgk.gkm, "GKM_BUDGET", 10)
+    with pytest.raises(BudgetError, match="stopped after 11 cliques and Weyl group elements"):
+        gkm_dims(cartan, weights, 8)
+
+
+def test_gkm_dims_rejects_a_negative_dimension(kronecker, monkeypatch):
+    log = qgk.gkm.pleth_log
+    monkeypatch.setattr(qgk.gkm, "pleth_log", lambda series, mode: -log(series, mode))
+    weights = WeightFunction(kronecker, {(1, 0): ONE, (0, 1): ONE})
+    with pytest.raises(GkmError, match="dimension -1 at block"):
+        gkm_dims(CartanDatum.from_quiver(kronecker), weights, 2)
+
+
+def test_gkm_dims_vector_budget(jordan):
+    weights = WeightFunction(jordan, {(1,): Q(1)})
+    with pytest.raises(BudgetError, match="100000001 dimension vectors"):
+        gkm_dims(CartanDatum.from_quiver(jordan), weights, 100_000_000)
 
 
 # -- module-level wrappers ------------------------------------------------------------
