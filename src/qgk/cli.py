@@ -16,6 +16,7 @@ reported with the offending dimension vector.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -71,17 +72,6 @@ CACHE_SCHEMA = 1
 IP_CONVENTION = (
     "coefficients of v^j count IH^j classes, shifted so a smooth n-dimensional "
     "component contributes v^-n; the printed variable q stands for v"
-)
-
-_COMMANDS = (
-    "roots",
-    "kac",
-    "cuspidal",
-    "ip",
-    "canonical-decomp",
-    "gkm-dims",
-    "nakajima-decomp",
-    "verify",
 )
 
 
@@ -233,18 +223,18 @@ def _cache_read(path: str) -> dict | None:
 
 
 def _cache_write(path: str, payload: dict) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Store the payload atomically; a cache that cannot be written is skipped."""
+    temp = None
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
         os.replace(temp, path)
     except OSError:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 # -- command payloads -------------------------------------------------------------
@@ -564,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "GKM dimensions, and framed character decompositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("quiver", help="path to a quiver JSON file")
         p.add_argument("--bound", type=int, default=4, help="total-degree bound N")

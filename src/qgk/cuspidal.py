@@ -45,6 +45,7 @@ from .roots import (
 from .series import (
     GradedSeries,
     PlethMode,
+    _LINE,
     pleth_exp,
     pleth_log,
     sym_power_coeff,
@@ -166,9 +167,6 @@ def _check_plain_shape(table: CuspidalTable, cartan: CartanDatum) -> None:
             raise CuspidalError(
                 f"C^abs_{d} = {poly} is not monic of degree {degree}"
             )
-
-
-_LINE = Quiver(["u"])
 
 
 def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:

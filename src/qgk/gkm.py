@@ -56,8 +56,8 @@ from .roots import CartanDatum
 from .series import (
     GradedSeries,
     PlethMode,
+    _LINE,
     _moebius,
-    _sym_powers,
     pleth_exp,
     pleth_log,
     vectors_of_total,
@@ -195,7 +195,7 @@ class _Denominator:
             self._pending, self._terms = dict(self._sums), {}
             return
         most = 1 if norm < 0 else self.bound // sum(root)
-        wedges = _sym_powers(-multiplicity, most)  # (-1)^k Lambda^k
+        wedges = pleth_exp(GradedSeries(_LINE, most, {(1,): -multiplicity}), PlethMode.QZ)
         grown = []
         for members, s, weight in self._cliques:
             if any(pairings[m] for m in members):
@@ -205,7 +205,7 @@ class _Denominator:
                 if sum(t) > self.bound:
                     break
                 self._count()
-                term = weight * wedges[k]
+                term = weight * wedges.coeff((k,))  # (-1)^k Lambda^k
                 grown.append((members + (root,), t, term))
                 for sums in (self._sums, self._pending):
                     sums[t] = sums[t] + term if t in sums else term

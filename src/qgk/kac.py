@@ -18,12 +18,12 @@ itself would make A_1 non-polynomial.
 
 The coefficient at z^d of the sum, of its products and of their Adams
 images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
-the sum, its log (by the recurrence in |d|, scaled by L = lcm(1..N)) and
-the Moebius sum are carried as integer numerators over D_d, dense in x,
-and each A_d takes one exact division by L^2 D_d at the end.  Before
-summing, hua_kac counts the multipartitions and raises BudgetError past
-HUA_BUDGET.  check_vector_budget does the same, against VECTOR_BUDGET, for
-the root tables and GKM dimensions, which range over every d with |d| <= N.
+the sum goes into series' Exp/Log core as integer numerators in x over D_d,
+the core's Log runs with that q-factorial kernel, and each A_d takes one
+exact division by |d| D_d at the end.  Before summing, hua_kac counts the
+multipartitions and raises BudgetError past HUA_BUDGET.  check_vector_budget
+does the same, against VECTOR_BUDGET, for the root tables and GKM
+dimensions, which range over every d with |d| <= N.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -51,7 +51,16 @@ from fractions import Fraction
 
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver, euler_form
-from .series import GradedSeries, PlethMode, _moebius, pleth_exp, vectors_of_total
+from .series import (
+    GradedSeries,
+    PlethMode,
+    _add_to,
+    _mul,
+    _pleth_log_levels,
+    _ratio,
+    pleth_exp,
+    vectors_of_total,
+)
 
 __all__ = [
     "DEFAULT_FIELDS",
@@ -212,106 +221,35 @@ class KacTable:
 
 # -- Hua's formula ----------------------------------------------------------------
 
-# A numerator (top, c) stands for q^top * sum_i c[i] x^i with x = q^{-1}.
-
-
-def _mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
-    return out
-
-
-def _times_one_minus(c, j: int) -> list[int]:
-    """c * (1 - x^j)."""
-    out = list(c) + [0] * j
-    for i in range(len(out) - 1, j - 1, -1):
-        out[i] -= out[i - j]
-    return out
-
-
-def _over_one_minus(c, j: int) -> list[int]:
-    """c / (1 - x^j); raises CountingError unless the division is exact."""
-    out = list(c)
-    for i in range(j, len(out)):
-        out[i] += out[i - j]
-    cut = max(len(out) - j, 0)
-    if any(out[cut:]):
-        raise CountingError(f"inexact division by 1 - q^-{j}")
-    return out[:cut]
-
-
-def _ratio(top, bottom) -> tuple[int, ...]:
-    """prod_{j in top} (1 - x^j) / prod_{j in bottom} (1 - x^j), a polynomial in x."""
-    top, bottom = Counter(top), Counter(bottom)
-    c = functools.reduce(_times_one_minus, (top - bottom).elements(), [1])
-    return tuple(functools.reduce(_over_one_minus, (bottom - top).elements(), c))
-
-
 @functools.cache
-def _vertex_numerator(lam: tuple[int, ...]) -> tuple[int, ...]:
+def _vertex_numerator(lam: tuple[int, ...]) -> dict:
     """lam's Hua denominator prod_k (x;x)_{m_k(lam)} cleared by (x;x)_{|lam|}."""
     mults = Counter(lam).values()
-    return _ratio(range(1, sum(lam) + 1), [j for m in mults for j in range(1, m + 1)])
+    return _ratio({0: 1}, range(1, sum(lam) + 1), [j for m in mults for j in range(1, m + 1)])
 
 
-@functools.cache
-def _gauss(n: int, k: int) -> tuple[int, ...]:
-    """The Gaussian binomial [n choose k] in x."""
-    return _ratio(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
-
-
-def _combine(terms: list[tuple[int, int, list[int]]]) -> tuple[int, list[int]]:
-    """sum of k * q^t * c over the (k, t, c), as a numerator without zero ends."""
-    top = max(t for _, t, _ in terms)
-    out = [0] * max(top - t + len(c) for _, t, c in terms)
-    for k, t, c in terms:
-        for i, ci in enumerate(c, top - t):
-            out[i] += k * ci
-    while out and not out[-1]:
-        out.pop()
-    lead = next((i for i, ci in enumerate(out) if ci), len(out))
-    return top - lead, out[lead:]
-
-
-def _hua_numerators(quiver: Quiver, bound: int) -> dict[tuple[int, ...], tuple[int, list[int]]]:
-    """N_d = D_d * [z^d] of Hua's sum for 0 < |d| <= bound, by (|d|, lex)."""
+def _hua_numerators(quiver: Quiver, bound: int) -> list:
+    """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
     index = {v: i for i, v in enumerate(quiver.vertices)}
     arrows = [(index[s], index[t]) for s, t in quiver.arrows]
-    out = {}
+    levels = [(1, {(0,) * len(index): {0: 1}})]
     for total in range(1, bound + 1):
+        level = {}
         for d in vectors_of_total(len(index), total):
-            terms = []
-            for pi in itertools.product(*(partitions(n) for n in d)):
-                exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
-                exponent -= sum(partition_pairing(lam, lam) for lam in pi)
-                terms.append((1, exponent, functools.reduce(_mul, map(_vertex_numerator, pi))))
-            out[d] = _combine(terms)
-    return out
-
-
-def _hua_log(numerators: dict, scale: int) -> dict[tuple[int, ...], tuple[int, list[int]]]:
-    """M_d = scale * D_d * [z^d] log(1 + sum_d N_d z^d / D_d), by (|d|, lex).
-
-    |d| M_d = |d| scale N_d - sum_{0<e<d} |e| M_e N_{d-e} prod_v [d_v choose e_v];
-    M_d has integer coefficients when lcm(1..|d|) divides scale.
-    """
-    logs: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-    for d, (top, num) in numerators.items():
-        size = sum(d)
-        terms = [(size * scale, top, num)]
-        for e, (e_top, m) in logs.items():
-            if all(a <= b for a, b in zip(e, d)):
-                rest_top, rest = numerators[tuple(b - a for a, b in zip(e, d))]
-                rest = functools.reduce(_mul, map(_gauss, d, e), rest)
-                terms.append((-sum(e), e_top + rest_top, _mul(m, rest)))
-        top, total = _combine(terms)
-        if any(c % size for c in total):
-            raise CountingError(f"the Hua Log at {d} is not divisible by {size}")
-        logs[d] = (top, [c // size for c in total])
-    return logs
+            # the last vertex's numerators are summed before multiplying
+            *heads, last = [partitions(n) for n in d]
+            acc: dict[int, int] = {}
+            for head in itertools.product(*heads):
+                inner: dict[int, int] = {}
+                for pi in [(*head, lam) for lam in last]:
+                    exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
+                    exponent -= sum(partition_pairing(lam, lam) for lam in pi)
+                    for k, c in _vertex_numerator(pi[-1]).items():
+                        inner[k - exponent] = inner.get(k - exponent, 0) + c
+                _add_to(acc, functools.reduce(_mul, map(_vertex_numerator, head), inner), 1)
+            level[d] = acc
+        levels.append((1, level))
+    return levels
 
 
 def check_vector_budget(rank: int, bound: int) -> None:
@@ -351,27 +289,13 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
     if bound < 1:
         raise CountingError("bound must be >= 1")
     check_hua_budget(quiver, bound)
-    scale = math.lcm(*range(1, bound + 1))
-    logs = _hua_log(_hua_numerators(quiver, bound), scale)
+    levels = _pleth_log_levels(_hua_numerators(quiver, bound), stretch=True, qfactorial=True)
     table: dict[tuple[int, ...], QPoly] = {}
-    for d in logs:
-        # Log_{q,z} at d is sum_{n | d} mu(n)/n psi_n(log at d/n), and
-        # D_d / psi_n(D_{d/n}) = prod_v prod_{j <= d_v, n does not divide j} (1 - x^j).
-        terms = []
-        for n in range(1, math.gcd(*d) + 1):
-            if _moebius(n) and not any(a % n for a in d):
-                top, m = logs[tuple(a // n for a in d)]
-                stretched = [0] * (n * (len(m) - 1) + 1)
-                stretched[::n] = m
-                factors = [j for a in d for j in range(1, a + 1) if j % n]
-                stretched = functools.reduce(_times_one_minus, factors, stretched)
-                terms.append((_moebius(n) * (scale // n), n * top, stretched))
-        top, num = _combine(terms)
-        num = _times_one_minus(num, 1)  # q - 1 = q (1 - x)
-        num = functools.reduce(_over_one_minus, [j for a in d for j in range(1, a + 1)], num)
-        poly = QPoly({2 * (top + 1 - i): Fraction(c, scale * scale) for i, c in enumerate(num)})
-        if not poly.is_zero():
-            table[d] = poly
+    for total, (den, level) in enumerate(levels):
+        for d in sorted(level):
+            # q - 1 = (1 - x) / x, and one exact division by D_d
+            num = _ratio(level[d], [1], [j for a in d for j in range(1, a + 1)])
+            table[d] = QPoly({2 * (1 - k): Fraction(c, den * total) for k, c in num.items()})
     return KacTable(quiver, bound, "plain", table)
 
 

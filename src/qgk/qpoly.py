@@ -167,18 +167,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise QPolyError("negative powers are not defined for QPoly")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, c: Fraction | int) -> "QPoly":
         c = Fraction(c)
         return QPoly({k: v * c for k, v in self._coeffs.items()})

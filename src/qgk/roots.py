@@ -17,9 +17,10 @@ suite asserts that redundancy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .kac import check_vector_budget
+from .kac import BudgetError, check_vector_budget
 from .quiver import DimVector, Quiver, QuiverError, sym_form
 from .series import vectors_of_total
 
@@ -262,6 +263,10 @@ def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
 #: not obviously sufficient, so small subsets are scanned as well; the test
 #: suite asserts the result does not depend on the scan order.
 MERGE_SUBSET_LIMIT = 4
+#: The most index combinations of parts the merge passes may scan.  The passes
+#: over |d|, |d| - 1, ..., 2 parts scan at most sum_k C(|d| + 1, k + 1) for
+#: k = 2..MERGE_SUBSET_LIMIT; |d| = 40 gives 861,328, about 1 s.
+MERGE_SCAN_BUDGET = 1_000_000
 
 
 def canonical_decomposition(
@@ -281,6 +286,12 @@ def canonical_decomposition(
         raise RootError("cannot decompose the zero vector")
     if not d.is_effective():
         raise QuiverError("canonical decomposition needs a nonnegative vector")
+    scan = sum(math.comb(d.total + 1, k + 1) for k in range(2, MERGE_SUBSET_LIMIT + 1))
+    if scan > MERGE_SCAN_BUDGET:
+        raise BudgetError(
+            f"the canonical decomposition of {d.as_tuple()} may scan {scan} "
+            f"combinations of parts (budget {MERGE_SCAN_BUDGET})"
+        )
     cartan = CartanDatum.from_quiver(quiver)
     parts: list[tuple[int, ...]] = []
     for v in quiver.vertices:

@@ -10,12 +10,23 @@ exponential comes in the two flavours used throughout:
   z^d -> z^{nd} only;
 * ``PlethMode.QZ`` -- psi_n additionally substitutes q -> q^n.
 
-Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.
+Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.  One
+core runs both degree by degree: the coefficients of each total degree
+are sparse integer polynomials in t = q^{s/2}, s the gcd of the
+half-exponents present, over one integer denominator per degree, which
+starts as the lcm of the input's coefficient denominators.  QPoly
+appears only where a series goes in or comes out.  hua_kac runs the
+same Log over numerators in x = q^{-1} with its q-factorial kernel.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -126,12 +137,8 @@ class GradedSeries:
         self._check_compatible(other)
         out = dict(self._terms)
         for k, p in other._terms.items():
-            s = out.get(k, QPoly.zero()) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return GradedSeries(self.quiver, self.bound, out)
+            out[k] = out.get(k, QPoly.zero()) + p
+        return GradedSeries(self.quiver, self.bound, out)  # drops zero terms
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(self.quiver, self.bound, {k: -p for k, p in self._terms.items()})
@@ -150,65 +157,28 @@ class GradedSeries:
             raise SeriesError("cannot extend a truncated series")
         return GradedSeries(self.quiver, bound, self._terms)
 
-    def drop_constant(self) -> "GradedSeries":
-        rank = len(self.quiver.vertices)
-        out = dict(self._terms)
-        out.pop((0,) * rank, None)
-        return GradedSeries(self.quiver, self.bound, out)
-
 
 def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Truncated product."""
     f._check_compatible(g)
-    bound = f.bound
-    out: dict[tuple[int, ...], QPoly] = {}
-    for k1, p1 in f._terms.items():
-        s1 = sum(k1)
-        for k2, p2 in g._terms.items():
-            if s1 + sum(k2) > bound:
-                continue
-            key = tuple(a + b for a, b in zip(k1, k2))
-            prod = p1 * p2
-            acc = out.get(key)
-            acc = prod if acc is None else acc + prod
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return GradedSeries(f.quiver, bound, out)
-
-
-def _by_degree(terms: Mapping[tuple[int, ...], QPoly], bound: int) -> list[dict]:
-    levels: list[dict] = [{} for _ in range(bound + 1)]
-    for key, poly in terms.items():
-        levels[sum(key)][key] = poly
-    return levels
-
-
-def _add_product(out: dict, a: list[dict], b: list[dict], total: int) -> dict:
-    """Add the degree-``total`` part of a * b, both bucketed by degree, into out."""
-    for size in range(total + 1):
-        for e, p in a[size].items():
-            for f, r in b[total - size].items():
-                key = tuple(x + y for x, y in zip(e, f))
-                out[key] = out[key] + p * r if key in out else p * r
-    return out
+    (a, b), step = _levels(f, g)
+    pairs = ([(a[s], b[t - s]) for s in range(t + 1)] for t in range(f.bound + 1))
+    return _series(f, [_convolve(p) for p in pairs], step)
 
 
 def series_inv(f: GradedSeries) -> GradedSeries:
-    """Truncated inverse; the constant term must be a unit (a single term)."""
+    """Truncated inverse; the constant term must be a unit (a single term).
+
+    With f = u (1 + h), 1/f = u^{-1} Exp(-Log(1 + h)), since Exp turns sums
+    into products.
+    """
     u = f.constant_term()
     if u.is_zero() or len(u.items()) != 1:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    # g_d = -u^{-1} * sum_{0 < e <= d} f_e g_{d-e}, by ascending total degree.
-    positive = _by_degree(f.drop_constant()._terms, f.bound)
-    inv = _by_degree({(0,) * len(f.quiver.vertices): u_inv}, f.bound)
-    for total in range(1, f.bound + 1):
-        level = _add_product({}, positive, inv, total)
-        inv[total] = {d: -(u_inv * p) for d, p in level.items() if p}
-    return GradedSeries(f.quiver, f.bound, {d: p for level in inv for d, p in level.items()})
+    mode = PlethMode.Z_ONLY
+    return pleth_exp(-pleth_log(f.scale(u_inv), mode), mode).scale(u_inv)
 
 
 def _moebius(n: int) -> int:
@@ -239,77 +209,195 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
     return GradedSeries(f.quiver, f.bound, out)
 
 
-def _exp_truncated(s: GradedSeries) -> GradedSeries:
-    """exp(s), degree by degree: |d| E_d = sum_{0<e<=d} |e| s_e E_{d-e}."""
-    if not s.constant_term().is_zero():
-        raise SeriesError("exp needs zero constant term")
-    euler = _by_degree({e: p.scale(sum(e)) for e, p in s._terms.items()}, s.bound)
-    exp = _by_degree({(0,) * len(s.quiver.vertices): QPoly.one()}, s.bound)
-    for total in range(1, s.bound + 1):
-        level = _add_product({}, euler, exp, total)
-        exp[total] = {d: p.scale(Fraction(1, total)) for d, p in level.items() if p}
-    return GradedSeries(s.quiver, s.bound, {d: p for level in exp for d, p in level.items()})
+# -- the Exp/Log core -------------------------------------------------------------
+#
+# A level is (den, {d: numerator}) for the d of one total degree; a numerator is
+# a sparse {exponent of t: int} standing for numerator / den, and over D_d =
+# prod_v (t;t)_{d_v} too under the q-factorial kernel.  QZ's psi_n sends t to t^n.
 
 
-def _log_truncated(g: GradedSeries) -> GradedSeries:
-    """log(g), degree by degree: |d| L_d = |d| h_d - sum_{0<e<d} |e| L_e h_{d-e}, h = g - 1."""
-    if not g.constant_term().is_one():
-        raise SeriesError("log needs constant term 1")
-    minus_h = _by_degree((-g.drop_constant())._terms, g.bound)
-    euler: list[dict] = [{} for _ in range(g.bound + 1)]  # |d| L_d
-    for total in range(1, g.bound + 1):
-        level = {d: p.scale(-total) for d, p in minus_h[total].items()}
-        euler[total] = {d: p for d, p in _add_product(level, euler, minus_h, total).items() if p}
-    log = {d: p.scale(Fraction(1, sum(d))) for level in euler for d, p in level.items()}
-    return GradedSeries(g.quiver, g.bound, log)
+def _mul(a: dict, b: dict) -> dict:
+    """a * b, through a list when both are at least half full and the shorter has 3+ terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > 2 and max(b) - min(b) < 2 * len(b) and max(a) - min(a) < 2 * len(a):
+        low, base = min(b), min(a)
+        row = list(map(b.get, range(low, max(b) + 1), itertools.repeat(0)))
+        dense = [0] * (max(a) - base + len(row))
+        for i, x in a.items():
+            for j, y in enumerate(row, i - base):
+                dense[j] += x * y
+        return dict(enumerate(dense, base + low))  # zeros are dropped by _settle
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _add_to(acc: dict, poly: dict, factor: int) -> None:
+    for k, c in poly.items():
+        acc[k] = acc.get(k, 0) + factor * c
+
+
+def _ratio(c: dict, top=(), bottom=()) -> dict:
+    """c * prod_{j in top} (1 - t^j) / prod_{j in bottom} (1 - t^j), computed densely.
+
+    Raises SeriesError unless the division is exact.
+    """
+    top, bottom = Counter(top), Counter(bottom)
+    top, bottom = top - bottom, bottom - top
+    low = min(c, default=0)
+    size = max(c, default=0) - low + 1  # dense[size:] is zero
+    dense = [0] * (size + sum(top.elements()))
+    for k, v in c.items():
+        dense[k - low] = v
+    for j in top.elements():
+        size += j
+        for i in range(size - 1, j - 1, -1):
+            dense[i] -= dense[i - j]
+    for j in bottom.elements():
+        for i in range(j, size):
+            dense[i] += dense[i - j]
+        size = max(size - j, 0)
+        if any(dense[size:]):
+            raise SeriesError(f"inexact division by 1 - t^{j}")
+    return {k: v for k, v in enumerate(dense[:size], low) if v}
+
+
+@functools.cache
+def _gauss(n: int, k: int) -> dict:
+    """The Gaussian binomial [n choose k] in t."""
+    return _ratio({0: 1}, range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
+
+
+def _settle(level: dict, den: int) -> tuple[int, dict]:
+    """(den, level) without zero terms, den cancelled against their content."""
+    level = {d: kept for d, poly in level.items() if (kept := {k: c for k, c in poly.items() if c})}
+    g = math.gcd(den, *(c for poly in level.values() for c in poly.values())) if den > 1 else 1
+    if g > 1:
+        level = {d: {k: c // g for k, c in poly.items()} for d, poly in level.items()}
+    return den // g, level
+
+
+def _convolve(pairs, sign=1, start=(1, {}), divisor=1, qfactorial=False) -> tuple[int, dict]:
+    """The settled level start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor."""
+    den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
+    acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
+    for (a_den, a), (b_den, b) in pairs:
+        factor = sign * (den // (a_den * b_den))
+        for e, p in a.items():
+            for f, r in b.items():
+                d = tuple(map(operator.add, e, f))
+                if qfactorial:  # D_d / (D_e D_{d-e})
+                    for n, k in zip(d, e):
+                        if 0 < k < n:
+                            r = _mul(r, _gauss(n, k))
+                _add_to(acc.setdefault(d, {}), _mul(p, r), factor)
+    return _settle(acc, divisor * den)
+
+
+def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) -> list:
+    """out_d = sum_{n | d} weight(n, |d|/n) psi_n(in_{d/n}), level by level.
+
+    The q-factorial kernel multiplies psi_n(in_{d/n}) by D_d / psi_n(D_{d/n})
+    = prod_v prod_{j <= d_v, n does not divide j} (1 - t^j), so it needs stretch.
+    """
+    out = [(1, {})]
+    for total in range(1, len(levels)):
+        parts = [(n, total // n) for n in range(1, total + 1) if not total % n]
+        parts = [(n, size, w) for n, size in parts if (w := weight(n, size))]
+        den = math.lcm(*(levels[size][0] for _, size, _ in parts))
+        acc: dict = {}
+        for n, size, w in parts:
+            sub_den, level = levels[size]
+            for e, poly in level.items():
+                d = tuple(n * a for a in e)
+                if stretch and n > 1:
+                    poly = {n * k: c for k, c in poly.items()}
+                if qfactorial and n > 1:
+                    poly = _ratio(poly, [j for a in d for j in range(1, a + 1) if j % n])
+                _add_to(acc.setdefault(d, {}), poly, w * (den // sub_den))
+        out.append(_settle(acc, den))
+    return out
+
+
+def _pleth_exp_levels(levels: list, rank: int, stretch: bool) -> list:
+    """Exp of levels 1..N: |d| E_d = sum_{0<e<=d} P_e E_{d-e} with P_e = |e| [sum_n psi_n/n]_e."""
+    euler = _adams_sum(levels, stretch, lambda n, size: size)
+    exp = [(1, {(0,) * rank: {0: 1}})]
+    for total in range(1, len(levels)):
+        pairs = [(euler[s], exp[total - s]) for s in range(1, total + 1)]
+        exp.append(_convolve(pairs, divisor=total))
+    return exp
+
+
+def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> list:
+    """|d| times Log at d of 1 + levels 1..N, level by level.
+
+    The Euler form Lambda_d = |d| log_d solves Lambda_d = |d| h_d - sum_{0<e<d}
+    Lambda_e h_{d-e}, and |d| Log_d = sum_{n | d} mu(n) psi_n(Lambda_{d/n}).
+    """
+    log = [(1, {})]
+    for total in range(1, len(levels)):
+        den, h = levels[total]
+        start = (den, {d: {k: total * c for k, c in poly.items()} for d, poly in h.items()})
+        pairs = [(log[s], levels[total - s]) for s in range(1, total)]
+        log.append(_convolve(pairs, -1, start, qfactorial=qfactorial))
+    return _adams_sum(log, stretch, lambda n, size: _moebius(n), qfactorial)
+
+
+def _levels(*series: GradedSeries) -> tuple[list, int]:
+    """Each series as levels over t = q^{step/2}, with one step and den for all terms."""
+    polys = [p.items() for f in series for p in f._terms.values()]
+    step = math.gcd(*(k for items in polys for k, _ in items)) or 1
+    den = math.lcm(*(c.denominator for items in polys for _, c in items))
+    out = []
+    for f in series:
+        levels: list = [(den, {}) for _ in range(f.bound + 1)]
+        for d, poly in f._terms.items():
+            scaled = {k // step: c.numerator * (den // c.denominator) for k, c in poly.items()}
+            levels[sum(d)][1][d] = scaled
+        out.append(levels)
+    return out, step
+
+
+def _series(f: GradedSeries, levels: list, step: int, euler: bool = False) -> GradedSeries:
+    """The series of levels over t = q^{step/2}; euler divides level |d| by |d|."""
+    terms = {}
+    for total, (den, level) in enumerate(levels):
+        scale = den * total if euler else den
+        for d in sorted(level):
+            terms[d] = QPoly({step * k: Fraction(c, scale) for k, c in level[d].items()})
+    return GradedSeries(f.quiver, f.bound, terms)
 
 
 def pleth_exp(f: GradedSeries, mode: PlethMode) -> GradedSeries:
     """Plethystic exponential Exp(f) = exp(sum_n psi_n(f)/n)."""
     if not f.constant_term().is_zero():
         raise SeriesError("pleth_exp needs zero constant term")
-    total = GradedSeries.zero(f.quiver, f.bound)
-    for n in range(1, f.bound + 1):
-        pn = adams(f, n, mode)
-        if pn.is_zero():
-            continue
-        total = total + pn.scale(Fraction(1, n))
-    return _exp_truncated(total)
+    (levels,), step = _levels(f)
+    exp = _pleth_exp_levels(levels, len(f.quiver.vertices), mode is PlethMode.QZ)
+    return _series(f, exp, step)
 
 
 def pleth_log(g: GradedSeries, mode: PlethMode) -> GradedSeries:
     """Plethystic logarithm, the exact inverse of :func:`pleth_exp`."""
     if not g.constant_term().is_one():
         raise SeriesError("pleth_log needs constant term 1")
-    log = _log_truncated(g)
-    result = GradedSeries.zero(g.quiver, g.bound)
-    for n in range(1, g.bound + 1):
-        mu = _moebius(n)
-        if mu == 0:
-            continue
-        pn = adams(log, n, mode)
-        if pn.is_zero():
-            continue
-        result = result + pn.scale(Fraction(mu, n))
-    return result
+    (levels,), step = _levels(g)
+    return _series(g, _pleth_log_levels(levels, mode is PlethMode.QZ), step, euler=True)
+
+
+_LINE = Quiver(["u"])
 
 
 def sym_power_coeff(p: QPoly, m: int) -> QPoly:
     """Coefficient of u^m in Exp_{t,u}(p(t) * u).
 
     This is the character of the m-th symmetric power of a graded vector
-    space with character p, by Newton: n h_n = sum_{k=1}^n p(t^k) h_{n-k}.
+    space with character p.
     """
     if m < 0:
         raise SeriesError("symmetric power index must be >= 0")
-    return _sym_powers(p, m)[m]
-
-
-def _sym_powers(p: QPoly, m: int) -> list[QPoly]:
-    """The coefficients of u^0, ..., u^m in Exp_{t,u}(p(t) * u)."""
-    powers = [p.substitute_power(k) for k in range(1, m + 1)]
-    h = [QPoly.one()]
-    for n in range(1, m + 1):
-        terms = (powers[k - 1] * h[n - k] for k in range(1, n + 1))
-        h.append(sum(terms, QPoly.zero()).scale(Fraction(1, n)))
-    return h
+    return pleth_exp(GradedSeries(_LINE, m, {(1,): p}), PlethMode.QZ).coeff((m,))

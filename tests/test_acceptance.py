@@ -107,6 +107,25 @@ def test_gkm_characters_are_fast():
     assert all(cartan.form(d, d) == 2 for d in dims)
 
 
+def test_wide_weight_span_stays_sparse():
+    cartan = CartanDatum.from_quiver(KRON)
+    wide = ONE + Q(1_000_000)
+    with gate("gkm_dims Kronecker N=6 with 1 + q^1000000 at (1,1)", 2):
+        plain = gkm_dims(cartan, WeightFunction(KRON, {(1, 0): ONE, (0, 1): ONE, (1, 1): wide}), 6)
+        # real letters at q: no common exponent step compresses the span
+        shifted = {(1, 0): Q(1), (0, 1): Q(1), (1, 1): wide}
+        shifted = gkm_dims(cartan, WeightFunction(KRON, shifted), 6)
+    assert plain.dims == {
+        (0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {0: 2, 2_000_000: 1},
+        **{d: {0: 1} for d in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]},
+    }
+    assert shifted.dims == {
+        (0, 1): {2: 1}, (1, 0): {2: 1}, (1, 1): {0: 1, 4: 1, 2_000_000: 1},
+        (1, 2): {6: 1}, (2, 1): {6: 1}, (2, 2): {8: 1},
+        (2, 3): {10: 1}, (3, 2): {10: 1}, (3, 3): {12: 1},
+    }
+
+
 def test_kronecker_isotropic_cuspidal():
     with gate("Kronecker A_(1,1) vs oracle, C^abs on the isotropic ray", 30.0):
         table = hua_kac(KRON, 6)

@@ -178,13 +178,17 @@ def test_ambiguous_decomposition_is_invalid_input(jordan_file):
     assert run(["nakajima-decomp", jordan_file, "--framing", "2", "--bound", "3"]) == 1
 
 
-def test_budget_error_is_invalid_input(jordan_file, capsys):
+def test_budget_error_is_invalid_input(jordan_file, kron_file, capsys):
     assert run(["kac", jordan_file, "--method", "oracle", "--bound", "6"]) == 1
     start = time.perf_counter()
     for command in ("kac", "cuspidal", "verify"):  # Hua's sum would not finish
         assert run([command, jordan_file, "--bound", "100000000"]) == 1
+    # the merge scan of the canonical decomposition would take about 23 s
+    assert run(["canonical-decomp", kron_file, "--dim", "40,40"]) == 1
     assert time.perf_counter() - start < 5
-    assert "runs over at least" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runs over at least" in err
+    assert "(40, 40) may scan 27370656 combinations of parts (budget 1000000)" in err
 
 
 def test_vector_budget_is_invalid_input(jordan_file, tmp_path, capsys):
@@ -362,6 +366,17 @@ def test_missing_weight_file_with_cache_is_invalid_input(a2_file, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read weight file")
     assert "Traceback" not in err
+
+
+def test_unwritable_cache_still_prints_the_table(kron_file, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "a-regular-file"
+    blocker.write_text("")
+    assert run(["kac", kron_file, "--bound", "2", "--cache-dir", str(blocker)]) == 0
+    table = _out(capsys)
+    monkeypatch.setenv("QGK_CACHE_DIR", str(blocker))
+    assert run(["kac", kron_file, "--bound", "2"]) == 0
+    assert _out(capsys) == table == "0,1\t1\n1,0\t1\n1,1\t1 + q\n"
+    assert blocker.read_text() == ""
 
 
 def test_cache_keys_separate_commands_and_bounds(kron_file, tmp_path, capsys):

@@ -22,13 +22,12 @@ from qgk import (
 )
 from qgk.kac import (
     HUA_BUDGET,
-    _over_one_minus,
     _partition_count,
     check_hua_budget,
     partition_pairing,
     partitions,
 )
-from qgk.series import _moebius, vectors_of_total
+from qgk.series import SeriesError, _moebius, _ratio, vectors_of_total
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -300,12 +299,12 @@ def test_hua_matches_explicit_denominator_log(quiver, bound):
 
 
 def test_numerator_division_must_be_exact():
-    assert _over_one_minus([1, 0, -1], 2) == [1]
-    assert _over_one_minus([1, 1, -1, -1], 2) == [1, 1]
-    with pytest.raises(CountingError):
-        _over_one_minus([1], 1)
-    with pytest.raises(CountingError):
-        _over_one_minus([1, 0, 0, -2], 3)
+    assert _ratio({0: 1, 2: -1}, (), [2]) == {0: 1}
+    assert _ratio({0: 1, 1: 1, 2: -1, 3: -1}, (), [2]) == {0: 1, 1: 1}
+    with pytest.raises(SeriesError):
+        _ratio({0: 1}, (), [1])
+    with pytest.raises(SeriesError):
+        _ratio({0: 1, 3: -2}, (), [3])
 
 
 def test_partition_count_matches_enumeration():

@@ -20,6 +20,7 @@ from qgk import (
     series_mul,
     sym_power_coeff,
 )
+from qgk.series import _moebius
 
 LINE = Quiver(["0"])
 PAIR = Quiver(["0", "1"])
@@ -37,6 +38,21 @@ def zero_constant_series(bound=4):
         lambda t: 0 < sum(t) <= bound
     )
     return st.dictionaries(keys, small_polys(), max_size=4).map(
+        lambda terms: GradedSeries(PAIR, bound, terms)
+    )
+
+
+def rational_polys():
+    """Few terms, half-exponents in -3..3 (odd ones included), coefficients like 1/2 and 2/3."""
+    coeff = st.sampled_from([Fraction(n, m) for n in (-5, -2, -1, 1, 2, 3) for m in (1, 2, 3, 4)])
+    return st.dictionaries(st.integers(min_value=-3, max_value=3), coeff, max_size=3).map(QPoly)
+
+
+def rational_series(bound=4):
+    keys = st.tuples(st.integers(0, bound), st.integers(0, bound)).filter(
+        lambda t: 0 < sum(t) <= bound
+    )
+    return st.dictionaries(keys, rational_polys(), max_size=4).map(
         lambda terms: GradedSeries(PAIR, bound, terms)
     )
 
@@ -136,3 +152,83 @@ def test_single_term_exp_positivity(coeffs):
     for _, poly in g.items():
         assert poly.has_integer_coefficients()
         assert poly.has_nonnegative_coefficients()
+
+
+# -- the reference: Exp/Log over QPoly Fractions, and Newton's identity -------------
+
+
+def _by_degree(terms, bound):
+    levels = [{} for _ in range(bound + 1)]
+    for key, poly in terms.items():
+        levels[sum(key)][key] = poly
+    return levels
+
+
+def _add_product(out, a, b, total):
+    """Add the degree-total part of a * b, both bucketed by degree, into out."""
+    for size in range(total + 1):
+        for e, p in a[size].items():
+            for f, r in b[total - size].items():
+                key = tuple(x + y for x, y in zip(e, f))
+                out[key] = out[key] + p * r if key in out else p * r
+    return out
+
+
+def _exp_truncated(s):
+    """exp(s), degree by degree: |d| E_d = sum_{0<e<=d} |e| s_e E_{d-e}."""
+    euler = _by_degree({e: p.scale(sum(e)) for e, p in s.items()}, s.bound)
+    exp = _by_degree({(0,) * len(s.quiver.vertices): QPoly.one()}, s.bound)
+    for total in range(1, s.bound + 1):
+        level = _add_product({}, euler, exp, total)
+        exp[total] = {d: p.scale(Fraction(1, total)) for d, p in level.items() if p}
+    return GradedSeries(s.quiver, s.bound, {d: p for level in exp for d, p in level.items()})
+
+
+def _log_truncated(g):
+    """log(g), degree by degree: |d| L_d = |d| h_d - sum_{0<e<d} |e| L_e h_{d-e}, h = g - 1."""
+    minus_h = _by_degree({d: -p for d, p in g.items() if any(d)}, g.bound)
+    euler = [{} for _ in range(g.bound + 1)]  # |d| L_d
+    for total in range(1, g.bound + 1):
+        level = {d: p.scale(-total) for d, p in minus_h[total].items()}
+        euler[total] = {d: p for d, p in _add_product(level, euler, minus_h, total).items() if p}
+    log = {d: p.scale(Fraction(1, sum(d))) for level in euler for d, p in level.items()}
+    return GradedSeries(g.quiver, g.bound, log)
+
+
+def reference_pleth_exp(f, mode):
+    total = GradedSeries.zero(f.quiver, f.bound)
+    for n in range(1, f.bound + 1):
+        total = total + adams(f, n, mode).scale(Fraction(1, n))
+    return _exp_truncated(total)
+
+
+def reference_pleth_log(g, mode):
+    log = _log_truncated(g)
+    result = GradedSeries.zero(g.quiver, g.bound)
+    for n in range(1, g.bound + 1):
+        result = result + adams(log, n, mode).scale(Fraction(_moebius(n), n))
+    return result
+
+
+def newton_sym_powers(p, m):
+    """[u^0..u^m] Exp_{t,u}(p(t) u) by Newton: n h_n = sum_{k=1}^n p(t^k) h_{n-k}."""
+    h = [QPoly.one()]
+    for n in range(1, m + 1):
+        terms = (p.substitute_power(k) * h[n - k] for k in range(1, n + 1))
+        h.append(sum(terms, QPoly.zero()).scale(Fraction(1, n)))
+    return h
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rational_series())
+def test_exp_log_match_the_fraction_reference(f):
+    g = f + GradedSeries.one(PAIR, f.bound)
+    for mode in (PlethMode.Z_ONLY, PlethMode.QZ):
+        assert pleth_exp(f, mode) == reference_pleth_exp(f, mode)
+        assert pleth_log(g, mode) == reference_pleth_log(g, mode)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rational_polys(), st.integers(min_value=0, max_value=5))
+def test_sym_power_coeff_matches_newton(p, m):
+    assert sym_power_coeff(p, m) == newton_sym_powers(p, m)[m]
