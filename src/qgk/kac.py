@@ -236,17 +236,12 @@ def _hua_numerators(quiver: Quiver, bound: int) -> list:
     for total in range(1, bound + 1):
         level = {}
         for d in vectors_of_total(len(index), total):
-            # the last vertex's numerators are summed before multiplying
-            *heads, last = [partitions(n) for n in d]
             acc: dict[int, int] = {}
-            for head in itertools.product(*heads):
-                inner: dict[int, int] = {}
-                for pi in [(*head, lam) for lam in last]:
-                    exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
-                    exponent -= sum(partition_pairing(lam, lam) for lam in pi)
-                    for k, c in _vertex_numerator(pi[-1]).items():
-                        inner[k - exponent] = inner.get(k - exponent, 0) + c
-                _add_to(acc, functools.reduce(_mul, map(_vertex_numerator, head), inner), 1)
+            for pi in itertools.product(*(partitions(n) for n in d)):
+                exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
+                exponent -= sum(partition_pairing(lam, lam) for lam in pi)
+                product = functools.reduce(_mul, map(_vertex_numerator, pi))
+                _add_to(acc, {k - exponent: c for k, c in product.items()}, 1)
             level[d] = acc
         levels.append((1, level))
     return levels

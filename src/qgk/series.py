@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
@@ -169,16 +168,18 @@ def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
 def series_inv(f: GradedSeries) -> GradedSeries:
     """Truncated inverse; the constant term must be a unit (a single term).
 
-    With f = u (1 + h), 1/f = u^{-1} Exp(-Log(1 + h)), since Exp turns sums
-    into products.
+    With f = u (1 + h), 1/f = u^{-1} g where g_0 = 1 and g_t = -sum_{s>=1} h_s g_{t-s}.
     """
     u = f.constant_term()
     if u.is_zero() or len(u.items()) != 1:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    mode = PlethMode.Z_ONLY
-    return pleth_exp(-pleth_log(f.scale(u_inv), mode), mode).scale(u_inv)
+    (h,), step = _levels(f.scale(u_inv))
+    g = h[:1]
+    for t in range(1, f.bound + 1):
+        g.append(_convolve([(h[s], g[t - s]) for s in range(1, t + 1)], -1))
+    return _series(f, g, step).scale(u_inv)
 
 
 def _moebius(n: int) -> int:
@@ -217,17 +218,6 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
 
 
 def _mul(a: dict, b: dict) -> dict:
-    """a * b, through a list when both are at least half full and the shorter has 3+ terms."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) > 2 and max(b) - min(b) < 2 * len(b) and max(a) - min(a) < 2 * len(a):
-        low, base = min(b), min(a)
-        row = list(map(b.get, range(low, max(b) + 1), itertools.repeat(0)))
-        dense = [0] * (max(a) - base + len(row))
-        for i, x in a.items():
-            for j, y in enumerate(row, i - base):
-                dense[j] += x * y
-        return dict(enumerate(dense, base + low))  # zeros are dropped by _settle
     out: dict[int, int] = {}
     for i, x in a.items():
         for j, y in b.items():
