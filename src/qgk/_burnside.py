@@ -9,6 +9,11 @@ vertex), since #Fix(g) only depends on the type:
   dim Fix(g) = sum_a dim Hom_{F_q[T]}(M_{s(a)}, M_{t(a)}),
   dim Hom(M_tau, M_sigma) = sum_{p} deg(p) * sum_{i,j} min(lambda_i, mu_j).
 
+Only the vertices that an acting arrow (both ends with d > 0) touches
+enter G.  Any other GL_{d_v} acts trivially, so it multiplies sum_g #Fix(g)
+and |G| by the same |GL_{d_v}| and cancels; a d that no arrow acts on
+counts 1 without a census.
+
 Types are enumerated by vectorised brute force: all n x n matrices at once
 (numpy, field arithmetic through lookup tables), bucketed by characteristic
 polynomial, with buckets of non-squarefree charpoly refined by the nullity
@@ -495,6 +500,13 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
     flavour selects the counted class: "plain" counts all representations,
     "nilpotent" those where every length-|d| path acts by zero, and
     "one_nilpotent" those where each loop arrow acts nilpotently.
+
+    An arrow acts when both its ends have d > 0.  The census runs only over
+    the vertices that some acting arrow touches: at any other vertex v,
+    GL_{d_v} acts trivially on the representation space, so it fixes every
+    point and contributes a factor |GL_{d_v}| to both sum_g #Fix(g) and
+    |G|.  With no touched vertex the space is a point and the count is 1.
+    The nilpotent path length stays |d| of the full d.
     """
     if flavour not in FLAVOURS:
         raise CountingError(f"unknown flavour {flavour!r}")
@@ -502,42 +514,42 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
         raise CountingError("dimension vector must be nonzero and nonnegative")
     F = get_field(q)
     dims = {v: d[v] for v in quiver.vertices}
-    per_vertex = [matrix_types(q, dims[v]) for v in quiver.vertices]
-    tuple_count = 1
-    for types in per_vertex:
-        tuple_count *= len(types)
-    if tuple_count > TYPE_TUPLE_BUDGET:
-        raise BudgetError(f"{tuple_count} similarity type tuples exceed the budget")
     active = [
         k
         for k, (s, t) in enumerate(quiver.arrows)
         if dims[s] > 0 and dims[t] > 0
     ]
-    vertex_index = {v: i for i, v in enumerate(quiver.vertices)}
+    ends = {v for k in active for v in quiver.arrows[k]}
+    touched = [v for v in quiver.vertices if v in ends]
+    if not touched:
+        return 1
+    per_vertex = [matrix_types(q, dims[v]) for v in touched]
+    tuple_count = math.prod(len(types) for types in per_vertex)
+    if tuple_count > TYPE_TUPLE_BUDGET:
+        raise BudgetError(f"{tuple_count} similarity type tuples exceed the budget")
+    vertex_index = {v: i for i, v in enumerate(touched)}
 
     total = 0
     for combo in itertools.product(*per_vertex):
-        weight = 1
-        for t in combo:
-            weight *= t.count
+        weight = math.prod(t.count for t in combo)
         if flavour == "plain":
             fix_dim = 0
-            for s, t in quiver.arrows:
+            for k in active:
+                s, t = quiver.arrows[k]
                 fix_dim += hom_dim(combo[vertex_index[t]].sig, combo[vertex_index[s]].sig)
             total += weight * q**fix_dim
         else:
-            total += weight * _flavoured_fix_count(F, quiver, dims, combo, active, flavour)
-    order = 1
-    for v in quiver.vertices:
-        order *= gl_order(q, dims[v])
+            total += weight * _flavoured_fix_count(
+                F, quiver, dims, combo, vertex_index, active, flavour
+            )
+    order = math.prod(gl_order(q, dims[v]) for v in touched)
     result = Fraction(total, order)
     if result.denominator != 1:
         raise CountingError("Burnside average is not an integer")
     return int(result)
 
 
-def _flavoured_fix_count(F, quiver, dims, combo, active, flavour) -> int:
-    vertex_index = {v: i for i, v in enumerate(quiver.vertices)}
+def _flavoured_fix_count(F, quiver, dims, combo, vertex_index, active, flavour) -> int:
     bases = []
     for a in active:
         s, t = quiver.arrows[a]

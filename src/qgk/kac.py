@@ -32,7 +32,15 @@ in _burnside) through the staged relation
     sum_d M_d z^d = Exp_{q,z}( sum_d A_d z^d ),
 
 peeling one dimension vector at a time and interpolating A_e from its
-values at deg + 1 field sizes, with deg = 1 - chi(e, e).
+values at deg + 1 field sizes, with deg = 1 - chi(e, e).  Fewer field
+sizes than that is a BudgetError, as is a census past _burnside's
+budgets: both are limits of the input, not failed invariants, and
+verify skips such an e, and every e above it, by name.  The coefficient
+of the Exp at e, less its A_e term, involves only A at vectors below e,
+so _OraclePeel runs one Exp per total degree rather than one per stage.
+The census over F_q runs only over the vertices that an acting arrow
+touches (see _burnside), so a d such as (4, 0) on the Kronecker quiver
+counts 1 without enumerating a matrix.
 
 _burnside is the only module that imports numpy, and nothing imports it
 at load time: brute_force_counts loads it on first call.  The exceptions,
@@ -332,38 +340,59 @@ def _lagrange(points: list[tuple[int, Fraction]]) -> QPoly:
     return result
 
 
+class _OraclePeel:
+    """Peels A_e off the class-count series, one stage e at a time.
+
+    Stages must come in order of total degree, each after every smaller
+    vector it lies above.  [Exp A]_e without its A_e term involves only A
+    at vectors strictly below e, all of total < |e|, so one Exp of the
+    stages known before the first stage of total |e| serves every stage
+    of that total.
+    """
+
+    def __init__(self, quiver: Quiver, flavour: str, fields: tuple[int, ...]):
+        self.quiver, self.flavour, self.fields = quiver, flavour, fields
+        self.known: dict[tuple[int, ...], QPoly] = {}
+        self._exp = GradedSeries.zero(quiver, 0)
+
+    def add(self, e: tuple[int, ...]) -> None:
+        """Store A_e, from its census over the first max(1, 2 - chi(e, e)) field sizes.
+
+        A BudgetError leaves the peel as it was: later stages not above e
+        can still be added.
+        """
+        ev = DimVector(self.quiver, e)
+        degree_bound = 1 - euler_form(self.quiver, ev, ev)
+        samples = max(1, degree_bound + 1)
+        if samples > len(self.fields):
+            raise BudgetError(
+                f"need {samples} field sizes for degree {degree_bound}, have {len(self.fields)}"
+            )
+        if self._exp.bound < ev.total:
+            known = GradedSeries(self.quiver, ev.total, self.known)
+            self._exp = pleth_exp(known, PlethMode.QZ)
+        base = self._exp.coeff(e)
+        points = []
+        for v in self.fields[:samples]:
+            m_count = brute_force_counts(self.quiver, ev, v, self.flavour)
+            points.append((v, Fraction(m_count) - base.eval_at(v)))
+        poly = _lagrange(points)
+        if degree_bound < 0 and not poly.is_zero():
+            raise CountingError(f"A_{e} should vanish (degree bound {degree_bound}): {poly}")
+        self.known[e] = poly
+
+
 def _oracle_stages(
     quiver: Quiver,
     stages: list[tuple[int, ...]],
     flavour: str,
     fields: tuple[int, ...],
 ) -> dict[tuple[int, ...], QPoly]:
-    """Peel A_e off the class-count series, one stage at a time.
-
-    Stages must be closed downwards (componentwise) and sorted by
-    (|e|, lex), so every smaller vector entering the Exp coefficient at e
-    is already known.
-    """
-    known: dict[tuple[int, ...], QPoly] = {}
+    """A_e for each stage; stages are closed downwards and sorted by (|e|, lex)."""
+    peel = _OraclePeel(quiver, flavour, fields)
     for e in stages:
-        ev = DimVector(quiver, e)
-        degree_bound = 1 - euler_form(quiver, ev, ev)
-        samples = max(1, degree_bound + 1)
-        if samples > len(fields):
-            raise CountingError(
-                f"need {samples} field sizes for degree {degree_bound}, have {len(fields)}"
-            )
-        known_series = GradedSeries(quiver, sum(e), known)
-        base = pleth_exp(known_series, PlethMode.QZ).coeff(e)
-        points = []
-        for v in fields[:samples]:
-            m_count = brute_force_counts(quiver, ev, v, flavour)
-            points.append((v, Fraction(m_count) - base.eval_at(v)))
-        poly = _lagrange(points)
-        if degree_bound < 0 and not poly.is_zero():
-            raise CountingError(f"A_{e} should vanish (degree bound {degree_bound}): {poly}")
-        known[e] = poly
-    return known
+        peel.add(e)
+    return peel.known
 
 
 def oracle_kac_table(

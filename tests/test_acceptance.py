@@ -126,6 +126,13 @@ def test_wide_weight_span_stays_sparse():
     }
 
 
+def test_oracle_reaches_kronecker_5():
+    with gate("oracle Kronecker N=5 agrees with Hua", 3):
+        oracle = oracle_kac_full(KRON, 5)
+        hua = hua_kac(KRON, 5)
+    assert {d: p for d, p in oracle.table.items() if not p.is_zero()} == hua.table
+
+
 def test_kronecker_isotropic_cuspidal():
     with gate("Kronecker A_(1,1) vs oracle, C^abs on the isotropic ray", 30.0):
         table = hua_kac(KRON, 6)

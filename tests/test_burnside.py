@@ -2,7 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from qgk import BudgetError, CountingError, DimVector, brute_force_counts
+from qgk import (
+    FLAVOURS,
+    BudgetError,
+    CountingError,
+    DimVector,
+    Quiver,
+    brute_force_counts,
+    oracle_kac_full,
+)
+from qgk import _burnside
 from qgk._burnside import get_field, gl_order, matrix_types
 
 
@@ -109,6 +118,41 @@ def test_matrix_types_partition_the_group():
 
 
 def test_matrix_types_count_conjugacy_classes():
-    # GL_2(F_q) has q^2 - 1 conjugacy classes
+    # GL_n(F_q) has q^n - q conjugacy classes for n = 2, 3, 4
     for q in (2, 3, 4, 5):
         assert len(matrix_types(q, 2)) == q * q - 1
+    for q in (2, 3):
+        assert len(matrix_types(q, 3)) == q**3 - q
+    assert len(matrix_types(2, 4)) == 14
+
+
+def test_untouched_vertices_leave_the_census(jordan, a2):
+    # GL at a vertex no acting arrow touches acts trivially: the count is
+    # that of the induced subquiver, for every flavour
+    loop_and_point = Quiver(["0", "1"], [("0", "0")])
+    for flavour in FLAVOURS:
+        for dims in ((2, 1), (3, 2)):
+            d = DimVector(loop_and_point, dims)
+            for q in (2, 3):
+                whole = brute_force_counts(loop_and_point, d, q, flavour)
+                part = brute_force_counts(jordan, DimVector(jordan, dims[:1]), q, flavour)
+                assert whole == part
+        # no arrow acts on (n, 0): the representation space is a point
+        for n in (1, 2, 3, 4):
+            for q in (2, 3, 5):
+                assert brute_force_counts(a2, DimVector(a2, (n, 0)), q, flavour) == 1
+
+
+def test_oracle_requests_no_census_it_does_not_need(kronecker, monkeypatch):
+    # at |d| <= 4 only (4,0) and (0,4) have a part of size 4, and no arrow acts on them
+    requested = []
+    real = _burnside.matrix_types
+
+    def recording(q, n):
+        requested.append((q, n))
+        return real(q, n)
+
+    monkeypatch.setattr(_burnside, "matrix_types", recording)
+    oracle_kac_full(kronecker, 4)
+    assert requested
+    assert all(n < 4 for _, n in requested)

@@ -287,6 +287,21 @@ def test_verify_statuses(jordan_file, qfile, capsys):
     detail = _verify_rows(capsys)["hua-vs-oracle"][2]
     assert "skipped 1,0 (needs 2 field sizes, have 1)" in detail
     assert "skipped 1,1 (needs A at skipped 1,0)" in detail
+    # A_(3) over F_13 would enumerate 13^9 matrices; (1) and (2) are still checked
+    assert run(["verify", jordan_file, "--bound", "3", "--fields", "13,16"]) == 0
+    status, _, detail = _verify_rows(capsys)["hua-vs-oracle"]
+    assert status == "PASS"
+    assert detail == (
+        "agree on 2 vectors with |d| <= 3; "
+        "skipped 3 (enumerating 13^9 matrices exceeds the budget of 8000000)"
+    )
+
+
+def test_too_few_fields_is_invalid_input(kron_file, jordan_file, capsys):
+    assert run(["kac", kron_file, "--method", "oracle", "--fields", "2", "--bound", "2"]) == 1
+    assert capsys.readouterr().err == "error: need 2 field sizes for degree 1, have 1\n"
+    assert run(["cuspidal", jordan_file, "--flavour", "nilpotent", "--fields", "2"]) == 1
+    assert capsys.readouterr().err == "error: need 2 field sizes for degree 1, have 1\n"
 
 
 def test_verify_json_statuses(a2_file, capsys):
