@@ -506,7 +506,9 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
     GL_{d_v} acts trivially on the representation space, so it fixes every
     point and contributes a factor |GL_{d_v}| to both sum_g #Fix(g) and
     |G|.  With no touched vertex the space is a point and the count is 1.
-    The nilpotent path length stays |d| of the full d.
+    The nilpotent paths have length sum_v d_v over the touched vertices:
+    every path of acting arrows stays among them, so a representation is
+    nilpotent exactly when all paths of that length act by zero.
     """
     if flavour not in FLAVOURS:
         raise CountingError(f"unknown flavour {flavour!r}")
@@ -586,7 +588,7 @@ def _flavoured_fix_count(F, quiver, dims, combo, vertex_index, active, flavour) 
                 power = _batch_matmul(F, power, points[a])
             good &= ~power.any(axis=(1, 2))
     else:
-        length = sum(dims.values())
+        length = sum(dims[v] for v in vertex_index)
         for path in _paths_of_length(quiver, active, length):
             prod = points[path[0]]
             for a in path[1:]:

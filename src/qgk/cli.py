@@ -60,14 +60,15 @@ from .quiver import DimVector, Quiver, QuiverError, euler_form
 from .roots import (
     CartanDatum,
     RootError,
-    canonical_decomposition,
+    check_split_budget,
     phi_plus,
     positive_roots,
     weyl_reflect,
 )
 from .series import PlethMode, SeriesError, pleth_exp, pleth_log, vectors_up_to
 
-CACHE_SCHEMA = 1
+#: Part of every cache key; raise it when a command's output changes.
+CACHE_SCHEMA = 2
 
 IP_CONVENTION = (
     "coefficients of v^j count IH^j classes, shifted so a smooth n-dimensional "
@@ -297,16 +298,13 @@ def _cmd_canonical(quiver: Quiver, args) -> dict:
         vectors = [d.as_tuple()]
     else:
         check_vector_budget(rank, args.bound)
+        check_split_budget(rank, args.bound)
         vectors = [d for d in vectors_up_to(rank, args.bound) if any(d)]
+    cartan = CartanDatum.from_quiver(quiver)
     rows = []
     for d in vectors:
-        decomposition = canonical_decomposition(quiver, DimVector(quiver, d))
-        rows.append(
-            [
-                _csv(d),
-                " ".join(f"{_csv(p.as_tuple())}:{m}" for p, m in decomposition),
-            ]
-        )
+        decomposition = cartan.canonical_decomposition(d)
+        rows.append([_csv(d), " ".join(f"{_csv(p)}:{m}" for p, m in decomposition)])
     return {"rows": rows}
 
 

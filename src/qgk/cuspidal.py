@@ -38,7 +38,6 @@ from .quiver import DimVector, Quiver
 from .roots import (
     ISOTROPIC,
     CartanDatum,
-    canonical_decomposition,
     phi_plus,
     sigma_membership,
 )
@@ -242,12 +241,12 @@ def ip_general(
     if d.is_zero():
         raise CuspidalError("IP data is defined for nonzero dimension vectors")
     table = absolutely_cuspidal(quiver, d.total, flavour, fields)
-    return _ip_from_table(table, d)
+    return _ip_from_table(table, CartanDatum.from_quiver(quiver), d.as_tuple())
 
 
-def _ip_from_table(table: CuspidalTable, d: DimVector) -> QPoly:
+def _ip_from_table(table: CuspidalTable, cartan: CartanDatum, d: tuple[int, ...]) -> QPoly:
     result = QPoly.one()
-    for part, mult in canonical_decomposition(table.quiver, d):
+    for part, mult in cartan.canonical_decomposition(d):
         shifted = table.polynomial(part).substitute_power(-2)
         result = result * sym_power_coeff(shifted, mult)
     return result
@@ -261,10 +260,9 @@ def ip_table(
 ) -> dict[tuple[int, ...], QPoly]:
     """IP data for every nonzero d with |d| <= bound off one shared C^abs table."""
     table = absolutely_cuspidal(quiver, bound, flavour, fields)
-    rank = len(quiver.vertices)
+    cartan = CartanDatum.from_quiver(quiver)
     out: dict[tuple[int, ...], QPoly] = {}
-    for d in vectors_up_to(rank, bound):
-        if not any(d):
-            continue
-        out[d] = _ip_from_table(table, DimVector(quiver, d))
+    for d in vectors_up_to(cartan.rank, bound):
+        if any(d):
+            out[d] = _ip_from_table(table, cartan, d)
     return out

@@ -382,19 +382,6 @@ class _OraclePeel:
         self.known[e] = poly
 
 
-def _oracle_stages(
-    quiver: Quiver,
-    stages: list[tuple[int, ...]],
-    flavour: str,
-    fields: tuple[int, ...],
-) -> dict[tuple[int, ...], QPoly]:
-    """A_e for each stage; stages are closed downwards and sorted by (|e|, lex)."""
-    peel = _OraclePeel(quiver, flavour, fields)
-    for e in stages:
-        peel.add(e)
-    return peel.known
-
-
 def oracle_kac_table(
     quiver: Quiver,
     d: DimVector,
@@ -409,8 +396,10 @@ def oracle_kac_table(
     target = d.as_tuple()
     stages = [e for e in itertools.product(*(range(n + 1) for n in target)) if any(e)]
     stages.sort(key=lambda t: (sum(t), t))
-    known = _oracle_stages(quiver, stages, flavour, fields)
-    return KacTable(quiver, sum(target), flavour, known)
+    peel = _OraclePeel(quiver, flavour, fields)
+    for e in stages:
+        peel.add(e)
+    return KacTable(quiver, sum(target), flavour, peel.known)
 
 
 def oracle_kac_full(
@@ -424,10 +413,11 @@ def oracle_kac_full(
         raise CountingError(f"unknown flavour {flavour!r}")
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    rank = len(quiver.vertices)
-    stages = [e for total in range(1, bound + 1) for e in vectors_of_total(rank, total)]
-    known = _oracle_stages(quiver, stages, flavour, fields)
-    return KacTable(quiver, bound, flavour, known)
+    peel = _OraclePeel(quiver, flavour, fields)
+    for total in range(1, bound + 1):
+        for e in vectors_of_total(len(quiver.vertices), total):
+            peel.add(e)
+    return KacTable(quiver, bound, flavour, peel.known)
 
 
 def oracle_kac(

@@ -12,12 +12,18 @@ The nonnegativity clause in the Sigma test is implemented literally
 even though, for quiver Cartan data, it is implied by the strict
 dominance clause (unit vectors have p(1_i) = 2 g_i >= 0); the test
 suite asserts that redundancy.
+
+CartanDatum fills one table bottom-up: for each d, the best sum of p over
+decompositions of d, whether d lies in Sigma, and a proper split attaining
+that best.  Sigma membership and the canonical decomposition are both read
+off it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .kac import BudgetError, check_vector_budget
@@ -29,10 +35,30 @@ class RootError(ValueError):
     pass
 
 
+#: The most pairs b <= a the Sigma split table may visit before it is built.
+#: The box under d holds prod_i C(d_i + 2, 2) of them and all d with
+#: |d| <= N hold C(N + 2 rank, 2 rank); 1,000,000 pairs take about 0.25 s
+#: (Python 3.11, 2-vCPU VM).
+SPLIT_BUDGET = 1_000_000
+
+
+def _refuse_pairs(pairs: int, span: str) -> None:
+    if pairs > SPLIT_BUDGET:
+        raise BudgetError(
+            f"{span} needs {pairs} pairs b <= a in the Sigma split table "
+            f"(budget {SPLIT_BUDGET})"
+        )
+
+
+def check_split_budget(rank: int, bound: int) -> None:
+    """Raise BudgetError if the split table for every |d| <= bound exceeds SPLIT_BUDGET."""
+    _refuse_pairs(math.comb(bound + 2 * rank, 2 * rank), f"|d| <= {bound} in rank {rank}")
+
+
 class CartanDatum:
     """The symmetrised Euler form on a fixed basis, as an integer matrix."""
 
-    __slots__ = ("rank", "matrix", "_sigma_memo", "_best_memo")
+    __slots__ = ("rank", "matrix", "_splits")
 
     def __init__(self, matrix: list[list[int]]):
         rank = len(matrix)
@@ -46,8 +72,7 @@ class CartanDatum:
                 raise RootError("Cartan matrix diagonal must be even")
         self.rank = rank
         self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        self._sigma_memo: dict[tuple[int, ...], bool] = {}
-        self._best_memo: dict[tuple[int, ...], int] = {}
+        self._splits: dict[tuple[int, ...], tuple[int, bool, "tuple[int, ...] | None"]] = {}
 
     @classmethod
     def from_quiver(cls, quiver: Quiver) -> "CartanDatum":
@@ -68,49 +93,71 @@ class CartanDatum:
         """p(d) = 2 - (d, d)."""
         return 2 - self.form(d, d)
 
-    # -- Sigma membership ---------------------------------------------------
+    # -- the Sigma split table ------------------------------------------------
 
-    def _best(self, d: tuple[int, ...]) -> int:
-        """max of sum_j p(d_j) over all decompositions of d into nonzero parts."""
-        memo = self._best_memo
-        cached = memo.get(d)
-        if cached is not None:
-            return cached
-        best = self.p(d)
-        for a in itertools.product(*(range(n + 1) for n in d)):
-            if not any(a) or a == d:
+    def _entry(self, d: tuple[int, ...]) -> tuple[int, bool, "tuple[int, ...] | None"]:
+        """(best(d), d in Sigma, first proper split a attaining best(d)).
+
+        best(d) is the max of sum_j p(d_j) over all decompositions of d into
+        nonzero parts.  d lies in Sigma when p(d) >= 0 and p(d) exceeds
+        best(a) + best(d - a) for every proper split a; the split is None
+        when d lies in Sigma or has no proper split.
+        """
+        entry = self._splits.get(d)
+        if entry is None:
+            self._fill(d)
+            entry = self._splits[d]
+        return entry
+
+    def _fill(self, d: tuple[int, ...]) -> None:
+        """Fill the table over the box under d, without recursion.
+
+        Lexicographic order puts every b <= a before a, and the sub-vectors
+        of a in that order, reversed, are their complements a - b, so one
+        pass over the box visits each pair b <= a once.
+        """
+        _refuse_pairs(math.prod(math.comb(n + 2, 2) for n in d), f"the box under {d}")
+        table = self._splits
+        box = itertools.product(*(range(n + 1) for n in d))
+        for a in [a for a in box if a not in table][1:]:  # the zero vector comes first
+            pa = self.p(a)
+            subs = list(itertools.product(*(range(n + 1) for n in a)))[1:-1]
+            if not subs:
+                table[a] = (pa, pa >= 0, None)
                 continue
-            b = tuple(x - y for x, y in zip(d, a))
-            # best(a) + best(b) covers all finer splits recursively.
-            value = self._best(a) + self._best(b)
-            if value > best:
-                best = value
-        memo[d] = best
-        return best
+            bests = [table[b][0] for b in subs]
+            sums = list(map(operator.add, bests, reversed(bests)))
+            split_best = max(sums)
+            if pa >= 0 and pa > split_best:
+                table[a] = (pa, True, None)
+            else:
+                table[a] = (max(pa, split_best), False, subs[sums.index(split_best)])
 
     def sigma_membership_tuple(self, d: tuple[int, ...]) -> bool:
         if not any(d):
             raise RootError("the zero vector is not eligible for Sigma")
-        if any(n < 0 for n in d):
+        if any(n < 0 for n in d) or self.p(d) < 0:
             return False
-        cached = self._sigma_memo.get(d)
-        if cached is not None:
-            return cached
-        pd = self.p(d)
-        result = pd >= 0
-        if result:
-            split_best = None
-            for a in itertools.product(*(range(n + 1) for n in d)):
-                if not any(a) or a == d:
-                    continue
-                b = tuple(x - y for x, y in zip(d, a))
-                value = self._best(a) + self._best(b)
-                if split_best is None or value > split_best:
-                    split_best = value
-            if split_best is not None and not pd > split_best:
-                result = False
-        self._sigma_memo[d] = result
-        return result
+        return self._entry(d)[1]
+
+    def canonical_decomposition(self, d: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        """The coarsest decomposition of a nonzero d >= 0 into Sigma members.
+
+        Read off the split table: d itself if d lies in Sigma, otherwise the
+        decompositions of its recorded split a and of d - a.  Returns
+        (part, multiplicity) pairs sorted by (|d|, lex).
+        """
+        counted: dict[tuple[int, ...], int] = {}
+        stack = [d]
+        while stack:
+            a = stack.pop()
+            _, sigma, split = self._entry(a)
+            if sigma:
+                counted[a] = counted.get(a, 0) + 1
+            else:
+                stack.append(split)
+                stack.append(tuple(x - y for x, y in zip(a, split)))
+        return sorted(counted.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
 def sigma_membership(cartan: CartanDatum, d: DimVector) -> bool:
@@ -168,6 +215,7 @@ def phi_plus(cartan: CartanDatum, bound: int) -> RootTables:
     if bound < 1:
         raise RootError("bound must be >= 1")
     check_vector_budget(cartan.rank, bound)
+    check_split_budget(cartan.rank, bound)
     tables = RootTables(cartan, bound)
     rank = cartan.rank
     for total in range(1, bound + 1):
@@ -259,72 +307,20 @@ def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
 
 # -- canonical decomposition ---------------------------------------------------
 
-#: Largest sub-multiset size the merge scan considers.  Pairwise merging is
-#: not obviously sufficient, so small subsets are scanned as well; the test
-#: suite asserts the result does not depend on the scan order.
-MERGE_SUBSET_LIMIT = 4
-#: The most index combinations of parts the merge passes may scan.  The passes
-#: over |d|, |d| - 1, ..., 2 parts scan at most sum_k C(|d| + 1, k + 1) for
-#: k = 2..MERGE_SUBSET_LIMIT; |d| = 40 gives 861,328, about 1 s.
-MERGE_SCAN_BUDGET = 1_000_000
 
+def canonical_decomposition(quiver: Quiver, d: DimVector) -> list[tuple[DimVector, int]]:
+    """The canonical decomposition of d: its coarsest decomposition into Sigma.
 
-def canonical_decomposition(
-    quiver: Quiver, d: DimVector, *, _shuffle_seed: "int | None" = None
-) -> list[tuple[DimVector, int]]:
-    """The coarsest decomposition of d into Sigma members.
-
-    Starting from the unit decomposition sum d_i 1_i, repeatedly merges a
-    sub-multiset of parts whose sum lies in Sigma, scanning sub-multisets
-    by part count ascending and then lexicographically, until no merge
-    applies.  Returns (part, multiplicity) pairs sorted by (|d|, lex).
-
-    ``_shuffle_seed`` randomises the candidate scan order; it exists so
-    the test suite can assert the result is scan-order independent.
+    Of all decompositions d = sum_j d_j into Sigma members, exactly one
+    attains the maximum of sum_j p(d_j), and every other one refines it
+    (Crawley-Boevey, *Decomposition of Marsden-Weinstein reductions for
+    representations of quivers*, Compositio Math. 130 (2002), Thm 1.1).
+    CartanDatum.canonical_decomposition reads it off the Sigma split table
+    exactly.  Returns (part, multiplicity) pairs sorted by (|d|, lex).
     """
     if d.is_zero():
         raise RootError("cannot decompose the zero vector")
     if not d.is_effective():
         raise QuiverError("canonical decomposition needs a nonnegative vector")
-    scan = sum(math.comb(d.total + 1, k + 1) for k in range(2, MERGE_SUBSET_LIMIT + 1))
-    if scan > MERGE_SCAN_BUDGET:
-        raise BudgetError(
-            f"the canonical decomposition of {d.as_tuple()} may scan {scan} "
-            f"combinations of parts (budget {MERGE_SCAN_BUDGET})"
-        )
-    cartan = CartanDatum.from_quiver(quiver)
-    parts: list[tuple[int, ...]] = []
-    for v in quiver.vertices:
-        parts.extend([DimVector.unit(quiver, v).as_tuple()] * d[v])
-    while True:
-        parts.sort(key=lambda t: (sum(t), t))
-        candidates: list[tuple[int, ...]] = []
-        seen: set[tuple[tuple[int, ...], ...]] = set()
-        for size in range(2, min(MERGE_SUBSET_LIMIT, len(parts)) + 1):
-            for idx in itertools.combinations(range(len(parts)), size):
-                key = tuple(parts[i] for i in idx)
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidates.append(idx)
-        if _shuffle_seed is not None:
-            import random
-
-            random.Random(_shuffle_seed).shuffle(candidates)
-        merged = False
-        for idx in candidates:
-            total = tuple(sum(parts[i][k] for i in idx) for k in range(len(quiver.vertices)))
-            if cartan.sigma_membership_tuple(total):
-                parts = [p for k, p in enumerate(parts) if k not in set(idx)]
-                parts.append(total)
-                merged = True
-                break
-        if not merged:
-            break
-    counted: dict[tuple[int, ...], int] = {}
-    for p in parts:
-        counted[p] = counted.get(p, 0) + 1
-    return [
-        (DimVector(quiver, t), counted[t])
-        for t in sorted(counted, key=lambda t: (sum(t), t))
-    ]
+    parts = CartanDatum.from_quiver(quiver).canonical_decomposition(d.as_tuple())
+    return [(DimVector(quiver, t), m) for t, m in parts]

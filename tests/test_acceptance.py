@@ -221,10 +221,12 @@ def test_canonical_refinement_and_ip_reduction():
         test_roots.test_every_sigma_decomposition_refines_the_canonical_one(
             A2, KRON, G2
         )
-        for quiver in (A2, KRON, G2):
+        d4, loop_leg = test_roots.AFFINE_D4, test_roots.LOOP_PLUS_LEG
+        cases = ((A2, 5), (KRON, 5), (G2, 5), (d4, 6), (loop_leg, 7))
+        for quiver, bound in cases:
             cartan = CartanDatum.from_quiver(quiver)
             rank = len(quiver.vertices)
-            for d in vectors_up_to(rank, 5):
+            for d in vectors_up_to(rank, bound):
                 if not any(d):
                     continue
                 dv = DimVector(quiver, d)

@@ -141,6 +141,11 @@ def test_untouched_vertices_leave_the_census(jordan, a2):
         for n in (1, 2, 3, 4):
             for q in (2, 3, 5):
                 assert brute_force_counts(a2, DimVector(a2, (n, 0)), q, flavour) == 1
+    # the nilpotent paths are as long as the touched part of d: 2 of length 1
+    # here, not 2^15 of length 15
+    two_loop_and_point = Quiver(["0", "1"], [("0", "0"), ("0", "0")])
+    d = DimVector(two_loop_and_point, (1, 14))
+    assert brute_force_counts(two_loop_and_point, d, 2, "nilpotent") == 1
 
 
 def test_oracle_requests_no_census_it_does_not_need(kronecker, monkeypatch):

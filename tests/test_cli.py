@@ -99,9 +99,15 @@ def test_ip_full_table(kron_file, capsys):
     assert "2,0\t1" in lines
 
 
-def test_canonical_decomp_single(a2_file, capsys):
+def test_canonical_decomp_single(a2_file, kron_file, qfile, capsys):
     assert run(["canonical-decomp", a2_file, "--dim", "2,1"]) == 0
     assert _out(capsys) == "2,1\t0,1:1 1,0:2\n"
+    assert run(["canonical-decomp", kron_file, "--dim", "40,40"]) == 0
+    assert _out(capsys) == "40,40\t1,1:40\n"
+    # the imaginary root delta of affine D4 lies in Sigma: it is its own decomposition
+    d4_file = qfile("d4", ["0", "1", "2", "3", "4"], [[v, "0"] for v in "1234"])
+    assert run(["canonical-decomp", d4_file, "--dim", "2,1,1,1,1"]) == 0
+    assert _out(capsys) == "2,1,1,1,1\t2,1,1,1,1:1\n"
 
 
 def test_json_format_matches_tsv_data(jordan_file, capsys):
@@ -178,17 +184,24 @@ def test_ambiguous_decomposition_is_invalid_input(jordan_file):
     assert run(["nakajima-decomp", jordan_file, "--framing", "2", "--bound", "3"]) == 1
 
 
-def test_budget_error_is_invalid_input(jordan_file, kron_file, capsys):
+def test_budget_error_is_invalid_input(jordan_file, kron_file, qfile, capsys):
     assert run(["kac", jordan_file, "--method", "oracle", "--bound", "6"]) == 1
+    cycle_file = qfile("cycle", ["0", "1", "2"], [["0", "1"], ["1", "2"], ["2", "0"]])
     start = time.perf_counter()
     for command in ("kac", "cuspidal", "verify"):  # Hua's sum would not finish
         assert run([command, jordan_file, "--bound", "100000000"]) == 1
-    # the merge scan of the canonical decomposition would take about 23 s
-    assert run(["canonical-decomp", kron_file, "--dim", "40,40"]) == 1
+    # the Sigma split tables would visit millions of pairs; the last two
+    # inputs pass the vector budget
+    assert run(["canonical-decomp", kron_file, "--dim", "60,60"]) == 1
+    assert run(["canonical-decomp", jordan_file, "--bound", "9999"]) == 1
+    assert run(["canonical-decomp", cycle_file, "--bound", "36"]) == 1
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert "runs over at least" in err
-    assert "(40, 40) may scan 27370656 combinations of parts (budget 1000000)" in err
+    budget = "pairs b <= a in the Sigma split table (budget 1000000)"
+    assert f"the box under (60, 60) needs 3575881 {budget}" in err
+    assert f"|d| <= 9999 in rank 1 needs 50005000 {budget}" in err
+    assert f"|d| <= 36 in rank 3 needs 5245786 {budget}" in err
 
 
 def test_vector_budget_is_invalid_input(jordan_file, tmp_path, capsys):

@@ -233,6 +233,9 @@ def test_canonical_decomposition_examples(a2, jordan, kronecker):
     assert decomp(jordan, (3,)) == [((1,), 3)]
     assert decomp(kronecker, (2, 2)) == [((1, 1), 2)]
     assert decomp(kronecker, (3, 1)) == [((1, 0), 2), ((1, 1), 1)]
+    # 721,801 pairs in the split table, filled without recursion
+    assert decomp(jordan, (1200,)) == [((1,), 1200)]
+    assert not sigma_membership(CartanDatum.from_quiver(jordan), DimVector(jordan, (1200,)))
 
 
 def test_canonical_decomposition_rejects_bad_input(a2):
@@ -254,18 +257,6 @@ def test_canonical_decomposition_parts_in_sigma_and_sum(kronecker, g2loop):
                 for i, x in enumerate(part.as_tuple()):
                     total[i] += mult * x
             assert tuple(total) == d
-
-
-def test_canonical_decomposition_order_independent(a2, kronecker, g2loop):
-    for quiver in (a2, kronecker, g2loop):
-        rank = len(quiver.vertices)
-        for d in vectors_up_to(rank, 5):
-            if not any(d):
-                continue
-            dv = DimVector(quiver, d)
-            reference = canonical_decomposition(quiver, dv)
-            for seed in range(5):
-                assert canonical_decomposition(quiver, dv, _shuffle_seed=seed) == reference
 
 
 def _sigma_decompositions(sigma_parts, d):
@@ -303,11 +294,18 @@ def _refines(finer, coarser):
     return False
 
 
+#: Sigma members of many unit parts, such as delta = (2,1,1,1,1) of affine D4
+#: and (4,2) of a loop with a leg, are where a partial merge search goes wrong.
+AFFINE_D4 = Quiver(["0", "1", "2", "3", "4"], [("1", "0"), ("2", "0"), ("3", "0"), ("4", "0")])
+LOOP_PLUS_LEG = Quiver(["0", "1"], [("0", "0"), ("0", "1")])
+
+
 def test_every_sigma_decomposition_refines_the_canonical_one(a2, kronecker, g2loop):
-    for quiver in (a2, kronecker, g2loop):
+    cases = ((a2, 5), (kronecker, 5), (g2loop, 5), (AFFINE_D4, 6), (LOOP_PLUS_LEG, 7))
+    for quiver, bound in cases:
         rank = len(quiver.vertices)
-        sigma_parts = sorted(_sigma_box(quiver, 5))
-        for d in vectors_up_to(rank, 5):
+        sigma_parts = sorted(_sigma_box(quiver, bound))
+        for d in vectors_up_to(rank, bound):
             if not any(d):
                 continue
             canonical = []
