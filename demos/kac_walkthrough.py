@@ -23,9 +23,8 @@ kronecker = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
 
 def show_roots(name: str, quiver: Quiver, bound: int) -> None:
     print(f"\n== positive root data for {name}, |d| <= {bound}")
-    tables = phi_plus(CartanDatum.from_quiver(quiver), bound)
-    for entry in tables.phi_list():
-        star = "*" if entry.vector in tables.sigma else " "
+    for entry in phi_plus(CartanDatum.from_quiver(quiver), bound):
+        star = "*" if entry.multiplier == 1 else " "
         print(
             f"  {entry.vector}  {entry.classification:<10}"
             f" p = {entry.p_value}  {star}"

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kac import FLAVOURS, BudgetError, CountingError, _prime_power
+from .kac import FLAVOURS, BudgetError, CountingError, _prime_power, conjugate_partition
 from .quiver import DimVector, Quiver
 
 ENUM_BUDGET = 8_000_000
@@ -323,12 +323,6 @@ def gl_order(q: int, n: int) -> int:
     return math.prod(q**n - q**i for i in range(n))
 
 
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= k) for k in range(1, parts[0] + 1))
-
-
 def hom_dim(sig1: Sig, sig2: Sig) -> int:
     """dim Hom_{F_q[T]} between modules with the given similarity types."""
     total = 0
@@ -412,7 +406,7 @@ def matrix_types(q: int, n: int) -> list[MatType]:
                     if step % e:
                         raise CountingError("nullity sequence not divisible by degree")
                     diffs.append(step // e)
-                lam = _conjugate(tuple(x for x in diffs if x))
+                lam = conjugate_partition(tuple(x for x in diffs if x))
                 if sum(lam) != m:
                     raise CountingError("partition recovery failed")
                 sig_parts.append((p, lam))

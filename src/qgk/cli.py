@@ -63,7 +63,6 @@ from .roots import (
     check_split_budget,
     phi_plus,
     positive_roots,
-    weyl_reflect,
 )
 from .series import PlethMode, SeriesError, pleth_exp, pleth_log, vectors_up_to
 
@@ -242,14 +241,13 @@ def _cache_write(path: str, payload: dict) -> None:
 
 
 def _cmd_roots(quiver: Quiver, args) -> dict:
-    tables = phi_plus(CartanDatum.from_quiver(quiver), args.bound)
     rows = []
-    for entry in tables.phi_list():
+    for entry in phi_plus(CartanDatum.from_quiver(quiver), args.bound):
         rows.append(
             {
                 "d": _csv(entry.vector),
                 "class": entry.classification,
-                "sigma": tables.in_sigma(entry.vector),
+                "sigma": entry.multiplier == 1,
                 "primitive": _csv(entry.primitive),
                 "multiplier": entry.multiplier,
             }
@@ -294,7 +292,6 @@ def _cmd_canonical(quiver: Quiver, args) -> dict:
         d = _parse_dim(quiver, args.dim)
         if d.is_zero():
             raise InputError("--dim must be nonzero")
-        check_vector_budget(rank, d.total)
         vectors = [d.as_tuple()]
     else:
         check_vector_budget(rank, args.bound)
@@ -433,19 +430,19 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def weyl():
         table = kac().to_series()
-        free = [v for v in quiver.vertices if quiver.loops_at(v) == 0]
+        free = [i for i, v in enumerate(quiver.vertices) if quiver.loops_at(v) == 0]
         seen = 0
         for d in vectors:
             for length in range(1, 4):
                 for word in itertools.product(free, repeat=length):
-                    image = DimVector(quiver, d)
-                    for v in word:
-                        image = weyl_reflect(quiver, v, image)
-                    tup = image.as_tuple()
-                    if any(n < 0 for n in tup) or sum(tup) > bound:
+                    image = d
+                    for i in word:
+                        image = cartan.reflect(i, image)
+                    if any(n < 0 for n in image) or sum(image) > bound:
                         continue
                     seen += 1
-                    if table.coeff(d) != table.coeff(tup):
+                    if table.coeff(d) != table.coeff(image):
+                        word = tuple(quiver.vertices[i] for i in word)
                         return "fail", f"A differs along {word} at {d}"
         return ("pass" if seen else "vacuous"), f"checked {seen} reflected pairs"
 
@@ -548,6 +545,10 @@ def _render_tsv(command: str, payload: dict) -> str:
 # -- entry point ------------------------------------------------------------------
 
 
+#: The commands that read --flavour; these and verify read --fields.
+_FLAVOURED = ("kac", "cuspidal", "ip", "gkm-dims")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgk",
@@ -559,13 +560,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("quiver", help="path to a quiver JSON file")
         p.add_argument("--bound", type=int, default=4, help="total-degree bound N")
-        p.add_argument("--flavour", choices=FLAVOURS, default="plain")
-        p.add_argument(
-            "--fields",
-            type=str,
-            default=",".join(str(v) for v in DEFAULT_FIELDS),
-            help="comma-separated prime powers for counting oracles",
-        )
+        if name in _FLAVOURED:
+            p.add_argument("--flavour", choices=FLAVOURS, default="plain")
+        if name in _FLAVOURED or name == "verify":
+            p.add_argument(
+                "--fields",
+                type=str,
+                default=",".join(str(v) for v in DEFAULT_FIELDS),
+                help="comma-separated prime powers for counting oracles",
+            )
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--cache-dir", default=None)
         if name == "kac":
@@ -617,15 +620,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.bound < 1:
             raise InputError("--bound must be >= 1")
-        args.fields = _parse_fields(args.fields)
+        if "fields" in args:
+            args.fields = _parse_fields(args.fields)
         quiver = _load_quiver(args.quiver)
 
         payload = None
         cache_file = None
         directory = _cache_dir(args.cache_dir)
         if directory is not None and args.command != "verify":
+            flavour = getattr(args, "flavour", "plain")
             cache_file = _cache_path(
-                directory, quiver, args.command, _command_essence(args), args.bound, args.flavour
+                directory, quiver, args.command, _command_essence(args), args.bound, flavour
             )
             payload = _cache_read(cache_file)
         if payload is None:

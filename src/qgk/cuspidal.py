@@ -105,7 +105,7 @@ def invert_character(
     nonzero deficit off Phi^+ or with negative or non-integer coefficients
     aborts: the target is then not a GKM character for this Cartan datum.
     """
-    roots = phi_plus(cartan, bound)
+    roots = {entry.vector for entry in phi_plus(cartan, bound)}
     minus = {d: -p for d, p in target.items() if any(d)}
     exp_minus = pleth_exp(GradedSeries(target.quiver, bound, minus), PlethMode.QZ)
     denominator = _Denominator(cartan, bound)
@@ -116,7 +116,7 @@ def invert_character(
         deficit = denominator.coeff(d) - exp_minus.coeff(d)
         if deficit.is_zero():
             continue
-        if not roots.in_phi(d):
+        if d not in roots:
             raise CuspidalError(f"character deficit {deficit} at non-root {d}")
         for half, coeff in deficit.items():
             if half % 2 or coeff.denominator != 1 or coeff < 0:
@@ -154,9 +154,8 @@ def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
 
 def _check_plain_shape(table: CuspidalTable, cartan: CartanDatum) -> None:
     """Plain C^abs is supported exactly on Phi^+, monic of degree 1 - chi(d,d)."""
-    roots = phi_plus(cartan, table.bound)
     support = set(table.table)
-    expected = {e.vector for e in roots.phi_list()}
+    expected = {entry.vector for entry in phi_plus(cartan, table.bound)}
     if support != expected:
         off = sorted(support ^ expected, key=lambda t: (sum(t), t))
         raise CuspidalError(f"C^abs support differs from Phi^+ at {off[0]}")
@@ -177,10 +176,9 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
     """
     if not table.absolute:
         raise CuspidalError("input must be a table of absolutely cuspidal polynomials")
-    roots = phi_plus(CartanDatum.from_quiver(table.quiver), table.bound)
     out: dict[tuple[int, ...], QPoly] = {}
     rays: set[tuple[int, ...]] = set()
-    for entry in roots.phi_list():
+    for entry in phi_plus(CartanDatum.from_quiver(table.quiver), table.bound):
         if entry.classification == ISOTROPIC:
             rays.add(entry.primitive)
             continue

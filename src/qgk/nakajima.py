@@ -31,7 +31,6 @@ from .gkm import lowest_weight_extract
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver, frame, framed_vector, sym_form
-from .roots import CartanDatum, phi_plus
 from .series import GradedSeries, vectors_up_to
 
 
@@ -83,13 +82,12 @@ def lw_decompose(
 ) -> LowestWeightDecomposition:
     """Decompose the framed character into lowest-weight blocks.
 
-    Blocks are the unframed d with |d| <= bound and (d,1) a positive root
-    of the framed quiver; the zero vector is a block whenever the pure
-    framing unit is (it always is).
+    Blocks are the unframed d with |d| <= bound and (d,1) in Phi^+ of the
+    framed quiver, which is exactly where its C^abs is nonzero
+    (absolutely_cuspidal_from_kac checks that support); the zero vector is
+    a block whenever the pure framing unit is (it always is).
     """
     framed = frame(quiver, framing)
-    cartan = CartanDatum.from_quiver(framed)
-    roots = phi_plus(cartan, bound + 1)
     kac = hua_kac(framed, bound + 1)
     table = absolutely_cuspidal_from_kac(kac)
     total = _framed_series(quiver, kac, bound)
@@ -97,8 +95,6 @@ def lw_decompose(
 
     multiplicities: dict[tuple[int, ...], QPoly] = {}
     for d in vectors_up_to(rank, bound):
-        if not roots.in_phi(d + (1,)):
-            continue
         mult = table.polynomial(d + (1,)).substitute_power(-1)
         if not mult.is_zero():
             multiplicities[d] = mult

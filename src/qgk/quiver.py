@@ -96,17 +96,6 @@ class Quiver:
         self.vertex_index(t)
         return self._arrow_counts.get((s, t), 0)
 
-    def neighbours(self, v: str) -> set[str]:
-        """Vertices joined to v by at least one arrow in either direction."""
-        out = set()
-        for s, t in self.arrows:
-            if s == v:
-                out.add(t)
-            if t == v:
-                out.add(s)
-        out.discard(v)
-        return out
-
     # -- equality and hashing --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -237,21 +226,6 @@ class DimVector(Mapping[str, int]):
 
     def is_effective(self) -> bool:
         return all(n >= 0 for n in self._values.values())
-
-    def support_connected(self) -> bool:
-        """Whether the full subquiver on supp(d) is connected (nonempty)."""
-        supp = self.support
-        if not supp:
-            return False
-        seen = {next(iter(sorted(supp)))}
-        frontier = list(seen)
-        while frontier:
-            v = frontier.pop()
-            for w in self.quiver.neighbours(v) & supp:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen == supp
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -13,10 +13,14 @@ even though, for quiver Cartan data, it is implied by the strict
 dominance clause (unit vectors have p(1_i) = 2 g_i >= 0); the test
 suite asserts that redundancy.
 
-CartanDatum fills one table bottom-up: for each d, the best sum of p over
+CartanDatum answers every root question over tuples and its matrix.  It
+fills one table bottom-up: for each d, the best sum of p over
 decompositions of d, whether d lies in Sigma, and a proper split attaining
-that best.  Sigma membership and the canonical decomposition are both read
-off it.
+that best.  Sigma membership, Phi^+ membership and the canonical
+decomposition are read off it.  Positive roots are decided by Kac's
+descent: reflect at loop-free vertices while that lowers |d|, and look at
+where the walk stops (Kac, *Infinite root systems, representations of
+graphs and invariant theory*, Invent. Math. 56 (1980)).
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kac import BudgetError, check_vector_budget
 from .quiver import DimVector, Quiver, QuiverError, sym_form
-from .series import vectors_of_total
+from .series import vectors_up_to
 
 
 class RootError(ValueError):
@@ -55,10 +59,34 @@ def check_split_budget(rank: int, bound: int) -> None:
     _refuse_pairs(math.comb(bound + 2 * rank, 2 * rank), f"|d| <= {bound} in rank {rank}")
 
 
+REAL = "real"
+ISOTROPIC = "isotropic"
+HYPERBOLIC = "hyperbolic"
+
+
+@dataclass(frozen=True)
+class RootEntry:
+    vector: tuple[int, ...]
+    classification: str
+    p_value: int
+    primitive: tuple[int, ...]
+    multiplier: int
+
+
+def _classification(form_value: int) -> str:
+    if form_value == 2:
+        return REAL
+    if form_value == 0:
+        return ISOTROPIC
+    if form_value < 0:
+        return HYPERBOLIC
+    raise RootError(f"(d,d) = {form_value} > 2 cannot occur for a Sigma member")
+
+
 class CartanDatum:
     """The symmetrised Euler form on a fixed basis, as an integer matrix."""
 
-    __slots__ = ("rank", "matrix", "_splits")
+    __slots__ = ("rank", "matrix", "_loop_free", "_splits")
 
     def __init__(self, matrix: list[list[int]]):
         rank = len(matrix)
@@ -72,6 +100,8 @@ class CartanDatum:
                 raise RootError("Cartan matrix diagonal must be even")
         self.rank = rank
         self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        # (1_i, 1_i) = 2 - 2 g_i, so the vertices without loops are those at 2
+        self._loop_free = tuple(i for i in range(rank) if self.matrix[i][i] == 2)
         self._splits: dict[tuple[int, ...], tuple[int, bool, "tuple[int, ...] | None"]] = {}
 
     @classmethod
@@ -92,6 +122,77 @@ class CartanDatum:
     def p(self, d: tuple[int, ...]) -> int:
         """p(d) = 2 - (d, d)."""
         return 2 - self.form(d, d)
+
+    # -- the Weyl group and positive roots -----------------------------------
+
+    def _unit_pairing(self, i: int, d: tuple[int, ...]) -> int:
+        """(d, 1_i)."""
+        return sum(map(operator.mul, self.matrix[i], d))
+
+    def reflect(self, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
+        """s_i(d) = d - (d, 1_i) 1_i, for a loop-free vertex i."""
+        return d[:i] + (d[i] - self._unit_pairing(i, d),) + d[i + 1 :]
+
+    def _support_connected(self, d: tuple[int, ...]) -> bool:
+        """Whether supp(d) is nonempty and connected through arrows in either direction."""
+        support = {i for i, n in enumerate(d) if n}
+        if not support:
+            return False
+        frontier = [support.pop()]
+        while frontier:
+            row = self.matrix[frontier.pop()]
+            joined = {j for j in support if row[j]}
+            support -= joined
+            frontier += joined
+        return not support
+
+    def in_fundamental_cone(self, d: tuple[int, ...]) -> bool:
+        """Connected support and (d, 1_i) <= 0 at every loop-free vertex i."""
+        return self._support_connected(d) and all(
+            self._unit_pairing(i, d) <= 0 for i in self._loop_free
+        )
+
+    def is_positive_root(self, d: tuple[int, ...]) -> bool:
+        """Whether a nonzero d >= 0 is a positive root, by Kac's descent.
+
+        While some loop-free i has k = (d, 1_i) > 0, d becomes s_i(d) =
+        d - k 1_i, which lowers |d|.  s_i permutes the positive roots other
+        than 1_i, so each step keeps d a root or a non-root.  The walk stops
+        in the fundamental set (connected support, every such k <= 0), whose
+        members are roots; at k > d_i, where s_i(d) would leave the positive
+        cone, so d is a root only if d = 1_i; or at a disconnected support,
+        which no root has.
+        """
+        while self._support_connected(d):
+            for i in self._loop_free:
+                k = self._unit_pairing(i, d)
+                if k > 0:
+                    break
+            else:
+                return True
+            if k > d[i]:
+                return sum(d) == 1
+            d = self.reflect(i, d)
+        return False
+
+    def root(self, d: tuple[int, ...]) -> RootEntry | None:
+        """The Phi^+ entry of a nonzero d, or None when d lies outside Phi^+.
+
+        d lies in Phi^+ when d lies in Sigma, or when d = l m with l > 1 and
+        m = d / gcd(d) an isotropic member of Sigma.  An isotropic Sigma
+        member is indivisible, so m is the only candidate, and l m is
+        isotropic too: only d with gcd(d) > 1 and p(d) = 2 are tested.
+        """
+        if not any(d):
+            raise RootError("the zero vector is not a root")
+        if any(n < 0 for n in d) or (pd := self.p(d)) < 0:
+            return None
+        if self._entry(d)[1]:
+            return RootEntry(d, _classification(2 - pd), pd, d, 1)
+        l = math.gcd(*d)
+        if l == 1 or pd != 2 or not self._entry(m := tuple(n // l for n in d))[1]:
+            return None
+        return RootEntry(d, ISOTROPIC, 2, m, l)
 
     # -- the Sigma split table ------------------------------------------------
 
@@ -134,11 +235,9 @@ class CartanDatum:
                 table[a] = (max(pa, split_best), False, subs[sums.index(split_best)])
 
     def sigma_membership_tuple(self, d: tuple[int, ...]) -> bool:
-        if not any(d):
-            raise RootError("the zero vector is not eligible for Sigma")
-        if any(n < 0 for n in d) or self.p(d) < 0:
-            return False
-        return self._entry(d)[1]
+        """Whether d lies in Sigma: Sigma is Phi^+ at multiplier 1."""
+        entry = self.root(d)
+        return entry is not None and entry.multiplier == 1
 
     def canonical_decomposition(self, d: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """The coarsest decomposition of a nonzero d >= 0 into Sigma members.
@@ -167,73 +266,14 @@ def sigma_membership(cartan: CartanDatum, d: DimVector) -> bool:
     return cartan.sigma_membership_tuple(d.as_tuple())
 
 
-REAL = "real"
-ISOTROPIC = "isotropic"
-HYPERBOLIC = "hyperbolic"
-
-
-@dataclass(frozen=True)
-class RootEntry:
-    vector: tuple[int, ...]
-    classification: str
-    p_value: int
-    primitive: tuple[int, ...]
-    multiplier: int
-
-
-@dataclass
-class RootTables:
-    """Sigma and Phi^+ up to a total-degree bound, with classification."""
-
-    cartan: CartanDatum
-    bound: int
-    sigma: set[tuple[int, ...]] = field(default_factory=set)
-    entries: dict[tuple[int, ...], RootEntry] = field(default_factory=dict)
-
-    def phi_list(self) -> list[RootEntry]:
-        return [self.entries[k] for k in sorted(self.entries, key=lambda t: (sum(t), t))]
-
-    def in_phi(self, d: tuple[int, ...]) -> bool:
-        return tuple(d) in self.entries
-
-    def in_sigma(self, d: tuple[int, ...]) -> bool:
-        return tuple(d) in self.sigma
-
-
-def _classification(form_value: int) -> str:
-    if form_value == 2:
-        return REAL
-    if form_value == 0:
-        return ISOTROPIC
-    if form_value < 0:
-        return HYPERBOLIC
-    raise RootError(f"(d,d) = {form_value} > 2 cannot occur for a Sigma member")
-
-
-def phi_plus(cartan: CartanDatum, bound: int) -> RootTables:
-    """All of Sigma and Phi^+ with |d| <= bound, classified."""
+def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
+    """The entries of Phi^+ with |d| <= bound, classified, in (|d|, lex) order."""
     if bound < 1:
         raise RootError("bound must be >= 1")
     check_vector_budget(cartan.rank, bound)
     check_split_budget(cartan.rank, bound)
-    tables = RootTables(cartan, bound)
-    rank = cartan.rank
-    for total in range(1, bound + 1):
-        for d in vectors_of_total(rank, total):
-            if cartan.sigma_membership_tuple(d):
-                tables.sigma.add(d)
-                cls = _classification(cartan.form(d, d))
-                tables.entries[d] = RootEntry(d, cls, cartan.p(d), d, 1)
-    for d in sorted(tables.sigma, key=lambda t: (sum(t), t)):
-        if tables.entries[d].classification != ISOTROPIC:
-            continue
-        l = 2
-        while l * sum(d) <= bound:
-            ld = tuple(l * n for n in d)
-            if ld not in tables.entries:
-                tables.entries[ld] = RootEntry(ld, ISOTROPIC, cartan.p(ld), d, l)
-            l += 1
-    return tables
+    entries = (cartan.root(d) for d in vectors_up_to(cartan.rank, bound) if any(d))
+    return [entry for entry in entries if entry is not None]
 
 
 # -- Weyl group and positive roots -----------------------------------------------
@@ -254,55 +294,18 @@ def fundamental_cone_membership(quiver: Quiver, d: DimVector) -> bool:
     """Connected support and (d, 1_i) <= 0 at every loop-free vertex."""
     if d.is_zero():
         raise RootError("the zero vector is not in the fundamental cone")
-    if not d.is_effective():
-        return False
-    if not d.support_connected():
-        return False
-    for v in quiver.vertices:
-        if quiver.loops_at(v) == 0:
-            if sym_form(quiver, d, DimVector.unit(quiver, v)) > 0:
-                return False
-    return True
+    return d.is_effective() and CartanDatum.from_quiver(quiver).in_fundamental_cone(d.as_tuple())
 
 
 def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
-    """Positive roots with |d| <= bound: Weyl closure of units and the cone.
-
-    The closure runs inside the box sum|d_i| <= 2 * bound (margin equal to
-    the bound); elements leaving the box are dropped.
-    """
+    """Positive roots with |d| <= bound, in (|d|, lex) order, by Kac's descent."""
     if bound < 1:
         raise RootError("bound must be >= 1")
-    check_vector_budget(len(quiver.vertices), bound)
-    reflect_at = [v for v in quiver.vertices if quiver.loops_at(v) == 0]
-    seeds: set[tuple[int, ...]] = set()
-    for v in quiver.vertices:
-        seeds.add(DimVector.unit(quiver, v).as_tuple())
     rank = len(quiver.vertices)
-    for total in range(1, bound + 1):
-        for t in vectors_of_total(rank, total):
-            d = DimVector(quiver, t)
-            if fundamental_cone_membership(quiver, d):
-                seeds.add(t)
-    box = 2 * bound
-    orbit = set(seeds)
-    frontier = sorted(seeds)
-    while frontier:
-        new: set[tuple[int, ...]] = set()
-        for t in frontier:
-            d = DimVector(quiver, t, allow_negative=True)
-            for v in reflect_at:
-                r = weyl_reflect(quiver, v, d).as_tuple()
-                if r not in orbit and sum(abs(n) for n in r) <= box:
-                    new.add(r)
-        orbit |= new
-        frontier = sorted(new)
-    result = set()
-    for t in orbit:
-        for s in (t, tuple(-n for n in t)):
-            if any(s) and all(n >= 0 for n in s) and sum(s) <= bound:
-                result.add(s)
-    return [DimVector(quiver, t) for t in sorted(result, key=lambda t: (sum(t), t))]
+    check_vector_budget(rank, bound)
+    cartan = CartanDatum.from_quiver(quiver)
+    roots = (d for d in vectors_up_to(rank, bound) if any(d) and cartan.is_positive_root(d))
+    return [DimVector(quiver, d) for d in roots]
 
 
 # -- canonical decomposition ---------------------------------------------------

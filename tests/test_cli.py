@@ -108,6 +108,12 @@ def test_canonical_decomp_single(a2_file, kron_file, qfile, capsys):
     d4_file = qfile("d4", ["0", "1", "2", "3", "4"], [[v, "0"] for v in "1234"])
     assert run(["canonical-decomp", d4_file, "--dim", "2,1,1,1,1"]) == 0
     assert _out(capsys) == "2,1,1,1,1\t2,1,1,1,1:1\n"
+    # the A10 path: 3^10 pairs under d, though 184,756 vectors have |e| <= 10
+    names = [str(v) for v in range(10)]
+    a10_file = qfile("a10", names, [[s, t] for s, t in zip(names, names[1:])])
+    assert run(["canonical-decomp", a10_file, "--dim", ",".join("1" * 10)]) == 0
+    units = [",".join("1" if j == i else "0" for j in range(10)) for i in reversed(range(10))]
+    assert _out(capsys) == ",".join("1" * 10) + "\t" + " ".join(f"{u}:1" for u in units) + "\n"
 
 
 def test_json_format_matches_tsv_data(jordan_file, capsys):
@@ -178,6 +184,10 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path):
     assert run(["ip", a2_file, "--dim", "0,0"]) == 1
     assert run(["ip", a2_file, "--dim", "1,borken"]) == 1
     assert run(["canonical-decomp", a2_file, "--dim", "0,0"]) == 1
+    # options are offered only to the commands that read them
+    assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--flavour", "nilpotent"]) == 1
+    assert run(["verify", jordan_file, "--flavour", "nilpotent"]) == 1
+    assert run(["roots", jordan_file, "--fields", "2,3"]) == 1
 
 
 def test_ambiguous_decomposition_is_invalid_input(jordan_file):
@@ -218,7 +228,12 @@ def test_vector_budget_is_invalid_input(jordan_file, tmp_path, capsys):
         assert run([*argv, "--bound", "100000000"]) == 1
     assert time.perf_counter() - start < 5
     expected = "error: |d| <= 100000000 in rank 1 spans 100000001 dimension vectors (budget 10000)"
-    assert capsys.readouterr().err.splitlines() == [expected] * len(commands)
+    # --dim builds only the box under d, so the split table's budget refuses it
+    box = (
+        "error: the box under (100000000,) needs 5000000150000001 pairs b <= a "
+        "in the Sigma split table (budget 1000000)"
+    )
+    assert capsys.readouterr().err.splitlines() == [expected, expected, box, expected]
 
 
 def test_help_and_parse_errors():

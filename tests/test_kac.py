@@ -110,7 +110,17 @@ def test_hua_reference_values(jordan, kronecker, a2):
 
 
 def test_hua_support_is_positive_roots(jordan, a2, kronecker, g2loop):
-    for quiver, bound in ((jordan, 5), (a2, 4), (kronecker, 6), (g2loop, 4)):
+    """Kac's theorem: A_d is nonzero exactly at the positive roots."""
+    names = ["0", "1", "2", "3", "4"]
+    affine_d4 = Quiver(names, [(v, "0") for v in names[1:]])
+    loop_leg = Quiver(names[:2], [("0", "0"), ("0", "1")])
+    jordan_two_legs = Quiver(names[:3], [("0", "0"), ("0", "1"), ("0", "2")])
+    a4 = Quiver(names[:4], [("0", "1"), ("1", "2"), ("2", "3")])
+    cycle3 = Quiver(names[:3], [("0", "1"), ("1", "2"), ("2", "0")])
+    two_jordans = Quiver(names[:2], [("0", "0"), ("1", "1")])
+    cases = [(jordan, 5), (a2, 4), (kronecker, 6), (g2loop, 4), (affine_d4, 5)]
+    cases += [(loop_leg, 7), (jordan_two_legs, 5), (a4, 5), (cycle3, 5), (two_jordans, 4)]
+    for quiver, bound in cases:
         table = hua_kac(quiver, bound)
         roots = {r.as_tuple() for r in positive_roots(quiver, bound)}
         assert set(table.table) == roots

@@ -144,32 +144,34 @@ def test_nonnegativity_clause_is_redundant(jordan, a2, kronecker, g2loop):
 
 
 def test_phi_plus_reference_tables(jordan, a2, kronecker):
-    tables = phi_plus(CartanDatum.from_quiver(jordan), 5)
-    assert sorted(tables.entries) == [(1,), (2,), (3,), (4,), (5,)]
-    for entry in tables.phi_list():
+    roots = phi_plus(CartanDatum.from_quiver(jordan), 5)
+    entries = {e.vector: e for e in roots}
+    assert [e.vector for e in roots] == [(1,), (2,), (3,), (4,), (5,)]
+    for entry in roots:
         assert entry.classification == ISOTROPIC
         assert entry.primitive == (1,)
         assert entry.multiplier == sum(entry.vector)
-    assert tables.in_sigma((1,)) and not tables.in_sigma((2,))
-    assert tables.in_phi((2,)) and not tables.in_phi((6,))
+    assert entries[(1,)].multiplier == 1 and entries[(2,)].multiplier != 1
+    assert (2,) in entries and (6,) not in entries
 
-    tables = phi_plus(CartanDatum.from_quiver(a2), 4)
-    assert sorted(tables.entries) == [(0, 1), (1, 0)]
-    assert all(e.classification == REAL for e in tables.phi_list())
+    roots = phi_plus(CartanDatum.from_quiver(a2), 4)
+    assert [e.vector for e in roots] == [(0, 1), (1, 0)]
+    assert all(e.classification == REAL for e in roots)
 
-    tables = phi_plus(CartanDatum.from_quiver(kronecker), 4)
-    assert sorted(tables.entries) == [(0, 1), (1, 0), (1, 1), (2, 2)]
-    assert tables.entries[(1, 1)].classification == ISOTROPIC
-    assert tables.entries[(2, 2)].primitive == (1, 1)
-    assert tables.entries[(2, 2)].multiplier == 2
-    assert tables.entries[(1, 0)].classification == REAL
+    roots = phi_plus(CartanDatum.from_quiver(kronecker), 4)
+    entries = {e.vector: e for e in roots}
+    assert [e.vector for e in roots] == [(0, 1), (1, 0), (1, 1), (2, 2)]
+    assert entries[(1, 1)].classification == ISOTROPIC
+    assert entries[(2, 2)].primitive == (1, 1)
+    assert entries[(2, 2)].multiplier == 2
+    assert entries[(1, 0)].classification == REAL
 
 
 def test_phi_plus_hyperbolic(g2loop):
-    tables = phi_plus(CartanDatum.from_quiver(g2loop), 3)
-    assert all(e.classification == HYPERBOLIC for e in tables.phi_list())
-    assert sorted(tables.entries) == [(1,), (2,), (3,)]
-    assert [e.p_value for e in tables.phi_list()] == [4, 10, 20]
+    roots = phi_plus(CartanDatum.from_quiver(g2loop), 3)
+    assert all(e.classification == HYPERBOLIC for e in roots)
+    assert [e.vector for e in roots] == [(1,), (2,), (3,)]
+    assert [e.p_value for e in roots] == [4, 10, 20]
 
 
 def test_weyl_reflect_examples(a2, jordan):
@@ -181,10 +183,12 @@ def test_weyl_reflect_examples(a2, jordan):
 
 def test_weyl_reflect_involution_and_invariance(a2, kronecker):
     for quiver in (a2, kronecker):
+        cartan = CartanDatum.from_quiver(quiver)
         for dt in itertools.product(range(3), repeat=2):
             d = DimVector(quiver, dt)
-            for v in quiver.vertices:
+            for i, v in enumerate(quiver.vertices):
                 assert weyl_reflect(quiver, v, weyl_reflect(quiver, v, d)) == d
+                assert cartan.reflect(i, dt) == weyl_reflect(quiver, v, d).as_tuple()
             for et in itertools.product(range(3), repeat=2):
                 e = DimVector(quiver, et)
                 for v in quiver.vertices:
@@ -199,6 +203,10 @@ def test_fundamental_cone(kronecker, a2):
     assert not fundamental_cone_membership(a2, DimVector(a2, (1, 0)))
     pieces = Quiver(["0", "1"])
     assert not fundamental_cone_membership(pieces, DimVector(pieces, (1, 1)))
+    loops = Quiver(["0", "1"], [("0", "0"), ("1", "1")])  # only connectivity rules (1, 1) out
+    assert not fundamental_cone_membership(loops, DimVector(loops, (1, 1)))
+    assert not fundamental_cone_membership(LOOP_PLUS_LEG, DimVector(LOOP_PLUS_LEG, (1, 1)))
+    assert fundamental_cone_membership(LOOP_PLUS_LEG, DimVector(LOOP_PLUS_LEG, (2, 1)))
     with pytest.raises(RootError):
         fundamental_cone_membership(a2, DimVector.zero(a2))
 
