@@ -37,6 +37,7 @@ from .gkm import (
     AmbiguousDecompositionError,
     GkmError,
     WeightFunction,
+    _SimpleRoots,
     gkm_dims,
     presented_dims,
     uea_character,
@@ -335,12 +336,21 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
 def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
     if args.from_kac == (args.weights is not None):
         raise InputError("exactly one of --from-kac and --weights is required")
+    cartan = CartanDatum.from_quiver(quiver)
     if args.from_kac:
         table = absolutely_cuspidal(quiver, args.bound, args.flavour, args.fields)
         weights = WeightFunction(quiver, dict(table.table))
     else:
         weights = _load_weights(quiver, args.weights)
-    dims = gkm_dims(CartanDatum.from_quiver(quiver), weights, args.bound)
+        # gkm_dims's own generator checks, run first so a bad file is an input error
+        roots = _SimpleRoots(cartan)
+        try:
+            for root, poly in weights.items():
+                if sum(root) <= args.bound:
+                    roots.admit(root, poly)
+        except GkmError as exc:
+            raise InputError(f"bad weight file: {exc}") from None
+    dims = gkm_dims(cartan, weights, args.bound)
     rows = []
     for d in sorted(dims.dims, key=lambda t: (sum(t), t)):
         for j in sorted(dims.dims[d]):
@@ -469,7 +479,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         env = uea_character(kac().to_series())
         for d in vectors:
             p = env.coeff(d)
-            if not p.has_integer_coefficients() or not p.has_nonnegative_coefficients():
+            if not p.is_nonnegative_integer_polynomial():
                 return "fail", f"bad enveloping coefficient at {d}"
         return "pass", "enveloping character has nonnegative integer coefficients"
 

@@ -18,7 +18,8 @@ generated by indivisible m they solve
 C_d may have rational coefficients; it is only integer valued at
 integers (binomial-type polynomials), which the constructor checks
 exactly: by Polya, a polynomial of degree k is integer valued if and
-only if its values at 0, 1, ..., k are integers.
+only if its values at 0, 1, ..., k are integers.  A C_d with integer
+coefficients is integer valued as it stands and is not evaluated.
 
 IP polynomials repackage C^abs in the intersection-cohomology variable:
 IP_d(v) = C^abs_d(v^{-2}), a shifted Poincare polynomial (for a smooth
@@ -71,13 +72,13 @@ class CuspidalTable:
             if poly.is_zero():
                 continue
             if self.absolute:
-                if not poly.has_integral_exponents() or poly.min_half < 0:
-                    raise CuspidalError(f"C^abs_{d} is not a polynomial in q: {poly}")
-                if not poly.has_integer_coefficients() or not poly.has_nonnegative_coefficients():
-                    raise CuspidalError(f"C^abs_{d} has bad coefficients: {poly}")
-            else:
-                if not poly.has_integral_exponents() or poly.min_half < 0:
-                    raise CuspidalError(f"C_{d} is not a polynomial in q: {poly}")
+                if not poly.is_nonnegative_integer_polynomial():
+                    raise CuspidalError(
+                        f"C^abs_{d} is not a nonnegative integer polynomial in q: {poly}"
+                    )
+            elif not poly.has_integral_exponents() or poly.min_half < 0:
+                raise CuspidalError(f"C_{d} is not a polynomial in q: {poly}")
+            elif not poly.has_integer_coefficients():
                 for v in range(int(poly.degree_q()) + 1):
                     if poly.eval_at(v).denominator != 1:
                         raise CuspidalError(f"C_{d} is not integer valued at q = {v}: {poly}")
@@ -102,8 +103,9 @@ def invert_character(
     letters at d and w = 1; every other term comes from roots already
     registered.  So C_d = (right side of those roots)_d - [Exp(-target)]_d,
     which is the deficit of target_d against the algebra so far.  A
-    nonzero deficit off Phi^+ or with negative or non-integer coefficients
-    aborts: the target is then not a GKM character for this Cartan datum.
+    nonzero deficit off Phi^+, or on it one that is not a polynomial in q
+    with nonnegative integer coefficients, aborts: the target is then not
+    a GKM character for this Cartan datum.
     """
     roots = {entry.vector for entry in phi_plus(cartan, bound)}
     minus = {d: -p for d, p in target.items() if any(d)}
@@ -118,9 +120,8 @@ def invert_character(
             continue
         if d not in roots:
             raise CuspidalError(f"character deficit {deficit} at non-root {d}")
-        for half, coeff in deficit.items():
-            if half % 2 or coeff.denominator != 1 or coeff < 0:
-                raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
+        if not deficit.is_nonnegative_integer_polynomial():
+            raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
         denominator.add(d, deficit)
         weights[d] = deficit
     return WeightFunction(target.quiver, weights)

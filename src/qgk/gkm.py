@@ -94,11 +94,7 @@ class GkmDimTable:
     dims: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
 
     def character(self, d) -> QPoly:
-        block = self.dims.get(tuple(d), {})
-        out = QPoly.zero()
-        for j, dim in sorted(block.items()):
-            out = out + QPoly.half_power(j, dim)
-        return out
+        return QPoly(self.dims.get(tuple(d), {}))
 
 
 class _SimpleRoots:

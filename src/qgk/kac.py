@@ -57,13 +57,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _add_to, _mul
 from .quiver import DimVector, Quiver, euler_form
 from .series import (
     GradedSeries,
     PlethMode,
-    _add_to,
-    _mul,
     _pleth_log_levels,
     _ratio,
     pleth_exp,
@@ -202,10 +200,8 @@ class KacTable:
         for d, poly in self.table.items():
             if poly.is_zero():
                 continue
-            if not poly.has_integral_exponents() or poly.min_half < 0:
-                raise CountingError(f"A_{d} is not a polynomial in q: {poly}")
-            if not poly.has_integer_coefficients() or not poly.has_nonnegative_coefficients():
-                raise CountingError(f"A_{d} has bad coefficients: {poly}")
+            if not poly.is_nonnegative_integer_polynomial():
+                raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
             if self.flavour == "plain":
                 dv = DimVector(self.quiver, d)
                 bound = 1 - euler_form(self.quiver, dv, dv)
@@ -298,7 +294,7 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
         for d in sorted(level):
             # q - 1 = (1 - x) / x, and one exact division by D_d
             num = _ratio(level[d], [1], [j for a in d for j in range(1, a + 1)])
-            table[d] = QPoly({2 * (1 - k): Fraction(c, den * total) for k, c in num.items()})
+            table[d] = QPoly._of({2 * (1 - k): c for k, c in num.items()}, den * total)
     return KacTable(quiver, bound, "plain", table)
 
 
@@ -319,24 +315,14 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
 
 
 def _lagrange(points: list[tuple[int, Fraction]]) -> QPoly:
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + basis
-            for k in range(len(basis)):
-                shifted[k] -= xj * basis[k]
-            basis = shifted
-            denom *= xi - xj
-        for k in range(len(basis)):
-            coeffs[k] += yi * basis[k] / denom
+    """sum_i y_i prod_{j != i} (q - x_j) / (x_i - x_j), through every (x_i, y_i)."""
     result = QPoly.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            result = result + QPoly.q_power(k, c)
+    for i, (xi, yi) in enumerate(points):
+        term = QPoly.constant(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = term * (QPoly.q_power(1) - xj) * Fraction(1, xi - xj)
+        result = result + term
     return result
 
 

@@ -3,8 +3,10 @@ Exact Laurent polynomials in q^(1/2).
 
 Exponents are stored as *half-exponents*: the integer k stands for
 q^(k/2), so integral powers of q have even keys.  Coefficients are exact
-rationals; nothing in this module (or its callers) touches floating
-point.
+rationals, stored as sparse integer numerators over one positive
+denominator; nothing in this module (or its callers) touches floating
+point.  The numerators' product _mul and sum _add_to are also those of
+the Exp/Log core in series, so the package has one coefficient ring.
 
     >>> p = QPoly.q_power(-1) + QPoly.constant(2) + QPoly.q_power(1)
     >>> str(p)
@@ -38,23 +40,49 @@ def _fraction_sqrt(v: Fraction) -> Fraction | None:
     return None
 
 
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two sparse integer polynomials {exponent: int}; zeros may stay."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _add_to(acc: dict, poly: dict, factor: int) -> None:
+    """acc += factor * poly, in place, over sparse integer polynomials."""
+    for k, c in poly.items():
+        acc[k] = acc.get(k, 0) + factor * c
+
+
 class QPoly:
     """Sparse exact Laurent polynomial in q^(1/2).
 
-    The internal map sends half-exponent k (an int, meaning q^(k/2)) to a
-    nonzero Fraction.  Instances are immutable.
+    Stored as integer numerators keyed by half-exponent k (meaning q^(k/2))
+    over one positive denominator coprime to their content, so equal
+    polynomials store equal data.  A constant hashes as the Fraction it
+    equals.  Instances are immutable.
+
+        >>> QPoly({0: Fraction(2, 4)}) == QPoly.constant(Fraction(1, 2))
+        True
+        >>> QPoly.one() in {1}, hash(QPoly.zero()) == hash(0)
+        (True, True)
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(k)] = c
-        self._coeffs = clean
+        fracs = {int(k): Fraction(c) for k, c in (coeffs or {}).items()}
+        self._den = math.lcm(*(f.denominator for f in fracs.values()))  # coprime to _num
+        self._num = {k: f.numerator * (self._den // f.denominator) for k, f in fracs.items() if f}
+
+    @classmethod
+    def _of(cls, num: Mapping[int, int], den: int = 1) -> "QPoly":
+        """num / den for a positive den, without zero terms, in lowest terms."""
+        g = math.gcd(den, *num.values())
+        out = cls.__new__(cls)
+        out._num, out._den = {k: c // g for k, c in num.items() if c}, den // g
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -68,83 +96,83 @@ class QPoly:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "QPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def q_power(cls, exponent: int, coeff: Fraction | int = 1) -> "QPoly":
         """coeff * q^exponent (an integral power, half-exponent 2*exponent)."""
-        return cls({2 * exponent: Fraction(coeff)})
+        return cls({2 * exponent: coeff})
 
     @classmethod
     def half_power(cls, half_exponent: int, coeff: Fraction | int = 1) -> "QPoly":
         """coeff * q^(half_exponent/2)."""
-        return cls({half_exponent: Fraction(coeff)})
+        return cls({half_exponent: coeff})
 
     # -- inspection ----------------------------------------------------------
 
-    def items(self):
-        return sorted(self._coeffs.items())
+    def items(self) -> list[tuple[int, Fraction]]:
+        return [(k, Fraction(c, self._den)) for k, c in sorted(self._num.items())]
 
     def coefficient(self, half_exponent: int) -> Fraction:
-        return self._coeffs.get(half_exponent, Fraction(0))
+        return Fraction(self._num.get(half_exponent, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def is_one(self) -> bool:
-        return self._coeffs == {0: Fraction(1)}
+        return self._den == 1 and self._num == {0: 1}
 
     @property
     def min_half(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise QPolyError("zero polynomial has no degree")
-        return min(self._coeffs)
+        return min(self._num)
 
     @property
     def max_half(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise QPolyError("zero polynomial has no degree")
-        return max(self._coeffs)
+        return max(self._num)
 
     def degree_q(self) -> Fraction:
         """Degree as a power of q (may be a half-integer or negative)."""
         return Fraction(self.max_half, 2)
 
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[self.max_half]
+        return self.coefficient(self.max_half)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading_coefficient() == 1
+        return not self.is_zero() and self._num[self.max_half] == self._den
 
     def has_integral_exponents(self) -> bool:
-        return all(k % 2 == 0 for k in self._coeffs)
+        return all(k % 2 == 0 for k in self._num)
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs.values())
+        return self._den == 1
 
     def has_nonnegative_coefficients(self) -> bool:
-        return all(c > 0 for c in self._coeffs.values())
+        return all(c > 0 for c in self._num.values())
+
+    def is_nonnegative_integer_polynomial(self) -> bool:
+        """A polynomial in q with nonnegative integer coefficients; zero is one."""
+        return self._den == 1 and all(k >= 0 and k % 2 == 0 and c > 0 for k, c in self._num.items())
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "QPoly | int | Fraction") -> "QPoly":
         other = _coerce(other)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return QPoly(out)
+        den = math.lcm(self._den, other._den)
+        acc = {k: c * (den // self._den) for k, c in self._num.items()}
+        _add_to(acc, other._num, den // other._den)
+        return QPoly._of(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({k: -c for k, c in self._coeffs.items()})
+        return QPoly._of({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "QPoly | int | Fraction") -> "QPoly":
         return self + (-_coerce(other))
@@ -154,52 +182,31 @@ class QPoly:
 
     def __mul__(self, other: "QPoly | int | Fraction") -> "QPoly":
         other = _coerce(other)
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self._coeffs.items():
-            for k2, c2 in other._coeffs.items():
-                k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return QPoly(out)
+        return QPoly._of(_mul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "QPoly":
-        c = Fraction(c)
-        return QPoly({k: v * c for k, v in self._coeffs.items()})
+        return self * c
 
     def divexact(self, other: "QPoly") -> "QPoly":
         """Exact division in the Laurent ring; raises if the remainder is nonzero."""
         other = _coerce(other)
         if other.is_zero():
             raise QPolyError("division by zero")
-        if self.is_zero():
-            return QPoly.zero()
-        # Shift both to ordinary polynomials in the variable q^(1/2).
-        shift = self.min_half - other.min_half
-        num = {k - self.min_half: c for k, c in self._coeffs.items()}
-        den = {k - other.min_half: c for k, c in other._coeffs.items()}
-        dn = max(den)
-        lead = den[dn]
-        quot: dict[int, Fraction] = {}
-        rem = dict(num)
-        while rem and max(rem) >= dn:
-            top = max(rem)
-            factor = rem[top] / lead
-            quot[top - dn] = factor
-            for k, c in den.items():
-                kk = top - dn + k
-                s = rem.get(kk, Fraction(0)) - factor * c
-                if s == 0:
-                    rem.pop(kk, None)
-                else:
-                    rem[kk] = s
+        # Long division from the top term down to the quotient's lowest, low.
+        divisor, rem, quot = other.items(), dict(self.items()), {}
+        (bottom, _), (top, lead) = divisor[0], divisor[-1]
+        low = min(rem, default=0) - bottom
+        while rem and (shift := max(rem) - top) >= low:
+            quot[shift] = factor = rem[shift + top] / lead
+            for k, c in divisor:
+                rem[shift + k] = rem.get(shift + k, 0) - factor * c
+                if not rem[shift + k]:
+                    del rem[shift + k]
         if rem:
             raise QPolyError("inexact polynomial division")
-        return QPoly({k + shift: c for k, c in quot.items()})
+        return QPoly(quot)
 
     # -- substitutions and evaluation -------------------------------------------
 
@@ -207,30 +214,25 @@ class QPoly:
         """q -> q^n, i.e. multiply every half-exponent by n (n may be negative)."""
         if n == 0:
             raise QPolyError("substitute_power with n=0 is not invertible")
-        return QPoly({k * n: c for k, c in self._coeffs.items()})
+        return QPoly._of({k * n: c for k, c in self._num.items()}, self._den)
 
     def eval_at(self, v: Fraction | int) -> Fraction:
-        """Evaluate at q = v exactly.
+        """Evaluate at q = v exactly, summing integers and dividing once.
 
         Odd half-exponents require v to have an exact rational square root.
         """
         v = Fraction(v)
-        root: Fraction | None = None
-        if any(k % 2 for k in self._coeffs):
-            root = _fraction_sqrt(v)
-            if root is None:
-                raise QPolyError(
-                    f"evaluation at q={v} needs a square root but {v} has none"
-                )
-        total = Fraction(0)
-        for k, c in self._coeffs.items():
-            if k % 2 == 0:
-                e = k // 2
-                total += c * (v ** e if e >= 0 else Fraction(1) / (v ** (-e)))
-            else:
-                assert root is not None
-                total += c * (root ** k if k >= 0 else Fraction(1) / (root ** (-k)))
-        return total
+        if self.has_integral_exponents():
+            root, terms = v, {k // 2: c for k, c in self._num.items()}
+        elif (root := _fraction_sqrt(v)) is not None:
+            terms = self._num
+        else:
+            raise QPolyError(f"evaluation at q={v} needs a square root but {v} has none")
+        # sum_e c root^e = root^lo / b^(hi - lo) * sum_e c a^(e - lo) b^(hi - e), root = a/b
+        a, b = root.numerator, root.denominator
+        lo, hi = min(terms, default=0), max(terms, default=0)
+        total = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in terms.items())
+        return root ** lo * Fraction(total, b ** (hi - lo) * self._den)
 
     # -- equality -----------------------------------------------------------------
 
@@ -239,10 +241,12 @@ class QPoly:
             other = QPoly.constant(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self._num.keys() <= {0}:
+            return hash(self.coefficient(0))
+        return hash((frozenset(self._num.items()), self._den))
 
     # -- rendering ------------------------------------------------------------------
 
@@ -254,7 +258,7 @@ class QPoly:
         return f"q^({k}/2)"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for k, c in self.items():

@@ -14,9 +14,11 @@ Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.  One
 core runs both degree by degree: the coefficients of each total degree
 are sparse integer polynomials in t = q^{s/2}, s the gcd of the
 half-exponents present, over one integer denominator per degree, which
-starts as the lcm of the input's coefficient denominators.  QPoly
-appears only where a series goes in or comes out.  hua_kac runs the
-same Log over numerators in x = q^{-1} with its q-factorial kernel.
+starts as the lcm of the input's denominators.  A QPoly is itself
+integer numerators over one denominator, and the core multiplies and
+adds with its _mul and _add_to, so a series goes in and comes out by
+rescaling, not coefficient by coefficient.  hua_kac runs the same Log
+over numerators in x = q^{-1} with its q-factorial kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _add_to, _mul
 from .quiver import DimVector, Quiver, QuiverError
 
 
@@ -146,10 +148,7 @@ class GradedSeries:
         return self + (-other)
 
     def scale(self, c: "QPoly | int | Fraction") -> "GradedSeries":
-        factor = c if isinstance(c, QPoly) else QPoly.constant(c)
-        return GradedSeries(
-            self.quiver, self.bound, {k: p * factor for k, p in self._terms.items()}
-        )
+        return GradedSeries(self.quiver, self.bound, {k: p * c for k, p in self._terms.items()})
 
     def truncate(self, bound: int) -> "GradedSeries":
         if bound > self.bound:
@@ -215,19 +214,6 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
 # A level is (den, {d: numerator}) for the d of one total degree; a numerator is
 # a sparse {exponent of t: int} standing for numerator / den, and over D_d =
 # prod_v (t;t)_{d_v} too under the q-factorial kernel.  QZ's psi_n sends t to t^n.
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
-
-
-def _add_to(acc: dict, poly: dict, factor: int) -> None:
-    for k, c in poly.items():
-        acc[k] = acc.get(k, 0) + factor * c
 
 
 def _ratio(c: dict, top=(), bottom=()) -> dict:
@@ -339,15 +325,14 @@ def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> 
 
 def _levels(*series: GradedSeries) -> tuple[list, int]:
     """Each series as levels over t = q^{step/2}, with one step and den for all terms."""
-    polys = [p.items() for f in series for p in f._terms.values()]
-    step = math.gcd(*(k for items in polys for k, _ in items)) or 1
-    den = math.lcm(*(c.denominator for items in polys for _, c in items))
+    polys = [p for f in series for p in f._terms.values()]
+    step = math.gcd(*(k for p in polys for k in p._num)) or 1
+    den = math.lcm(*(p._den for p in polys))
     out = []
     for f in series:
         levels: list = [(den, {}) for _ in range(f.bound + 1)]
-        for d, poly in f._terms.items():
-            scaled = {k // step: c.numerator * (den // c.denominator) for k, c in poly.items()}
-            levels[sum(d)][1][d] = scaled
+        for d, p in f._terms.items():
+            levels[sum(d)][1][d] = {k // step: c * (den // p._den) for k, c in p._num.items()}
         out.append(levels)
     return out, step
 
@@ -358,7 +343,7 @@ def _series(f: GradedSeries, levels: list, step: int, euler: bool = False) -> Gr
     for total, (den, level) in enumerate(levels):
         scale = den * total if euler else den
         for d in sorted(level):
-            terms[d] = QPoly({step * k: Fraction(c, scale) for k, c in level[d].items()})
+            terms[d] = QPoly._of({step * k: c for k, c in level[d].items()}, scale)
     return GradedSeries(f.quiver, f.bound, terms)
 
 

@@ -143,6 +143,10 @@ def test_gkm_dims_weight_file_validation(kron_file, tmp_path, capsys):
         json.dumps({"weights": {"1,0": {"0": "-1"}}}),  # negative
         json.dumps({"weights": "nope"}),
         json.dumps({"weights": {"9,9,9": {"0": "1"}}}),  # wrong rank
+        json.dumps({"weights": {"1,0": {"0": "2"}}}),  # real root, multiplicity 2
+        json.dumps({"weights": {"2,0": {"0": "1"}}}),  # (m,m) = 8
+        json.dumps({"weights": {"1,0": {"0": "1"}, "2,1": {"0": "1"}}}),  # pair positively
+        json.dumps({"weights": {"0,0": {"0": "1"}}}),  # zero root
     ]
     for text in [t.encode() for t in bad_texts] + [b"\xff\xfe{}"]:  # last: not UTF-8
         path = tmp_path / "w.json"

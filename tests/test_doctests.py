@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 
-import qgk.qpoly
-import qgk.quiver
+import qgk
 
 
 def test_docstring_examples():
-    for module in (qgk.quiver, qgk.qpoly):
-        failed, attempted = doctest.testmod(module)
-        assert failed == 0, module.__name__
-        assert attempted > 0, module.__name__
+    names = ["qgk"] + [info.name for info in pkgutil.walk_packages(qgk.__path__, "qgk.")]
+    attempted = 0
+    for name in names:
+        if name == "qgk.__main__":  # runs the CLI on import
+            continue
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted > 0

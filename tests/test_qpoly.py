@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,8 @@ def test_eval_at_examples():
     assert parse_qpoly("q^2 + q").eval_at(2) == 6
     assert parse_qpoly("q^(1/2)").eval_at(4) == 2
     assert parse_qpoly("q^(1/2)").eval_at(Fraction(9, 4)) == Fraction(3, 2)
+    assert parse_qpoly("q^-1 + 1/3*q").eval_at(Fraction(1, 2)) == Fraction(13, 6)
+    assert parse_qpoly("q^-2 + q^(-3/2)").eval_at(Fraction(1, 4)) == 24
     with pytest.raises(QPolyError):
         parse_qpoly("q^(1/2)").eval_at(2)
 
@@ -79,6 +82,10 @@ def test_flag_methods():
     assert parse_qpoly("q^2").has_integral_exponents()
     assert not QPoly.half_power(1).has_integral_exponents()
     assert not parse_qpoly("1/2*q").has_integer_coefficients()
+    assert QPoly.zero().is_nonnegative_integer_polynomial()
+    assert parse_qpoly("1 + q").is_nonnegative_integer_polynomial()
+    for text in ("q^-1", "1/2*q", "q^(1/2)", "-q"):
+        assert not parse_qpoly(text).is_nonnegative_integer_polynomial(), text
 
 
 @settings(max_examples=100, derandomize=True)
@@ -89,6 +96,9 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a - a == QPoly.zero()
     assert a * QPoly.one() == a
+    assert hash(a + b - b) == hash(a)
+    for p in (a, a + b, a * b, -c, a.scale(Fraction(2, 3))):
+        assert p._den > 0 and math.gcd(p._den, *p._num.values()) == 1
 
 
 @settings(max_examples=100, derandomize=True)
