@@ -6,7 +6,7 @@ Every command reads a quiver from a JSON file ({"vertices": [...],
 (|d|, lex) either as TSV (dimension vector, tab, value columns) or as a
 JSON document.  Both formats carry the same data; the JSON form is also
 what the on-disk cache stores, keyed by (schema version, quiver hash,
-command line essentials, bound, flavour), written atomically.
+parsed options), written atomically.
 
 Exit codes: 0 success, 1 invalid input or exceeded size budgets, 2 a
 violated internal invariant (positivity, integrality, reconstruction),
@@ -31,6 +31,7 @@ from .cuspidal import (
     absolutely_cuspidal,
     absolutely_cuspidal_from_kac,
     cuspidal_from_abs,
+    ip_general,
     ip_table,
 )
 from .gkm import (
@@ -55,9 +56,9 @@ from .kac import (
     hua_kac,
     oracle_kac_full,
 )
-from .nakajima import NakajimaError, lw_decompose
+from .nakajima import lw_decompose
 from .qpoly import QPoly, QPolyError
-from .quiver import DimVector, Quiver, QuiverError, euler_form
+from .quiver import DimVector, Quiver, QuiverError
 from .roots import (
     CartanDatum,
     RootError,
@@ -65,7 +66,7 @@ from .roots import (
     phi_plus,
     positive_roots,
 )
-from .series import PlethMode, SeriesError, pleth_exp, pleth_log, vectors_up_to
+from .series import PlethMode, SeriesError, degree_lex, pleth_exp, pleth_log, vectors_up_to
 
 #: Part of every cache key; raise it when a command's output changes.
 CACHE_SCHEMA = 2
@@ -120,12 +121,8 @@ def _csv(d: tuple[int, ...]) -> str:
     return ",".join(str(n) for n in d)
 
 
-def _sorted_keys(table: dict[tuple[int, ...], QPoly]) -> list[tuple[int, ...]]:
-    return sorted(table, key=lambda t: (sum(t), t))
-
-
-def _poly_rows(table: dict[tuple[int, ...], QPoly]) -> list[list[str]]:
-    return [[_csv(d), str(table[d])] for d in _sorted_keys(table)]
+def _poly_rows(items) -> list[list[str]]:
+    return [[_csv(d), str(p)] for d, p in items]
 
 
 def _quiver_hash(quiver: Quiver) -> str:
@@ -140,16 +137,23 @@ def _cache_dir(cli_value: str | None) -> str | None:
     return os.environ.get("QGK_CACHE_DIR") or cli_value
 
 
-def _cache_path(
-    directory: str, quiver: Quiver, command: str, essence: str, bound: int, flavour: str
-) -> str:
-    """The entry's file, named qgk-<command>-<key>.json; the command fixes its shape."""
-    key = hashlib.sha256(
-        "|".join(
-            [str(CACHE_SCHEMA), _quiver_hash(quiver), essence, str(bound), flavour]
-        ).encode()
-    ).hexdigest()
-    return os.path.join(directory, f"qgk-{command}-{key}.json")
+def _cache_path(directory: str, quiver: Quiver, args) -> str:
+    """The entry's file, named qgk-<command>-<key>.json; the command fixes its shape.
+
+    The key covers every parsed option but the quiver's path, the output
+    format and the cache directory, with a weight file replaced by the
+    hash of its contents.
+    """
+    options = {k: v for k, v in vars(args).items() if k not in ("quiver", "format", "cache_dir")}
+    if options.get("weights"):
+        try:
+            with open(options["weights"], "rb") as fh:
+                options["weights"] = hashlib.sha256(fh.read()).hexdigest()
+        except OSError as exc:
+            raise InputError(f"cannot read weight file: {exc}") from None
+    blob = json.dumps([CACHE_SCHEMA, _quiver_hash(quiver), options], sort_keys=True)
+    key = hashlib.sha256(blob.encode()).hexdigest()
+    return os.path.join(directory, f"qgk-{args.command}-{key}.json")
 
 
 _BLOCK = {"d": str, "multiplicity": str, "weight": list, "character": dict}
@@ -263,16 +267,13 @@ def _cmd_kac(quiver: Quiver, args) -> dict:
         table = hua_kac(quiver, args.bound)
     else:
         table = oracle_kac_full(quiver, args.bound, args.flavour, args.fields)
-    return {"rows": [[_csv(d), str(p)] for d, p in table.items()]}
+    return {"rows": _poly_rows(table.items())}
 
 
 def _cmd_cuspidal(quiver: Quiver, args) -> dict:
     table = absolutely_cuspidal(quiver, args.bound, args.flavour, args.fields)
     derived = cuspidal_from_abs(table)
-    return {
-        "cabs": [[_csv(d), str(p)] for d, p in table.items()],
-        "c": [[_csv(d), str(p)] for d, p in derived.items()],
-    }
+    return {"cabs": _poly_rows(table.items()), "c": _poly_rows(derived.items())}
 
 
 def _cmd_ip(quiver: Quiver, args) -> dict:
@@ -280,10 +281,9 @@ def _cmd_ip(quiver: Quiver, args) -> dict:
         d = _parse_dim(quiver, args.dim)
         if d.is_zero():
             raise InputError("--dim must be nonzero")
-        table = ip_table(quiver, d.total, args.flavour, args.fields)
-        rows = [[_csv(d.as_tuple()), str(table[d.as_tuple()])]]
+        rows = _poly_rows([(d.as_tuple(), ip_general(quiver, d, args.flavour, args.fields))])
     else:
-        rows = _poly_rows(ip_table(quiver, args.bound, args.flavour, args.fields))
+        rows = _poly_rows(ip_table(quiver, args.bound, args.flavour, args.fields).items())
     return {"convention": IP_CONVENTION, "rows": rows}
 
 
@@ -352,7 +352,7 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
             raise InputError(f"bad weight file: {exc}") from None
     dims = gkm_dims(cartan, weights, args.bound)
     rows = []
-    for d in sorted(dims.dims, key=lambda t: (sum(t), t)):
+    for d in sorted(dims.dims, key=degree_lex):
         for j in sorted(dims.dims[d]):
             rows.append([_csv(d), str(j), str(dims.dims[d][j])])
     return {"rows": rows}
@@ -412,18 +412,10 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         peel = _OraclePeel(quiver, "plain", args.fields)
         skipped: dict[tuple[int, ...], str] = {}
         for d in (d for d in vectors if sum(d) <= horizon):
-            dv = DimVector(quiver, d)
-            samples = 2 - euler_form(quiver, dv, dv)
-            below = [e for e in skipped if all(x <= y for x, y in zip(e, d))]
-            if samples > len(args.fields):
-                skipped[d] = f"needs {samples} field sizes, have {len(args.fields)}"
-            elif below:
-                skipped[d] = f"needs A at skipped {_csv(below[0])}"
-            else:
-                try:
-                    peel.add(d)
-                except BudgetError as exc:
-                    skipped[d] = str(exc)
+            try:
+                peel.add(d)
+            except BudgetError as exc:
+                skipped[d] = str(exc)
         oracle = peel.known
         hua = kac().to_series()
         bad = [d for d, p in oracle.items() if hua.coeff(d) != p]
@@ -440,7 +432,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def weyl():
         table = kac().to_series()
-        free = [i for i, v in enumerate(quiver.vertices) if quiver.loops_at(v) == 0]
+        free = cartan._loop_free
         seen = 0
         for d in vectors:
             for length in range(1, 4):
@@ -540,10 +532,8 @@ def _render_tsv(command: str, payload: dict) -> str:
             lines.append(
                 f"# block {block['d']}\tmultiplicity {block['multiplicity']}\tweight {weight}"
             )
-            for e in sorted(
-                block["character"], key=lambda s: (sum(map(int, s.split(","))), s)
-            ):
-                lines.append("\t".join([block["d"], e, block["character"][e]]))
+            for e, p in block["character"].items():
+                lines.append("\t".join([block["d"], e, p]))
     elif command == "verify":
         for row in payload["results"]:
             lines.append("\t".join([row["status"].upper(), row["property"], row["detail"]]))
@@ -605,22 +595,6 @@ _HANDLERS = {
 }
 
 
-def _command_essence(args) -> str:
-    parts = [args.command]
-    for attr in ("method", "dim", "framing", "fields", "from_kac"):
-        value = getattr(args, attr, None)
-        if value:
-            parts.append(f"{attr}={value}")
-    weights = getattr(args, "weights", None)
-    if weights:
-        try:
-            with open(weights, "rb") as fh:
-                parts.append("weights=" + hashlib.sha256(fh.read()).hexdigest())
-        except OSError as exc:
-            raise InputError(f"cannot read weight file: {exc}") from None
-    return " ".join(parts)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -638,10 +612,7 @@ def run(argv: list[str] | None = None) -> int:
         cache_file = None
         directory = _cache_dir(args.cache_dir)
         if directory is not None and args.command != "verify":
-            flavour = getattr(args, "flavour", "plain")
-            cache_file = _cache_path(
-                directory, quiver, args.command, _command_essence(args), args.bound, flavour
-            )
+            cache_file = _cache_path(directory, quiver, args)
             payload = _cache_read(cache_file)
         if payload is None:
             payload = _HANDLERS[args.command](quiver, args)
@@ -659,7 +630,6 @@ def run(argv: list[str] | None = None) -> int:
     except (
         CuspidalError,
         GkmError,
-        NakajimaError,
         CountingError,
         QPolyError,
         RootError,

@@ -46,6 +46,7 @@ from .series import (
     GradedSeries,
     PlethMode,
     _LINE,
+    degree_lex,
     pleth_exp,
     pleth_log,
     sym_power_coeff,
@@ -88,12 +89,10 @@ class CuspidalTable:
         return self.table.get(key, QPoly.zero())
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
-        return [(d, self.table[d]) for d in sorted(self.table, key=lambda t: (sum(t), t))]
+        return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
 
 
-def invert_character(
-    cartan: CartanDatum, target: GradedSeries, bound: int
-) -> WeightFunction:
+def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunction:
     """Simple-root multiplicities of the presented algebra with character target.
 
     Solves Borcherds' denominator identity Exp_{q,z}(-target) = sum_w
@@ -105,8 +104,10 @@ def invert_character(
     which is the deficit of target_d against the algebra so far.  A
     nonzero deficit off Phi^+, or on it one that is not a polynomial in q
     with nonnegative integer coefficients, aborts: the target is then not
-    a GKM character for this Cartan datum.
+    a GKM character for this Cartan datum.  The multiplicities run up to
+    the bound of target.
     """
+    bound = target.bound
     roots = {entry.vector for entry in phi_plus(cartan, bound)}
     minus = {d: -p for d, p in target.items() if any(d)}
     exp_minus = pleth_exp(GradedSeries(target.quiver, bound, minus), PlethMode.QZ)
@@ -146,7 +147,7 @@ def absolutely_cuspidal(
 def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
     """C^abs_d for |d| <= kac.bound, by inverting the character of a Kac table."""
     cartan = CartanDatum.from_quiver(kac.quiver)
-    weights = invert_character(cartan, kac.to_series(), kac.bound)
+    weights = invert_character(cartan, kac.to_series())
     table = CuspidalTable(kac.quiver, kac.bound, kac.flavour, True, dict(weights.table))
     if kac.flavour == "plain":
         _check_plain_shape(table, cartan)
@@ -158,7 +159,7 @@ def _check_plain_shape(table: CuspidalTable, cartan: CartanDatum) -> None:
     support = set(table.table)
     expected = {entry.vector for entry in phi_plus(cartan, table.bound)}
     if support != expected:
-        off = sorted(support ^ expected, key=lambda t: (sum(t), t))
+        off = sorted(support ^ expected, key=degree_lex)
         raise CuspidalError(f"C^abs support differs from Phi^+ at {off[0]}")
     for d, poly in table.table.items():
         degree = 1 - cartan.form(d, d) // 2
@@ -186,7 +187,7 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
         poly = table.polynomial(entry.vector)
         if not poly.is_zero():
             out[entry.vector] = poly
-    for m in sorted(rays, key=lambda t: (sum(t), t)):
+    for m in sorted(rays, key=degree_lex):
         length = table.bound // sum(m)
         absolutes = {
             (l,): table.polynomial(tuple(l * x for x in m)) for l in range(1, length + 1)
@@ -211,16 +212,15 @@ def ip_polynomial(
 ) -> QPoly:
     """The shifted intersection-cohomology polynomial at d in Sigma.
 
-    IP_d(v) = C^abs_d(v^{-2}); the output variable is rendered as q but
-    stands for v.  Outside Sigma use ip_general.
+    IP_d(v) = C^abs_d(v^{-2}), which is ip_general at d in Sigma; the output
+    variable is rendered as q but stands for v.  Outside Sigma use
+    ip_general.
     """
     if not isinstance(d, DimVector):
         d = DimVector(quiver, d)
-    cartan = CartanDatum.from_quiver(quiver)
-    if not sigma_membership(cartan, d):
+    if not sigma_membership(CartanDatum.from_quiver(quiver), d):
         raise CuspidalError(f"{d.as_tuple()} is not in Sigma; use ip_general")
-    table = absolutely_cuspidal(quiver, d.total, flavour, fields)
-    return table.polynomial(d).substitute_power(-2)
+    return ip_general(quiver, d, flavour, fields)
 
 
 def ip_general(

@@ -58,6 +58,7 @@ from .series import (
     PlethMode,
     _LINE,
     _moebius,
+    degree_lex,
     pleth_exp,
     pleth_log,
     vectors_of_total,
@@ -78,11 +79,8 @@ class WeightFunction:
     quiver: Quiver
     table: dict[tuple[int, ...], QPoly] = field(default_factory=dict)
 
-    def poly(self, root: tuple[int, ...]) -> QPoly:
-        return self.table.get(tuple(root), QPoly.zero())
-
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
-        return [(r, self.table[r]) for r in sorted(self.table, key=lambda t: (sum(t), t))]
+        return [(r, self.table[r]) for r in sorted(self.table, key=degree_lex)]
 
 
 @dataclass
@@ -307,26 +305,25 @@ class AmbiguousDecompositionError(GkmError):
 def lowest_weight_extract(
     framed: GradedSeries,
     multiplicities: dict[tuple[int, ...], QPoly],
-    bound: int,
 ) -> dict[tuple[int, ...], GradedSeries]:
-    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d.
+    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d, |e| <= F's bound.
 
-    Each chL_d is pinned to constant term 1.  Equations are scanned in
-    (|e|, lex) order; the unknown chL_d(e - d) appears in the single
-    equation e = d + (e - d), so every equation must contain at most one
-    unknown, and equations with none are consistency checks.  Systems
-    with two or more comparable blocks are genuinely underdetermined and
-    raise AmbiguousDecompositionError.
+    Each chL_d is pinned to constant term 1 and truncated at N - |d|, N
+    the bound of F.  Equations are scanned in (|e|, lex) order; the
+    unknown chL_d(e - d) appears in the single equation e = d + (e - d),
+    so every equation must contain at most one unknown.  An equation with
+    none is compared with F, and one with one unknown is solved for it by
+    exact division, so the result satisfies F = sum_d V_d z^d chL_d at
+    every |e| <= N.  Systems with two or more comparable blocks are
+    genuinely underdetermined and raise AmbiguousDecompositionError.
     """
     quiver = framed.quiver
     rank = len(quiver.vertices)
-    blocks = sorted(
-        (d for d, v in multiplicities.items() if not v.is_zero()),
-        key=lambda t: (sum(t), t),
-    )
+    blocks = sorted((d for d, v in multiplicities.items() if not v.is_zero()), key=degree_lex)
     chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
         d: {tuple([0] * rank): QPoly.one()} for d in blocks
     }
+    bound = framed.bound
     for total in range(0, bound + 1):
         for e in vectors_of_total(rank, total):
             knowns = QPoly.zero()

@@ -64,8 +64,10 @@ from .series import (
     PlethMode,
     _pleth_log_levels,
     _ratio,
+    degree_lex,
     pleth_exp,
     vectors_of_total,
+    vectors_up_to,
 )
 
 __all__ = [
@@ -180,6 +182,12 @@ def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 # -- the Kac table ----------------------------------------------------------------
 
 
+def _degree_bound(quiver: Quiver, d: tuple[int, ...]) -> int:
+    """1 - chi(d, d), the degree bound of the plain A_d."""
+    dv = DimVector(quiver, d)
+    return 1 - euler_form(quiver, dv, dv)
+
+
 @dataclass
 class KacTable:
     """A_d for all stored dimension vectors, validated on construction.
@@ -203,8 +211,7 @@ class KacTable:
             if not poly.is_nonnegative_integer_polynomial():
                 raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
             if self.flavour == "plain":
-                dv = DimVector(self.quiver, d)
-                bound = 1 - euler_form(self.quiver, dv, dv)
+                bound = _degree_bound(self.quiver, d)
                 if poly.degree_q() > bound:
                     raise CountingError(f"A_{d} exceeds degree bound {bound}: {poly}")
 
@@ -215,7 +222,7 @@ class KacTable:
         return self.table[key]
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
-        return [(d, self.table[d]) for d in sorted(self.table, key=lambda t: (sum(t), t))]
+        return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
 
     def to_series(self) -> GradedSeries:
         return GradedSeries(
@@ -329,14 +336,15 @@ def _lagrange(points: list[tuple[int, Fraction]]) -> QPoly:
 class _OraclePeel:
     """Peels A_e off the class-count series, one stage e at a time.
 
-    Stages must come in order of total degree, each after every smaller
-    vector it lies above.  [Exp A]_e without its A_e term involves only A
-    at vectors strictly below e, all of total < |e|, so one Exp of the
-    stages known before the first stage of total |e| serves every stage
-    of that total.
+    A stage e needs A at every nonzero vector strictly below it.  [Exp A]_e
+    without its A_e term involves only A at those vectors, all of total
+    < |e|, so one Exp of the stages known before a run of stages of one
+    total serves the whole run; a stage of another total takes a new Exp.
     """
 
     def __init__(self, quiver: Quiver, flavour: str, fields: tuple[int, ...]):
+        if flavour not in FLAVOURS:
+            raise CountingError(f"unknown flavour {flavour!r}")
         self.quiver, self.flavour, self.fields = quiver, flavour, fields
         self.known: dict[tuple[int, ...], QPoly] = {}
         self._exp = GradedSeries.zero(quiver, 0)
@@ -344,17 +352,22 @@ class _OraclePeel:
     def add(self, e: tuple[int, ...]) -> None:
         """Store A_e, from its census over the first max(1, 2 - chi(e, e)) field sizes.
 
-        A BudgetError leaves the peel as it was: later stages not above e
-        can still be added.
+        Too few field sizes, a stage below e not yet added, or a census past
+        its budget raise BudgetError and leave the peel as it was: later
+        stages not above e can still be added.
         """
         ev = DimVector(self.quiver, e)
-        degree_bound = 1 - euler_form(self.quiver, ev, ev)
+        degree_bound = _degree_bound(self.quiver, e)
         samples = max(1, degree_bound + 1)
         if samples > len(self.fields):
             raise BudgetError(
                 f"need {samples} field sizes for degree {degree_bound}, have {len(self.fields)}"
             )
-        if self._exp.bound < ev.total:
+        below = sorted(itertools.product(*(range(n + 1) for n in e)), key=degree_lex)[1:-1]
+        missing = next((b for b in below if b not in self.known), None)
+        if missing is not None:
+            raise BudgetError(f"need A at {','.join(map(str, missing))} first")
+        if self._exp.bound != ev.total:
             known = GradedSeries(self.quiver, ev.total, self.known)
             self._exp = pleth_exp(known, PlethMode.QZ)
         base = self._exp.coeff(e)
@@ -368,6 +381,15 @@ class _OraclePeel:
         self.known[e] = poly
 
 
+def _oracle_table(quiver: Quiver, stages, bound: int, flavour: str, fields) -> KacTable:
+    """The KacTable of A at the nonzero stages, peeled in (|d|, lex) order."""
+    peel = _OraclePeel(quiver, flavour, fields)
+    for e in stages:
+        if any(e):
+            peel.add(e)
+    return KacTable(quiver, bound, flavour, peel.known)
+
+
 def oracle_kac_table(
     quiver: Quiver,
     d: DimVector,
@@ -375,17 +397,10 @@ def oracle_kac_table(
     fields: tuple[int, ...] = DEFAULT_FIELDS,
 ) -> KacTable:
     """A_e for every 0 < e <= d (componentwise), from brute-force counts."""
-    if flavour not in FLAVOURS:
-        raise CountingError(f"unknown flavour {flavour!r}")
     if d.is_zero() or not d.is_effective():
         raise CountingError("dimension vector must be nonzero and nonnegative")
-    target = d.as_tuple()
-    stages = [e for e in itertools.product(*(range(n + 1) for n in target)) if any(e)]
-    stages.sort(key=lambda t: (sum(t), t))
-    peel = _OraclePeel(quiver, flavour, fields)
-    for e in stages:
-        peel.add(e)
-    return KacTable(quiver, sum(target), flavour, peel.known)
+    box = itertools.product(*(range(n + 1) for n in d.as_tuple()))
+    return _oracle_table(quiver, sorted(box, key=degree_lex), d.total, flavour, fields)
 
 
 def oracle_kac_full(
@@ -395,15 +410,10 @@ def oracle_kac_full(
     fields: tuple[int, ...] = DEFAULT_FIELDS,
 ) -> KacTable:
     """A_e for every 0 < |e| <= bound, from brute-force counts."""
-    if flavour not in FLAVOURS:
-        raise CountingError(f"unknown flavour {flavour!r}")
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    peel = _OraclePeel(quiver, flavour, fields)
-    for total in range(1, bound + 1):
-        for e in vectors_of_total(len(quiver.vertices), total):
-            peel.add(e)
-    return KacTable(quiver, bound, flavour, peel.known)
+    stages = vectors_up_to(len(quiver.vertices), bound)
+    return _oracle_table(quiver, stages, bound, flavour, fields)
 
 
 def oracle_kac(

@@ -17,9 +17,11 @@ module, recovered coefficient by coefficient from F alone.  The lowest
 weight itself is the pairing of (d,1) against the unframed coordinate
 vectors under the symmetrised Euler form of Q_f.
 
-Reconstruction F = sum_d V_d z^d chL_d is checked on every call; systems
-whose blocks are comparable in the dominance order cannot be separated
-this way and raise AmbiguousDecompositionError.
+The blocks reconstruct F = sum_d V_d z^d chL_d at every |e| <= N by
+construction: lowest_weight_extract compares each equation without an
+unknown with F and solves each equation with one unknown by exact
+division.  Systems whose blocks are comparable in the dominance order
+cannot be separated this way and raise AmbiguousDecompositionError.
 """
 
 from __future__ import annotations
@@ -31,11 +33,7 @@ from .gkm import lowest_weight_extract
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import DimVector, Quiver, frame, framed_vector, sym_form
-from .series import GradedSeries, vectors_up_to
-
-
-class NakajimaError(ValueError):
-    pass
+from .series import GradedSeries, degree_lex, vectors_up_to
 
 
 def framed_character(quiver: Quiver, framing: DimVector, bound: int) -> GradedSeries:
@@ -99,10 +97,10 @@ def lw_decompose(
         if not mult.is_zero():
             multiplicities[d] = mult
 
-    characters = lowest_weight_extract(total, multiplicities, bound)
+    characters = lowest_weight_extract(total, multiplicities)
 
     blocks: list[Block] = []
-    for d in sorted(multiplicities, key=lambda t: (sum(t), t)):
+    for d in sorted(multiplicities, key=degree_lex):
         dv = framed_vector(framed, DimVector(quiver, d), 1)
         weight = tuple(
             sym_form(framed, dv, framed_vector(framed, DimVector.unit(quiver, v), 0))
@@ -110,19 +108,4 @@ def lw_decompose(
         )
         blocks.append(Block(d, multiplicities[d], weight, characters[d]))
 
-    decomposition = LowestWeightDecomposition(quiver, framing, bound, total, blocks)
-    _check_reconstruction(decomposition)
-    return decomposition
-
-
-def _check_reconstruction(dec: LowestWeightDecomposition) -> None:
-    rank = len(dec.quiver.vertices)
-    for e in vectors_up_to(rank, dec.bound):
-        acc = QPoly.zero()
-        for block in dec.blocks:
-            c = tuple(x - y for x, y in zip(e, block.vector))
-            if any(x < 0 for x in c):
-                continue
-            acc = acc + block.multiplicity * block.character.coeff(c)
-        if acc != dec.total.coeff(e):
-            raise NakajimaError(f"block reconstruction fails at {e}")
+    return LowestWeightDecomposition(quiver, framing, bound, total, blocks)

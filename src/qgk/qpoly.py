@@ -231,6 +231,8 @@ class QPoly:
         # sum_e c root^e = root^lo / b^(hi - lo) * sum_e c a^(e - lo) b^(hi - e), root = a/b
         a, b = root.numerator, root.denominator
         lo, hi = min(terms, default=0), max(terms, default=0)
+        if lo < 0 and not root:
+            raise QPolyError(f"{self} has a pole at q = 0")
         total = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in terms.items())
         return root ** lo * Fraction(total, b ** (hi - lo) * self._den)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .kac import BudgetError, check_vector_budget
 from .quiver import DimVector, Quiver, QuiverError, sym_form
-from .series import vectors_up_to
+from .series import degree_lex, vectors_up_to
 
 
 class RootError(ValueError):
@@ -234,11 +234,6 @@ class CartanDatum:
             else:
                 table[a] = (max(pa, split_best), False, subs[sums.index(split_best)])
 
-    def sigma_membership_tuple(self, d: tuple[int, ...]) -> bool:
-        """Whether d lies in Sigma: Sigma is Phi^+ at multiplier 1."""
-        entry = self.root(d)
-        return entry is not None and entry.multiplier == 1
-
     def canonical_decomposition(self, d: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """The coarsest decomposition of a nonzero d >= 0 into Sigma members.
 
@@ -256,14 +251,15 @@ class CartanDatum:
             else:
                 stack.append(split)
                 stack.append(tuple(x - y for x, y in zip(a, split)))
-        return sorted(counted.items(), key=lambda item: (sum(item[0]), item[0]))
+        return [(part, counted[part]) for part in sorted(counted, key=degree_lex)]
 
 
 def sigma_membership(cartan: CartanDatum, d: DimVector) -> bool:
-    """Whether d lies in Sigma (a primitive positive root)."""
+    """Whether d lies in Sigma: Sigma is Phi^+ at multiplier 1."""
     if d.is_zero():
         raise RootError("the zero vector is not eligible for Sigma")
-    return cartan.sigma_membership_tuple(d.as_tuple())
+    entry = cartan.root(d.as_tuple())
+    return entry is not None and entry.multiplier == 1
 
 
 def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
@@ -283,11 +279,8 @@ def weyl_reflect(quiver: Quiver, i: str, d: DimVector) -> DimVector:
     """The simple reflection s_i(d) = d - (1_i, d) 1_i at a loop-free vertex."""
     if quiver.loops_at(i) != 0:
         raise RootError(f"vertex {i!r} carries a loop; no reflection there")
-    unit = DimVector.unit(quiver, i)
-    pairing = sym_form(quiver, unit, d)
-    vals = {v: d[v] for v in quiver.vertices}
-    vals[i] -= pairing
-    return DimVector(quiver, vals, allow_negative=True)
+    image = CartanDatum.from_quiver(quiver).reflect(quiver.vertex_index(i), d.as_tuple())
+    return DimVector(quiver, image, allow_negative=True)
 
 
 def fundamental_cone_membership(quiver: Quiver, d: DimVector) -> bool:

@@ -12,12 +12,12 @@ exponential comes in the two flavours used throughout:
 
 Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.  One
 core runs both degree by degree: the coefficients of each total degree
-are sparse integer polynomials in t = q^{s/2}, s the gcd of the
-half-exponents present, over one integer denominator per degree, which
-starts as the lcm of the input's denominators.  A QPoly is itself
-integer numerators over one denominator, and the core multiplies and
-adds with its _mul and _add_to, so a series goes in and comes out by
-rescaling, not coefficient by coefficient.  hua_kac runs the same Log
+are sparse integer polynomials in t = q^{1/2} over one integer
+denominator per degree, which starts as the lcm of the input's
+denominators.  The product is sparse, so exponent size costs nothing.
+A QPoly is itself integer numerators over one denominator, and the core
+multiplies and adds with its _mul and _add_to, so a series goes in and
+comes out by rescaling, not coefficient by coefficient.  hua_kac runs the same Log
 over numerators in x = q^{-1} with its q-factorial kernel.
 """
 
@@ -58,6 +58,11 @@ def vectors_up_to(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
     """All rank-tuples with sum <= bound, sorted by (total, lex)."""
     for total in range(bound + 1):
         yield from vectors_of_total(rank, total)
+
+
+def degree_lex(d: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The sort key of the package's vector order: total degree |d|, then lex."""
+    return sum(d), d
 
 
 class GradedSeries:
@@ -107,7 +112,7 @@ class GradedSeries:
         return self.coeff((0,) * len(self.quiver.vertices))
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(d, self._terms[d]) for d in sorted(self._terms, key=degree_lex)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -159,9 +164,9 @@ class GradedSeries:
 def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Truncated product."""
     f._check_compatible(g)
-    (a, b), step = _levels(f, g)
+    a, b = _levels(f, g)
     pairs = ([(a[s], b[t - s]) for s in range(t + 1)] for t in range(f.bound + 1))
-    return _series(f, [_convolve(p) for p in pairs], step)
+    return _series(f, [_convolve(p) for p in pairs])
 
 
 def series_inv(f: GradedSeries) -> GradedSeries:
@@ -174,11 +179,11 @@ def series_inv(f: GradedSeries) -> GradedSeries:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    (h,), step = _levels(f.scale(u_inv))
+    (h,) = _levels(f.scale(u_inv))
     g = h[:1]
     for t in range(1, f.bound + 1):
         g.append(_convolve([(h[s], g[t - s]) for s in range(1, t + 1)], -1))
-    return _series(f, g, step).scale(u_inv)
+    return _series(f, g).scale(u_inv)
 
 
 def _moebius(n: int) -> int:
@@ -323,27 +328,25 @@ def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> 
     return _adams_sum(log, stretch, lambda n, size: _moebius(n), qfactorial)
 
 
-def _levels(*series: GradedSeries) -> tuple[list, int]:
-    """Each series as levels over t = q^{step/2}, with one step and den for all terms."""
-    polys = [p for f in series for p in f._terms.values()]
-    step = math.gcd(*(k for p in polys for k in p._num)) or 1
-    den = math.lcm(*(p._den for p in polys))
+def _levels(*series: GradedSeries) -> list:
+    """Each series as levels over t = q^{1/2}, with one den for all terms."""
+    den = math.lcm(*(p._den for f in series for p in f._terms.values()))
     out = []
     for f in series:
         levels: list = [(den, {}) for _ in range(f.bound + 1)]
         for d, p in f._terms.items():
-            levels[sum(d)][1][d] = {k // step: c * (den // p._den) for k, c in p._num.items()}
+            levels[sum(d)][1][d] = {k: c * (den // p._den) for k, c in p._num.items()}
         out.append(levels)
-    return out, step
+    return out
 
 
-def _series(f: GradedSeries, levels: list, step: int, euler: bool = False) -> GradedSeries:
-    """The series of levels over t = q^{step/2}; euler divides level |d| by |d|."""
+def _series(f: GradedSeries, levels: list, euler: bool = False) -> GradedSeries:
+    """The series of levels over t = q^{1/2}; euler divides level |d| by |d|."""
     terms = {}
     for total, (den, level) in enumerate(levels):
         scale = den * total if euler else den
         for d in sorted(level):
-            terms[d] = QPoly._of({step * k: c for k, c in level[d].items()}, scale)
+            terms[d] = QPoly._of(level[d], scale)
     return GradedSeries(f.quiver, f.bound, terms)
 
 
@@ -351,17 +354,17 @@ def pleth_exp(f: GradedSeries, mode: PlethMode) -> GradedSeries:
     """Plethystic exponential Exp(f) = exp(sum_n psi_n(f)/n)."""
     if not f.constant_term().is_zero():
         raise SeriesError("pleth_exp needs zero constant term")
-    (levels,), step = _levels(f)
+    (levels,) = _levels(f)
     exp = _pleth_exp_levels(levels, len(f.quiver.vertices), mode is PlethMode.QZ)
-    return _series(f, exp, step)
+    return _series(f, exp)
 
 
 def pleth_log(g: GradedSeries, mode: PlethMode) -> GradedSeries:
     """Plethystic logarithm, the exact inverse of :func:`pleth_exp`."""
     if not g.constant_term().is_one():
         raise SeriesError("pleth_log needs constant term 1")
-    (levels,), step = _levels(g)
-    return _series(g, _pleth_log_levels(levels, mode is PlethMode.QZ), step, euler=True)
+    (levels,) = _levels(g)
+    return _series(g, _pleth_log_levels(levels, mode is PlethMode.QZ), euler=True)
 
 
 _LINE = Quiver(["u"])

@@ -11,6 +11,7 @@ import pytest
 import qgk.cli
 import qgk.cuspidal
 from qgk.cli import run
+from qgk.series import vectors_up_to
 
 
 @pytest.fixture(autouse=True)
@@ -169,6 +170,40 @@ def test_nakajima_tsv(a2_file, capsys):
     )
 
 
+def test_nakajima_tsv_rows_follow_the_json_order(qfile, capsys):
+    """Block characters print in (|d|, lex) order, also past one-digit entries."""
+    loop_and_point = qfile("loop_and_point", ["0", "1"], [["0", "0"]])
+    argv = ["nakajima-decomp", loop_and_point, "--framing", "1,1", "--bound", "10"]
+    assert run([*argv, "--format", "json"]) == 0
+    blocks = json.loads(_out(capsys))["blocks"]
+    assert run(argv) == 0
+    rows = [line.split("\t") for line in _out(capsys).splitlines() if not line.startswith("#")]
+    for block in blocks:
+        keys = list(block["character"])
+        vectors = [tuple(map(int, e.split(","))) for e in keys]
+        assert vectors == sorted(vectors, key=lambda t: (sum(t), t))
+        assert [e for d, e, _ in rows if d == block["d"]] == keys
+    assert "10,0" in blocks[0]["character"]
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows",
+    [
+        (["0", "1"], [["0", "1"], ["0", "1"]]),
+        (["0", "1", "2", "3", "4"], [["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"]]),
+    ],
+    ids=["kronecker", "affine-d4"],
+)
+def test_ip_single_dim_is_the_row_of_the_full_table(qfile, capsys, vertices, arrows):
+    path = qfile("quiver", vertices, arrows)
+    assert run(["ip", path, "--bound", "4"]) == 0
+    rows = _out(capsys).splitlines()[1:]
+    assert len(rows) == sum(1 for d in vectors_up_to(len(vertices), 4) if any(d))
+    for row in rows:
+        assert run(["ip", path, "--dim", row.split("\t")[0]]) == 0
+        assert _out(capsys).splitlines()[1:] == [row]
+
+
 def test_nakajima_requires_framing(a2_file):
     assert run(["nakajima-decomp", a2_file]) == 1
 
@@ -309,7 +344,8 @@ def test_verify_statuses(jordan_file, qfile, capsys):
     status, _, detail = _verify_rows(capsys)["hua-vs-oracle"]
     assert status == "PASS"
     assert detail == (
-        "agree on 2 vectors with |d| <= 3; skipped 3 (needs 11 field sizes, have 7)"
+        "agree on 2 vectors with |d| <= 3; "
+        "skipped 3 (need 11 field sizes for degree 10, have 7)"
     )
     assert run(["verify", two_loop, "--fields", "2"]) == 0
     assert _verify_rows(capsys)["hua-vs-oracle"][0] == "VACUOUS"
@@ -317,8 +353,8 @@ def test_verify_statuses(jordan_file, qfile, capsys):
     loop_and_point = qfile("loop_and_point", ["0", "1"], [["0", "0"]])
     assert run(["verify", loop_and_point, "--bound", "2", "--fields", "2"]) == 0
     detail = _verify_rows(capsys)["hua-vs-oracle"][2]
-    assert "skipped 1,0 (needs 2 field sizes, have 1)" in detail
-    assert "skipped 1,1 (needs A at skipped 1,0)" in detail
+    assert "skipped 1,0 (need 2 field sizes for degree 1, have 1)" in detail
+    assert "skipped 1,1 (need A at 1,0 first)" in detail
     # A_(3) over F_13 would enumerate 13^9 matrices; (1) and (2) are still checked
     assert run(["verify", jordan_file, "--bound", "3", "--fields", "13,16"]) == 0
     status, _, detail = _verify_rows(capsys)["hua-vs-oracle"]
@@ -433,6 +469,22 @@ def test_cache_keys_separate_commands_and_bounds(kron_file, tmp_path, capsys):
     assert run(["roots", kron_file, "--bound", "2", "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     assert len(list(cache.glob("qgk-*.json"))) == 3
+
+
+def test_cache_keys_cover_every_option_but_format(kron_file, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argvs = [
+        ["ip", kron_file, "--dim", "1,1"],
+        ["ip", kron_file, "--dim", "1,1", "--format", "json"],
+        ["ip", kron_file, "--dim", "1,0"],
+        ["ip", kron_file, "--dim", "1,1", "--fields", "2,3"],
+        ["kac", kron_file, "--method", "oracle", "--bound", "2"],
+        ["kac", kron_file, "--bound", "2"],
+    ]
+    for argv in argvs:
+        assert run([*argv, "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    assert len(list(cache.glob("qgk-*.json"))) == 5
 
 
 def test_module_entry_point():

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import doctest
 import importlib
+import io
 import pkgutil
+from pathlib import Path
 
 import qgk
+from qgk.cli import run
 
 
 def test_docstring_examples():
@@ -17,3 +21,39 @@ def test_docstring_examples():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted > 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced_blocks(after: str) -> list[str]:
+    """The fenced code blocks of README.md's section headed `after`."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {after}\n")[1].split("\n## ")[0]
+    return section.split("```")[1::2]
+
+
+def test_readme_library_snippet_prints_what_it_shows():
+    (code,) = [b.removeprefix("python\n") for b in _fenced_blocks("Library") if b.startswith("python")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    shown = [line.split("#", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert [line.split() for line in out.getvalue().splitlines()] == [s.split() for s in shown]
+
+
+def test_readme_cli_examples_print_what_they_show(monkeypatch):
+    """README aligns columns with spaces where the CLI prints tabs."""
+    monkeypatch.delenv("QGK_CACHE_DIR", raising=False)
+    monkeypatch.chdir(README.parent)
+    examples = [
+        example
+        for block in _fenced_blocks("Command line")
+        for example in block.split("$ qgk ")[1:]
+    ]
+    assert [e.split()[0] for e in examples] == ["kac", "cuspidal"]
+    for example in examples:
+        command, shown = example.split("\n", 1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(command.split()) == 0
+        assert out.getvalue().split() == shown.split(), command

@@ -585,36 +585,45 @@ def test_uea_character_geometric(jordan):
 
 def test_extract_single_block_is_identity(jordan):
     F = GradedSeries(jordan, 2, {(0,): ONE, (1,): Q(1), (2,): Q(2)})
-    out = lowest_weight_extract(F, {(0,): ONE}, 2)
+    out = lowest_weight_extract(F, {(0,): ONE})
     assert set(out) == {(0,)}
     assert out[(0,)].items() == F.items()
 
 
 def test_extract_divides_by_the_multiplicity(jordan):
     F = GradedSeries(jordan, 1, {(0,): Q(1), (1,): Q(1)})
-    out = lowest_weight_extract(F, {(0,): Q(1)}, 1)
+    out = lowest_weight_extract(F, {(0,): Q(1)})
     assert out[(0,)].coeff((1,)) == ONE
 
 
 def test_extract_two_block_triangular_system(a2):
     # F = z0 (1 + q z0 + z1) + q z0^2: solvable one equation at a time
     F = GradedSeries(a2, 2, {(1, 0): ONE, (2, 0): Q(1, 2), (1, 1): ONE})
-    out = lowest_weight_extract(F, {(1, 0): ONE, (2, 0): Q(1)}, 2)
+    out = lowest_weight_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
     assert out[(1, 0)].coeff((1, 0)) == Q(1)
     assert out[(1, 0)].coeff((0, 1)) == ONE
     assert out[(2, 0)].items() == [((0, 0), ONE)]
 
 
+def test_extract_truncates_each_block_below_the_bound_of_f(a2, jordan):
+    F = GradedSeries(a2, 2, {(1, 0): ONE, (2, 0): Q(1, 2), (1, 1): ONE})
+    out = lowest_weight_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
+    assert {d: block.bound for d, block in out.items()} == {(1, 0): 1, (2, 0): 0}
+    # Jordan F with N = 1 gives a block that claims N = 1, not more
+    F = GradedSeries(jordan, 1, {(0,): ONE, (1,): Q(1)})
+    assert lowest_weight_extract(F, {(0,): ONE})[(0,)].bound == 1
+
+
 def test_extract_ambiguous_blocks(a2):
     F = GradedSeries(a2, 2, {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE})
     with pytest.raises(AmbiguousDecompositionError):
-        lowest_weight_extract(F, {(1, 0): ONE, (0, 1): ONE}, 2)
+        lowest_weight_extract(F, {(1, 0): ONE, (0, 1): ONE})
 
 
 def test_extract_inconsistent_series(jordan):
     F = GradedSeries(jordan, 1, {(0,): ONE})
     with pytest.raises(GkmError):
-        lowest_weight_extract(F, {(1,): ONE}, 1)
+        lowest_weight_extract(F, {(1,): ONE})
 
 
 # -- seed-pinned order independence ----------------------------------------------------

@@ -22,6 +22,7 @@ from qgk import (
 )
 from qgk.kac import (
     HUA_BUDGET,
+    _OraclePeel,
     _partition_count,
     check_hua_budget,
     partition_pairing,
@@ -79,6 +80,28 @@ def test_one_nilpotent_matches_nilpotent_on_jordan(jordan):
         oracle_kac_full(jordan, 3, "one_nilpotent"),
         oracle_kac_full(jordan, 3, "nilpotent"),
     )
+
+
+def test_peel_refuses_a_stage_before_the_stages_below_it(kronecker):
+    peel = _OraclePeel(kronecker, "plain", (2, 3))
+    with pytest.raises(BudgetError, match="need A at 0,1 first"):
+        peel.add((1, 1))
+    assert peel.known == {}
+    peel.add((0, 1))
+    with pytest.raises(BudgetError, match="need A at 1,0 first"):
+        peel.add((1, 1))
+    peel.add((1, 0))
+    peel.add((1, 1))
+    assert peel.known[(1, 1)] == Q(1) + ONE
+
+
+def test_peel_out_of_total_order_matches_hua(kronecker):
+    """A stage of smaller total after a larger one still sees every stage below."""
+    peel = _OraclePeel(kronecker, "plain", (2, 3))
+    for e in ((1, 0), (2, 0), (0, 1), (1, 1)):
+        peel.add(e)
+    hua = hua_kac(kronecker, 2)
+    assert peel.known == {e: hua.table.get(e, QPoly.zero()) for e in peel.known}
 
 
 # -- Hua's formula against the oracle ----------------------------------------------

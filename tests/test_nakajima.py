@@ -9,11 +9,13 @@ from qgk import (
     DimVector,
     GradedSeries,
     QPoly,
+    Quiver,
     framed_character,
     lw_decompose,
     series_inv,
     series_mul,
 )
+from qgk.series import vectors_up_to
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -104,3 +106,26 @@ def test_comparable_blocks_below_the_horizon(jordan):
     weights = {b.vector: b.weight for b in dec.blocks}
     assert weights[(0,)] == (-2,)
     assert weights[(1,)] == (-2,)
+
+
+LOOP_AND_POINT = Quiver(["0", "1"], [("0", "0")])
+
+
+@pytest.mark.parametrize(
+    "name, framing, bound",
+    [("jordan", (1,), 6), ("a2", (1, 0), 4), ("kronecker", (1, 0), 4), ("loop_and_point", (1, 1), 5)],
+)
+def test_blocks_reconstruct_the_framed_character(name, framing, bound, request):
+    """F = sum_d V_d z^d chL_d at every |e| <= N, each chL_d truncated at N - |d|."""
+    quiver = LOOP_AND_POINT if name == "loop_and_point" else request.getfixturevalue(name)
+    dec = lw_decompose(quiver, DimVector(quiver, framing), bound)
+    assert not dec.total.is_zero()
+    for block in dec.blocks:
+        assert block.character.bound == bound - sum(block.vector)
+    for e in vectors_up_to(len(quiver.vertices), bound):
+        acc = QPoly.zero()
+        for block in dec.blocks:
+            c = tuple(x - y for x, y in zip(e, block.vector))
+            if min(c) >= 0:
+                acc = acc + block.multiplicity * block.character.coeff(c)
+        assert acc == dec.total.coeff(e), e

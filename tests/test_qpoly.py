@@ -49,6 +49,11 @@ def test_eval_at_examples():
     assert parse_qpoly("q^-2 + q^(-3/2)").eval_at(Fraction(1, 4)) == 24
     with pytest.raises(QPolyError):
         parse_qpoly("q^(1/2)").eval_at(2)
+    assert parse_qpoly("q^2 + 3").eval_at(0) == 3
+    with pytest.raises(QPolyError, match="pole at q = 0"):
+        QPoly.q_power(-1).eval_at(0)
+    with pytest.raises(QPolyError, match="pole at q = 0"):
+        parse_qpoly("q^(-1/2) + 1").eval_at(0)
 
 
 def test_divexact():

@@ -140,7 +140,8 @@ def test_nonnegativity_clause_is_redundant(jordan, a2, kronecker, g2loop):
                 if any(a) and a != d
             ]
             dominance_only = all(cartan.p(d) > s for s in splits)
-            assert cartan.sigma_membership_tuple(d) == dominance_only
+            entry = cartan.root(d)
+            assert (entry is not None and entry.multiplier == 1) == dominance_only
 
 
 def test_phi_plus_reference_tables(jordan, a2, kronecker):
