@@ -20,10 +20,24 @@ The coefficient at z^d of the sum, of its products and of their Adams
 images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
 the sum goes into series' Exp/Log core as integer numerators in x over D_d,
 the core's Log runs with that q-factorial kernel, and each A_d takes one
-exact division by |d| D_d at the end.  Before summing, hua_kac counts the
-multipartitions and raises BudgetError past HUA_BUDGET.  check_vector_budget
-does the same, against VECTOR_BUDGET, for the root tables and GKM
-dimensions, which range over every d with |d| <= N.
+exact division by |d| D_d at the end.
+
+The numerator N_d = D_d [z^d] of the sum is the sum over multipartitions
+pi of x^{-e(pi)} prod_v N(pi_v), with e(pi) the exponent above and
+N(lam) = (x;x)_{|lam|} / prod_k (x;x)_{m_k(lam)}.  It is summed at x = 2^w
+on packed integers (Kronecker substitution, qpoly._pack): N(lam) is one
+exact integer division (a remainder raises SeriesError), the vertex with
+the most partitions is summed innermost by shifts and additions alone, and
+each tuple of the other vertices' partitions costs one product.  As
+N(lam) = [l; m]_x prod_{j=l+1}^{|lam|} (1 - x^j) with l = l(lam), its l1
+norm is at most l!/prod_k m_k! 2^(|lam| - l); summed over lam |- n, that is
+sum_l C(n-1, l-1) 2^(n-l) = 3^(n-1).  So every coefficient of N_d is below
+prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2), which fixes w, and N_d is unpacked once.
+
+Before summing, hua_kac counts the multipartitions and raises BudgetError
+past HUA_BUDGET.  check_vector_budget does the same, against VECTOR_BUDGET,
+for the root tables and GKM dimensions, which range over every d with
+|d| <= N.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -53,15 +67,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qpoly import QPoly, _add_to, _mul
+from .qpoly import QPoly, _unpack
 from .quiver import DimVector, Quiver, euler_form
 from .series import (
     GradedSeries,
     PlethMode,
+    SeriesError,
     _pleth_log_levels,
     _ratio,
     degree_lex,
@@ -91,8 +107,9 @@ __all__ = [
 FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
 DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 #: The most multipartitions hua_kac sums over.  Jordan N=28 (18,459 of them)
-#: takes about 7 s on a shared 2-vCPU VM, and the time grows faster than
-#: the count; the largest benchmark case, affine D4 N=6, has 2,051.
+#: takes about 0.6 s on a shared 2-vCPU VM, and Jordan N=32 (43,819), the
+#: largest Jordan bound inside the budget, about 1.3 s: the time grows faster
+#: than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
 #: The most dimension vectors (|d| <= N, zero included) a table may range
 #: over.  The largest test or benchmark table, affine D4 N=7, has 792.
@@ -167,9 +184,11 @@ def _partition_count(n: int) -> int:
 
 @functools.cache
 def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
+    """lam' with lam'_k = #{i : lam_i >= k}, for lam in descending order."""
+    conjugate: list[int] = []
+    for i in range(len(lam), 0, -1):  # lam_i >= k exactly for k <= lam_i
+        conjugate += [i] * (lam[i - 1] - len(conjugate))
+    return tuple(conjugate)
 
 
 def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
@@ -233,10 +252,68 @@ class KacTable:
 # -- Hua's formula ----------------------------------------------------------------
 
 @functools.cache
-def _vertex_numerator(lam: tuple[int, ...]) -> dict:
-    """lam's Hua denominator prod_k (x;x)_{m_k(lam)} cleared by (x;x)_{|lam|}."""
-    mults = Counter(lam).values()
-    return _ratio({0: 1}, range(1, sum(lam) + 1), [j for m in mults for j in range(1, m + 1)])
+def _multiplicities(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiplicities m_k(lam) of lam's distinct parts, sorted."""
+    return tuple(sorted(Counter(lam).values()))
+
+
+def _hua_numerator(d: tuple[int, ...], arrows: list) -> dict:
+    """N_d = D_d [z^d] of Hua's sum, summed at x = 2^w (see the module docstring)."""
+    # every coefficient of N_d is below prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2)
+    w = (3 ** (sum(d) - len(d) + d.count(0))).bit_length() + 2
+    q_factorial = [1]  # (x;x)_j at x = 2^w
+    for j in range(1, max(d) + 1):
+        q_factorial.append(q_factorial[-1] * (1 - (1 << w * j)))
+    # N(lam) = (x;x)_{|lam|} / prod_k (x;x)_{m_k(lam)} at x = 2^w, one per |lam| and multiplicities
+    shared: dict[tuple, int] = {}
+    vertex = {}
+    for n in set(d):
+        for lam in partitions(n):
+            key = n, _multiplicities(lam)
+            if key not in shared:
+                below = math.prod(map(q_factorial.__getitem__, key[1]))
+                shared[key], rest = divmod(q_factorial[n], below)
+                if rest:
+                    raise SeriesError(f"inexact vertex numerator for {lam}")
+            vertex[lam] = shared[key]
+    # the vertex with the most partitions is summed innermost, by shifts alone
+    counts = list(map(_partition_count, d))
+    last = counts.index(max(counts))
+    others = [*range(last), *range(last + 1, len(d))]
+    loops, crossing, outer_arrows = 0, [], []
+    for s, t in arrows:
+        if s == t == last:
+            loops += 1
+        elif last in (s, t):
+            crossing.append(t if s == last else s)
+        else:
+            outer_arrows.append((s, t))
+    inner = [
+        (vertex[lam], conjugate_partition(lam), partition_pairing(lam, lam))
+        for lam in partitions(d[last])
+    ]
+    sums: dict[int, int] = {}  # the packed terms by their lowest exponent
+    for outer in itertools.product(*map(partitions, map(d.__getitem__, others))):
+        pi = dict(zip(others, outer))
+        exponent = -sum(map(partition_pairing, outer, outer))
+        for s, t in outer_arrows:
+            exponent += partition_pairing(pi[s], pi[t])
+        column = [0] * d[last]  # the crossing arrows add sum_a <pi_a, lam> = sum_i column_i lam'_i
+        for v in crossing:
+            for i, c in enumerate(conjugate_partition(pi[v])[: d[last]]):
+                column[i] += c
+        shifts = [
+            -exponent - sum(map(operator.mul, column, conj)) - (loops - 1) * square
+            for _, conj, square in inner
+        ]
+        lo, term = min(shifts), 0
+        for (numerator, _, _), k in zip(inner, shifts):
+            term += numerator << w * (k - lo)
+        sums[lo] = sums.get(lo, 0) + term * math.prod(map(vertex.__getitem__, outer))
+    lo, total = min(sums), 0
+    for k, v in sums.items():
+        total += v << w * (k - lo)
+    return _unpack(lo, total, w)
 
 
 def _hua_numerators(quiver: Quiver, bound: int) -> list:
@@ -245,15 +322,7 @@ def _hua_numerators(quiver: Quiver, bound: int) -> list:
     arrows = [(index[s], index[t]) for s, t in quiver.arrows]
     levels = [(1, {(0,) * len(index): {0: 1}})]
     for total in range(1, bound + 1):
-        level = {}
-        for d in vectors_of_total(len(index), total):
-            acc: dict[int, int] = {}
-            for pi in itertools.product(*(partitions(n) for n in d)):
-                exponent = sum(partition_pairing(pi[s], pi[t]) for s, t in arrows)
-                exponent -= sum(partition_pairing(lam, lam) for lam in pi)
-                product = functools.reduce(_mul, map(_vertex_numerator, pi))
-                _add_to(acc, {k - exponent: c for k, c in product.items()}, 1)
-            level[d] = acc
+        level = {d: _hua_numerator(d, arrows) for d in vectors_of_total(len(index), total)}
         levels.append((1, level))
     return levels
 

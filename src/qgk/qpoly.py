@@ -6,7 +6,9 @@ q^(k/2), so integral powers of q have even keys.  Coefficients are exact
 rationals, stored as sparse integer numerators over one positive
 denominator; nothing in this module (or its callers) touches floating
 point.  The numerators' product _mul and sum _add_to are also those of
-the Exp/Log core in series, so the package has one coefficient ring.
+the Exp/Log core in series, so the package has one coefficient ring;
+_pack and _unpack carry a numerator to one integer and back for the dense
+products of Hua's sum and its Log.
 
     >>> p = QPoly.q_power(-1) + QPoly.constant(2) + QPoly.q_power(1)
     >>> str(p)
@@ -53,6 +55,50 @@ def _add_to(acc: dict, poly: dict, factor: int) -> None:
     """acc += factor * poly, in place, over sparse integer polynomials."""
     for k, c in poly.items():
         acc[k] = acc.get(k, 0) + factor * c
+
+
+def _pack(poly: dict, w: int) -> tuple[int, int]:
+    """(lo, v) with poly = x^lo V(x) and v = V(2^w); any integer coefficients.
+
+    This is Kronecker substitution: products and sums of polynomials run
+    inside the big-integer code.  Evaluation at 2^w is a ring homomorphism,
+    so sums, products and shifts of packed values are exact; w only has to
+    cover the coefficients of what _unpack reads back.
+    """
+    if not poly:
+        return 0, 0
+    lo = min(poly)
+    dense = [0] * (max(poly) - lo + 1)
+    for k, c in poly.items():
+        dense[k - lo] = c
+    shift = w
+    while len(dense) > 1:  # pairwise, so each round costs the size of the whole
+        if len(dense) % 2:
+            dense.append(0)
+        dense = [a + (b << shift) for a, b in zip(dense[::2], dense[1::2])]
+        shift *= 2
+    return lo, dense[0]
+
+
+def _unpack(lo: int, v: int, w: int) -> dict:
+    """The polynomial that _pack sent to (lo, v): signed base-2^w digits of v.
+
+    Exact whenever every coefficient c satisfies |c| < 2^(w-1).
+    """
+    size = 1
+    while abs(v) >> (w * size - 1):
+        size *= 2
+    digits = [v]
+    while size > 1:  # halve each block into its signed low half and the rest
+        size //= 2
+        shift = w * size
+        mask, half = (1 << shift) - 1, 1 << (shift - 1)
+        split = []
+        for block in digits:
+            low = ((block + half) & mask) - half
+            split += (low, (block - low) >> shift)
+        digits = split
+    return {k: c for k, c in enumerate(digits, lo) if c}
 
 
 class QPoly:

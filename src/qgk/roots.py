@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 
 from .kac import BudgetError, check_vector_budget
-from .quiver import DimVector, Quiver, QuiverError, sym_form
+from .quiver import DimVector, Quiver, QuiverError
 from .series import degree_lex, vectors_up_to
 
 
@@ -106,8 +106,12 @@ class CartanDatum:
 
     @classmethod
     def from_quiver(cls, quiver: Quiver) -> "CartanDatum":
-        units = [DimVector.unit(quiver, v) for v in quiver.vertices]
-        matrix = [[sym_form(quiver, a, b) for b in units] for a in units]
+        """(1_i, 1_j) = 2 delta_ij - a_ij - a_ji, read off the arrow counts a_ij."""
+        index = {v: i for i, v in enumerate(quiver.vertices)}
+        matrix = [[2 * (i == j) for j in range(len(index))] for i in range(len(index))]
+        for s, t in quiver.arrows:  # a loop counts on both sides of the diagonal
+            matrix[index[s]][index[t]] -= 1
+            matrix[index[t]][index[s]] -= 1
         return cls(matrix)
 
     def form(self, d: tuple[int, ...], e: tuple[int, ...]) -> int:

@@ -14,24 +14,30 @@ Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.  One
 core runs both degree by degree: the coefficients of each total degree
 are sparse integer polynomials in t = q^{1/2} over one integer
 denominator per degree, which starts as the lcm of the input's
-denominators.  The product is sparse, so exponent size costs nothing.
-A QPoly is itself integer numerators over one denominator, and the core
-multiplies and adds with its _mul and _add_to, so a series goes in and
-comes out by rescaling, not coefficient by coefficient.  hua_kac runs the same Log
-over numerators in x = q^{-1} with its q-factorial kernel.
+denominators.  Exp, Log, series_mul and series_inv multiply sparsely, so
+exponent size costs nothing.  A QPoly is itself integer numerators over
+one denominator, and the core multiplies and adds with its _mul and
+_add_to, so a series goes in and comes out by rescaling, not coefficient
+by coefficient.
+
+hua_kac runs the same Log over numerators in x = q^{-1} with its
+q-factorial kernel.  There every operand is dense, so that Log packs each
+operand and each Gaussian binomial once per level into one integer, its
+value at x = 2^w (Kronecker substitution, qpoly._pack), and each pair of
+terms costs a few big-integer products.  w comes from the l1 norms of the
+operands, so every coefficient of the result unpacks exactly.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .qpoly import QPoly, _add_to, _mul
+from .qpoly import QPoly, _add_to, _mul, _pack, _unpack
 from .quiver import DimVector, Quiver, QuiverError
 
 
@@ -246,12 +252,6 @@ def _ratio(c: dict, top=(), bottom=()) -> dict:
     return {k: v for k, v in enumerate(dense[:size], low) if v}
 
 
-@functools.cache
-def _gauss(n: int, k: int) -> dict:
-    """The Gaussian binomial [n choose k] in t."""
-    return _ratio({0: 1}, range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
-
-
 def _settle(level: dict, den: int) -> tuple[int, dict]:
     """(den, level) without zero terms, den cancelled against their content."""
     level = {d: kept for d, poly in level.items() if (kept := {k: c for k, c in poly.items() if c})}
@@ -262,20 +262,67 @@ def _settle(level: dict, den: int) -> tuple[int, dict]:
 
 
 def _convolve(pairs, sign=1, start=(1, {}), divisor=1, qfactorial=False) -> tuple[int, dict]:
-    """The settled level start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor."""
+    """The settled level start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor.
+
+    The q-factorial kernel also multiplies each a_e b_{d-e} by D_d / (D_e D_{d-e}).
+    """
     den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
     acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
-    for (a_den, a), (b_den, b) in pairs:
-        factor = sign * (den // (a_den * b_den))
-        for e, p in a.items():
-            for f, r in b.items():
-                d = tuple(map(operator.add, e, f))
-                if qfactorial:  # D_d / (D_e D_{d-e})
-                    for n, k in zip(d, e):
-                        if 0 < k < n:
-                            r = _mul(r, _gauss(n, k))
-                _add_to(acc.setdefault(d, {}), _mul(p, r), factor)
+    pairs = [(sign * (den // (a_den * b_den)), a, b) for (a_den, a), (b_den, b) in pairs]
+    if qfactorial:
+        acc = _kernel_convolve(pairs, acc)
+    else:
+        for factor, a, b in pairs:
+            for e, p in a.items():
+                for f, r in b.items():
+                    _add_to(acc.setdefault(tuple(map(operator.add, e, f)), {}), _mul(p, r), factor)
     return _settle(acc, divisor * den)
+
+
+def _l1(poly: dict) -> int:
+    return sum(map(abs, poly.values()))
+
+
+def _kernel_convolve(pairs, acc: dict) -> dict:
+    """acc_d + sum factor a_e b_f prod_v [d_v choose e_v]_t over d = e + f, at t = 2^w.
+
+    [n choose k]_t = D_n / (D_k D_{n-k}) has nonnegative coefficients summing
+    to C(n, k), so w covers the l1 norm of every result, l1(acc_d) +
+    sum |factor| l1(a_e) l1(b_f) prod_v C(d_v, e_v).  Each operand and each
+    kernel is packed once.
+    """
+    bound, lo = {}, {}  # per result: its l1 bound and its lowest exponent
+    for d, p in acc.items():
+        bound[d], lo[d] = _l1(p), min(p)
+    for factor, a, b in pairs:
+        b_norms = [(f, abs(factor) * _l1(r), min(r)) for f, r in b.items()]
+        for e, p in a.items():
+            e_l1, e_lo = _l1(p), min(p)
+            for f, f_l1, f_lo in b_norms:
+                d = tuple(map(operator.add, e, f))
+                bound[d] = bound.get(d, 0) + e_l1 * f_l1 * math.prod(map(math.comb, d, e))
+                lo[d] = min(lo.get(d, e_lo + f_lo), e_lo + f_lo)
+    w = max(bound.values(), default=0).bit_length() + 2
+    gauss = [[1]]  # gauss[n][k] = [n choose k]_t at t = 2^w, by the q-Pascal rule
+    for n in range(1, max(map(max, lo), default=0) + 1):
+        row = gauss[-1] + [0]
+        gauss.append([1] + [row[k - 1] + (row[k] << w * k) for k in range(1, n + 1)])
+    total = dict.fromkeys(lo, 0)
+    for d, p in acc.items():
+        p_lo, v = _pack(p, w)
+        total[d] = v << w * (p_lo - lo[d])
+    for factor, a, b in pairs:
+        a = [(e, *_pack(p, w)) for e, p in a.items()]
+        for f, r in b.items():
+            f_lo, r = _pack(r, w)
+            for e, e_lo, p in a:
+                d = tuple(map(operator.add, e, f))
+                v = factor * p * r
+                for n, k in zip(d, e):
+                    if 0 < k < n:
+                        v *= gauss[n][k]
+                total[d] += v << w * (e_lo + f_lo - lo[d])
+    return {d: _unpack(lo[d], v, w) for d, v in total.items()}
 
 
 def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) -> list:

@@ -7,6 +7,7 @@ lines as they appear.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import time
@@ -89,6 +90,33 @@ def test_hua_tables_are_fast():
         assert kronecker.polynomial((n, n)) == Q(1) + ONE
     for n in range(1, 17):
         assert jordan.polynomial((n,)) == Q(1)
+
+
+#: SHA-256 of the "d<TAB>A_d" lines of KacTable.items(), recorded from the
+#: unpacked Hua sum (one sparse product per multipartition).
+KAC_DIGESTS = {
+    "kronecker-16": "293fc5ba0ef4d1ec18d713d99a502e2a9caedc5422e54166b5794addc3446543",
+    "jordan-24": "fb20d9d362a61d83448ff486a32f6e0c307a8fbd23855c8304eedd58545b7566",
+    "affine_d4-7": "e627f78aae5e66831e17a19b7cbcf9d2e81d2d7c23b2fb40d82e4fe4abc171fb",
+}
+
+
+def _kac_digest(table) -> str:
+    text = "".join(f"{','.join(map(str, d))}\t{p}\n" for d, p in table.items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_hua_tables_at_scale():
+    with gate("hua_kac Kronecker N=16", 1.0):
+        kronecker = hua_kac(KRON, 16)
+    with gate("hua_kac Jordan N=24", 1.0):
+        jordan = hua_kac(JORDAN, 24)
+    d4 = hua_kac(test_roots.AFFINE_D4, 7)
+    digests = {"kronecker-16": kronecker, "jordan-24": jordan, "affine_d4-7": d4}
+    assert {name: _kac_digest(table) for name, table in digests.items()} == KAC_DIGESTS
+    assert all(jordan.polynomial((n,)) == Q(1) for n in range(1, 25))
+    cusp = absolutely_cuspidal_from_kac(kronecker)
+    assert cusp.table == {(1, 0): ONE, (0, 1): ONE, **{(k, k): Q(1) for k in range(1, 9)}}
 
 
 def test_gkm_characters_are_fast():

@@ -7,13 +7,16 @@ import pytest
 
 from qgk import (
     BudgetError,
+    CartanDatum,
     CountingError,
     DimVector,
     KacTable,
     QPoly,
     Quiver,
+    WeightFunction,
     euler_form,
     frame,
+    gkm_dims,
     hua_kac,
     oracle_kac,
     oracle_kac_full,
@@ -331,13 +334,17 @@ def test_hua_matches_explicit_denominator_log(quiver, bound):
     assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
 
 
-def test_numerator_division_must_be_exact():
+def test_numerator_division_must_be_exact(jordan, monkeypatch):
     assert _ratio({0: 1, 2: -1}, (), [2]) == {0: 1}
     assert _ratio({0: 1, 1: 1, 2: -1, 3: -1}, (), [2]) == {0: 1, 1: 1}
     with pytest.raises(SeriesError):
         _ratio({0: 1}, (), [1])
     with pytest.raises(SeriesError):
         _ratio({0: 1, 3: -2}, (), [3])
+    # the packed vertex numerator of (1) with multiplicities (1, 1): (x;x)_1 / (x;x)_1^2 = 1 / (1 - x)
+    monkeypatch.setattr("qgk.kac._multiplicities", lambda lam: (1,) * (len(lam) + 1))
+    with pytest.raises(SeriesError, match="inexact vertex numerator"):
+        hua_kac(jordan, 1)
 
 
 def test_partition_count_matches_enumeration():
@@ -352,6 +359,37 @@ def test_hua_budget(jordan, kronecker):
         hua_kac(jordan, 100_000_000)
     with pytest.raises(BudgetError):
         hua_kac(kronecker, 10**9)
+    # the budget counts the multipartitions of every 0 < |d| <= N: sum_n p(n) on Jordan
+    assert HUA_BUDGET == 50_000
+    assert sum(map(_partition_count, range(1, 33))) == 43_819
+    check_hua_budget(jordan, 32)
+    with pytest.raises(BudgetError, match=f"at least 53962 multipartitions \\(budget {HUA_BUDGET}\\)"):
+        hua_kac(jordan, 33)
+
+
+# Kac's conjecture (Kac, LNM 996, 1983; proved by Hausel, Invent. Math. 181, 2010):
+# on a loop-free quiver A_d(0) is the multiplicity of d as a root of the Kac-Moody
+# algebra g(Q).  With weight 1 at each unit and no other simple root, gkm_dims reads
+# n+ of g(Q) off the Weyl-Kac denominator, a route independent of Hua's sum.
+LOOP_FREE_CASES = {
+    "kronecker": (KRONECKER, 10),
+    "kronecker3": (Quiver(["0", "1"], [("0", "1")] * 3), 8),
+    "a3": (Quiver(["0", "1", "2"], [("0", "1"), ("1", "2")]), 6),
+    "affine_d4": (DIFFERENTIAL_CASES[5][0], 7),
+    "cycle3": (DIFFERENTIAL_CASES[1][0], 7),
+    "wild3": (Quiver(["0", "1", "2"], [("0", "1"), ("0", "1"), ("1", "2"), ("1", "2"), ("0", "2")]), 6),
+}
+
+
+@pytest.mark.parametrize("name", LOOP_FREE_CASES)
+def test_constant_term_is_the_root_multiplicity(name):
+    quiver, bound = LOOP_FREE_CASES[name]
+    rank = len(quiver.vertices)
+    units = {tuple(int(i == k) for i in range(rank)): ONE for k in range(rank)}
+    dims = gkm_dims(CartanDatum.from_quiver(quiver), WeightFunction(quiver, units), bound).dims
+    multiplicity = {d: sum(block.values()) for d, block in dims.items()}
+    constant = {d: poly.coefficient(0) for d, poly in hua_kac(quiver, bound).items()}
+    assert {d: m for d, m in multiplicity.items() if m} == {d: c for d, c in constant.items() if c}
 
 
 # -- table hygiene ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgk import QPoly, QPolyError, parse_qpoly
+from qgk.qpoly import _mul, _pack, _unpack
 
 
 def qpolys(min_half=-6, max_half=6, max_terms=4):
@@ -125,3 +126,38 @@ def test_text_and_json_round_trips(p):
 @given(qpolys(), qpolys().filter(lambda p: not p.is_zero()))
 def test_divexact_inverts_multiplication(a, b):
     assert (a * b).divexact(b) == a
+
+
+@st.composite
+def packable(draw):
+    """(poly, w): a sparse Laurent polynomial with every |c| < 2^(w-1), at times exactly 2^(w-1) - 1."""
+    w = draw(st.integers(min_value=2, max_value=70))
+    top = (1 << (w - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top)).filter(bool)
+    return draw(st.dictionaries(st.integers(-40, 40), coeff, max_size=12)), w
+
+
+@settings(max_examples=200, derandomize=True)
+@given(packable())
+def test_unpack_inverts_pack(case):
+    poly, w = case
+    assert _unpack(*_pack(poly, w), w) == poly
+
+
+@settings(max_examples=100, derandomize=True)
+@given(packable(), packable())
+def test_packing_is_a_ring_homomorphism(a, b):
+    (a, wa), (b, wb) = a, b
+    w = wa + wb + 4  # |c| < 12 * 2^(wa-1) * 2^(wb-1) for every coefficient c of a * b
+    (a_lo, a_v), (b_lo, b_v) = _pack(a, w), _pack(b, w)
+    product = {k: c for k, c in _mul(a, b).items() if c}
+    assert _unpack(a_lo + b_lo, a_v * b_v, w) == product
+
+
+def test_pack_takes_any_coefficient():
+    # packing is evaluation at 2^w, exact for any size and sign
+    assert _pack({-2: 5, 0: -(1 << 40)}, 3) == (-2, 5 - (1 << 46))
+    assert _pack({}, 8) == (0, 0)
+    assert _unpack(0, 0, 8) == {}
+    # below the width, the digits carry into each other
+    assert _unpack(*_pack({0: 8}, 4), 4) == {0: -8, 1: 1}

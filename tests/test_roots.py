@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -69,10 +71,29 @@ def _sigma_box(quiver, bound):
     }
 
 
+def _shipped_quivers() -> dict[str, Quiver]:
+    """Every demo quiver and every perfbench base quiver, by name."""
+    root = Path(__file__).resolve().parent.parent
+    demos = sorted((root / "demos" / "quivers").glob("*.json"))
+    quivers = {path.stem: Quiver.from_json(path.read_text()) for path in demos}
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, data in workloads.BASE_QUIVERS.items():
+        quivers[f"perfbench {name}"] = Quiver.from_json_dict(data)
+    return quivers
+
+
 def test_cartan_from_quiver(kronecker, g2loop, jordan):
     assert CartanDatum.from_quiver(kronecker).matrix == ((2, -2), (-2, 2))
     assert CartanDatum.from_quiver(g2loop).matrix == ((-2,),)
     assert CartanDatum.from_quiver(jordan).matrix == ((0,),)
+    quivers = _shipped_quivers()
+    assert len(quivers) == 9
+    for name, quiver in quivers.items():
+        units = [DimVector.unit(quiver, v) for v in quiver.vertices]
+        expected = tuple(tuple(sym_form(quiver, a, b) for b in units) for a in units)
+        assert CartanDatum.from_quiver(quiver).matrix == expected, name
 
 
 def test_cartan_rejects_bad_matrices():

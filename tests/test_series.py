@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,8 @@ from qgk import (
     series_mul,
     sym_power_coeff,
 )
-from qgk.series import _moebius
+from qgk.qpoly import _add_to, _mul
+from qgk.series import _convolve, _moebius, _ratio, _settle, vectors_of_total
 
 LINE = Quiver(["0"])
 PAIR = Quiver(["0", "1"])
@@ -232,3 +235,42 @@ def test_exp_log_match_the_fraction_reference(f):
 @given(rational_polys(), st.integers(min_value=0, max_value=5))
 def test_sym_power_coeff_matches_newton(p, m):
     assert sym_power_coeff(p, m) == newton_sym_powers(p, m)[m]
+
+
+def sparse_kernel_convolve(pairs, sign, start, divisor):
+    """_convolve under the q-factorial kernel, one sparse product per pair and Gaussian binomial."""
+    den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
+    acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
+    for (a_den, a), (b_den, b) in pairs:
+        factor = sign * (den // (a_den * b_den))
+        for e, p in a.items():
+            for f, r in b.items():
+                d = tuple(map(operator.add, e, f))
+                for n, k in zip(d, e):  # [n choose k]_t
+                    r = _mul(r, _ratio({0: 1}, range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)]))
+                _add_to(acc.setdefault(d, {}), _mul(p, r), factor)
+    return _settle(acc, divisor * den)
+
+
+@st.composite
+def convolution_levels(draw):
+    """(pairs, sign, start, divisor) for one level of total t over rank 2, with random numerators."""
+    poly = st.dictionaries(
+        st.integers(-4, 6), st.integers(-30, 30).filter(bool), min_size=1, max_size=5
+    )
+
+    def level(total):
+        keys = st.sampled_from(list(vectors_of_total(2, total)))
+        return draw(st.integers(1, 6)), draw(st.dictionaries(keys, poly, max_size=3))
+
+    total = draw(st.integers(2, 6))
+    pairs = [(level(s), level(total - s)) for s in range(1, total)]
+    return pairs, draw(st.sampled_from([1, -1])), level(total), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(convolution_levels())
+def test_packed_kernel_convolve_matches_the_sparse_loop(case):
+    pairs, sign, start, divisor = case
+    packed = _convolve(pairs, sign, start, divisor, qfactorial=True)
+    assert packed == sparse_kernel_convolve(pairs, sign, start, divisor)
