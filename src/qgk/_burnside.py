@@ -37,8 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kac import FLAVOURS, BudgetError, CountingError, _prime_power, conjugate_partition
+from .kac import FLAVOURS, CountingError, _prime_power, conjugate_partition
 from .quiver import DimVector, Quiver
+from .roots import BudgetError
 
 ENUM_BUDGET = 8_000_000
 FIX_BUDGET = 2_000_000

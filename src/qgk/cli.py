@@ -46,13 +46,11 @@ from .gkm import (
 from .kac import (
     DEFAULT_FIELDS,
     FLAVOURS,
-    BudgetError,
     CountingError,
     KacTable,
     _OraclePeel,
     _prime_power,
     check_hua_budget,
-    check_vector_budget,
     hua_kac,
     oracle_kac_full,
 )
@@ -60,9 +58,11 @@ from .nakajima import lw_decompose
 from .qpoly import QPoly, QPolyError
 from .quiver import DimVector, Quiver, QuiverError
 from .roots import (
+    BudgetError,
     CartanDatum,
     RootError,
     check_split_budget,
+    check_vector_budget,
     phi_plus,
     positive_roots,
 )
@@ -220,7 +220,7 @@ def _cache_read(path: str) -> dict | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deep
         return None
     if not isinstance(payload, dict) or payload.keys() != shape.keys():
         return None
@@ -310,7 +310,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # as in _cache_read
         raise InputError(f"cannot read weight file: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("weights"), dict):
         raise InputError('weight file must be {"weights": {"d,e": {half: coeff}}}')

@@ -155,14 +155,14 @@ def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
 
 
 def _check_plain_shape(table: CuspidalTable, cartan: CartanDatum) -> None:
-    """Plain C^abs is supported exactly on Phi^+, monic of degree 1 - chi(d,d)."""
+    """Plain C^abs is supported exactly on Phi^+, monic of degree 1 - chi(d,d) = p(d)/2."""
     support = set(table.table)
     expected = {entry.vector for entry in phi_plus(cartan, table.bound)}
     if support != expected:
         off = sorted(support ^ expected, key=degree_lex)
         raise CuspidalError(f"C^abs support differs from Phi^+ at {off[0]}")
     for d, poly in table.table.items():
-        degree = 1 - cartan.form(d, d) // 2
+        degree = cartan.p(d) // 2
         if poly.degree_q() != degree or not poly.is_monic():
             raise CuspidalError(
                 f"C^abs_{d} = {poly} is not monic of degree {degree}"

@@ -49,10 +49,9 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 from typing import NamedTuple
 
-from .kac import BudgetError, check_vector_budget
 from .qpoly import QPoly
 from .quiver import Quiver
-from .roots import CartanDatum
+from .roots import BudgetError, CartanDatum, check_vector_budget
 from .series import (
     GradedSeries,
     PlethMode,

@@ -4,17 +4,19 @@ Kac polynomials A_d(q): counts of absolutely indecomposable representations.
 Two independent routes are provided.
 
 hua_kac evaluates Hua's multipartition sum.  Writing <lam, mu> for the
-pairing sum_i lam'_i mu'_i of conjugate parts, the sum over multipartitions
-pi = (pi_v) is
+pairing sum_i lam'_i mu'_i of conjugate parts and (pi, pi) for
+sum_ij m_ij <pi_i, pi_j> in the Cartan matrix m of the quiver (CartanDatum),
+the sum over multipartitions pi = (pi_v) is
 
-    sum_pi  q^{sum_a <pi_{s(a)}, pi_{t(a)}> - sum_v <pi_v, pi_v>}
+    sum_pi  q^{-(pi, pi)/2}
             / prod_v prod_k prod_{j=1}^{m_k(pi_v)} (1 - q^{-j})  *  z^{|pi|}
         = Exp_{q,z}( sum_d A_d(q) / (q - 1) * z^d ),
 
-so A_d = (q-1) * [Log_{q,z} of the sum]_d.  The normalisation is pinned by
-the one-loop quiver at d = 1: the degree-1 coefficient of the sum is
-q/(q-1) = A_1/(q-1) with A_1 = q, while reading the sum as the class count
-itself would make A_1 non-polynomial.
+so A_d = (q-1) * [Log_{q,z} of the sum]_d.  The exponent is sum_a <pi_{s(a)},
+pi_{t(a)}> - sum_v <pi_v, pi_v>, read off m, so no orientation enters.  The
+normalisation is pinned by the one-loop quiver at d = 1: the degree-1
+coefficient of the sum is q/(q-1) = A_1/(q-1) with A_1 = q, while reading
+the sum as the class count itself would make A_1 non-polynomial.
 
 The coefficient at z^d of the sum, of its products and of their Adams
 images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
@@ -35,9 +37,8 @@ sum_l C(n-1, l-1) 2^(n-l) = 3^(n-1).  So every coefficient of N_d is below
 prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2), which fixes w, and N_d is unpacked once.
 
 Before summing, hua_kac counts the multipartitions and raises BudgetError
-past HUA_BUDGET.  check_vector_budget does the same, against VECTOR_BUDGET,
-for the root tables and GKM dimensions, which range over every d with
-|d| <= N.
+past HUA_BUDGET, as roots' check_vector_budget does for the tables that
+range over every d with |d| <= N.
 
 oracle_kac never touches Hua's formula: it recovers A_d from brute-force
 isomorphism-class counts M_e(q) over small finite fields (Burnside census
@@ -73,7 +74,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
-from .quiver import DimVector, Quiver, euler_form
+from .quiver import DimVector, Quiver
+from .roots import BudgetError, CartanDatum
 from .series import (
     GradedSeries,
     PlethMode,
@@ -90,13 +92,10 @@ __all__ = [
     "DEFAULT_FIELDS",
     "FLAVOURS",
     "HUA_BUDGET",
-    "VECTOR_BUDGET",
-    "BudgetError",
     "CountingError",
     "KacTable",
     "brute_force_counts",
     "check_hua_budget",
-    "check_vector_budget",
     "hua_kac",
     "oracle_kac",
     "oracle_kac_full",
@@ -111,13 +110,6 @@ DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 #: largest Jordan bound inside the budget, about 1.3 s: the time grows faster
 #: than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
-#: The most dimension vectors (|d| <= N, zero included) a table may range
-#: over.  The largest test or benchmark table, affine D4 N=7, has 792.
-VECTOR_BUDGET = 10_000
-
-
-class BudgetError(RuntimeError):
-    """The requested computation exceeds its size budget."""
 
 
 class CountingError(RuntimeError):
@@ -201,19 +193,13 @@ def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 # -- the Kac table ----------------------------------------------------------------
 
 
-def _degree_bound(quiver: Quiver, d: tuple[int, ...]) -> int:
-    """1 - chi(d, d), the degree bound of the plain A_d."""
-    dv = DimVector(quiver, d)
-    return 1 - euler_form(quiver, dv, dv)
-
-
 @dataclass
 class KacTable:
     """A_d for all stored dimension vectors, validated on construction.
 
     Every entry must be a polynomial in q (integral exponents) with
     nonnegative integer coefficients; for the plain flavour the degree is
-    also checked against 1 - chi(d, d).
+    also checked against 1 - chi(d, d) = p(d)/2.
     """
 
     quiver: Quiver
@@ -224,13 +210,14 @@ class KacTable:
     def __post_init__(self):
         if self.flavour not in FLAVOURS:
             raise CountingError(f"unknown flavour {self.flavour!r}")
+        cartan = CartanDatum.from_quiver(self.quiver) if self.flavour == "plain" else None
         for d, poly in self.table.items():
             if poly.is_zero():
                 continue
             if not poly.is_nonnegative_integer_polynomial():
                 raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
-            if self.flavour == "plain":
-                bound = _degree_bound(self.quiver, d)
+            if cartan is not None:
+                bound = cartan.p(d) // 2
                 if poly.degree_q() > bound:
                     raise CountingError(f"A_{d} exceeds degree bound {bound}: {poly}")
 
@@ -257,10 +244,11 @@ def _multiplicities(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(Counter(lam).values()))
 
 
-def _hua_numerator(d: tuple[int, ...], arrows: list) -> dict:
+def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> dict:
     """N_d = D_d [z^d] of Hua's sum, summed at x = 2^w (see the module docstring)."""
+    support = [v for v, n in enumerate(d) if n]
     # every coefficient of N_d is below prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2)
-    w = (3 ** (sum(d) - len(d) + d.count(0))).bit_length() + 2
+    w = (3 ** (sum(d) - len(support))).bit_length() + 2
     q_factorial = [1]  # (x;x)_j at x = 2^w
     for j in range(1, max(d) + 1):
         q_factorial.append(q_factorial[-1] * (1 - (1 << w * j)))
@@ -276,34 +264,30 @@ def _hua_numerator(d: tuple[int, ...], arrows: list) -> dict:
                 if rest:
                     raise SeriesError(f"inexact vertex numerator for {lam}")
             vertex[lam] = shared[key]
-    # the vertex with the most partitions is summed innermost, by shifts alone
-    counts = list(map(_partition_count, d))
-    last = counts.index(max(counts))
-    others = [*range(last), *range(last + 1, len(d))]
-    loops, crossing, outer_arrows = 0, [], []
-    for s, t in arrows:
-        if s == t == last:
-            loops += 1
-        elif last in (s, t):
-            crossing.append(t if s == last else s)
-        else:
-            outer_arrows.append((s, t))
+    # -(pi, pi)/2 on supp(d); the vertex with the most partitions is summed
+    # innermost, by shifts alone
+    last = max(support, key=lambda v: _partition_count(d[v]))
+    others = [v for v in support if v != last]
+    diagonal = [-matrix[v][v] // 2 for v in others]
+    pairs = [(a, b, -matrix[v][u]) for a, v in enumerate(others) for b, u in enumerate(others[:a])]
+    pairs = [pair for pair in pairs if pair[2]]
+    crossing = [(a, -matrix[last][v]) for a, v in enumerate(others) if matrix[last][v]]
+    half = matrix[last][last] // 2
     inner = [
         (vertex[lam], conjugate_partition(lam), partition_pairing(lam, lam))
         for lam in partitions(d[last])
     ]
     sums: dict[int, int] = {}  # the packed terms by their lowest exponent
-    for outer in itertools.product(*map(partitions, map(d.__getitem__, others))):
-        pi = dict(zip(others, outer))
-        exponent = -sum(map(partition_pairing, outer, outer))
-        for s, t in outer_arrows:
-            exponent += partition_pairing(pi[s], pi[t])
-        column = [0] * d[last]  # the crossing arrows add sum_a <pi_a, lam> = sum_i column_i lam'_i
-        for v in crossing:
-            for i, c in enumerate(conjugate_partition(pi[v])[: d[last]]):
-                column[i] += c
+    for outer in itertools.product(*(partitions(d[v]) for v in others)):
+        exponent = sum(map(operator.mul, diagonal, map(partition_pairing, outer, outer)))
+        for a, b, weight in pairs:
+            exponent += weight * partition_pairing(outer[a], outer[b])
+        column = [0] * d[last]  # the crossing terms add sum_i column_i lam'_i
+        for a, weight in crossing:
+            for i, c in enumerate(conjugate_partition(outer[a])[: d[last]]):
+                column[i] += weight * c
         shifts = [
-            -exponent - sum(map(operator.mul, column, conj)) - (loops - 1) * square
+            half * square - exponent - sum(map(operator.mul, column, conj))
             for _, conj, square in inner
         ]
         lo, term = min(shifts), 0
@@ -318,23 +302,12 @@ def _hua_numerator(d: tuple[int, ...], arrows: list) -> dict:
 
 def _hua_numerators(quiver: Quiver, bound: int) -> list:
     """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
-    index = {v: i for i, v in enumerate(quiver.vertices)}
-    arrows = [(index[s], index[t]) for s, t in quiver.arrows]
-    levels = [(1, {(0,) * len(index): {0: 1}})]
+    matrix = CartanDatum.from_quiver(quiver).matrix
+    levels = [(1, {(0,) * len(matrix): {0: 1}})]
     for total in range(1, bound + 1):
-        level = {d: _hua_numerator(d, arrows) for d in vectors_of_total(len(index), total)}
+        level = {d: _hua_numerator(d, matrix) for d in vectors_of_total(len(matrix), total)}
         levels.append((1, level))
     return levels
-
-
-def check_vector_budget(rank: int, bound: int) -> None:
-    """Raise BudgetError if the C(N + rank, rank) vectors with |d| <= N exceed VECTOR_BUDGET."""
-    count = math.comb(bound + rank, rank)
-    if count > VECTOR_BUDGET:
-        raise BudgetError(
-            f"|d| <= {bound} in rank {rank} spans {count} dimension vectors "
-            f"(budget {VECTOR_BUDGET})"
-        )
 
 
 def check_hua_budget(quiver: Quiver, bound: int) -> None:
@@ -415,6 +388,7 @@ class _OraclePeel:
         if flavour not in FLAVOURS:
             raise CountingError(f"unknown flavour {flavour!r}")
         self.quiver, self.flavour, self.fields = quiver, flavour, fields
+        self.cartan = CartanDatum.from_quiver(quiver)
         self.known: dict[tuple[int, ...], QPoly] = {}
         self._exp = GradedSeries.zero(quiver, 0)
 
@@ -426,7 +400,7 @@ class _OraclePeel:
         stages not above e can still be added.
         """
         ev = DimVector(self.quiver, e)
-        degree_bound = _degree_bound(self.quiver, e)
+        degree_bound = self.cartan.p(e) // 2
         samples = max(1, degree_bound + 1)
         if samples > len(self.fields):
             raise BudgetError(

@@ -32,7 +32,8 @@ from .cuspidal import absolutely_cuspidal_from_kac
 from .gkm import lowest_weight_extract
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
-from .quiver import DimVector, Quiver, frame, framed_vector, sym_form
+from .quiver import DimVector, Quiver, frame
+from .roots import CartanDatum
 from .series import GradedSeries, degree_lex, vectors_up_to
 
 
@@ -99,13 +100,10 @@ def lw_decompose(
 
     characters = lowest_weight_extract(total, multiplicities)
 
+    cartan = CartanDatum.from_quiver(framed)
     blocks: list[Block] = []
     for d in sorted(multiplicities, key=degree_lex):
-        dv = framed_vector(framed, DimVector(quiver, d), 1)
-        weight = tuple(
-            sym_form(framed, dv, framed_vector(framed, DimVector.unit(quiver, v), 0))
-            for v in quiver.vertices
-        )
+        weight = tuple(cartan._unit_pairing(i, d + (1,)) for i in range(rank))
         blocks.append(Block(d, multiplicities[d], weight, characters[d]))
 
     return LowestWeightDecomposition(quiver, framing, bound, total, blocks)

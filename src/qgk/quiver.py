@@ -6,7 +6,9 @@ are allowed.  Vertices are opaque strings; their input order is the
 canonical order used for every matrix layout and every sorted output in
 this package.  Arrows are stored as an explicit sequence of
 (source, target) pairs, so parallel arrows and loops need no special
-casing; the count matrix is a derived cache.
+casing; arrow counts are read off it on demand.  The pipeline reads a
+quiver through its Cartan matrix (roots.CartanDatum); only the Burnside
+census reads the arrows themselves.
 
 EXAMPLES::
 
@@ -55,7 +57,7 @@ class Quiver:
     arrows and (i, i) encodes a loop at i.
     """
 
-    __slots__ = ("vertices", "arrows", "_index", "_arrow_counts")
+    __slots__ = ("vertices", "arrows", "_index")
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[tuple[str, str]] = ()):
         self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
@@ -72,10 +74,6 @@ class Quiver:
                 raise QuiverError(f"arrow ({s!r}, {t!r}) uses an unknown vertex")
             arrow_list.append((s, t))
         self.arrows: tuple[tuple[str, str], ...] = tuple(arrow_list)
-        counts: dict[tuple[str, str], int] = {}
-        for s, t in self.arrows:
-            counts[s, t] = counts.get((s, t), 0) + 1
-        self._arrow_counts = counts
 
     # -- basic accessors -------------------------------------------------
 
@@ -87,14 +85,13 @@ class Quiver:
 
     def loops_at(self, v: str) -> int:
         """Number g_v of loops at the vertex v."""
-        self.vertex_index(v)
-        return self._arrow_counts.get((v, v), 0)
+        return self.arrow_count(v, v)
 
     def arrow_count(self, s: str, t: str) -> int:
         """Number of arrows from s to t."""
         self.vertex_index(s)
         self.vertex_index(t)
-        return self._arrow_counts.get((s, t), 0)
+        return self.arrows.count((s, t))
 
     # -- equality and hashing --------------------------------------------
 
@@ -146,7 +143,7 @@ class Quiver:
     def from_json(cls, text: str) -> "Quiver":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise QuiverError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
 

@@ -21,6 +21,10 @@ decomposition are read off it.  Positive roots are decided by Kac's
 descent: reflect at loop-free vertices while that lowers |d|, and look at
 where the walk stops (Kac, *Infinite root systems, representations of
 graphs and invariant theory*, Invent. Math. 56 (1980)).
+
+The budgets of the tables over dimension vectors live here too:
+VECTOR_BUDGET for the vectors with |d| <= N, SPLIT_BUDGET for the pairs of
+the Sigma split table.
 """
 
 from __future__ import annotations
@@ -30,13 +34,32 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .kac import BudgetError, check_vector_budget
 from .quiver import DimVector, Quiver, QuiverError
 from .series import degree_lex, vectors_up_to
 
 
 class RootError(ValueError):
     pass
+
+
+class BudgetError(RuntimeError):
+    """The requested computation exceeds its size budget."""
+
+
+def _refuse(count: int, budget: int, what: str) -> None:
+    if count > budget:
+        raise BudgetError(f"{what} (budget {budget})")
+
+
+#: The most dimension vectors (|d| <= N, zero included) a table may range
+#: over.  The largest test or benchmark table, affine D4 N=7, has 792.
+VECTOR_BUDGET = 10_000
+
+
+def check_vector_budget(rank: int, bound: int) -> None:
+    """Raise BudgetError if the C(N + rank, rank) vectors with |d| <= N exceed VECTOR_BUDGET."""
+    count = math.comb(bound + rank, rank)
+    _refuse(count, VECTOR_BUDGET, f"|d| <= {bound} in rank {rank} spans {count} dimension vectors")
 
 
 #: The most pairs b <= a the Sigma split table may visit before it is built.
@@ -47,11 +70,7 @@ SPLIT_BUDGET = 1_000_000
 
 
 def _refuse_pairs(pairs: int, span: str) -> None:
-    if pairs > SPLIT_BUDGET:
-        raise BudgetError(
-            f"{span} needs {pairs} pairs b <= a in the Sigma split table "
-            f"(budget {SPLIT_BUDGET})"
-        )
+    _refuse(pairs, SPLIT_BUDGET, f"{span} needs {pairs} pairs b <= a in the Sigma split table")
 
 
 def check_split_budget(rank: int, bound: int) -> None:
@@ -281,9 +300,11 @@ def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
 
 def weyl_reflect(quiver: Quiver, i: str, d: DimVector) -> DimVector:
     """The simple reflection s_i(d) = d - (1_i, d) 1_i at a loop-free vertex."""
-    if quiver.loops_at(i) != 0:
+    index = quiver.vertex_index(i)
+    cartan = CartanDatum.from_quiver(quiver)
+    if cartan.matrix[index][index] != 2:
         raise RootError(f"vertex {i!r} carries a loop; no reflection there")
-    image = CartanDatum.from_quiver(quiver).reflect(quiver.vertex_index(i), d.as_tuple())
+    image = cartan.reflect(index, d.as_tuple())
     return DimVector(quiver, image, allow_negative=True)
 
 

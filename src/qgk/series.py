@@ -51,13 +51,19 @@ class PlethMode(enum.Enum):
 
 
 def vectors_of_total(rank: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All rank-tuples of nonnegative integers with the given sum, lex order."""
-    if rank == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in vectors_of_total(rank - 1, total - head):
-            yield (head,) + tail
+    """All rank-tuples of nonnegative integers with the given sum, lex order.
+
+    The successor of c, with c_k its last nonzero entry, adds 1 to c_{k-1}
+    and moves c_k - 1 to the last place: no recursion, at any rank.
+    """
+    c = [0] * (rank - 1) + [total]
+    k = rank - 1
+    yield tuple(c)
+    while k > 0 and c[k]:
+        c[k - 1] += 1
+        c[k], c[-1] = 0, c[k] - 1
+        k = rank - 1 if c[-1] else k - 1
+        yield tuple(c)
 
 
 def vectors_up_to(rank: int, bound: int) -> Iterator[tuple[int, ...]]:

@@ -10,6 +10,9 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
@@ -29,6 +32,7 @@ from qgk import (
     absolutely_cuspidal,
     absolutely_cuspidal_from_kac,
     canonical_decomposition,
+    frame,
     framed_character,
     gkm_dims,
     hua_kac,
@@ -92,12 +96,21 @@ def test_hua_tables_are_fast():
         assert jordan.polynomial((n,)) == Q(1)
 
 
-#: SHA-256 of the "d<TAB>A_d" lines of KacTable.items(), recorded from the
-#: unpacked Hua sum (one sparse product per multipartition).
+#: SHA-256 of the "d<TAB>A_d" lines of KacTable.items().  The first three
+#: were recorded from the unpacked Hua sum (one sparse product per
+#: multipartition), the rest from the packed sum that walked the arrow list
+#: for its exponent.  Those cover parallel arrows, opposite arrows, a loop
+#: off and on the innermost vertex, three vertices and a framing vertex.
 KAC_DIGESTS = {
     "kronecker-16": "293fc5ba0ef4d1ec18d713d99a502e2a9caedc5422e54166b5794addc3446543",
     "jordan-24": "fb20d9d362a61d83448ff486a32f6e0c307a8fbd23855c8304eedd58545b7566",
     "affine_d4-7": "e627f78aae5e66831e17a19b7cbcf9d2e81d2d7c23b2fb40d82e4fe4abc171fb",
+    "kronecker_opposite-12": "a9828089ef27cf9e5a9816aa9dd359abc028426242b7ac7a148676243c73eb42",
+    "kronecker3-8": "f521d854711dc855f4d4900a5cd3e874692de88ab22b360b3ea3faca44a2dd4e",
+    "loop_plus_leg-8": "5db92b110b88df04e259640128db27b40b56f8e6e51f6d2b0dc9dd2deb27e87d",
+    "leg_plus_loop-8": "9c693bf2a162fb726d1fccca512fbebac8855d2d3a0ae96b2052cf37aa6c2e89",
+    "wild3-6": "4be94e2fc0630e134fcc767510b187eb6ab7e3511b61837db7164249220d6d0f",
+    "framed_kronecker-7": "bd89616e4e17002bc1974449b5e76b2d3cd00ceb0bf3b6617c60ed49c8224fb7",
 }
 
 
@@ -111,8 +124,18 @@ def test_hua_tables_at_scale():
         kronecker = hua_kac(KRON, 16)
     with gate("hua_kac Jordan N=24", 1.0):
         jordan = hua_kac(JORDAN, 24)
-    d4 = hua_kac(test_roots.AFFINE_D4, 7)
-    digests = {"kronecker-16": kronecker, "jordan-24": jordan, "affine_d4-7": d4}
+    wild3 = Quiver(["0", "1", "2"], [("0", "1"), ("0", "1"), ("1", "2"), ("1", "2"), ("0", "2")])
+    digests = {
+        "kronecker-16": kronecker,
+        "jordan-24": jordan,
+        "affine_d4-7": hua_kac(test_roots.AFFINE_D4, 7),
+        "kronecker_opposite-12": hua_kac(Quiver(["0", "1"], [("0", "1"), ("1", "0")]), 12),
+        "kronecker3-8": hua_kac(Quiver(["0", "1"], [("0", "1")] * 3), 8),
+        "loop_plus_leg-8": hua_kac(test_gkm.LOOP_PLUS_LEG, 8),
+        "leg_plus_loop-8": hua_kac(test_gkm.LEG_PLUS_LOOP, 8),
+        "wild3-6": hua_kac(wild3, 6),
+        "framed_kronecker-7": hua_kac(frame(KRON, DimVector(KRON, (1, 0))), 7),
+    }
     assert {name: _kac_digest(table) for name, table in digests.items()} == KAC_DIGESTS
     assert all(jordan.polynomial((n,)) == Q(1) for n in range(1, 25))
     cusp = absolutely_cuspidal_from_kac(kronecker)
@@ -282,6 +305,30 @@ def test_verify_passes_on_every_demo_quiver():
             with redirect_stdout(out):
                 code = run(["verify", str(path)])
             assert code == 0, f"{path.name}:\n{out.getvalue()}"
+
+
+#: SHA-256 of each demo's standard output, recorded while the Hua sum still
+#: walked the arrow list.  The demos print exact values only, so any change
+#: in what the pipeline computes or prints changes a digest.
+DEMO_DIGESTS = {
+    "cuspidal_and_ip.py": "6dc0a98387d83bd8227a3318ec3c819e16d75b67ed5a87b0137a086d2af647ce",
+    "framed_blocks.py": "8e1070ed5515028d16f60db24e7938f4d7a45f38faeabf2b9e03f5c43c8687d6",
+    "kac_walkthrough.py": "7371ef822fb61ea5d78390e9af6552e94f6ba6a95463ba07194b0bd5043e30a2",
+}
+
+
+def test_demos_print_what_they_printed():
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert sorted(p.name for p in (root / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
+    with gate(f"the {len(DEMO_DIGESTS)} demos print their recorded output", 15.0):
+        for name, digest in DEMO_DIGESTS.items():
+            proc = subprocess.run(
+                [sys.executable, str(root / "demos" / name)], capture_output=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest, name
 
 
 def test_randomised_property_suites():

@@ -149,7 +149,8 @@ def test_gkm_dims_weight_file_validation(kron_file, tmp_path, capsys):
         json.dumps({"weights": {"1,0": {"0": "1"}, "2,1": {"0": "1"}}}),  # pair positively
         json.dumps({"weights": {"0,0": {"0": "1"}}}),  # zero root
     ]
-    for text in [t.encode() for t in bad_texts] + [b"\xff\xfe{}"]:  # last: not UTF-8
+    # last two: not UTF-8, and nested deeper than json recurses
+    for text in [t.encode() for t in bad_texts] + [b"\xff\xfe{}", b"[" * 200_000]:
         path = tmp_path / "w.json"
         path.write_bytes(text)
         assert run(["gkm-dims", kron_file, "--weights", str(path)]) == 1
@@ -208,11 +209,16 @@ def test_nakajima_requires_framing(a2_file):
     assert run(["nakajima-decomp", a2_file]) == 1
 
 
-def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path):
+def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     not_utf8 = tmp_path / "bad.json"
     not_utf8.write_bytes(b"\xff\xfe{}")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)  # json recurses once per bracket
     assert run(["kac", "/nonexistent/q.json"]) == 1
     assert run(["kac", str(not_utf8)]) == 1
+    capsys.readouterr()
+    assert run(["kac", str(nested)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
     assert run(["kac", jordan_file, "--bound", "0"]) == 1
     assert run(["kac", jordan_file, "--fields", "1,2"]) == 1
     assert run(["kac", jordan_file, "--fields", "2,2"]) == 1
@@ -227,6 +233,15 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path):
     assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--flavour", "nilpotent"]) == 1
     assert run(["verify", jordan_file, "--flavour", "nilpotent"]) == 1
     assert run(["roots", jordan_file, "--fields", "2,3"]) == 1
+
+
+def test_wide_quiver_at_bound_one(qfile, capsys):
+    """1,000 vertices, more than the interpreter's default recursion limit."""
+    wide = qfile("wide", [str(v) for v in range(1000)], [])
+    assert run(["kac", wide, "--bound", "1"]) == 0
+    rows = _out(capsys).splitlines()
+    units = [["0"] * k + ["1"] + ["0"] * (999 - k) for k in reversed(range(1000))]
+    assert rows == [",".join(unit) + "\t1" for unit in units]
 
 
 def test_ambiguous_decomposition_is_invalid_input(jordan_file):
@@ -410,7 +425,10 @@ def test_misshapen_cache_entry_is_rebuilt(kron_file, tmp_path, capsys, entry):
     assert set(json.loads(path.read_text())) == {"cabs", "c"}
 
 
-@pytest.mark.parametrize("entry", [b'{"rows": [1]}', b'{"rows": [["1"]]}'])
+@pytest.mark.parametrize(
+    "entry",
+    [b'{"rows": [1]}', b'{"rows": [["1"]]}', pytest.param(b"[" * 200_000, id="nested-200000")],
+)
 def test_misshapen_cache_rows_are_rebuilt(jordan_file, tmp_path, capsys, entry):
     cache = tmp_path / "cache"
     argv = ["kac", jordan_file, "--bound", "3", "--cache-dir", str(cache)]

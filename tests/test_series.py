@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -62,6 +63,20 @@ def rational_series(bound=4):
 
 def geometric(bound):
     return GradedSeries(LINE, bound, {(k,): QPoly.one() for k in range(bound + 1)})
+
+
+def test_vectors_of_total_is_lex_order_at_any_rank():
+    for rank in range(1, 5):
+        for total in range(7):
+            box = itertools.product(range(total + 1), repeat=rank)
+            expected = sorted(v for v in box if sum(v) == total)
+            assert list(vectors_of_total(rank, total)) == expected
+    # one vertex per recursion level once overflowed the interpreter's stack
+    units = list(vectors_of_total(2000, 1))
+    assert len(units) == 2000
+    assert all(u[1999 - k] == 1 and sum(u) == 1 for k, u in enumerate(units))
+    head = list(itertools.islice(vectors_of_total(2000, 2), 3))
+    assert head == [(0,) * 1999 + (2,), (0,) * 1998 + (1, 1), (0,) * 1998 + (2, 0)]
 
 
 def test_series_mul_unit_and_geometric():
