@@ -327,6 +327,26 @@ def test_verify_presentation_check_catches_wrong_dims(a2_file, monkeypatch, caps
     ]
 
 
+def test_verify_presentation_check_stops_at_the_oracle_budget(kron_file, monkeypatch, capsys):
+    import qgk._presented
+
+    monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 100)
+    assert run(["verify", kron_file, "--bound", "6"]) == 0
+    status, _, detail = _verify_rows(capsys)["gkm-presentation"]
+    assert status == "PASS"
+    assert detail == (
+        "presented algebra and denominator identity agree on 9 blocks with |d| <= 3; "
+        "the relation ideal passed PRESENTED_BUDGET (100) at |d| = 4"
+    )
+    monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 0)
+    assert run(["verify", kron_file, "--bound", "6"]) == 0
+    status, _, detail = _verify_rows(capsys)["gkm-presentation"]
+    assert status == "VACUOUS"
+    assert detail.endswith(
+        "0 blocks with |d| <= 0; the relation ideal passed PRESENTED_BUDGET (0) at |d| = 1"
+    )
+
+
 def test_verify_computes_the_kac_table_once(kron_file, monkeypatch, capsys):
     calls = []
     real = qgk.cli.hua_kac
@@ -522,17 +542,21 @@ import qgk, qgk.cli
 quiver, cache = sys.argv[1:]
 seen = []
 
-def kac(*extra):
+def loaded():
+    seen.append(("numpy" in sys.modules, "qgk._presented" in sys.modules))
+
+def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert qgk.cli.run(["kac", quiver, "--bound", "2", *extra]) == 0
-    seen.append("numpy" in sys.modules)
+        assert qgk.cli.run([*argv, quiver, "--bound", "2"]) == 0
+    loaded()
     return out.getvalue()
 
-seen.append("numpy" in sys.modules)
-cold = kac("--cache-dir", cache)
-warm = kac("--cache-dir", cache)
-oracle = kac("--method", "oracle")
+loaded()
+cold = run("kac", "--cache-dir", cache)
+warm = run("kac", "--cache-dir", cache)
+oracle = run("kac", "--method", "oracle")
+run("verify")
 print(seen, repr(cold), warm == cold, oracle == cold)
 """
 
@@ -548,6 +572,10 @@ def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    # import, Hua run, cache hit: no numpy; the oracle loads it and agrees.
-    assert proc.stdout == "[False, False, False, True] '1\\tq\\n2\\tq\\n' True True\n"
+    # (numpy, the relation engine) loaded after import, a Hua run, a cache hit,
+    # the Burnside oracle and verify: only the oracles' callers load them.
+    assert proc.stdout == (
+        "[(False, False), (False, False), (False, False), (True, False), (True, True)] "
+        "'1\\tq\\n2\\tq\\n' True True\n"
+    )
     assert len(list(cache.glob("qgk-kac-*.json"))) == 1

@@ -24,7 +24,7 @@ from qgk import (
     ip_polynomial,
     ip_table,
 )
-from qgk.gkm import GkmEngine
+from qgk._presented import GkmEngine
 from qgk.series import vectors_up_to
 
 Q = QPoly.q_power

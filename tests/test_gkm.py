@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgk._presented
 import qgk.gkm
 from qgk import (
     AmbiguousDecompositionError,
@@ -28,7 +29,7 @@ from qgk import (
 )
 from qgk.cuspidal import absolutely_cuspidal
 from qgk.series import vectors_up_to
-from qgk.gkm import GkmEngine, Letter, Tensor, _Echelon, _tensor_bracket, presented_dims
+from qgk._presented import GkmEngine, Letter, Tensor, _Echelon, _tensor_bracket, presented_dims
 
 Q = QPoly.q_power
 ONE = QPoly.one()
@@ -499,6 +500,28 @@ def test_both_routes_share_the_generator_checks(a2, weights, message):
     for route in (gkm_dims, presented_dims):
         with pytest.raises(GkmError, match=message):
             route(cartan, WeightFunction(a2, weights), 3)
+
+
+def test_presented_budget_keeps_the_totals_it_completed(kronecker, monkeypatch):
+    weights = WeightFunction(kronecker, {(1, 0): ONE, (0, 1): ONE, (1, 1): Q(1)})
+    cartan = CartanDatum.from_quiver(kronecker)
+    full = presented_dims(cartan, weights, 6)
+    assert full.bound == 6
+    monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 100)
+    part = presented_dims(cartan, weights, 6)  # the work passes 100 during |d| = 4
+    assert part.bound == 3
+    assert part.dims == {d: b for d, b in full.dims.items() if sum(d) <= 3}
+    engine = GkmEngine(cartan, 6)
+    for root, poly in weights.items():
+        engine.add_generators(root, poly)
+    with pytest.raises(BudgetError, match="passed its budget of 100 "):
+        engine.dims_at((3, 3))
+
+
+def test_gkm_resolves_only_the_engine_from_the_oracle_module():
+    assert qgk.gkm.GkmEngine is qgk._presented.GkmEngine
+    with pytest.raises(AttributeError, match="has no attribute 'Letter'"):
+        qgk.gkm.Letter
 
 
 def test_denominator_arrival_order(a2):

@@ -12,10 +12,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgk"
 
 #: The pipeline order.  A module imports at load time only modules before
-#: it; kac loads _burnside (and numpy) inside a function.
+#: it; kac loads _burnside (and numpy) and verify loads _presented inside a
+#: function.
 ORDER = [
-    "quiver", "qpoly", "series", "roots", "kac", "_burnside", "gkm", "cuspidal", "nakajima", "cli",
+    "quiver", "qpoly", "series", "roots", "kac", "_burnside", "gkm", "_presented", "cuspidal",
+    "nakajima", "cli",
 ]
+
+#: The cross-check oracles, which their callers load on first use.
+ORACLES = {"_burnside", "_presented"}
 
 #: Outside quiver.py, the modules that may read Quiver.arrows: the Burnside
 #: census counts representations of the oriented quiver, Cartan data are
@@ -62,6 +67,12 @@ def test_modules_import_in_pipeline_order():
     for module in ORDER:
         later = _module_level_imports(trees[module]) & set(ORDER[ORDER.index(module) :])
         assert not later, f"{module} imports {sorted(later)} at load time"
+
+
+def test_no_module_loads_an_oracle_at_load_time():
+    for module, tree in _trees().items():
+        loaded = _module_level_imports(tree) & ORACLES
+        assert not loaded, f"{module} imports {sorted(loaded)} at load time"
 
 
 def test_only_the_census_cartan_data_and_cli_read_arrows():
