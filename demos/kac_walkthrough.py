@@ -11,9 +11,8 @@ from qgk import (
     DimVector,
     Quiver,
     hua_kac,
-    oracle_kac,
+    oracle_kac_full,
     phi_plus,
-    weyl_reflect,
 )
 
 jordan = Quiver(["0"], [("0", "0")])
@@ -52,17 +51,17 @@ show_kac("the Kronecker quiver", kronecker, 4)
 d = DimVector(kronecker, (1, 1))
 print("\n== cross-check at (1,1) on the Kronecker quiver")
 print(f"  Hua            : {hua_kac(kronecker, 2).polynomial(d)}")
-print(f"  counting oracle: {oracle_kac(kronecker, d)}")
+print(f"  counting oracle: {oracle_kac_full(kronecker, 2).polynomial(d)}")
 
 # Kac tables are constant along Weyl orbits.
 print("\n== a Weyl orbit on the Kronecker quiver")
 table = hua_kac(kronecker, 4)
-d = DimVector(kronecker, (0, 1))
-orbit = [d]
-for vertex in ("0", "1", "0"):
-    image = weyl_reflect(kronecker, vertex, orbit[-1])
-    if sum(image.as_tuple()) > 4:
+cartan = CartanDatum.from_quiver(kronecker)
+orbit = [(0, 1)]
+for vertex in (0, 1, 0):
+    image = cartan.reflect(vertex, orbit[-1])
+    if sum(image) > 4:
         break
     orbit.append(image)
 for point in orbit:
-    print(f"  A_{point.as_tuple()} = {table.polynomial(point)}")
+    print(f"  A_{point} = {table.polynomial(point)}")

@@ -40,7 +40,6 @@ from .roots import (
     ISOTROPIC,
     CartanDatum,
     phi_plus,
-    sigma_membership,
 )
 from .series import (
     GradedSeries,
@@ -204,25 +203,6 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
 # -- IP polynomials --------------------------------------------------------------
 
 
-def ip_polynomial(
-    quiver: Quiver,
-    d: DimVector,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> QPoly:
-    """The shifted intersection-cohomology polynomial at d in Sigma.
-
-    IP_d(v) = C^abs_d(v^{-2}), which is ip_general at d in Sigma; the output
-    variable is rendered as q but stands for v.  Outside Sigma use
-    ip_general.
-    """
-    if not isinstance(d, DimVector):
-        d = DimVector(quiver, d)
-    if not sigma_membership(CartanDatum.from_quiver(quiver), d):
-        raise CuspidalError(f"{d.as_tuple()} is not in Sigma; use ip_general")
-    return ip_general(quiver, d, flavour, fields)
-
-
 def ip_general(
     quiver: Quiver,
     d: DimVector,
@@ -232,8 +212,9 @@ def ip_general(
     """IP data at arbitrary d: symmetric powers over the canonical decomposition.
 
     For d = sum_j m_j d_j (canonical), the result is
-    prod_j [u^{m_j}] Exp_{t,u}(IP_{d_j} u), which reduces to ip_polynomial
-    when d lies in Sigma.
+    prod_j [u^{m_j}] Exp_{t,u}(IP_{d_j} u), which reduces to C^abs_d(v^{-2})
+    when d lies in Sigma.  The output variable is rendered as q but stands
+    for v.
     """
     if not isinstance(d, DimVector):
         d = DimVector(quiver, d)

@@ -274,12 +274,6 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
     return GkmDimTable(weights.quiver, bound, dims)
 
 
-def gkm_character(table: GkmDimTable) -> GradedSeries:
-    """sum over blocks of dim n_{d,j} q^{j/2} z^d."""
-    terms = {d: table.character(d) for d in table.dims}
-    return GradedSeries(table.quiver, table.bound, terms)
-
-
 def uea_character(chL: GradedSeries) -> GradedSeries:
     """Character of the enveloping algebra: Exp_{q,z}(chL)."""
     return pleth_exp(chL, PlethMode.QZ)

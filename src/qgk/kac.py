@@ -40,9 +40,9 @@ Before summing, hua_kac counts the multipartitions and raises BudgetError
 past HUA_BUDGET, as roots' check_vector_budget does for the tables that
 range over every d with |d| <= N.
 
-oracle_kac never touches Hua's formula: it recovers A_d from brute-force
-isomorphism-class counts M_e(q) over small finite fields (Burnside census
-in _burnside) through the staged relation
+oracle_kac_full never touches Hua's formula: it recovers A_d from
+brute-force isomorphism-class counts M_e(q) over small finite fields
+(Burnside census in _burnside) through the staged relation
 
     sum_d M_d z^d = Exp_{q,z}( sum_d A_d z^d ),
 
@@ -97,9 +97,7 @@ __all__ = [
     "brute_force_counts",
     "check_hua_budget",
     "hua_kac",
-    "oracle_kac",
     "oracle_kac_full",
-    "oracle_kac_table",
     "partitions",
 ]
 
@@ -424,46 +422,17 @@ class _OraclePeel:
         self.known[e] = poly
 
 
-def _oracle_table(quiver: Quiver, stages, bound: int, flavour: str, fields) -> KacTable:
-    """The KacTable of A at the nonzero stages, peeled in (|d|, lex) order."""
-    peel = _OraclePeel(quiver, flavour, fields)
-    for e in stages:
-        if any(e):
-            peel.add(e)
-    return KacTable(quiver, bound, flavour, peel.known)
-
-
-def oracle_kac_table(
-    quiver: Quiver,
-    d: DimVector,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> KacTable:
-    """A_e for every 0 < e <= d (componentwise), from brute-force counts."""
-    if d.is_zero() or not d.is_effective():
-        raise CountingError("dimension vector must be nonzero and nonnegative")
-    box = itertools.product(*(range(n + 1) for n in d.as_tuple()))
-    return _oracle_table(quiver, sorted(box, key=degree_lex), d.total, flavour, fields)
-
-
 def oracle_kac_full(
     quiver: Quiver,
     bound: int,
     flavour: str = "plain",
     fields: tuple[int, ...] = DEFAULT_FIELDS,
 ) -> KacTable:
-    """A_e for every 0 < |e| <= bound, from brute-force counts."""
+    """A_e for every 0 < |e| <= bound, from brute-force counts, peeled in (|d|, lex) order."""
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    stages = vectors_up_to(len(quiver.vertices), bound)
-    return _oracle_table(quiver, stages, bound, flavour, fields)
-
-
-def oracle_kac(
-    quiver: Quiver,
-    d: DimVector,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> QPoly:
-    """The Kac polynomial A_d recovered from finite-field class counts."""
-    return oracle_kac_table(quiver, d, flavour, fields).polynomial(d)
+    peel = _OraclePeel(quiver, flavour, fields)
+    for e in vectors_up_to(len(quiver.vertices), bound):
+        if any(e):
+            peel.add(e)
+    return KacTable(quiver, bound, flavour, peel.known)

@@ -1,37 +1,32 @@
 r"""
-Quivers, dimension vectors and the Euler form.
+Quivers, dimension vectors and framing.
 
 A quiver is a finite directed graph in which loops and parallel arrows
 are allowed.  Vertices are opaque strings; their input order is the
 canonical order used for every matrix layout and every sorted output in
 this package.  Arrows are stored as an explicit sequence of
 (source, target) pairs, so parallel arrows and loops need no special
-casing; arrow counts are read off it on demand.  The pipeline reads a
-quiver through its Cartan matrix (roots.CartanDatum); only the Burnside
-census reads the arrows themselves.
+casing.  The pipeline reads a quiver through its Cartan matrix, which
+roots.CartanDatum.from_quiver builds from the arrows; otherwise only the
+Burnside census and verify's arrow flip read them.
 
 EXAMPLES::
 
     >>> jordan = Quiver(["0"], [("0", "0")])
-    >>> jordan.loops_at("0")
-    1
+    >>> jordan.arrows
+    (('0', '0'),)
     >>> a2 = Quiver(["0", "1"], [("0", "1")])
     >>> d = DimVector(a2, {"0": 1, "1": 0})
     >>> e = DimVector(a2, {"0": 0, "1": 1})
-    >>> euler_form(a2, d, e)
-    -1
-    >>> sym_form(a2, d, e)
-    -1
+    >>> (d + e).as_tuple(), (d + e).total
+    ((1, 1), 2)
 
-The doubled quiver adds a reversed arrow for each arrow, the tripled
-quiver additionally adds one loop per vertex, and the framed quiver
-adds a new vertex ``$`` with ``f_i`` arrows from it to each vertex
-``i``::
+The framed quiver adds a new vertex ``$`` with ``f_i`` arrows from it to
+each vertex ``i``::
 
-    >>> len(double(a2).arrows), len(triple(a2).arrows)
-    (2, 4)
-    >>> frame(a2, DimVector(a2, {"0": 1})).vertices
-    ('0', '1', '$')
+    >>> framed = frame(a2, d)
+    >>> framed.vertices, framed.arrows
+    (('0', '1', '$'), (('0', '1'), ('$', '0')))
 """
 
 from __future__ import annotations
@@ -82,16 +77,6 @@ class Quiver:
             return self._index[v]
         except KeyError:
             raise QuiverError(f"unknown vertex {v!r}") from None
-
-    def loops_at(self, v: str) -> int:
-        """Number g_v of loops at the vertex v."""
-        return self.arrow_count(v, v)
-
-    def arrow_count(self, s: str, t: str) -> int:
-        """Number of arrows from s to t."""
-        self.vertex_index(s)
-        self.vertex_index(t)
-        return self.arrows.count((s, t))
 
     # -- equality and hashing --------------------------------------------
 
@@ -271,40 +256,6 @@ class DimVector(Mapping[str, int]):
         return f"DimVector({self.as_tuple()})"
 
 
-# -- bilinear forms ----------------------------------------------------------
-
-
-def euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
-    """The Euler form chi_Q(d, e) = sum_i d_i e_i - sum_{a: s->t} d_s e_t."""
-    if d.quiver != quiver or e.quiver != quiver:
-        raise QuiverError("euler_form arguments over a different quiver")
-    total = sum(d[v] * e[v] for v in quiver.vertices)
-    for s, t in quiver.arrows:
-        total -= d[s] * e[t]
-    return total
-
-
-def sym_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
-    """The symmetrised Euler form (d, e)_Q = chi_Q(d,e) + chi_Q(e,d)."""
-    return euler_form(quiver, d, e) + euler_form(quiver, e, d)
-
-
-# -- derived quivers ----------------------------------------------------------
-
-
-def double(quiver: Quiver) -> Quiver:
-    """The doubled quiver: one reversed arrow a* for each arrow a."""
-    arrows = list(quiver.arrows) + [(t, s) for s, t in quiver.arrows]
-    return Quiver(quiver.vertices, arrows)
-
-
-def triple(quiver: Quiver) -> Quiver:
-    """The tripled quiver: the double plus one loop at each vertex."""
-    doubled = double(quiver)
-    arrows = list(doubled.arrows) + [(v, v) for v in quiver.vertices]
-    return Quiver(quiver.vertices, arrows)
-
-
 def frame(quiver: Quiver, f: DimVector) -> Quiver:
     """The framed quiver Q_f: a new vertex with f_i arrows onto each i.
 
@@ -322,18 +273,3 @@ def frame(quiver: Quiver, f: DimVector) -> Quiver:
     for v in quiver.vertices:
         arrows.extend((FRAMING_VERTEX, v) for _ in range(f[v]))
     return Quiver(vertices, arrows)
-
-
-def framed_vector(framed: Quiver, d: DimVector, m: int) -> DimVector:
-    """Embed (d, m) as a dimension vector of the framed quiver."""
-    if framed.vertices[-1] != FRAMING_VERTEX:
-        raise QuiverError("not a framed quiver")
-    vals = {v: d[v] for v in d.quiver.vertices}
-    vals[FRAMING_VERTEX] = m
-    return DimVector(framed, vals, allow_negative=True)
-
-
-def unframed_part(framed_d: DimVector, base: Quiver) -> tuple[DimVector, int]:
-    """Split a framed dimension vector into (gauge part over base, framing)."""
-    vals = {v: framed_d[v] for v in base.vertices}
-    return DimVector(base, vals, allow_negative=True), framed_d[FRAMING_VERTEX]

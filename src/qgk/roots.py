@@ -277,14 +277,6 @@ class CartanDatum:
         return [(part, counted[part]) for part in sorted(counted, key=degree_lex)]
 
 
-def sigma_membership(cartan: CartanDatum, d: DimVector) -> bool:
-    """Whether d lies in Sigma: Sigma is Phi^+ at multiplier 1."""
-    if d.is_zero():
-        raise RootError("the zero vector is not eligible for Sigma")
-    entry = cartan.root(d.as_tuple())
-    return entry is not None and entry.multiplier == 1
-
-
 def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
     """The entries of Phi^+ with |d| <= bound, classified, in (|d|, lex) order."""
     if bound < 1:
@@ -295,24 +287,7 @@ def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
     return [entry for entry in entries if entry is not None]
 
 
-# -- Weyl group and positive roots -----------------------------------------------
-
-
-def weyl_reflect(quiver: Quiver, i: str, d: DimVector) -> DimVector:
-    """The simple reflection s_i(d) = d - (1_i, d) 1_i at a loop-free vertex."""
-    index = quiver.vertex_index(i)
-    cartan = CartanDatum.from_quiver(quiver)
-    if cartan.matrix[index][index] != 2:
-        raise RootError(f"vertex {i!r} carries a loop; no reflection there")
-    image = cartan.reflect(index, d.as_tuple())
-    return DimVector(quiver, image, allow_negative=True)
-
-
-def fundamental_cone_membership(quiver: Quiver, d: DimVector) -> bool:
-    """Connected support and (d, 1_i) <= 0 at every loop-free vertex."""
-    if d.is_zero():
-        raise RootError("the zero vector is not in the fundamental cone")
-    return d.is_effective() and CartanDatum.from_quiver(quiver).in_fundamental_cone(d.as_tuple())
+# -- positive roots ------------------------------------------------------------
 
 
 def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:

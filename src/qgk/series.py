@@ -14,11 +14,11 @@ Exp(f) = exp(sum_{n>=1} psi_n(f)/n) and Log is its exact inverse.  One
 core runs both degree by degree: the coefficients of each total degree
 are sparse integer polynomials in t = q^{1/2} over one integer
 denominator per degree, which starts as the lcm of the input's
-denominators.  Exp, Log, series_mul and series_inv multiply sparsely, so
-exponent size costs nothing.  A QPoly is itself integer numerators over
-one denominator, and the core multiplies and adds with its _mul and
-_add_to, so a series goes in and comes out by rescaling, not coefficient
-by coefficient.
+denominators.  Exp, Log and series_mul multiply sparsely, so exponent
+size costs nothing.  A QPoly is itself integer numerators over one
+denominator, and the core multiplies and adds with its _mul and _add_to,
+so a series goes in and comes out by rescaling, not coefficient by
+coefficient.
 
 hua_kac runs the same Log over numerators in x = q^{-1} with its
 q-factorial kernel.  There every operand is dense, so that Log packs each
@@ -181,23 +181,6 @@ def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     return _series(f, [_convolve(p) for p in pairs])
 
 
-def series_inv(f: GradedSeries) -> GradedSeries:
-    """Truncated inverse; the constant term must be a unit (a single term).
-
-    With f = u (1 + h), 1/f = u^{-1} g where g_0 = 1 and g_t = -sum_{s>=1} h_s g_{t-s}.
-    """
-    u = f.constant_term()
-    if u.is_zero() or len(u.items()) != 1:
-        raise SeriesError("series_inv needs a unit (monomial) constant term")
-    (k0, c0), = u.items()
-    u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    (h,) = _levels(f.scale(u_inv))
-    g = h[:1]
-    for t in range(1, f.bound + 1):
-        g.append(_convolve([(h[s], g[t - s]) for s in range(1, t + 1)], -1))
-    return _series(f, g).scale(u_inv)
-
-
 def _moebius(n: int) -> int:
     result, m = 1, n
     p = 2
@@ -211,19 +194,6 @@ def _moebius(n: int) -> int:
     if m > 1:
         result = -result
     return result
-
-
-def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
-    """The Adams operation psi_n: z^d -> z^{nd}, and q -> q^n in QZ mode."""
-    if n < 1:
-        raise SeriesError("adams needs n >= 1")
-    out: dict[tuple[int, ...], QPoly] = {}
-    for k, p in f._terms.items():
-        key = tuple(n * a for a in k)
-        if sum(key) > f.bound:
-            continue
-        out[key] = p.substitute_power(n) if mode is PlethMode.QZ else p
-    return GradedSeries(f.quiver, f.bound, out)
 
 
 # -- the Exp/Log core -------------------------------------------------------------

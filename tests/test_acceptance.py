@@ -20,6 +20,7 @@ from pathlib import Path
 import test_gkm
 import test_roots
 import test_series
+from reference import in_sigma, series_inv
 
 from qgk import (
     CartanDatum,
@@ -37,16 +38,10 @@ from qgk import (
     gkm_dims,
     hua_kac,
     ip_general,
-    ip_polynomial,
     lw_decompose,
-    oracle_kac,
     oracle_kac_full,
-    oracle_kac_table,
     pleth_exp,
-    series_inv,
     series_mul,
-    sigma_membership,
-    weyl_reflect,
 )
 from qgk.cli import run
 from qgk.series import vectors_up_to
@@ -81,7 +76,7 @@ def test_jordan_kac_line():
         table = hua_kac(JORDAN, 6)
         for n in range(1, 7):
             assert table.polynomial((n,)) == Q(1)
-        oracle = oracle_kac_table(JORDAN, DimVector(JORDAN, (3,)), fields=(2, 3, 4, 5))
+        oracle = oracle_kac_full(JORDAN, 3, fields=(2, 3, 4, 5))
         for n in range(1, 4):
             assert oracle.polynomial((n,)) == table.polynomial((n,))
 
@@ -187,7 +182,7 @@ def test_oracle_reaches_kronecker_5():
 def test_kronecker_isotropic_cuspidal():
     with gate("Kronecker A_(1,1) vs oracle, C^abs on the isotropic ray", 30.0):
         table = hua_kac(KRON, 6)
-        assert table.polynomial((1, 1)) == oracle_kac(KRON, DimVector(KRON, (1, 1)))
+        assert table.polynomial((1, 1)) == oracle_kac_full(KRON, 2).polynomial((1, 1))
         cusp = absolutely_cuspidal(KRON, 6)
         for l in range(1, 4):
             assert cusp.polynomial((l, l)) == Q(1)
@@ -248,18 +243,18 @@ def test_weyl_invariance():
     with gate("Kac tables constant along Weyl orbits (words up to length 3)", 10.0):
         for quiver in (A2, KRON):
             table = hua_kac(quiver, 4)
+            cartan = CartanDatum.from_quiver(quiver)
             words = [
                 word
                 for length in range(1, 4)
-                for word in itertools.product(quiver.vertices, repeat=length)
+                for word in itertools.product(range(cartan.rank), repeat=length)
             ]
             checked = 0
             for d, poly in table.items():
                 for word in words:
-                    image = DimVector(quiver, d)
-                    for v in word:
-                        image = weyl_reflect(quiver, v, image)
-                    out = image.as_tuple()
+                    out = d
+                    for i in word:
+                        out = cartan.reflect(i, out)
                     if any(x < 0 for x in out) or sum(out) > 4:
                         continue
                     assert table.polynomial(out) == poly
@@ -276,14 +271,16 @@ def test_canonical_refinement_and_ip_reduction():
         cases = ((A2, 5), (KRON, 5), (G2, 5), (d4, 6), (loop_leg, 7))
         for quiver, bound in cases:
             cartan = CartanDatum.from_quiver(quiver)
+            cusp = absolutely_cuspidal(quiver, bound)
             rank = len(quiver.vertices)
             for d in vectors_up_to(rank, bound):
                 if not any(d):
                     continue
                 dv = DimVector(quiver, d)
-                if sigma_membership(cartan, dv):
+                if in_sigma(cartan, d):
                     assert canonical_decomposition(quiver, dv) == [(dv, 1)]
-                    assert ip_general(quiver, dv) == ip_polynomial(quiver, dv)
+                    shifted = cusp.polynomial(d).substitute_power(-2)
+                    assert ip_general(quiver, dv) == shifted
 
 
 def test_nilpotent_jordan():

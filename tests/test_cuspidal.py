@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from reference import euler_form
 from test_gkm import character_at
 
 from qgk import (
@@ -17,11 +18,9 @@ from qgk import (
     absolutely_cuspidal,
     absolutely_cuspidal_from_kac,
     cuspidal_from_abs,
-    euler_form,
     hua_kac,
     invert_character,
     ip_general,
-    ip_polynomial,
     ip_table,
 )
 from qgk._presented import GkmEngine
@@ -259,21 +258,15 @@ def test_integer_valued_check_is_exact(jordan):
 
 
 def test_ip_polynomial_reference_values(jordan, kronecker, g2loop):
-    assert ip_polynomial(jordan, (1,)) == Q(-2)
-    assert ip_polynomial(kronecker, (1, 1)) == Q(-2)
-    assert ip_polynomial(g2loop, (1,)) == Q(-4)
-    assert ip_polynomial(kronecker, DimVector(kronecker, (1, 0))) == ONE
-
-
-def test_ip_polynomial_outside_sigma(jordan, kronecker):
-    with pytest.raises(CuspidalError):
-        ip_polynomial(jordan, (2,))
-    with pytest.raises(CuspidalError):
-        ip_polynomial(kronecker, (2, 2))
+    assert ip_general(jordan, (1,)) == Q(-2)
+    assert ip_general(kronecker, (1, 1)) == Q(-2)
+    assert ip_general(g2loop, (1,)) == Q(-4)
+    assert ip_general(kronecker, DimVector(kronecker, (1, 0))) == ONE
 
 
 def test_ip_general_reductions(jordan, a2, kronecker):
-    assert ip_general(kronecker, (1, 1)) == ip_polynomial(kronecker, (1, 1))
+    on_sigma = absolutely_cuspidal(kronecker, 2).polynomial((1, 1)).substitute_power(-2)
+    assert ip_general(kronecker, (1, 1)) == on_sigma
     assert ip_general(jordan, (2,)) == Q(-4)
     assert ip_general(jordan, (3,)) == Q(-6)
     assert ip_general(a2, (2, 1)) == ONE

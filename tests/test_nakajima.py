@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from reference import series_inv
 
 import qgk.cuspidal
 import qgk.nakajima
@@ -12,7 +13,6 @@ from qgk import (
     Quiver,
     framed_character,
     lw_decompose,
-    series_inv,
     series_mul,
 )
 from qgk.series import vectors_up_to

@@ -1,0 +1,70 @@
+"""The package's public vocabulary: every exported function has a caller
+outside the tests, and every name the benchmark tracer patches resolves.
+
+The tracer lives in perfbench/, which the test suite does not collect, so
+a library edit that removes a traced name would otherwise go unnoticed
+until a traced benchmark pass fails.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import qgk
+from qgk.qpoly import QPoly
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qgk"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_resolves():
+    tracing = _tracing()
+    targets = list(tracing.TIMED.values()) + list(tracing.COUNTED.values())
+    targets += [("qgk.cli", "_cache_read"), ("qgk.gkm", "GkmEngine")]
+    for target in targets:
+        assert callable(tracing._lookup(target)), target
+    for methods in tracing.AGGREGATED.values():
+        for method in methods:
+            assert callable(getattr(QPoly, method)), method
+
+
+def _named_in(path: Path) -> set[str]:
+    """The names, attributes and strings of a Python file; the words of a Markdown file's code."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".py":
+        return set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]*`", text, re.S))))
+    names = set()
+    for node in ast.walk(ast.parse(text, str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    places = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
+    places += [p for p in (ROOT / "perfbench").glob("*") if p.suffix in (".py", ".md")]
+    named = {path: _named_in(path) for path in places}
+    for name in qgk.__all__:
+        function = getattr(qgk, name)
+        if not inspect.isfunction(function):
+            continue
+        home = {SRC / "__init__.py", SRC / f"{function.__module__.rsplit('.', 1)[1]}.py"}
+        callers = [path for path in places if path not in home and name in named[path]]
+        assert callers, f"{name} is named only in {sorted(p.name for p in home)} and the tests"
