@@ -4,7 +4,7 @@ Cuspidal and absolutely cuspidal polynomials, and IP polynomials.
 The absolutely cuspidal polynomials C^abs_d are the simple-root
 multiplicities of the generalised Kac-Moody algebra whose character is
 the Kac-polynomial series.  invert_character solves Borcherds'
-denominator identity for them, block by block in (|d|, lex) order: at
+denominator identity for them, one total degree |d| at a time: at
 each d the identity leaves a deficit that must vanish off the simple
 positive roots Phi^+ and be a polynomial in q with nonnegative integer
 coefficients on them.
@@ -49,6 +49,7 @@ from .series import (
     pleth_exp,
     pleth_log,
     sym_power_coeff,
+    vectors_of_total,
     vectors_up_to,
 )
 
@@ -96,15 +97,16 @@ def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunctio
 
     Solves Borcherds' denominator identity Exp_{q,z}(-target) = sum_w
     sum_S eps(w) (-1)^{|S|} q^{deg S} z^{w*s(S)} (see gkm) for the
-    multiplicities, peeling dimension vectors by (|d|, lex).  At d the one
-    term of the right side that holds the unknown is -C_d, from S = the
-    letters at d and w = 1; every other term comes from roots already
-    registered.  So C_d = (right side of those roots)_d - [Exp(-target)]_d,
-    which is the deficit of target_d against the algebra so far.  A
-    nonzero deficit off Phi^+, or on it one that is not a polynomial in q
-    with nonnegative integer coefficients, aborts: the target is then not
-    a GKM character for this Cartan datum.  The multiplicities run up to
-    the bound of target.
+    multiplicities, one total degree t at a time.  A root of total t
+    changes the right side at total t only at itself: there the term
+    holding the unknown is -C_d, from S = the letters at d and w = 1, and
+    every other term comes from roots of smaller total.  So C_d = (right
+    side of those roots)_d - [Exp(-target)]_d, the deficit of target_d
+    against the algebra so far, and all roots of total t are found before
+    they are added in one step.  A nonzero deficit off Phi^+, or on it
+    one that is not a polynomial in q with nonnegative integer
+    coefficients, aborts: the target is then not a GKM character for this
+    Cartan datum.  The multiplicities run up to the bound of target.
     """
     bound = target.bound
     roots = {entry.vector for entry in phi_plus(cartan, bound)}
@@ -112,18 +114,19 @@ def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunctio
     exp_minus = pleth_exp(GradedSeries(target.quiver, bound, minus), PlethMode.QZ)
     denominator = _Denominator(cartan, bound)
     weights: dict[tuple[int, ...], QPoly] = {}
-    for d in vectors_up_to(cartan.rank, bound):
-        if not any(d):
-            continue
-        deficit = denominator.coeff(d) - exp_minus.coeff(d)
-        if deficit.is_zero():
-            continue
-        if d not in roots:
-            raise CuspidalError(f"character deficit {deficit} at non-root {d}")
-        if not deficit.is_nonnegative_integer_polynomial():
-            raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
-        denominator.add(d, deficit)
-        weights[d] = deficit
+    for total in range(1, bound + 1):
+        deficits = {}
+        for d in vectors_of_total(cartan.rank, total):
+            deficit = denominator.coeff(d) - exp_minus.coeff(d)
+            if deficit.is_zero():
+                continue
+            if d not in roots:
+                raise CuspidalError(f"character deficit {deficit} at non-root {d}")
+            if not deficit.is_nonnegative_integer_polynomial():
+                raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
+            deficits[d] = deficit
+        denominator.add(deficits)
+        weights.update(deficits)
     return WeightFunction(target.quiver, weights)
 
 

@@ -28,10 +28,12 @@ sets of pairwise orthogonal imaginary letters with root sum s(S), and
 w*b = rho - w(rho - b), so that s_i*b = b + (1 - (b, a_i)) a_i; a real
 letter at half-degree h adds k*h to the q-degree of a step by k*a_i.  A
 hyperbolic root gives S at most one letter; an isotropic root gives any
-k of its letters, which sum to (-1)^k Lambda^k of its weight.  gkm_dims
-takes ch n^+ = -Log_{q,z} of the right side, and cuspidal.invert_character
-solves the identity for the multiplicities.  Both enumerate at most
-GKM_BUDGET cliques and Weyl group elements.
+k of its letters, which sum to (-1)^k Lambda^k of its weight.  No two
+simple roots pair positively, so S is orthogonal to a new root r exactly
+when (s(S), r) = 0: the right side keeps one weight per root sum, not one
+per clique.  gkm_dims takes ch n^+ = -Log_{q,z} of the right side, and
+cuspidal.invert_character solves the identity for the multiplicities.
+Both stop past GKM_BUDGET clique-sum extensions and Weyl group elements.
 
 GkmEngine, the presented-algebra oracle that closes the relation ideal,
 lives in _presented; verify and the tests load it on first use.
@@ -54,7 +56,7 @@ from .series import (
     vectors_of_total,
 )
 
-#: The most cliques and Weyl group elements one denominator may enumerate.
+#: The most clique-sum extensions and Weyl group elements one denominator may enumerate.
 GKM_BUDGET = 200_000
 
 
@@ -138,13 +140,14 @@ class _SimpleRoots:
 
 
 class _Denominator:
-    """The right side of the denominator identity, one simple root at a time.
+    """The right side of the denominator identity for the simple roots added so far.
 
-    Cliques (sets S) are summed by their root sum s(S); each sum is carried
-    along its Weyl orbit once, when the right side is next read.  A real
-    root that arrives after that sends every sum round its orbit again;
-    in an inversion the real simple roots are loop-free unit vectors, so
-    that happens only in degree 1.
+    Cliques (sets S) are summed by their root sum s(S).  Registered roots
+    never pair positively, so (s(S), r) = sum_m k_m (m, r) is zero exactly
+    when every member of S is orthogonal to r: cliques with one sum extend
+    alike, and one dot product per sum decides it.  Each add carries the
+    sums it changed along their Weyl orbits, or every sum when it brings a
+    real root, so the right side is complete between calls.
     """
 
     def __init__(self, cartan: CartanDatum, bound: int):
@@ -153,57 +156,53 @@ class _Denominator:
         self.cartan = cartan
         self.bound = bound
         self.roots = _SimpleRoots(cartan)
-        zero = (0,) * cartan.rank
         #: (root, half degree, row of the form) per real simple root
         self._reals: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-        #: (imaginary roots, s(S), (-1)^{|S|} q^{deg S} summed over letters)
-        self._cliques: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], QPoly]] = [
-            ((), zero, QPoly.one())
-        ]
-        self._sums: dict[tuple[int, ...], QPoly] = {zero: QPoly.one()}
-        self._pending: dict[tuple[int, ...], QPoly] = dict(self._sums)
-        self._terms: dict[tuple[int, ...], QPoly] = {}
+        #: s(S) -> (-1)^{|S|} q^{deg S} summed over the cliques S with that sum
+        self._sums: dict[tuple[int, ...], QPoly] = {(0,) * cartan.rank: QPoly.one()}
+        self._terms: dict[tuple[int, ...], QPoly] = dict(self._sums)
         self.enumerated = 0
 
-    def add(self, root, multiplicity: QPoly) -> None:
-        """Register the letters at one simple root; each root arrives once."""
-        root = tuple(root)
-        pairings = self.roots.admit(root, multiplicity)
-        if pairings is None:
-            return
-        norm = pairings[root]
-        if norm == 2:
-            ((half, _),) = multiplicity.items()
-            row = tuple(sum(a * x for a, x in zip(root, line)) for line in self.cartan.matrix)
-            self._reals.append((root, half, row))
-            self._pending, self._terms = dict(self._sums), {}
-            return
-        most = 1 if norm < 0 else self.bound // sum(root)
-        wedges = pleth_exp(GradedSeries(_LINE, most, {(1,): -multiplicity}), PlethMode.QZ)
-        grown = []
-        for members, s, weight in self._cliques:
-            if any(pairings[m] for m in members):
+    def add(self, roots: dict) -> None:
+        """Register simple roots, root -> multiplicity; each root arrives once."""
+        grown: dict[tuple[int, ...], QPoly] = {}
+        real = False
+        for root, multiplicity in roots.items():
+            root = tuple(root)
+            pairings = self.roots.admit(root, multiplicity)
+            if pairings is None:
                 continue
-            for k in range(1, most + 1):
-                t = tuple(x + k * y for x, y in zip(s, root))
-                if sum(t) > self.bound:
-                    break
-                self._count()
-                term = weight * wedges.coeff((k,))  # (-1)^k Lambda^k
-                grown.append((members + (root,), t, term))
-                for sums in (self._sums, self._pending):
-                    sums[t] = sums[t] + term if t in sums else term
-        self._cliques += grown
+            norm = pairings[root]
+            row = tuple(sum(a * x for a, x in zip(root, line)) for line in self.cartan.matrix)
+            if norm == 2:
+                ((half, _),) = multiplicity.items()
+                self._reals.append((root, half, row))
+                real = True
+                continue
+            most = 1 if norm < 0 else self.bound // sum(root)
+            wedges = pleth_exp(GradedSeries(_LINE, most, {(1,): -multiplicity}), PlethMode.QZ)
+            for s, weight in list(self._sums.items()):
+                if sum(a * b for a, b in zip(s, row)):
+                    continue
+                for k in range(1, most + 1):
+                    t = tuple(x + k * y for x, y in zip(s, root))
+                    if sum(t) > self.bound:
+                        break
+                    self._count()
+                    term = weight * wedges.coeff((k,))  # (-1)^k Lambda^k
+                    for sums in (self._sums, grown):
+                        sums[t] = sums[t] + term if t in sums else term
+        if real:
+            self._terms, grown = {}, self._sums
+        for source, weight in grown.items():
+            if not weight.is_zero():
+                self._orbit(source, weight)
 
     def coeff(self, d) -> QPoly:
-        """The right side at d; roots of smaller total may not follow."""
-        self._expand()
-        self.roots.horizon = max(self.roots.horizon, sum(d))
+        """The right side at d."""
         return self._terms.get(tuple(d), QPoly.zero())
 
     def series(self, quiver: Quiver) -> GradedSeries:
-        self._expand()
-        self.roots.horizon = self.bound
         return GradedSeries(quiver, self.bound, self._terms)
 
     def _count(self) -> None:
@@ -213,12 +212,6 @@ class _Denominator:
                 f"the denominator identity up to |d| = {self.bound} stopped after "
                 f"{self.enumerated} cliques and Weyl group elements (budget {GKM_BUDGET})"
             )
-
-    def _expand(self) -> None:
-        pending, self._pending = self._pending, {}
-        for source, weight in pending.items():
-            if not weight.is_zero():
-                self._orbit(source, weight)
 
     def _orbit(self, source: tuple[int, ...], weight: QPoly) -> None:
         """Add sum_w eps(w) weight q^{shift} z^{w*source}, one length at a time.
@@ -257,9 +250,7 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
     """
     check_vector_budget(cartan.rank, bound)
     denominator = _Denominator(cartan, bound)
-    for root, poly in weights.items():
-        if sum(root) <= bound:
-            denominator.add(root, poly)
+    denominator.add({root: poly for root, poly in weights.items() if sum(root) <= bound})
     character = pleth_log(denominator.series(weights.quiver), PlethMode.QZ)
     dims: dict[tuple[int, ...], dict[int, int]] = {}
     for d, poly in character.items():

@@ -153,7 +153,9 @@ class CartanDatum:
         return sum(map(operator.mul, self.matrix[i], d))
 
     def reflect(self, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
-        """s_i(d) = d - (d, 1_i) 1_i, for a loop-free vertex i."""
+        """s_i(d) = d - (d, 1_i) 1_i; a vertex with a loop has no reflection."""
+        if self.matrix[i][i] != 2:
+            raise RootError(f"vertex {i} has a loop, so there is no reflection s_{i}")
         return d[:i] + (d[i] - self._unit_pairing(i, d),) + d[i + 1 :]
 
     def _support_connected(self, d: tuple[int, ...]) -> bool:

@@ -8,10 +8,11 @@ this module (its name does not start with ``test_``).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from qgk import CartanDatum, DimVector, GradedSeries, PlethMode, QPoly, Quiver, QuiverError
-from qgk.series import SeriesError, _convolve, _levels, _series
+from qgk.series import SeriesError
 
 
 def euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
@@ -38,18 +39,26 @@ def in_sigma(cartan: CartanDatum, d: tuple[int, ...]) -> bool:
 def series_inv(f: GradedSeries) -> GradedSeries:
     """Truncated inverse; the constant term must be a unit (a single term).
 
-    With f = u (1 + h), 1/f = u^{-1} g where g_0 = 1 and g_t = -sum_{s>=1} h_s g_{t-s}.
+    Degree by degree in (|d|, lex): g_0 = 1/f_0 and g_d = -(1/f_0) sum_{0 < e <= d} f_e g_{d-e}.
     """
     u = f.constant_term()
     if u.is_zero() or len(u.items()) != 1:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    (h,) = _levels(f.scale(u_inv))
-    g = h[:1]
-    for t in range(1, f.bound + 1):
-        g.append(_convolve([(h[s], g[t - s]) for s in range(1, t + 1)], -1))
-    return _series(f, g).scale(u_inv)
+    rank = len(f.quiver.vertices)
+    higher = [(e, p) for e, p in f.items() if any(e)]
+    g: dict[tuple[int, ...], QPoly] = {}
+    for d in sorted(itertools.product(range(f.bound + 1), repeat=rank), key=sum):
+        if sum(d) > f.bound:
+            break
+        total = QPoly.zero() if any(d) else QPoly.one()
+        for e, p in higher:
+            rest = tuple(a - b for a, b in zip(d, e))
+            if min(rest) >= 0:
+                total = total - p * g[rest]
+        g[d] = u_inv * total
+    return GradedSeries(f.quiver, f.bound, g)
 
 
 def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference import series_inv
 
 import qgk._presented
+import qgk.cuspidal
 import qgk.gkm
 from qgk import (
     AmbiguousDecompositionError,
@@ -422,6 +423,11 @@ AFFINE_D4 = Quiver(["0", "1", "2", "3", "4"], [("1", "0"), ("2", "0"), ("3", "0"
 D4_UNITS = {tuple(int(i == k) for i in range(5)): ONE for k in range(5)}
 KRONECKER = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
 JORDAN = Quiver(["0"], [("0", "0")])
+# a looped vertex x beside the A2 arrow y -> z, whose sum y + z is a real root
+LOOP_AND_LEG = Quiver(["x", "y", "z"], [("x", "x"), ("y", "z")])
+# three looped vertices and an arrow b -> c: the clique {a, b} is orthogonal
+# to c's root only through a, so it must not extend by c
+LOOPS_AND_ARROW = Quiver(["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c"), ("b", "c")])
 
 #: Hand-made weight functions: (quiver, weights, bound).
 HAND_MADE = {
@@ -433,6 +439,12 @@ HAND_MADE = {
         KRONECKER,
         {(1, 0): Q(1), (0, 1): ONE, (1, 1): Q(1) + ONE, (2, 2): Q(2)},
         6,
+    ),
+    "loop-and-real-root-of-total-2": (LOOP_AND_LEG, {(1, 0, 0): Q(1), (0, 1, 1): ONE}, 5),
+    "three-loops-and-an-arrow": (
+        LOOPS_AND_ARROW,
+        {(1, 0, 0): Q(1), (0, 1, 0): Q(1), (0, 0, 1): ONE + Q(1)},
+        5,
     ),
 }
 
@@ -527,16 +539,48 @@ def test_denominator_arrival_order(a2):
     # (1 - a)(1 - b)(1 - ab) = 1 - a - b + a^2 b + a b^2 - a^2 b^2
     denominator = qgk.gkm._Denominator(CartanDatum.from_quiver(a2), 3)
     assert denominator.coeff((1, 0)).is_zero()
-    denominator.add((1, 0), ONE)
-    assert denominator.coeff((0, 1)).is_zero()
-    denominator.add((0, 1), ONE)  # a reflection after an expansion redoes the orbits
+    denominator.add({(1, 0): ONE})
     assert denominator.coeff((1, 0)) == -ONE
-    assert denominator.coeff((1, 1)).is_zero()
-    assert denominator.coeff((2, 1)) == ONE
-    with pytest.raises(GkmError, match="nondecreasing degree order"):
-        denominator.add((1, 1), ONE)
+    assert denominator.coeff((0, 1)).is_zero()
+    denominator.add({(0, 1): ONE})  # a later real root sends every sum round again
+    assert denominator.series(a2).items() == [
+        ((0, 0), ONE), ((0, 1), -ONE), ((1, 0), -ONE), ((1, 2), ONE), ((2, 1), ONE)
+    ]
+    # the real root y + z arrives after the sum at x was expanded, and sends it to x + y + z
+    denominator = qgk.gkm._Denominator(CartanDatum.from_quiver(LOOP_AND_LEG), 5)
+    denominator.add({(1, 0, 0): Q(1)})
+    assert denominator.coeff((1, 0, 0)) == -Q(1)
+    assert denominator.coeff((1, 1, 1)).is_zero()
+    denominator.add({(0, 1, 1): ONE})
+    assert denominator.coeff((1, 1, 1)) == Q(1)
+    assert denominator.coeff((1, 0, 0)) == -Q(1)
     with pytest.raises(GkmError):
         qgk.gkm._Denominator(CartanDatum.from_quiver(a2), 0)
+
+
+def _inverted(quiver, bound, monkeypatch):
+    """C^abs up to bound, and the work of the denominator that inverted it."""
+    made = []
+
+    class Spy(qgk.gkm._Denominator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(qgk.cuspidal, "_Denominator", Spy)
+    table = absolutely_cuspidal(quiver, bound)
+    (denominator,) = made
+    return table, denominator.enumerated
+
+
+def test_denominator_work_follows_its_output(monkeypatch):
+    arrowless = Quiver([f"v{i:02d}" for i in range(60)], [])
+    table, work = _inverted(arrowless, 1, monkeypatch)
+    assert len(table.table) == 60
+    assert work == 61  # the orbit of 0: itself and one step to each unit vector
+    table, work = _inverted(JORDAN, 24, monkeypatch)
+    assert work <= 1_000
+    assert all(table.polynomial((n,)) == Q(1) for n in range(1, 25))
 
 
 def test_denominator_budget(kronecker, monkeypatch):

@@ -199,6 +199,12 @@ def test_weyl_reflect_examples(a2):
     assert cartan.reflect(0, (1, 0)) == (-1, 0)
 
 
+def test_weyl_reflect_refuses_a_looped_vertex(jordan, g2loop):
+    for quiver in (jordan, g2loop):
+        with pytest.raises(RootError, match="has a loop"):
+            CartanDatum.from_quiver(quiver).reflect(0, (1,))
+
+
 def test_weyl_reflect_involution_and_invariance(a2, kronecker):
     for quiver in (a2, kronecker):
         cartan = CartanDatum.from_quiver(quiver)
