@@ -6,7 +6,6 @@ Run as `python3 demos/cuspidal_and_ip.py`.
 from __future__ import annotations
 
 from qgk import (
-    DimVector,
     Quiver,
     absolutely_cuspidal,
     canonical_decomposition,
@@ -47,8 +46,8 @@ print("\n== IP data on the Kronecker quiver, bound 4")
 for d, poly in sorted(ip_table(kronecker, 4).items(), key=lambda t: (sum(t[0]), t[0])):
     print(f"  IP_{d} = {poly}")
 
-d = DimVector(kronecker, (3, 1))
+d = (3, 1)
 parts = canonical_decomposition(kronecker, d)
-pretty = " + ".join(f"{m} x {p.as_tuple()}" for p, m in parts)
-print(f"\n  canonical decomposition of {d.as_tuple()}: {pretty}")
-print(f"  IP_{d.as_tuple()} = {ip_general(kronecker, d)}")
+pretty = " + ".join(f"{m} x {p}" for p, m in parts)
+print(f"\n  canonical decomposition of {d}: {pretty}")
+print(f"  IP_{d} = {ip_general(kronecker, d)}")

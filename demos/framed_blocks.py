@@ -5,14 +5,14 @@ Run as `python3 demos/framed_blocks.py`.
 
 from __future__ import annotations
 
-from qgk import DimVector, Quiver, lw_decompose
+from qgk import Quiver, lw_decompose
 
 jordan = Quiver(["0"], [("0", "0")])
 a2 = Quiver(["0", "1"], [("0", "1")])
 
 
 def show(name: str, quiver: Quiver, framing: tuple[int, ...], bound: int) -> None:
-    dec = lw_decompose(quiver, DimVector(quiver, framing), bound)
+    dec = lw_decompose(quiver, framing, bound)
     print(f"\n== {name}, framing {framing}, bound {bound}")
     for block in dec.blocks:
         print(

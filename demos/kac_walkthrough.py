@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from qgk import (
     CartanDatum,
-    DimVector,
     Quiver,
     hua_kac,
     oracle_kac_full,
@@ -48,7 +47,7 @@ show_kac("the Kronecker quiver", kronecker, 4)
 # The generating-function route above never touches a finite field.  The
 # counting oracle recovers the same polynomials from class counts over
 # small fields, one field per interpolation point.
-d = DimVector(kronecker, (1, 1))
+d = (1, 1)
 print("\n== cross-check at (1,1) on the Kronecker quiver")
 print(f"  Hua            : {hua_kac(kronecker, 2).polynomial(d)}")
 print(f"  counting oracle: {oracle_kac_full(kronecker, 2).polynomial(d)}")

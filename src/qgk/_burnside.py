@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kac import FLAVOURS, CountingError, _prime_power, conjugate_partition
-from .quiver import DimVector, Quiver
+from .quiver import Quiver
 from .roots import BudgetError
 
 ENUM_BUDGET = 8_000_000
@@ -489,7 +489,7 @@ def _paths_of_length(quiver: Quiver, arrows: list[int], length: int) -> list[lis
     return paths
 
 
-def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "plain") -> int:
+def brute_force_counts(quiver: Quiver, d: tuple[int, ...], q: int, flavour: str = "plain") -> int:
     """Number of isomorphism classes of F_q-representations of dimension d.
 
     flavour selects the counted class: "plain" counts all representations,
@@ -507,10 +507,10 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
     """
     if flavour not in FLAVOURS:
         raise CountingError(f"unknown flavour {flavour!r}")
-    if not d.is_effective() or d.is_zero():
+    dims = dict(zip(quiver.vertices, quiver.vector(d)))
+    if not any(dims.values()):
         raise CountingError("dimension vector must be nonzero and nonnegative")
     F = get_field(q)
-    dims = {v: d[v] for v in quiver.vertices}
     active = [
         k
         for k, (s, t) in enumerate(quiver.arrows)
@@ -524,7 +524,7 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
     tuple_count = math.prod(len(types) for types in per_vertex)
     if tuple_count > TYPE_TUPLE_BUDGET:
         raise BudgetError(f"{tuple_count} similarity type tuples exceed the budget")
-    vertex_index = {v: i for i, v in enumerate(touched)}
+    position = {v: i for i, v in enumerate(touched)}
 
     total = 0
     for combo in itertools.product(*per_vertex):
@@ -533,11 +533,11 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
             fix_dim = 0
             for k in active:
                 s, t = quiver.arrows[k]
-                fix_dim += hom_dim(combo[vertex_index[t]].sig, combo[vertex_index[s]].sig)
+                fix_dim += hom_dim(combo[position[t]].sig, combo[position[s]].sig)
             total += weight * q**fix_dim
         else:
             total += weight * _flavoured_fix_count(
-                F, quiver, dims, combo, vertex_index, active, flavour
+                F, quiver, dims, combo, position, active, flavour
             )
     order = math.prod(gl_order(q, dims[v]) for v in touched)
     result = Fraction(total, order)
@@ -546,12 +546,12 @@ def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "pla
     return int(result)
 
 
-def _flavoured_fix_count(F, quiver, dims, combo, vertex_index, active, flavour) -> int:
+def _flavoured_fix_count(F, quiver, dims, combo, position, active, flavour) -> int:
     bases = []
     for a in active:
         s, t = quiver.arrows[a]
-        gt = combo[vertex_index[t]].rep
-        gs = combo[vertex_index[s]].rep
+        gt = combo[position[t]].rep
+        gs = combo[position[s]].rep
         bases.append(_commutant_kernel(F, gt, gs))
     kdim = sum(len(b) for b in bases)
     if F.q**kdim > FIX_BUDGET:
@@ -583,7 +583,7 @@ def _flavoured_fix_count(F, quiver, dims, combo, vertex_index, active, flavour) 
                 power = _batch_matmul(F, power, points[a])
             good &= ~power.any(axis=(1, 2))
     else:
-        length = sum(dims[v] for v in vertex_index)
+        length = sum(dims[v] for v in position)
         for path in _paths_of_length(quiver, active, length):
             prod = points[path[0]]
             for a in path[1:]:

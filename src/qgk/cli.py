@@ -55,7 +55,7 @@ from .kac import (
 )
 from .nakajima import lw_decompose
 from .qpoly import QPoly, QPolyError
-from .quiver import DimVector, Quiver, QuiverError
+from .quiver import Quiver, QuiverError
 from .roots import (
     BudgetError,
     CartanDatum,
@@ -92,13 +92,13 @@ def _load_quiver(path: str) -> Quiver:
     return Quiver.from_json(text)
 
 
-def _parse_dim(quiver: Quiver, text: str) -> DimVector:
+def _parse_dim(quiver: Quiver, text: str) -> tuple[int, ...]:
     parts = text.split(",")
     try:
         values = [int(p) for p in parts]
     except ValueError:
         raise InputError(f"bad dimension vector {text!r}") from None
-    return DimVector(quiver, values)
+    return quiver.vector(values)
 
 
 def _parse_fields(text: str) -> tuple[int, ...]:
@@ -278,9 +278,9 @@ def _cmd_cuspidal(quiver: Quiver, args) -> dict:
 def _cmd_ip(quiver: Quiver, args) -> dict:
     if args.dim is not None:
         d = _parse_dim(quiver, args.dim)
-        if d.is_zero():
+        if not any(d):
             raise InputError("--dim must be nonzero")
-        rows = _poly_rows([(d.as_tuple(), ip_general(quiver, d, args.flavour, args.fields))])
+        rows = _poly_rows([(d, ip_general(quiver, d, args.flavour, args.fields))])
     else:
         rows = _poly_rows(ip_table(quiver, args.bound, args.flavour, args.fields).items())
     return {"convention": IP_CONVENTION, "rows": rows}
@@ -290,9 +290,9 @@ def _cmd_canonical(quiver: Quiver, args) -> dict:
     rank = len(quiver.vertices)
     if args.dim is not None:
         d = _parse_dim(quiver, args.dim)
-        if d.is_zero():
+        if not any(d):
             raise InputError("--dim must be nonzero")
-        vectors = [d.as_tuple()]
+        vectors = [d]
     else:
         check_vector_budget(rank, args.bound)
         check_split_budget(rank, args.bound)
@@ -315,7 +315,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
         raise InputError('weight file must be {"weights": {"d,e": {half: coeff}}}')
     table = {}
     for key, encoded in data["weights"].items():
-        d = _parse_dim(quiver, key).as_tuple()
+        d = _parse_dim(quiver, key)
         if not isinstance(encoded, dict):
             raise InputError(f"bad weight entry at {key!r}")
         try:
@@ -448,7 +448,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         return ("pass" if seen else "vacuous"), f"checked {seen} reflected pairs"
 
     def kac_support():
-        roots = {r.as_tuple() for r in positive_roots(quiver, bound)}
+        roots = set(positive_roots(quiver, bound))
         same = set(kac().table) == roots
         return ("pass" if same else "fail"), "A_d nonzero exactly on positive roots"
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .gkm import WeightFunction, _Denominator
 from .kac import DEFAULT_FIELDS, KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
-from .quiver import DimVector, Quiver
+from .quiver import Quiver
 from .roots import (
     ISOTROPIC,
     CartanDatum,
@@ -85,8 +85,7 @@ class CuspidalTable:
                         raise CuspidalError(f"C_{d} is not integer valued at q = {v}: {poly}")
 
     def polynomial(self, d) -> QPoly:
-        key = d.as_tuple() if isinstance(d, DimVector) else tuple(d)
-        return self.table.get(key, QPoly.zero())
+        return self.table.get(tuple(d), QPoly.zero())
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
         return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
@@ -208,7 +207,7 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
 
 def ip_general(
     quiver: Quiver,
-    d: DimVector,
+    d: tuple[int, ...],
     flavour: str = "plain",
     fields: tuple[int, ...] = DEFAULT_FIELDS,
 ) -> QPoly:
@@ -219,12 +218,11 @@ def ip_general(
     when d lies in Sigma.  The output variable is rendered as q but stands
     for v.
     """
-    if not isinstance(d, DimVector):
-        d = DimVector(quiver, d)
-    if d.is_zero():
+    d = quiver.vector(d)
+    if not any(d):
         raise CuspidalError("IP data is defined for nonzero dimension vectors")
-    table = absolutely_cuspidal(quiver, d.total, flavour, fields)
-    return _ip_from_table(table, CartanDatum.from_quiver(quiver), d.as_tuple())
+    table = absolutely_cuspidal(quiver, sum(d), flavour, fields)
+    return _ip_from_table(table, CartanDatum.from_quiver(quiver), d)
 
 
 def _ip_from_table(table: CuspidalTable, cartan: CartanDatum, d: tuple[int, ...]) -> QPoly:

@@ -179,7 +179,8 @@ class _Denominator:
                 self._reals.append((root, half, row))
                 real = True
                 continue
-            most = 1 if norm < 0 else self.bound // sum(root)
+            # Lambda^k of an n-dimensional space is zero for k > n
+            most = 1 if norm < 0 else min(self.bound // sum(root), int(multiplicity.eval_at(1)))
             wedges = pleth_exp(GradedSeries(_LINE, most, {(1,): -multiplicity}), PlethMode.QZ)
             for s, weight in list(self._sums.items()):
                 if sum(a * b for a, b in zip(s, row)):

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
-from .quiver import DimVector, Quiver
+from .quiver import Quiver
 from .roots import BudgetError, CartanDatum
 from .series import (
     GradedSeries,
@@ -220,7 +220,7 @@ class KacTable:
                     raise CountingError(f"A_{d} exceeds degree bound {bound}: {poly}")
 
     def polynomial(self, d) -> QPoly:
-        key = d.as_tuple() if isinstance(d, DimVector) else tuple(d)
+        key = tuple(d)
         if key not in self.table:
             raise KeyError(f"no Kac polynomial stored for {key}")
         return self.table[key]
@@ -348,7 +348,7 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
 # -- the counting oracle ----------------------------------------------------------
 
 
-def brute_force_counts(quiver: Quiver, d: DimVector, q: int, flavour: str = "plain") -> int:
+def brute_force_counts(quiver: Quiver, d: tuple[int, ...], q: int, flavour: str = "plain") -> int:
     """Number of isomorphism classes of F_q-representations of dimension d.
 
     flavour selects the counted class: "plain" counts all representations,
@@ -397,7 +397,6 @@ class _OraclePeel:
         its budget raise BudgetError and leave the peel as it was: later
         stages not above e can still be added.
         """
-        ev = DimVector(self.quiver, e)
         degree_bound = self.cartan.p(e) // 2
         samples = max(1, degree_bound + 1)
         if samples > len(self.fields):
@@ -408,13 +407,13 @@ class _OraclePeel:
         missing = next((b for b in below if b not in self.known), None)
         if missing is not None:
             raise BudgetError(f"need A at {','.join(map(str, missing))} first")
-        if self._exp.bound != ev.total:
-            known = GradedSeries(self.quiver, ev.total, self.known)
+        if self._exp.bound != sum(e):
+            known = GradedSeries(self.quiver, sum(e), self.known)
             self._exp = pleth_exp(known, PlethMode.QZ)
         base = self._exp.coeff(e)
         points = []
         for v in self.fields[:samples]:
-            m_count = brute_force_counts(self.quiver, ev, v, self.flavour)
+            m_count = brute_force_counts(self.quiver, e, v, self.flavour)
             points.append((v, Fraction(m_count) - base.eval_at(v)))
         poly = _lagrange(points)
         if degree_bound < 0 and not poly.is_zero():

@@ -32,12 +32,12 @@ from .cuspidal import absolutely_cuspidal_from_kac
 from .gkm import lowest_weight_extract
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
-from .quiver import DimVector, Quiver, frame
+from .quiver import Quiver, frame
 from .roots import CartanDatum
 from .series import GradedSeries, degree_lex, vectors_up_to
 
 
-def framed_character(quiver: Quiver, framing: DimVector, bound: int) -> GradedSeries:
+def framed_character(quiver: Quiver, framing: tuple[int, ...], bound: int) -> GradedSeries:
     """F(z) = sum_{|e| <= bound} A_{Q_f,(e,1)}(q^{-1}) z^e."""
     return _framed_series(quiver, hua_kac(frame(quiver, framing), bound + 1), bound)
 
@@ -67,17 +67,14 @@ class Block:
 @dataclass
 class LowestWeightDecomposition:
     quiver: Quiver
-    framing: DimVector
+    framing: tuple[int, ...]
     bound: int
     total: GradedSeries
     blocks: list[Block]
 
-    def block_vectors(self) -> list[tuple[int, ...]]:
-        return [b.vector for b in self.blocks]
-
 
 def lw_decompose(
-    quiver: Quiver, framing: DimVector, bound: int
+    quiver: Quiver, framing: tuple[int, ...], bound: int
 ) -> LowestWeightDecomposition:
     """Decompose the framed character into lowest-weight blocks.
 

@@ -184,9 +184,6 @@ class QPoly:
         """Degree as a power of q (may be a half-integer or negative)."""
         return Fraction(self.max_half, 2)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(self.max_half)
-
     def is_monic(self) -> bool:
         return not self.is_zero() and self._num[self.max_half] == self._den
 

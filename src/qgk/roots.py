@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .quiver import DimVector, Quiver, QuiverError
+from .quiver import Quiver
 from .series import degree_lex, vectors_up_to
 
 
@@ -171,12 +171,6 @@ class CartanDatum:
             frontier += joined
         return not support
 
-    def in_fundamental_cone(self, d: tuple[int, ...]) -> bool:
-        """Connected support and (d, 1_i) <= 0 at every loop-free vertex i."""
-        return self._support_connected(d) and all(
-            self._unit_pairing(i, d) <= 0 for i in self._loop_free
-        )
-
     def is_positive_root(self, d: tuple[int, ...]) -> bool:
         """Whether a nonzero d >= 0 is a positive root, by Kac's descent.
 
@@ -292,21 +286,22 @@ def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
 # -- positive roots ------------------------------------------------------------
 
 
-def positive_roots(quiver: Quiver, bound: int) -> list[DimVector]:
+def positive_roots(quiver: Quiver, bound: int) -> list[tuple[int, ...]]:
     """Positive roots with |d| <= bound, in (|d|, lex) order, by Kac's descent."""
     if bound < 1:
         raise RootError("bound must be >= 1")
     rank = len(quiver.vertices)
     check_vector_budget(rank, bound)
     cartan = CartanDatum.from_quiver(quiver)
-    roots = (d for d in vectors_up_to(rank, bound) if any(d) and cartan.is_positive_root(d))
-    return [DimVector(quiver, d) for d in roots]
+    return [d for d in vectors_up_to(rank, bound) if any(d) and cartan.is_positive_root(d)]
 
 
 # -- canonical decomposition ---------------------------------------------------
 
 
-def canonical_decomposition(quiver: Quiver, d: DimVector) -> list[tuple[DimVector, int]]:
+def canonical_decomposition(
+    quiver: Quiver, d: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], int]]:
     """The canonical decomposition of d: its coarsest decomposition into Sigma.
 
     Of all decompositions d = sum_j d_j into Sigma members, exactly one
@@ -316,9 +311,7 @@ def canonical_decomposition(quiver: Quiver, d: DimVector) -> list[tuple[DimVecto
     CartanDatum.canonical_decomposition reads it off the Sigma split table
     exactly.  Returns (part, multiplicity) pairs sorted by (|d|, lex).
     """
-    if d.is_zero():
+    d = quiver.vector(d)
+    if not any(d):
         raise RootError("cannot decompose the zero vector")
-    if not d.is_effective():
-        raise QuiverError("canonical decomposition needs a nonnegative vector")
-    parts = CartanDatum.from_quiver(quiver).canonical_decomposition(d.as_tuple())
-    return [(DimVector(quiver, t), m) for t, m in parts]
+    return CartanDatum.from_quiver(quiver).canonical_decomposition(d)

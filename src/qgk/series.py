@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .qpoly import QPoly, _add_to, _mul, _pack, _unpack
-from .quiver import DimVector, Quiver, QuiverError
+from .quiver import Quiver, QuiverError
 
 
 class SeriesError(ValueError):
@@ -116,9 +116,8 @@ class GradedSeries:
 
     # -- accessors --------------------------------------------------------------
 
-    def coeff(self, d: "DimVector | tuple[int, ...]") -> QPoly:
-        key = d.as_tuple() if isinstance(d, DimVector) else tuple(d)
-        return self._terms.get(key, QPoly.zero())
+    def coeff(self, d: tuple[int, ...]) -> QPoly:
+        return self._terms.get(tuple(d), QPoly.zero())
 
     def constant_term(self) -> QPoly:
         return self.coeff((0,) * len(self.quiver.vertices))
@@ -166,11 +165,6 @@ class GradedSeries:
 
     def scale(self, c: "QPoly | int | Fraction") -> "GradedSeries":
         return GradedSeries(self.quiver, self.bound, {k: p * c for k, p in self._terms.items()})
-
-    def truncate(self, bound: int) -> "GradedSeries":
-        if bound > self.bound:
-            raise SeriesError("cannot extend a truncated series")
-        return GradedSeries(self.quiver, bound, self._terms)
 
 
 def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:

@@ -11,21 +11,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from qgk import CartanDatum, DimVector, GradedSeries, PlethMode, QPoly, Quiver, QuiverError
+from qgk import CartanDatum, GradedSeries, PlethMode, QPoly, Quiver
 from qgk.series import SeriesError
 
 
-def euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
+def euler_form(quiver: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
     """The Euler form chi_Q(d, e) = sum_i d_i e_i - sum_{a: s->t} d_s e_t."""
-    if d.quiver != quiver or e.quiver != quiver:
-        raise QuiverError("euler_form arguments over a different quiver")
+    d, e = (dict(zip(quiver.vertices, quiver.vector(x))) for x in (d, e))
     total = sum(d[v] * e[v] for v in quiver.vertices)
     for s, t in quiver.arrows:
         total -= d[s] * e[t]
     return total
 
 
-def sym_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
+def sym_form(quiver: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
     """The symmetrised Euler form (d, e)_Q = chi_Q(d,e) + chi_Q(e,d)."""
     return euler_form(quiver, d, e) + euler_form(quiver, e, d)
 

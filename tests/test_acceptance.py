@@ -24,7 +24,6 @@ from reference import in_sigma, series_inv
 
 from qgk import (
     CartanDatum,
-    DimVector,
     GradedSeries,
     PlethMode,
     QPoly,
@@ -129,7 +128,7 @@ def test_hua_tables_at_scale():
         "loop_plus_leg-8": hua_kac(test_gkm.LOOP_PLUS_LEG, 8),
         "leg_plus_loop-8": hua_kac(test_gkm.LEG_PLUS_LOOP, 8),
         "wild3-6": hua_kac(wild3, 6),
-        "framed_kronecker-7": hua_kac(frame(KRON, DimVector(KRON, (1, 0))), 7),
+        "framed_kronecker-7": hua_kac(frame(KRON, (1, 0)), 7),
     }
     assert {name: _kac_digest(table) for name, table in digests.items()} == KAC_DIGESTS
     assert all(jordan.polynomial((n,)) == Q(1) for n in range(1, 25))
@@ -223,8 +222,8 @@ def test_loop_quiver_dual_route_inversion():
 
 def test_framed_jordan_partition_block():
     with gate("framed Jordan: one block carrying the partition series", 60.0):
-        dec = lw_decompose(JORDAN, DimVector(JORDAN, (1,)), 6)
-        assert dec.block_vectors() == [(0,)]
+        dec = lw_decompose(JORDAN, (1,), 6)
+        assert [b.vector for b in dec.blocks] == [(0,)]
         block = dec.blocks[0]
         assert block.multiplicity == ONE
         expected = GradedSeries.one(JORDAN, 6)
@@ -233,7 +232,7 @@ def test_framed_jordan_partition_block():
             expected = series_mul(expected, factor)
         expected = series_inv(expected)
         assert block.character.items() == expected.items()
-        total = framed_character(JORDAN, DimVector(JORDAN, (1,)), 6)
+        total = framed_character(JORDAN, (1,), 6)
         for n in range(7):
             assert dec.total.coeff((n,)) == total.coeff((n,))
             assert block.multiplicity * block.character.coeff((n,)) == total.coeff((n,))
@@ -276,11 +275,10 @@ def test_canonical_refinement_and_ip_reduction():
             for d in vectors_up_to(rank, bound):
                 if not any(d):
                     continue
-                dv = DimVector(quiver, d)
                 if in_sigma(cartan, d):
-                    assert canonical_decomposition(quiver, dv) == [(dv, 1)]
+                    assert canonical_decomposition(quiver, d) == [(d, 1)]
                     shifted = cusp.polynomial(d).substitute_power(-2)
-                    assert ip_general(quiver, dv) == shifted
+                    assert ip_general(quiver, d) == shifted
 
 
 def test_nilpotent_jordan():

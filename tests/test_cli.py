@@ -235,6 +235,20 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     assert run(["roots", jordan_file, "--fields", "2,3"]) == 1
 
 
+def test_bad_dimension_vectors_exit_one(a2_file, jordan_file, capsys):
+    length = "error: dimension sequence length differs from vertex count\n"
+    negative = "error: negative entry in a dimension vector\n"
+    cases = [
+        (["ip", a2_file, "--dim", "1,2,3"], length),
+        (["ip", a2_file, "--dim", "1,-1"], negative),
+        (["canonical-decomp", a2_file, "--dim", "1"], length),
+        (["nakajima-decomp", jordan_file, "--framing", "-1"], negative),
+    ]
+    for argv, stderr in cases:
+        assert run(argv) == 1
+        assert capsys.readouterr().err == stderr, argv
+
+
 def test_wide_quiver_at_bound_one(qfile, capsys):
     """1,000 vertices, more than the interpreter's default recursion limit."""
     wide = qfile("wide", [str(v) for v in range(1000)], [])

@@ -11,7 +11,6 @@ from qgk import (
     CartanDatum,
     CuspidalError,
     CuspidalTable,
-    DimVector,
     GradedSeries,
     QPoly,
     Quiver,
@@ -168,9 +167,8 @@ def test_abs_cuspidal_g2_shape(g2loop):
     assert table.polynomial((1,)) == Q(2)
     for d in range(1, 5):
         poly = table.polynomial((d,))
-        dv = DimVector(g2loop, (d,))
         assert poly.is_monic()
-        assert poly.degree_q() == 1 - euler_form(g2loop, dv, dv)
+        assert poly.degree_q() == 1 - euler_form(g2loop, (d,), (d,))
         assert poly.has_nonnegative_coefficients()
 
 
@@ -261,7 +259,7 @@ def test_ip_polynomial_reference_values(jordan, kronecker, g2loop):
     assert ip_general(jordan, (1,)) == Q(-2)
     assert ip_general(kronecker, (1, 1)) == Q(-2)
     assert ip_general(g2loop, (1,)) == Q(-4)
-    assert ip_general(kronecker, DimVector(kronecker, (1, 0))) == ONE
+    assert ip_general(kronecker, (1, 0)) == ONE
 
 
 def test_ip_general_reductions(jordan, a2, kronecker):

@@ -63,7 +63,7 @@ def free_lie_character(chV: GradedSeries, bound: int) -> GradedSeries:
     """
     if bound > chV.bound:
         raise GkmError("bound exceeds the generator series bound")
-    chV = chV.truncate(bound) if bound < chV.bound else chV
+    chV = GradedSeries(chV.quiver, bound, dict(chV.items()))
     if not chV.constant_term().is_zero():
         raise GkmError("generator series must have zero constant term")
     tensor = series_inv(GradedSeries.one(chV.quiver, bound) - chV)
@@ -581,6 +581,14 @@ def test_denominator_work_follows_its_output(monkeypatch):
     table, work = _inverted(JORDAN, 24, monkeypatch)
     assert work <= 1_000
     assert all(table.polynomial((n,)) == Q(1) for n in range(1, 25))
+
+
+def test_denominator_skips_wedges_past_the_dimension():
+    # multiplicity q is one-dimensional, so its Lambda^k is zero for k > 1
+    denominator = qgk.gkm._Denominator(CartanDatum.from_quiver(JORDAN), 24)
+    for n in range(1, 25):
+        denominator.add({(n,): Q(1)})
+    assert denominator.enumerated == 424
 
 
 def test_denominator_budget(kronecker, monkeypatch):

@@ -1,5 +1,6 @@
-"""The package's public vocabulary: every exported function has a caller
-outside the tests, and every name the benchmark tracer patches resolves.
+"""The package's public vocabulary: every exported function and every public
+method of an exported class has a caller outside the tests, and every name
+the benchmark tracer patches resolves.
 
 The tracer lives in perfbench/, which the test suite does not collect, so
 a library edit that removes a traced name would otherwise go unnoticed
@@ -57,9 +58,13 @@ def _named_in(path: Path) -> set[str]:
     return names
 
 
-def test_every_public_function_is_named_outside_the_tests():
+def _places() -> list[Path]:
     places = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
-    places += [p for p in (ROOT / "perfbench").glob("*") if p.suffix in (".py", ".md")]
+    return places + [p for p in (ROOT / "perfbench").glob("*") if p.suffix in (".py", ".md")]
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    places = _places()
     named = {path: _named_in(path) for path in places}
     for name in qgk.__all__:
         function = getattr(qgk, name)
@@ -68,3 +73,21 @@ def test_every_public_function_is_named_outside_the_tests():
         home = {SRC / "__init__.py", SRC / f"{function.__module__.rsplit('.', 1)[1]}.py"}
         callers = [path for path in places if path not in home and name in named[path]]
         assert callers, f"{name} is named only in {sorted(p.name for p in home)} and the tests"
+
+
+METHOD_KINDS = (classmethod, staticmethod, property)
+
+
+def test_every_public_method_is_named_outside_the_tests():
+    """A def does not name itself, so a method named nowhere else has no caller but tests."""
+    named = set().union(*map(_named_in, _places()))
+    unnamed = []
+    for name in qgk.__all__:
+        cls = getattr(qgk, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            method = inspect.isfunction(value) or isinstance(value, METHOD_KINDS)
+            if method and not member.startswith("_") and member not in named:
+                unnamed.append(f"{name}.{member}")
+    assert not unnamed, f"named only in their own def and the tests: {unnamed}"

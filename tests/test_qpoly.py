@@ -31,7 +31,7 @@ def test_min_max_degree():
     assert p.min_half == -2
     assert p.max_half == 4
     assert p.degree_q() == 2
-    assert p.leading_coefficient() == 1
+    assert p.coefficient(p.max_half) == 1
     assert p.is_monic()
 
 
