@@ -64,7 +64,7 @@ class _Field:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            modulus = _first_irreducible(p, k)
+            modulus = get_field(p).irreducibles(k)[0]
             add = [[0] * q for _ in range(q)]
             mul = [[0] * q for _ in range(q)]
             for a in range(q):
@@ -173,15 +173,6 @@ def _polymulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) ->
     return prod[:k]
 
 
-def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    base = _Field(p)
-    for tail in itertools.product(range(p), repeat=k):
-        poly = tail + (1,)
-        if base._is_irreducible(poly):
-            return poly
-    raise CountingError("no irreducible polynomial found")
-
-
 # -- polynomial scalars over the field (tuples, constant coefficient first) ----
 
 
@@ -244,12 +235,6 @@ def _batch_det_sub(F: _Field, mats: np.ndarray, rows, cols) -> np.ndarray:
             term = F.neg[term]
         out = F.add[out, term]
     return out
-
-
-def _batch_det(F: _Field, mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    idx = list(range(n))
-    return _batch_det_sub(F, mats, idx, idx)
 
 
 def _batch_charpoly(F: _Field, mats: np.ndarray) -> np.ndarray:
@@ -360,7 +345,7 @@ def matrix_types(q: int, n: int) -> list[MatType]:
             f"enumerating {q}^{n * n} matrices exceeds the budget of {ENUM_BUDGET}"
         )
     mats = _all_matrices(F, n)
-    mats = mats[_batch_det(F, mats) != 0]
+    mats = mats[_batch_det_sub(F, mats, range(n), range(n)) != 0]
     cps = _batch_charpoly(F, mats)
     codes = np.zeros(mats.shape[0], dtype=np.int64)
     for i in range(n):

@@ -3,37 +3,39 @@ The presented-algebra oracle: n^+ of a generalised Kac-Moody algebra from
 its generators and relations alone.
 
 GkmEngine closes the relation ideal degree by degree inside the tensor
-algebra: dim = (free Lie algebra dimension) - (rank of the ideal), with
-free dimensions from the Lyndon necklace count over letter classes, ideal
-blocks I_d = R_d + sum_g [g, I_{d - deg g}] under rho([x,y]) = rho(x)
-rho(y) - rho(y) rho(x), and ranks by exact fraction-free elimination per
-letter content.  The generators and relations are those of gkm's
-docstring, checked by the same gkm._SimpleRoots.
+algebra: dim = (free Lie algebra dimension) - (rank of the ideal).  The
+free part is Witt's formula ch FreeLie(V) = -Log_{q,z}(1 - ch V), since
+ch T(V) = 1/(1 - ch V) by PBW, with Log the series core's pleth_log.
+Ideal blocks are I_d = R_d + sum_g [g, I_{d - deg g}] under rho([x,y]) =
+rho(x) rho(y) - rho(y) rho(x), and ranks come from exact fraction-free
+elimination per letter content.  The generators and relations are those
+of gkm's docstring, checked by the same gkm._SimpleRoots.
 
 Its cost grows super-polynomially in the bound.  An engine counts its
 work, the tensor terms that reduction touches plus the letters it
-registers and the steps of its class-content enumeration, and raises
-BudgetError past PRESENTED_BUDGET; presented_dims then returns the
-totals it completed.  verify's gkm-presentation check and the tests
-compare it with the denominator route.  Nothing imports this module at
-load time: verify loads it inside that check, as kac.brute_force_counts
-loads _burnside.
+registers, and raises BudgetError past PRESENTED_BUDGET; presented_dims
+then returns the totals it completed.  verify's gkm-presentation check
+and the tests compare it with the denominator route.  Nothing imports
+this module at load time: verify loads it inside that check, as
+kac.brute_force_counts loads _burnside.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from collections import Counter
+from math import gcd
 from typing import NamedTuple
 
 from .gkm import GkmDimTable, GkmError, WeightFunction, _SimpleRoots
 from .qpoly import QPoly
+from .quiver import Quiver
 from .roots import BudgetError, CartanDatum
-from .series import _moebius, vectors_of_total
+from .series import GradedSeries, PlethMode, pleth_log, vectors_of_total
 
-#: The most work one GkmEngine may do: tensor terms touched by reduction,
-#: letters registered and steps of the class-content enumeration, summed.
-#: A unit costs 2-4 us on Jordan, Kronecker and two-loop (Python 3.11), so
-#: the engine stops within a few seconds.
+#: The most work one GkmEngine may do: tensor terms touched by reduction
+#: plus letters registered.  A reduction term costs about 3 us on Jordan and
+#: Kronecker, and a letter about 0.4 us on two-loop (Python 3.11, Xeon VM),
+#: so the engine stops within a few seconds.
 PRESENTED_BUDGET = 1_000_000
 
 
@@ -117,9 +119,8 @@ class GkmEngine:
 
     Generators must be registered in nondecreasing |root| order before
     querying any block of that total degree; queried blocks only see the
-    generators registered so far.  ``work`` counts reduction terms,
-    letters and class-content steps; past PRESENTED_BUDGET the engine
-    raises BudgetError.
+    generators registered so far.  ``work`` counts reduction terms and
+    letters; past PRESENTED_BUDGET the engine raises BudgetError.
     """
 
     def __init__(self, cartan: CartanDatum, bound: int):
@@ -127,9 +128,8 @@ class GkmEngine:
             raise GkmError("bound must be >= 1")
         self.cartan = cartan
         self.bound = bound
-        self.letters: list[Letter] = []
-        self._class_sizes: dict[tuple[tuple[int, ...], int], int] = {}
         self._root_letters: dict[tuple[int, ...], list[Letter]] = {}
+        self._free: GradedSeries | None = None  # rebuilt after letters arrive
         self._roots = _SimpleRoots(cartan)
         self._relations: dict[tuple[int, ...], list[Tensor]] = {}
         self._ideal_cache: dict[tuple[int, ...], dict[tuple[Letter, ...], _Echelon]] = {}
@@ -140,7 +140,7 @@ class GkmEngine:
         if self.work > PRESENTED_BUDGET:
             raise BudgetError(
                 f"the presented algebra up to |d| = {self.bound} passed its budget of "
-                f"{PRESENTED_BUDGET} reduction terms, letters and class-content steps"
+                f"{PRESENTED_BUDGET} reduction terms and letters"
             )
 
     # -- registration -------------------------------------------------------
@@ -151,13 +151,12 @@ class GkmEngine:
         if pairings is None:
             return []
         self._spend(int(multiplicity.eval_at(1)))
+        old_at_root = self._root_letters.setdefault(root, [])
         new_letters: list[Letter] = []
         for half, coeff in multiplicity.items():
-            base = self._class_sizes.get((root, half), 0)
+            base = sum(l.half_degree == half for l in old_at_root)
             for l in range(base + 1, base + int(coeff) + 1):
                 new_letters.append(Letter(sum(root), root, half, l))
-            self._class_sizes[(root, half)] = base + int(coeff)
-        old_at_root = self._root_letters.setdefault(root, [])
         for r, pairing in pairings.items():
             # lazy: most class pairs never look at their letters
             if r == root:
@@ -170,8 +169,7 @@ class GkmEngine:
                 pairs = ((a, b) for a in self._root_letters[r] for b in new_letters)
             self._relate_classes(r, root, pairing, pairs)
         old_at_root.extend(new_letters)
-        self.letters.extend(new_letters)
-        self.letters.sort()
+        self._free = None
         return new_letters
 
     def _relate_classes(self, r, m, pairing: int, pairs) -> None:
@@ -216,12 +214,12 @@ class GkmEngine:
         if not any(d) or any(x < 0 for x in d):
             raise GkmError("blocks are indexed by nonzero nonnegative vectors")
         self._roots.horizon = max(self._roots.horizon, sum(d))
-        dims: dict[int, int] = {}
-        for gamma in self._class_contents(d):
-            free = _weighted_lyndon_count(gamma, self._class_sizes)
-            if free:
-                j = sum(half * count for (_, half), count in gamma)
-                dims[j] = dims.get(j, 0) + free
+        if self._free is None:
+            self._free = self._free_lie()
+        free = self._free.coeff(d)
+        if not free.is_nonnegative_integer_polynomial():
+            raise GkmError(f"free Lie character {free} at block {d} is not a nonnegative integer")
+        dims = {j: int(dim) for j, dim in free.items()}
         for content, echelon in self._ideal_at(d).items():
             j = sum(l.half_degree for l in content)
             dims[j] = dims.get(j, 0) - len(echelon.pivots)
@@ -230,26 +228,15 @@ class GkmEngine:
                 raise GkmError(f"negative dimension at block {d}, degree {j}")
         return {j: dim for j, dim in dims.items() if dim}
 
-    def _class_contents(self, d: tuple[int, ...]):
-        """Multisets of letter classes with roots summing to d; each step is work."""
-        classes = sorted(self._class_sizes)
-        rank = len(d)
-
-        def rec(idx: int, remaining: tuple[int, ...], chosen: tuple):
-            self._spend(1)
-            if not any(remaining):
-                yield chosen
-                return
-            if idx == len(classes):
-                return
-            root, _ = classes[idx]
-            cap = min(remaining[k] // root[k] for k in range(rank) if root[k])
-            for count in range(cap + 1):
-                rest = tuple(remaining[k] - count * root[k] for k in range(rank))
-                taken = chosen + ((classes[idx], count),) if count else chosen
-                yield from rec(idx + 1, rest, taken)
-
-        yield from rec(0, d, ())
+    def _free_lie(self) -> GradedSeries:
+        """-Log(1 - ch V), ch V summing q^{j/2} z^root over the letters."""
+        quiver = Quiver(map(str, range(self.cartan.rank)))
+        chV = {
+            root: QPoly(Counter(l.half_degree for l in letters))
+            for root, letters in self._root_letters.items()
+        }
+        one = GradedSeries.one(quiver, self.bound)
+        return -pleth_log(one - GradedSeries(quiver, self.bound, chV), PlethMode.QZ)
 
     def _ideal_at(self, d: tuple[int, ...]):
         cached = self._ideal_cache.get(d)
@@ -268,44 +255,18 @@ class GkmEngine:
 
         for rel in self._relations.get(d, ()):
             insert(rel)
-        for g in self.letters:
-            prev = tuple(x - y for x, y in zip(d, g.root))
+        for root, letters in self._root_letters.items():
+            prev = tuple(x - y for x, y in zip(d, root))
             if any(x < 0 for x in prev) or not any(prev):
                 continue
-            g_tensor: Tensor = {(g,): 1}
-            for echelon in self._ideal_at(prev).values():
-                for row in echelon.pivots.values():
+            lower = self._ideal_at(prev).values()
+            rows = [row for echelon in lower for row in echelon.pivots.values()]
+            for g in letters:
+                g_tensor: Tensor = {(g,): 1}
+                for row in rows:
                     insert(_tensor_bracket(g_tensor, row))
         self._ideal_cache[d] = blocks
         return blocks
-
-
-def _weighted_lyndon_count(
-    gamma: tuple[tuple[tuple[tuple[int, ...], int], int], ...],
-    class_sizes: dict[tuple[tuple[int, ...], int], int],
-) -> int:
-    """Lyndon words with class content gamma, letters weighted by class size.
-
-    (1/n) sum_{k | gcd} mu(k) (n/k)! / prod (c/k)! * prod size^{c/k}.
-    """
-    counts = [count for _, count in gamma]
-    n = sum(counts)
-    g = gcd(*counts)
-    total = 0
-    for k in range(1, g + 1):
-        if g % k:
-            continue
-        mu = _moebius(k)
-        if mu == 0:
-            continue
-        words = factorial(n // k)
-        for (cls, count) in gamma:
-            words //= factorial(count // k)
-            words *= class_sizes[cls] ** (count // k)
-        total += mu * words
-    if total % n:
-        raise GkmError("necklace count is not an integer")
-    return total // n
 
 
 def presented_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDimTable:

@@ -286,12 +286,13 @@ def lowest_weight_extract(
 
     Each chL_d is pinned to constant term 1 and truncated at N - |d|, N
     the bound of F.  Equations are scanned in (|e|, lex) order; the
-    unknown chL_d(e - d) appears in the single equation e = d + (e - d),
-    so every equation must contain at most one unknown.  An equation with
-    none is compared with F, and one with one unknown is solved for it by
-    exact division, so the result satisfies F = sum_d V_d z^d chL_d at
-    every |e| <= N.  Systems with two or more comparable blocks are
-    genuinely underdetermined and raise AmbiguousDecompositionError.
+    unknown chL_d(e - d) appears first in equation e, so there the only
+    known term is V_e, when e is a block, and each block strictly below e
+    brings one unknown.  An equation with none is compared with F, and
+    one with one unknown is solved for it by exact division, so the
+    result satisfies F = sum_d V_d z^d chL_d at every |e| <= N.  Systems
+    with two or more comparable blocks are genuinely underdetermined and
+    raise AmbiguousDecompositionError.
     """
     quiver = framed.quiver
     rank = len(quiver.vertices)
@@ -302,27 +303,19 @@ def lowest_weight_extract(
     bound = framed.bound
     for total in range(0, bound + 1):
         for e in vectors_of_total(rank, total):
-            knowns = QPoly.zero()
-            unknowns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            for d in blocks:
-                c = tuple(x - y for x, y in zip(e, d))
-                if any(x < 0 for x in c):
-                    continue
-                if c in chl[d]:
-                    knowns = knowns + multiplicities[d] * chl[d][c]
-                else:
-                    unknowns.append((d, c))
-            lhs = framed.coeff(e)
-            if len(unknowns) > 1:
+            below = [d for d in blocks if d != e and all(x >= y for x, y in zip(e, d))]
+            if len(below) > 1:
                 raise AmbiguousDecompositionError(
-                    f"equation at {e} involves {len(unknowns)} unknown block terms"
+                    f"equation at {e} involves {len(below)} unknown block terms"
                 )
-            if not unknowns:
-                if lhs != knowns:
-                    raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {knowns}")
-                continue
-            d, c = unknowns[0]
-            chl[d][c] = (lhs - knowns).divexact(multiplicities[d])
+            lhs = framed.coeff(e)
+            known = multiplicities[e] if e in chl else QPoly.zero()
+            if below:
+                (d,) = below
+                c = tuple(x - y for x, y in zip(e, d))
+                chl[d][c] = (lhs - known).divexact(multiplicities[d])
+            elif lhs != known:
+                raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {known}")
     return {
         d: GradedSeries(quiver, bound - sum(d), terms) for d, terms in chl.items()
     }

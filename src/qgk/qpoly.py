@@ -229,9 +229,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction | int) -> "QPoly":
-        return self * c
-
     def divexact(self, other: "QPoly") -> "QPoly":
         """Exact division in the Laurent ring; raises if the remainder is nonzero."""
         other = _coerce(other)

@@ -34,7 +34,6 @@ import enum
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .qpoly import QPoly, _add_to, _mul, _pack, _unpack
@@ -162,9 +161,6 @@ class GradedSeries:
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
-
-    def scale(self, c: "QPoly | int | Fraction") -> "GradedSeries":
-        return GradedSeries(self.quiver, self.bound, {k: p * c for k, p in self._terms.items()})
 
 
 def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:

@@ -349,8 +349,8 @@ def test_verify_presentation_check_stops_at_the_oracle_budget(kron_file, monkeyp
     status, _, detail = _verify_rows(capsys)["gkm-presentation"]
     assert status == "PASS"
     assert detail == (
-        "presented algebra and denominator identity agree on 9 blocks with |d| <= 3; "
-        "the relation ideal passed PRESENTED_BUDGET (100) at |d| = 4"
+        "presented algebra and denominator identity agree on 20 blocks with |d| <= 5; "
+        "the relation ideal passed PRESENTED_BUDGET (100) at |d| = 6"
     )
     monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 0)
     assert run(["verify", kron_file, "--bound", "6"]) == 0

@@ -237,7 +237,7 @@ def _falling(shifts, denominator):
     poly = ONE
     for a in shifts:
         poly = poly * (Q(1) - QPoly.constant(a))
-    return poly.scale(Fraction(1, denominator))
+    return poly * Fraction(1, denominator)
 
 
 def test_integer_valued_check_is_exact(jordan):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -28,7 +29,7 @@ from qgk import (
     uea_character,
 )
 from qgk.cuspidal import absolutely_cuspidal
-from qgk.series import vectors_up_to
+from qgk.series import vectors_of_total, vectors_up_to
 from qgk._presented import GkmEngine, Letter, Tensor, _Echelon, _tensor_bracket, presented_dims
 
 Q = QPoly.q_power
@@ -133,17 +134,43 @@ def _rho(word, cache: dict) -> Tensor:
     return result
 
 
+def _letters(engine: GkmEngine) -> list[Letter]:
+    return sorted(l for letters in engine._root_letters.values() for l in letters)
+
+
+def _class_contents(class_sizes: dict, d: tuple[int, ...]):
+    """Multisets ((class, count), ...) of letter classes (root, half) with roots summing to d.
+
+    A class whose root does not fit the remainder is skipped.
+    """
+    classes = sorted(class_sizes)
+
+    def rec(start: int, remaining: tuple[int, ...], chosen: tuple):
+        if not any(remaining):
+            yield chosen
+            return
+        for idx in range(start, len(classes)):
+            root = classes[idx][0]
+            cap = min(x // r for x, r in zip(remaining, root) if r)
+            for count in range(1, cap + 1):
+                rest = tuple(x - count * r for x, r in zip(remaining, root))
+                yield from rec(idx + 1, rest, chosen + ((classes[idx], count),))
+
+    yield from rec(0, d, ())
+
+
 def basis_at(engine: GkmEngine, d) -> GkmBasis:
     """Lyndon-bracket labels spanning the block, modulo the ideal."""
     d = tuple(d)
     ideal = engine._ideal_at(d)
+    class_sizes = Counter((l.root, l.half_degree) for l in _letters(engine))
     rho_cache: dict = {}
     entries: list[tuple[tuple[Letter, ...], int]] = []
-    for gamma in engine._class_contents(d):
+    for gamma in _class_contents(class_sizes, d):
         pools: list[tuple[list[Letter], int]] = []
         count = 1
         for (root, half), number in gamma:
-            size = engine._class_sizes[(root, half)]
+            size = class_sizes[(root, half)]
             pool = [Letter(sum(root), root, half, l) for l in range(1, size + 1)]
             count *= comb(size + number - 1, number)
             pools.append((pool, number))
@@ -205,8 +232,9 @@ def _registered(cartan: CartanDatum, weights: dict, bound: int) -> GkmEngine:
 def _with_pairwise_relations(engine: GkmEngine) -> GkmEngine:
     """Replace the engine's relations by those of every pair of its letters."""
     engine._relations = {}
-    for j, b in enumerate(engine.letters):
-        for a in engine.letters[:j]:
+    letters = _letters(engine)
+    for j, b in enumerate(letters):
+        for a in letters[:j]:
             _relate(engine, a, b)
     return engine
 
@@ -341,7 +369,7 @@ def test_positively_pairing_roots_are_rejected(a2):
     engine.add_generators((1, 0), ONE)
     with pytest.raises(GkmError, match="pair positively"):
         engine.add_generators((1, 1), ONE)
-    assert engine.letters == [Letter(1, (1, 0), 0, 1)]
+    assert _letters(engine) == [Letter(1, (1, 0), 0, 1)]
 
 
 def test_real_root_cannot_be_registered_twice(a2):
@@ -349,7 +377,7 @@ def test_real_root_cannot_be_registered_twice(a2):
     engine.add_generators((1, 0), ONE)
     with pytest.raises(GkmError, match="multiplicity one"):
         engine.add_generators((1, 0), ONE)
-    assert engine.letters == [Letter(1, (1, 0), 0, 1)]
+    assert _letters(engine) == [Letter(1, (1, 0), 0, 1)]
     assert engine.dims_at((2, 0)) == {}
 
 
@@ -366,6 +394,37 @@ def test_engine_agrees_with_free_lie_series(g2loop):
     lie = free_lie_character(GradedSeries(g2loop, 4, {(1,): weight}), 4)
     for n in range(1, 5):
         assert character_at(engine, (n,)) == lie.coeff((n,))
+
+
+def test_relation_free_engine_is_the_free_lie_algebra(g2loop):
+    weights = {(1,): QPoly.constant(2) + Q(1), (2,): Q(2) + Q(4, 3)}
+    engine = _registered(CartanDatum.from_quiver(g2loop), weights, 6)
+    assert not engine._relations
+    lie = free_lie_character(GradedSeries(g2loop, 6, weights), 6)
+    for n in range(1, 7):
+        assert character_at(engine, (n,)) == lie.coeff((n,)), n
+    for n in range(1, 5):
+        basis = basis_at(engine, (n,))
+        assert Counter(j for _, j in basis.entries) == engine.dims_at((n,)), n
+
+
+def test_free_part_costs_no_work_and_one_ideal_lookup_per_root(g2loop):
+    engine = _registered(
+        CartanDatum.from_quiver(g2loop), dict(absolutely_cuspidal(g2loop, 9).table), 9
+    )
+    lookups = []
+    ideal_at = engine._ideal_at
+
+    def counted(d):
+        lookups.append(d)
+        return ideal_at(d)
+
+    engine._ideal_at = counted
+    work = engine.work
+    assert engine.dims_at((9,))
+    assert engine.work == work
+    # (9,) itself, then (b - r,) once for each block b <= 9 and each root r < b
+    assert len(lookups) <= 1 + sum(b - 1 for b in range(1, 10))
 
 
 def test_isotropic_letters_commute(jordan):
@@ -519,14 +578,15 @@ def test_presented_budget_keeps_the_totals_it_completed(kronecker, monkeypatch):
     full = presented_dims(cartan, weights, 6)
     assert full.bound == 6
     monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 100)
-    part = presented_dims(cartan, weights, 6)  # the work passes 100 during |d| = 4
-    assert part.bound == 3
-    assert part.dims == {d: b for d, b in full.dims.items() if sum(d) <= 3}
+    part = presented_dims(cartan, weights, 6)  # the work passes 100 during |d| = 6
+    assert part.bound == 5
+    assert part.dims == {d: b for d, b in full.dims.items() if sum(d) <= 5}
     engine = GkmEngine(cartan, 6)
     for root, poly in weights.items():
         engine.add_generators(root, poly)
     with pytest.raises(BudgetError, match="passed its budget of 100 "):
-        engine.dims_at((3, 3))
+        for d in vectors_of_total(2, 6):
+            engine.dims_at(d)
 
 
 def test_gkm_resolves_only_the_engine_from_the_oracle_module():
@@ -690,13 +750,15 @@ def test_extract_truncates_each_block_below_the_bound_of_f(a2, jordan):
 
 def test_extract_ambiguous_blocks(a2):
     F = GradedSeries(a2, 2, {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE})
-    with pytest.raises(AmbiguousDecompositionError):
+    with pytest.raises(
+        AmbiguousDecompositionError, match=r"equation at \(1, 1\) involves 2 unknown block terms"
+    ):
         lowest_weight_extract(F, {(1, 0): ONE, (0, 1): ONE})
 
 
 def test_extract_inconsistent_series(jordan):
     F = GradedSeries(jordan, 1, {(0,): ONE})
-    with pytest.raises(GkmError):
+    with pytest.raises(GkmError, match=r"inconsistent decomposition at \(0,\): 1 != 0"):
         lowest_weight_extract(F, {(1,): ONE})
 
 

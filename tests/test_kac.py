@@ -225,7 +225,7 @@ class _RatQ:
         return _RatQ(a + b, tuple(lcm.items()))
 
     def scale(self, c: Fraction) -> "_RatQ":
-        return _RatQ(self.num.scale(c), self.den)
+        return _RatQ(self.num * c, self.den)
 
     def substitute_power(self, n: int) -> "_RatQ":
         return _RatQ(self.num.substitute_power(n), tuple((j * n, e) for j, e in self.den))

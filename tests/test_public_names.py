@@ -40,18 +40,22 @@ def test_every_traced_target_resolves():
             assert callable(getattr(QPoly, method)), method
 
 
-def _named_in(path: Path) -> set[str]:
-    """The names, attributes and strings of a Python file; the words of a Markdown file's code."""
+def _named_in(path: Path, bare: bool = True) -> set[str]:
+    """The names, attributes and strings of a Python file; the words of a Markdown file's code.
+
+    With bare=False a bare name or an import does not count, so a local
+    variable does not name a method of the same name.
+    """
     text = path.read_text(encoding="utf-8")
     if path.suffix != ".py":
         return set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]*`", text, re.S))))
     names = set()
     for node in ast.walk(ast.parse(text, str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and bare:
             names.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
@@ -80,7 +84,7 @@ METHOD_KINDS = (classmethod, staticmethod, property)
 
 def test_every_public_method_is_named_outside_the_tests():
     """A def does not name itself, so a method named nowhere else has no caller but tests."""
-    named = set().union(*map(_named_in, _places()))
+    named = set().union(*(_named_in(path, bare=False) for path in _places()))
     unnamed = []
     for name in qgk.__all__:
         cls = getattr(qgk, name)

@@ -193,11 +193,11 @@ def _add_product(out, a, b, total):
 
 def _exp_truncated(s):
     """exp(s), degree by degree: |d| E_d = sum_{0<e<=d} |e| s_e E_{d-e}."""
-    euler = _by_degree({e: p.scale(sum(e)) for e, p in s.items()}, s.bound)
+    euler = _by_degree({e: p * sum(e) for e, p in s.items()}, s.bound)
     exp = _by_degree({(0,) * len(s.quiver.vertices): QPoly.one()}, s.bound)
     for total in range(1, s.bound + 1):
         level = _add_product({}, euler, exp, total)
-        exp[total] = {d: p.scale(Fraction(1, total)) for d, p in level.items() if p}
+        exp[total] = {d: p * Fraction(1, total) for d, p in level.items() if p}
     return GradedSeries(s.quiver, s.bound, {d: p for level in exp for d, p in level.items()})
 
 
@@ -206,16 +206,20 @@ def _log_truncated(g):
     minus_h = _by_degree({d: -p for d, p in g.items() if any(d)}, g.bound)
     euler = [{} for _ in range(g.bound + 1)]  # |d| L_d
     for total in range(1, g.bound + 1):
-        level = {d: p.scale(-total) for d, p in minus_h[total].items()}
+        level = {d: p * -total for d, p in minus_h[total].items()}
         euler[total] = {d: p for d, p in _add_product(level, euler, minus_h, total).items() if p}
-    log = {d: p.scale(Fraction(1, sum(d))) for level in euler for d, p in level.items()}
+    log = {d: p * Fraction(1, sum(d)) for level in euler for d, p in level.items()}
     return GradedSeries(g.quiver, g.bound, log)
+
+
+def _times(f, c):
+    return GradedSeries(f.quiver, f.bound, {d: p * c for d, p in f.items()})
 
 
 def reference_pleth_exp(f, mode):
     total = GradedSeries.zero(f.quiver, f.bound)
     for n in range(1, f.bound + 1):
-        total = total + adams(f, n, mode).scale(Fraction(1, n))
+        total = total + _times(adams(f, n, mode), Fraction(1, n))
     return _exp_truncated(total)
 
 
@@ -223,7 +227,7 @@ def reference_pleth_log(g, mode):
     log = _log_truncated(g)
     result = GradedSeries.zero(g.quiver, g.bound)
     for n in range(1, g.bound + 1):
-        result = result + adams(log, n, mode).scale(Fraction(_moebius(n), n))
+        result = result + _times(adams(log, n, mode), Fraction(_moebius(n), n))
     return result
 
 
@@ -232,7 +236,7 @@ def newton_sym_powers(p, m):
     h = [QPoly.one()]
     for n in range(1, m + 1):
         terms = (p.substitute_power(k) * h[n - k] for k in range(1, n + 1))
-        h.append(sum(terms, QPoly.zero()).scale(Fraction(1, n)))
+        h.append(sum(terms, QPoly.zero()) * Fraction(1, n))
     return h
 
 
