@@ -4,9 +4,10 @@ Command-line front end.
 Every command reads a quiver from a JSON file ({"vertices": [...],
 "arrows": [[s, t], ...]}), computes one table, and prints it sorted by
 (|d|, lex) either as TSV (dimension vector, tab, value columns) or as a
-JSON document.  Both formats carry the same data; the JSON form is also
-what the on-disk cache stores, keyed by (schema version, quiver hash,
-parsed options), written atomically.
+JSON document.  Both formats carry the same data.  The on-disk cache
+stores the exact text a command printed under its request (schema
+version, quiver, every parsed option), behind a checksum, written
+atomically; an entry is served only when both match, and never parsed.
 
 Exit codes: 0 success, 1 invalid input or exceeded size budgets, 2 a
 violated internal invariant (positivity, integrality, reconstruction),
@@ -18,12 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import os
 import sys
 import tempfile
+import zlib
 
 from .cuspidal import (
     CuspidalError,
@@ -68,7 +69,7 @@ from .roots import (
 from .series import PlethMode, SeriesError, degree_lex, pleth_exp, pleth_log, vectors_up_to
 
 #: Part of every cache key; raise it when a command's output changes.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 IP_CONVENTION = (
     "coefficients of v^j count IH^j classes, shifted so a smooth n-dimensional "
@@ -124,11 +125,6 @@ def _poly_rows(items) -> list[list[str]]:
     return [[_csv(d), str(p)] for d, p in items]
 
 
-def _quiver_hash(quiver: Quiver) -> str:
-    blob = json.dumps(quiver.to_json_dict(), separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # -- cache ------------------------------------------------------------------------
 
 
@@ -136,104 +132,43 @@ def _cache_dir(cli_value: str | None) -> str | None:
     return os.environ.get("QGK_CACHE_DIR") or cli_value
 
 
-def _cache_path(directory: str, quiver: Quiver, args) -> str:
-    """The entry's file, named qgk-<command>-<key>.json; the command fixes its shape.
+def _cache_key(quiver: Quiver, args) -> str:
+    """The request as one line: schema, quiver and every parsed option.
 
-    The key covers every parsed option but the quiver's path, the output
-    format and the cache directory, with a weight file replaced by the
-    hash of its contents.
+    Only the quiver's path and the cache directory are left out; a weight
+    file enters by its text.
     """
-    options = {k: v for k, v in vars(args).items() if k not in ("quiver", "format", "cache_dir")}
+    options = {k: v for k, v in vars(args).items() if k not in ("quiver", "cache_dir")}
     if options.get("weights"):
         try:
-            with open(options["weights"], "rb") as fh:
-                options["weights"] = hashlib.sha256(fh.read()).hexdigest()
-        except OSError as exc:
+            with open(options["weights"], "r", encoding="utf-8") as fh:
+                options["weights"] = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read weight file: {exc}") from None
-    blob = json.dumps([CACHE_SCHEMA, _quiver_hash(quiver), options], sort_keys=True)
-    key = hashlib.sha256(blob.encode()).hexdigest()
-    return os.path.join(directory, f"qgk-{args.command}-{key}.json")
+    return json.dumps([CACHE_SCHEMA, quiver.to_json_dict(), options], sort_keys=True)
 
 
-_BLOCK = {"d": str, "multiplicity": str, "weight": list, "character": dict}
-
-
-def _is_block(row) -> bool:
-    """A nakajima-decomp block whose d and character keys have the quiver's rank.
-
-    The weight has one entry per vertex, so its length is that rank.
-    """
-    if not _row_fits(row, _BLOCK):
-        return False
-    vectors = [v.split(",") for v in (row["d"], *row["character"])]
-    return all(isinstance(p, str) for p in row["character"].values()) and all(
-        len(v) == len(row["weight"]) and all(n.isascii() and n.isdigit() for n in v)
-        for v in vectors
-    )
-
-
-#: Each cacheable command's payload: top-level key -> `str` for a string,
-#: else the shape of each row of a list: the width of a list of strings,
-#: a dict of key -> value type, or a predicate on the row.
-_PAYLOAD_SHAPES = {
-    "roots": {
-        "rows": {"d": str, "class": str, "sigma": bool, "primitive": str, "multiplier": int}
-    },
-    "kac": {"rows": 2},
-    "cuspidal": {"cabs": 2, "c": 2},
-    "ip": {"convention": str, "rows": 2},
-    "canonical-decomp": {"rows": 2},
-    "gkm-dims": {"rows": 3},
-    "nakajima-decomp": {"blocks": _is_block},
-}
-
-
-def _row_fits(row, shape) -> bool:
-    if isinstance(shape, int):
-        return isinstance(row, list) and len(row) == shape and all(isinstance(x, str) for x in row)
-    if isinstance(shape, dict):
-        return (
-            isinstance(row, dict)
-            and row.keys() == shape.keys()
-            and all(isinstance(row[key], kind) for key, kind in shape.items())
-        )
-    return shape(row)
-
-
-def _fits(value, shape) -> bool:
-    if shape is str:
-        return isinstance(value, str)
-    return isinstance(value, list) and all(_row_fits(row, shape) for row in value)
-
-
-def _cache_read(path: str) -> dict | None:
-    """The cached payload, or None when it is missing, unreadable or misshapen.
-
-    The expected shape, down to each row, is that of the command in the
-    file name.
-    """
-    command = os.path.basename(path).removeprefix("qgk-").rpartition("-")[0]
-    shape = _PAYLOAD_SHAPES.get(command)
-    if shape is None:
-        return None
+def _cache_read(path: str) -> str | None:
+    """The text after the entry's checksum line; None if missing, unreadable or damaged."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deep
-        return None
-    if not isinstance(payload, dict) or payload.keys() != shape.keys():
-        return None
-    return payload if all(_fits(payload[key], rows) for key, rows in shape.items()) else None
+        with open(path, "rb") as fh:
+            crc, _, rest = fh.read().partition(b"\n")
+        if crc == b"%08x" % zlib.crc32(rest):
+            return rest.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        pass
+    return None
 
 
-def _cache_write(path: str, payload: dict) -> None:
-    """Store the payload atomically; a cache that cannot be written is skipped."""
+def _cache_write(path: str, text: str) -> None:
+    """Store the text atomically under its checksum; a cache that cannot be written is skipped."""
+    body = text.encode("utf-8")
     temp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"%08x\n" % zlib.crc32(body) + body)
         os.replace(temp, path)
     except OSError:
         if temp is not None:
@@ -309,7 +244,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # as in _cache_read
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise InputError(f"cannot read weight file: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("weights"), dict):
         raise InputError('weight file must be {"weights": {"d,e": {half: coeff}}}')
@@ -425,9 +360,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         return status, f"agree on {len(oracle)} vectors with |d| <= {horizon}{notes}"
 
     def orientation():
-        flipped = Quiver(list(quiver.vertices), [(t, s) for s, t in quiver.arrows])
-        same = kac().table == hua_kac(flipped, bound).table
-        return ("pass" if same else "fail"), "A-table invariant under arrow reversal"
+        return "vacuous", "hua_kac reads only the Cartan matrix, which arrow reversal keeps"
 
     def weyl():
         table = kac().to_series()
@@ -510,12 +443,11 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 # -- rendering --------------------------------------------------------------------
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=1) + "\n"
-
-
-def _render_tsv(command: str, payload: dict) -> str:
+def _render(args, payload: dict) -> str:
+    if args.format == "json":
+        return json.dumps(payload, indent=1) + "\n"
     lines: list[str] = []
+    command = args.command
     if command == "roots":
         for row in payload["rows"]:
             member = "sigma" if row["sigma"] else "phi"
@@ -542,11 +474,9 @@ def _render_tsv(command: str, payload: dict) -> str:
             )
             for e, p in block["character"].items():
                 lines.append("\t".join([block["d"], e, p]))
-    elif command == "verify":
+    else:
         for row in payload["results"]:
             lines.append("\t".join([row["status"].upper(), row["property"], row["detail"]]))
-    else:
-        raise InputError(f"unknown command {command!r}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -616,18 +546,22 @@ def run(argv: list[str] | None = None) -> int:
             args.fields = _parse_fields(args.fields)
         quiver = _load_quiver(args.quiver)
 
-        payload = None
         cache_file = None
         directory = _cache_dir(args.cache_dir)
         if directory is not None and args.command != "verify":
-            cache_file = _cache_path(directory, quiver, args)
-            payload = _cache_read(cache_file)
-        if payload is None:
-            payload = _HANDLERS[args.command](quiver, args)
-            if cache_file is not None:
-                _cache_write(cache_file, payload)
+            key = _cache_key(quiver, args)
+            cache_file = os.path.join(
+                directory, f"qgk-{args.command}-{zlib.crc32(key.encode()):08x}.txt"
+            )
+            stored, _, text = (_cache_read(cache_file) or "").partition("\n")
+            if stored == key:
+                sys.stdout.write(text)
+                return 0
 
-        text = _render_json(payload) if args.format == "json" else _render_tsv(args.command, payload)
+        payload = _HANDLERS[args.command](quiver, args)
+        text = _render(args, payload)
+        if cache_file is not None:
+            _cache_write(cache_file, f"{key}\n{text}")
         sys.stdout.write(text)
         if args.command == "verify" and any(r["status"] == "fail" for r in payload["results"]):
             return 2

@@ -8,7 +8,7 @@ this package.  Arrows are stored as an explicit sequence of
 (source, target) pairs, so parallel arrows and loops need no special
 casing.  The pipeline reads a quiver through its Cartan matrix, which
 roots.CartanDatum.from_quiver builds from the arrows; otherwise only the
-Burnside census and verify's arrow flip read them.
+Burnside census reads them.
 
 EXAMPLES::
 

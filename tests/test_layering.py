@@ -25,9 +25,9 @@ ORDER = [
 ORACLES = {"_burnside", "_presented"}
 
 #: Outside quiver.py, the modules that may read Quiver.arrows: the Burnside
-#: census counts representations of the oriented quiver, Cartan data are
-#: built from the arrows, and verify reverses them.
-READS_ARROWS = {"roots", "_burnside", "cli"}
+#: census counts representations of the oriented quiver, and Cartan data are
+#: built from the arrows.
+READS_ARROWS = {"roots", "_burnside"}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -77,7 +77,7 @@ def test_no_module_loads_an_oracle_at_load_time():
         assert not loaded, f"{module} imports {sorted(loaded)} at load time"
 
 
-def test_only_the_census_cartan_data_and_cli_read_arrows():
+def test_only_the_census_and_cartan_data_read_arrows():
     for module, tree in _trees().items():
         names = _names(tree)
         if module != "quiver":
