@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .gkm import GkmDimTable, GkmError, WeightFunction, _SimpleRoots
 from .qpoly import QPoly
-from .quiver import Quiver
 from .roots import BudgetError, CartanDatum
 from .series import GradedSeries, PlethMode, pleth_log, vectors_of_total
 
@@ -230,13 +229,13 @@ class GkmEngine:
 
     def _free_lie(self) -> GradedSeries:
         """-Log(1 - ch V), ch V summing q^{j/2} z^root over the letters."""
-        quiver = Quiver(map(str, range(self.cartan.rank)))
+        rank = self.cartan.rank
         chV = {
             root: QPoly(Counter(l.half_degree for l in letters))
             for root, letters in self._root_letters.items()
         }
-        one = GradedSeries.one(quiver, self.bound)
-        return -pleth_log(one - GradedSeries(quiver, self.bound, chV), PlethMode.QZ)
+        one = GradedSeries.one(rank, self.bound)
+        return -pleth_log(one - GradedSeries(rank, self.bound, chV), PlethMode.QZ)
 
     def _ideal_at(self, d: tuple[int, ...]):
         cached = self._ideal_cache.get(d)
@@ -291,4 +290,4 @@ def presented_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> 
             complete = total
     except BudgetError:
         dims = {d: block for d, block in dims.items() if sum(d) <= complete}
-    return GkmDimTable(weights.quiver, complete, dims)
+    return GkmDimTable(cartan, complete, dims)

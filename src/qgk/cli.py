@@ -270,12 +270,11 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
 def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
     if args.from_kac == (args.weights is not None):
         raise InputError("exactly one of --from-kac and --weights is required")
-    cartan = CartanDatum.from_quiver(quiver)
     if args.from_kac:
         table = absolutely_cuspidal(quiver, args.bound, args.flavour, args.fields)
-        weights = WeightFunction(quiver, dict(table.table))
+        cartan, weights = table.cartan, WeightFunction(quiver, table.table)
     else:
-        weights = _load_weights(quiver, args.weights)
+        cartan, weights = CartanDatum.from_quiver(quiver), _load_weights(quiver, args.weights)
         # gkm_dims's own generator checks, run first so a bad file is an input error
         roots = _SimpleRoots(cartan)
         try:
@@ -318,7 +317,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     exception lands in that check's row.  A bound past the Hua budget is
     refused before any check runs.
     """
-    check_hua_budget(quiver, args.bound)
+    check_hua_budget(len(quiver.vertices), args.bound)
     results = []
 
     def check(name: str, thunk) -> None:
@@ -330,7 +329,6 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     bound = args.bound
     rank = len(quiver.vertices)
-    cartan = CartanDatum.from_quiver(quiver)
     vectors = [d for d in vectors_up_to(rank, bound) if any(d)]
 
     @functools.cache
@@ -343,7 +341,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def hua_vs_oracle():
         horizon = min(bound, 3 if rank == 1 else 2)
-        peel = _OraclePeel(quiver, "plain", args.fields)
+        peel = _OraclePeel(quiver, kac().cartan, "plain", args.fields)
         skipped: dict[tuple[int, ...], str] = {}
         for d in (d for d in vectors if sum(d) <= horizon):
             try:
@@ -363,7 +361,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         return "vacuous", "hua_kac reads only the Cartan matrix, which arrow reversal keeps"
 
     def weyl():
-        table = kac().to_series()
+        table, cartan = kac().to_series(), kac().cartan
         free = cartan._loop_free
         seen = 0
         for d in vectors:
@@ -381,7 +379,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         return ("pass" if seen else "vacuous"), f"checked {seen} reflected pairs"
 
     def kac_support():
-        roots = set(positive_roots(quiver, bound))
+        roots = set(positive_roots(kac().cartan, bound))
         same = set(kac().table) == roots
         return ("pass" if same else "fail"), "A_d nonzero exactly on positive roots"
 
@@ -392,9 +390,9 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     def gkm_presentation():
         from ._presented import PRESENTED_BUDGET, presented_dims
 
-        weights = WeightFunction(quiver, dict(cabs().table))
-        presented = presented_dims(cartan, weights, bound)
-        denominator = gkm_dims(cartan, weights, bound).dims
+        weights = WeightFunction(quiver, cabs().table)
+        presented = presented_dims(cabs().cartan, weights, bound)
+        denominator = gkm_dims(cabs().cartan, weights, bound).dims
         compared = [d for d in vectors if sum(d) <= presented.bound]
         bad = [d for d in compared if presented.dims.get(d, {}) != denominator.get(d, {})]
         horizon = f"{len(compared)} blocks with |d| <= {presented.bound}"

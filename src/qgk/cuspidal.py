@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gkm import WeightFunction, _Denominator
+from .gkm import _Denominator
 from .kac import DEFAULT_FIELDS, KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
 from .quiver import Quiver
@@ -44,7 +44,6 @@ from .roots import (
 from .series import (
     GradedSeries,
     PlethMode,
-    _LINE,
     degree_lex,
     pleth_exp,
     pleth_log,
@@ -62,7 +61,7 @@ class CuspidalError(ValueError):
 class CuspidalTable:
     """C^abs_d (absolute=True) or C_d (absolute=False) on Phi^+ members."""
 
-    quiver: Quiver
+    cartan: CartanDatum
     bound: int
     flavour: str
     absolute: bool
@@ -91,7 +90,7 @@ class CuspidalTable:
         return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
 
 
-def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunction:
+def invert_character(cartan: CartanDatum, target: GradedSeries) -> dict[tuple[int, ...], QPoly]:
     """Simple-root multiplicities of the presented algebra with character target.
 
     Solves Borcherds' denominator identity Exp_{q,z}(-target) = sum_w
@@ -110,7 +109,7 @@ def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunctio
     bound = target.bound
     roots = {entry.vector for entry in phi_plus(cartan, bound)}
     minus = {d: -p for d, p in target.items() if any(d)}
-    exp_minus = pleth_exp(GradedSeries(target.quiver, bound, minus), PlethMode.QZ)
+    exp_minus = pleth_exp(GradedSeries(cartan.rank, bound, minus), PlethMode.QZ)
     denominator = _Denominator(cartan, bound)
     weights: dict[tuple[int, ...], QPoly] = {}
     for total in range(1, bound + 1):
@@ -126,7 +125,7 @@ def invert_character(cartan: CartanDatum, target: GradedSeries) -> WeightFunctio
             deficits[d] = deficit
         denominator.add(deficits)
         weights.update(deficits)
-    return WeightFunction(target.quiver, weights)
+    return weights
 
 
 def absolutely_cuspidal(
@@ -147,16 +146,16 @@ def absolutely_cuspidal(
 
 def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
     """C^abs_d for |d| <= kac.bound, by inverting the character of a Kac table."""
-    cartan = CartanDatum.from_quiver(kac.quiver)
-    weights = invert_character(cartan, kac.to_series())
-    table = CuspidalTable(kac.quiver, kac.bound, kac.flavour, True, dict(weights.table))
+    weights = invert_character(kac.cartan, kac.to_series())
+    table = CuspidalTable(kac.cartan, kac.bound, kac.flavour, True, weights)
     if kac.flavour == "plain":
-        _check_plain_shape(table, cartan)
+        _check_plain_shape(table)
     return table
 
 
-def _check_plain_shape(table: CuspidalTable, cartan: CartanDatum) -> None:
+def _check_plain_shape(table: CuspidalTable) -> None:
     """Plain C^abs is supported exactly on Phi^+, monic of degree 1 - chi(d,d) = p(d)/2."""
+    cartan = table.cartan
     support = set(table.table)
     expected = {entry.vector for entry in phi_plus(cartan, table.bound)}
     if support != expected:
@@ -174,14 +173,14 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
     """Cuspidal polynomials from absolutely cuspidal ones.
 
     Hyperbolic and real entries carry over unchanged; each isotropic ray
-    is converted through the Exp_z / Exp_{z,q} relation on a synthetic
-    one-vertex grading.
+    is converted through the Exp_z / Exp_{z,q} relation on a rank-1
+    series.
     """
     if not table.absolute:
         raise CuspidalError("input must be a table of absolutely cuspidal polynomials")
     out: dict[tuple[int, ...], QPoly] = {}
     rays: set[tuple[int, ...]] = set()
-    for entry in phi_plus(CartanDatum.from_quiver(table.quiver), table.bound):
+    for entry in phi_plus(table.cartan, table.bound):
         if entry.classification == ISOTROPIC:
             rays.add(entry.primitive)
             continue
@@ -193,13 +192,13 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
         absolutes = {
             (l,): table.polynomial(tuple(l * x for x in m)) for l in range(1, length + 1)
         }
-        ray_abs = GradedSeries(_LINE, length, absolutes)
+        ray_abs = GradedSeries(1, length, absolutes)
         ray_cusp = pleth_log(pleth_exp(ray_abs, PlethMode.QZ), PlethMode.Z_ONLY)
         for l in range(1, length + 1):
             poly = ray_cusp.coeff((l,))
             if not poly.is_zero():
                 out[tuple(l * x for x in m)] = poly
-    return CuspidalTable(table.quiver, table.bound, table.flavour, False, out)
+    return CuspidalTable(table.cartan, table.bound, table.flavour, False, out)
 
 
 # -- IP polynomials --------------------------------------------------------------
@@ -221,13 +220,12 @@ def ip_general(
     d = quiver.vector(d)
     if not any(d):
         raise CuspidalError("IP data is defined for nonzero dimension vectors")
-    table = absolutely_cuspidal(quiver, sum(d), flavour, fields)
-    return _ip_from_table(table, CartanDatum.from_quiver(quiver), d)
+    return _ip_from_table(absolutely_cuspidal(quiver, sum(d), flavour, fields), d)
 
 
-def _ip_from_table(table: CuspidalTable, cartan: CartanDatum, d: tuple[int, ...]) -> QPoly:
+def _ip_from_table(table: CuspidalTable, d: tuple[int, ...]) -> QPoly:
     result = QPoly.one()
-    for part, mult in cartan.canonical_decomposition(d):
+    for part, mult in table.cartan.canonical_decomposition(d):
         shifted = table.polynomial(part).substitute_power(-2)
         result = result * sym_power_coeff(shifted, mult)
     return result
@@ -241,9 +239,4 @@ def ip_table(
 ) -> dict[tuple[int, ...], QPoly]:
     """IP data for every nonzero d with |d| <= bound off one shared C^abs table."""
     table = absolutely_cuspidal(quiver, bound, flavour, fields)
-    cartan = CartanDatum.from_quiver(quiver)
-    out: dict[tuple[int, ...], QPoly] = {}
-    for d in vectors_up_to(cartan.rank, bound):
-        if any(d):
-            out[d] = _ip_from_table(table, cartan, d)
-    return out
+    return {d: _ip_from_table(table, d) for d in vectors_up_to(table.cartan.rank, bound) if any(d)}

@@ -42,19 +42,21 @@ lives in _presented; verify and the tests load it on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .qpoly import QPoly
-from .quiver import Quiver
 from .roots import BudgetError, CartanDatum, check_vector_budget
 from .series import (
     GradedSeries,
     PlethMode,
-    _LINE,
     degree_lex,
     pleth_exp,
     pleth_log,
     vectors_of_total,
 )
+
+if TYPE_CHECKING:  # a weight function names its quiver; nothing here reads it
+    from .quiver import Quiver
 
 #: The most clique-sum extensions and Weyl group elements one denominator may enumerate.
 GKM_BUDGET = 200_000
@@ -79,7 +81,7 @@ class WeightFunction:
 class GkmDimTable:
     """dim n_{d,j} for |d| <= bound, keyed d -> {half degree j: dim}."""
 
-    quiver: Quiver
+    cartan: CartanDatum
     bound: int
     dims: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
 
@@ -181,7 +183,7 @@ class _Denominator:
                 continue
             # Lambda^k of an n-dimensional space is zero for k > n
             most = 1 if norm < 0 else min(self.bound // sum(root), int(multiplicity.eval_at(1)))
-            wedges = pleth_exp(GradedSeries(_LINE, most, {(1,): -multiplicity}), PlethMode.QZ)
+            wedges = pleth_exp(GradedSeries(1, most, {(1,): -multiplicity}), PlethMode.QZ)
             for s, weight in list(self._sums.items()):
                 if sum(a * b for a, b in zip(s, row)):
                     continue
@@ -203,8 +205,8 @@ class _Denominator:
         """The right side at d."""
         return self._terms.get(tuple(d), QPoly.zero())
 
-    def series(self, quiver: Quiver) -> GradedSeries:
-        return GradedSeries(quiver, self.bound, self._terms)
+    def series(self) -> GradedSeries:
+        return GradedSeries(self.cartan.rank, self.bound, self._terms)
 
     def _count(self) -> None:
         self.enumerated += 1
@@ -252,7 +254,7 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
     check_vector_budget(cartan.rank, bound)
     denominator = _Denominator(cartan, bound)
     denominator.add({root: poly for root, poly in weights.items() if sum(root) <= bound})
-    character = pleth_log(denominator.series(weights.quiver), PlethMode.QZ)
+    character = pleth_log(denominator.series(), PlethMode.QZ)
     dims: dict[tuple[int, ...], dict[int, int]] = {}
     for d, poly in character.items():
         block = {}
@@ -263,7 +265,7 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
                 )
             block[j] = -int(coeff)
         dims[d] = block
-    return GkmDimTable(weights.quiver, bound, dims)
+    return GkmDimTable(cartan, bound, dims)
 
 
 def uea_character(chL: GradedSeries) -> GradedSeries:
@@ -294,8 +296,7 @@ def lowest_weight_extract(
     with two or more comparable blocks are genuinely underdetermined and
     raise AmbiguousDecompositionError.
     """
-    quiver = framed.quiver
-    rank = len(quiver.vertices)
+    rank = framed.rank
     blocks = sorted((d for d, v in multiplicities.items() if not v.is_zero()), key=degree_lex)
     chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
         d: {tuple([0] * rank): QPoly.one()} for d in blocks
@@ -316,9 +317,7 @@ def lowest_weight_extract(
                 chl[d][c] = (lhs - known).divexact(multiplicities[d])
             elif lhs != known:
                 raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {known}")
-    return {
-        d: GradedSeries(quiver, bound - sum(d), terms) for d, terms in chl.items()
-    }
+    return {d: GradedSeries(rank, bound - sum(d), terms) for d, terms in chl.items()}
 
 
 # perfbench/tracing.py imports and wraps qgk.gkm.GkmEngine by that path.  This

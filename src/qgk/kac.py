@@ -200,7 +200,7 @@ class KacTable:
     also checked against 1 - chi(d, d) = p(d)/2.
     """
 
-    quiver: Quiver
+    cartan: CartanDatum
     bound: int
     flavour: str
     table: dict[tuple[int, ...], QPoly] = field(default_factory=dict)
@@ -208,14 +208,13 @@ class KacTable:
     def __post_init__(self):
         if self.flavour not in FLAVOURS:
             raise CountingError(f"unknown flavour {self.flavour!r}")
-        cartan = CartanDatum.from_quiver(self.quiver) if self.flavour == "plain" else None
         for d, poly in self.table.items():
             if poly.is_zero():
                 continue
             if not poly.is_nonnegative_integer_polynomial():
                 raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
-            if cartan is not None:
-                bound = cartan.p(d) // 2
+            if self.flavour == "plain":
+                bound = self.cartan.p(d) // 2
                 if poly.degree_q() > bound:
                     raise CountingError(f"A_{d} exceeds degree bound {bound}: {poly}")
 
@@ -229,9 +228,7 @@ class KacTable:
         return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
 
     def to_series(self) -> GradedSeries:
-        return GradedSeries(
-            self.quiver, self.bound, {d: p for d, p in self.table.items() if sum(d) <= self.bound}
-        )
+        return GradedSeries(self.cartan.rank, self.bound, self.table)  # drops |d| > bound
 
 
 # -- Hua's formula ----------------------------------------------------------------
@@ -298,9 +295,8 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> d
     return _unpack(lo, total, w)
 
 
-def _hua_numerators(quiver: Quiver, bound: int) -> list:
+def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
     """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
-    matrix = CartanDatum.from_quiver(quiver).matrix
     levels = [(1, {(0,) * len(matrix): {0: 1}})]
     for total in range(1, bound + 1):
         level = {d: _hua_numerator(d, matrix) for d in vectors_of_total(len(matrix), total)}
@@ -308,7 +304,7 @@ def _hua_numerators(quiver: Quiver, bound: int) -> list:
     return levels
 
 
-def check_hua_budget(quiver: Quiver, bound: int) -> None:
+def check_hua_budget(rank: int, bound: int) -> None:
     """Raise BudgetError if Hua's sum up to |d| <= bound exceeds HUA_BUDGET.
 
     The sum runs over sum_{0<|d|<=bound} prod_v p(d_v) multipartitions; the
@@ -317,7 +313,7 @@ def check_hua_budget(quiver: Quiver, bound: int) -> None:
     """
     tally = 0
     for total in range(1, bound + 1):
-        for d in vectors_of_total(len(quiver.vertices), total):
+        for d in vectors_of_total(rank, total):
             tally += math.prod(map(_partition_count, d))
             if tally > HUA_BUDGET:
                 raise BudgetError(
@@ -334,15 +330,16 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
     """
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    check_hua_budget(quiver, bound)
-    levels = _pleth_log_levels(_hua_numerators(quiver, bound), stretch=True, qfactorial=True)
+    cartan = CartanDatum.from_quiver(quiver)
+    check_hua_budget(cartan.rank, bound)
+    levels = _pleth_log_levels(_hua_numerators(cartan.matrix, bound), stretch=True, qfactorial=True)
     table: dict[tuple[int, ...], QPoly] = {}
     for total, (den, level) in enumerate(levels):
         for d in sorted(level):
             # q - 1 = (1 - x) / x, and one exact division by D_d
             num = _ratio(level[d], [1], [j for a in d for j in range(1, a + 1)])
             table[d] = QPoly._of({2 * (1 - k): c for k, c in num.items()}, den * total)
-    return KacTable(quiver, bound, "plain", table)
+    return KacTable(cartan, bound, "plain", table)
 
 
 # -- the counting oracle ----------------------------------------------------------
@@ -382,13 +379,12 @@ class _OraclePeel:
     total serves the whole run; a stage of another total takes a new Exp.
     """
 
-    def __init__(self, quiver: Quiver, flavour: str, fields: tuple[int, ...]):
+    def __init__(self, quiver: Quiver, cartan: CartanDatum, flavour: str, fields: tuple[int, ...]):
         if flavour not in FLAVOURS:
             raise CountingError(f"unknown flavour {flavour!r}")
-        self.quiver, self.flavour, self.fields = quiver, flavour, fields
-        self.cartan = CartanDatum.from_quiver(quiver)
+        self.quiver, self.cartan, self.flavour, self.fields = quiver, cartan, flavour, fields
         self.known: dict[tuple[int, ...], QPoly] = {}
-        self._exp = GradedSeries.zero(quiver, 0)
+        self._exp = GradedSeries(cartan.rank, 0)
 
     def add(self, e: tuple[int, ...]) -> None:
         """Store A_e, from its census over the first max(1, 2 - chi(e, e)) field sizes.
@@ -408,7 +404,7 @@ class _OraclePeel:
         if missing is not None:
             raise BudgetError(f"need A at {','.join(map(str, missing))} first")
         if self._exp.bound != sum(e):
-            known = GradedSeries(self.quiver, sum(e), self.known)
+            known = GradedSeries(self.cartan.rank, sum(e), self.known)
             self._exp = pleth_exp(known, PlethMode.QZ)
         base = self._exp.coeff(e)
         points = []
@@ -430,8 +426,9 @@ def oracle_kac_full(
     """A_e for every 0 < |e| <= bound, from brute-force counts, peeled in (|d|, lex) order."""
     if bound < 1:
         raise CountingError("bound must be >= 1")
-    peel = _OraclePeel(quiver, flavour, fields)
-    for e in vectors_up_to(len(quiver.vertices), bound):
+    cartan = CartanDatum.from_quiver(quiver)
+    peel = _OraclePeel(quiver, cartan, flavour, fields)
+    for e in vectors_up_to(cartan.rank, bound):
         if any(e):
             peel.add(e)
-    return KacTable(quiver, bound, flavour, peel.known)
+    return KacTable(cartan, bound, flavour, peel.known)

@@ -33,25 +33,24 @@ from .gkm import lowest_weight_extract
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import Quiver, frame
-from .roots import CartanDatum
 from .series import GradedSeries, degree_lex, vectors_up_to
 
 
 def framed_character(quiver: Quiver, framing: tuple[int, ...], bound: int) -> GradedSeries:
     """F(z) = sum_{|e| <= bound} A_{Q_f,(e,1)}(q^{-1}) z^e."""
-    return _framed_series(quiver, hua_kac(frame(quiver, framing), bound + 1), bound)
+    return _framed_series(hua_kac(frame(quiver, framing), bound + 1), bound)
 
 
-def _framed_series(quiver: Quiver, framed_kac: KacTable, bound: int) -> GradedSeries:
+def _framed_series(framed_kac: KacTable, bound: int) -> GradedSeries:
     """F(z) read off the Kac table of the framed quiver up to bound + 1."""
     kac = framed_kac.to_series()
-    rank = len(quiver.vertices)
+    rank = framed_kac.cartan.rank - 1
     terms: dict[tuple[int, ...], QPoly] = {}
     for e in vectors_up_to(rank, bound):
         poly = kac.coeff(e + (1,))
         if not poly.is_zero():
             terms[e] = poly.substitute_power(-1)
-    return GradedSeries(quiver, bound, terms)
+    return GradedSeries(rank, bound, terms)
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,10 @@ def lw_decompose(
     (absolutely_cuspidal_from_kac checks that support); the zero vector is
     a block whenever the pure framing unit is (it always is).
     """
-    framed = frame(quiver, framing)
-    kac = hua_kac(framed, bound + 1)
+    kac = hua_kac(frame(quiver, framing), bound + 1)
     table = absolutely_cuspidal_from_kac(kac)
-    total = _framed_series(quiver, kac, bound)
-    rank = len(quiver.vertices)
+    total = _framed_series(kac, bound)
+    rank = total.rank
 
     multiplicities: dict[tuple[int, ...], QPoly] = {}
     for d in vectors_up_to(rank, bound):
@@ -97,10 +95,9 @@ def lw_decompose(
 
     characters = lowest_weight_extract(total, multiplicities)
 
-    cartan = CartanDatum.from_quiver(framed)
     blocks: list[Block] = []
     for d in sorted(multiplicities, key=degree_lex):
-        weight = tuple(cartan._unit_pairing(i, d + (1,)) for i in range(rank))
+        weight = tuple(table.cartan._unit_pairing(i, d + (1,)) for i in range(rank))
         blocks.append(Block(d, multiplicities[d], weight, characters[d]))
 
     return LowestWeightDecomposition(quiver, framing, bound, total, blocks)

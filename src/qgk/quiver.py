@@ -7,8 +7,10 @@ canonical order used for every matrix layout and every sorted output in
 this package.  Arrows are stored as an explicit sequence of
 (source, target) pairs, so parallel arrows and loops need no special
 casing.  The pipeline reads a quiver through its Cartan matrix, which
-roots.CartanDatum.from_quiver builds from the arrows; otherwise only the
-Burnside census reads them.
+roots.CartanDatum.from_quiver builds from the arrows once per run; the
+series know only a rank and the tables carry that CartanDatum.  A Quiver
+stays where vertex names are printed or arrows are read: frame, the
+Burnside census, WeightFunction, LowestWeightDecomposition and the CLI.
 
 EXAMPLES::
 

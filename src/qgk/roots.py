@@ -286,14 +286,12 @@ def phi_plus(cartan: CartanDatum, bound: int) -> list[RootEntry]:
 # -- positive roots ------------------------------------------------------------
 
 
-def positive_roots(quiver: Quiver, bound: int) -> list[tuple[int, ...]]:
+def positive_roots(cartan: CartanDatum, bound: int) -> list[tuple[int, ...]]:
     """Positive roots with |d| <= bound, in (|d|, lex) order, by Kac's descent."""
     if bound < 1:
         raise RootError("bound must be >= 1")
-    rank = len(quiver.vertices)
-    check_vector_budget(rank, bound)
-    cartan = CartanDatum.from_quiver(quiver)
-    return [d for d in vectors_up_to(rank, bound) if any(d) and cartan.is_positive_root(d)]
+    check_vector_budget(cartan.rank, bound)
+    return [d for d in vectors_up_to(cartan.rank, bound) if any(d) and cartan.is_positive_root(d)]
 
 
 # -- canonical decomposition ---------------------------------------------------

@@ -2,8 +2,10 @@ r"""
 Truncated multigraded power series with plethystic Exp and Log.
 
 A :class:`GradedSeries` is a finitely supported map from dimension
-vectors d with |d| <= N to :class:`~qgk.qpoly.QPoly` coefficients; the
-bound N is the truncation order by *total* degree.  The plethystic
+vectors d of one rank with |d| <= N to :class:`~qgk.qpoly.QPoly`
+coefficients; the bound N is the truncation order by *total* degree.
+A series knows its lattice only by that rank, so this module reads no
+quiver, and a one-variable series is simply one of rank 1.  The plethystic
 exponential comes in the two flavours used throughout:
 
 * ``PlethMode.Z_ONLY`` -- the Adams operation psi_n substitutes
@@ -37,7 +39,6 @@ from collections import Counter
 from typing import Iterator, Mapping
 
 from .qpoly import QPoly, _add_to, _mul, _pack, _unpack
-from .quiver import Quiver, QuiverError
 
 
 class SeriesError(ValueError):
@@ -77,23 +78,22 @@ def degree_lex(d: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class GradedSeries:
-    """A power series over a quiver's dimension lattice, truncated at |d| <= N."""
+    """A power series over the rank-r dimension lattice, truncated at |d| <= N."""
 
-    __slots__ = ("quiver", "bound", "_terms")
+    __slots__ = ("rank", "bound", "_terms")
 
     def __init__(
         self,
-        quiver: Quiver,
+        rank: int,
         bound: int,
         terms: Mapping[tuple[int, ...], QPoly] | None = None,
     ):
         if bound < 0:
             raise SeriesError("truncation bound must be >= 0")
-        self.quiver = quiver
+        self.rank = rank
         self.bound = bound
         clean: dict[tuple[int, ...], QPoly] = {}
         if terms:
-            rank = len(quiver.vertices)
             for key, poly in terms.items():
                 key = tuple(int(n) for n in key)
                 if len(key) != rank or any(n < 0 for n in key):
@@ -105,13 +105,8 @@ class GradedSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, quiver: Quiver, bound: int) -> "GradedSeries":
-        return cls(quiver, bound)
-
-    @classmethod
-    def one(cls, quiver: Quiver, bound: int) -> "GradedSeries":
-        rank = len(quiver.vertices)
-        return cls(quiver, bound, {(0,) * rank: QPoly.one()})
+    def one(cls, rank: int, bound: int) -> "GradedSeries":
+        return cls(rank, bound, {(0,) * rank: QPoly.one()})
 
     # -- accessors --------------------------------------------------------------
 
@@ -119,7 +114,7 @@ class GradedSeries:
         return self._terms.get(tuple(d), QPoly.zero())
 
     def constant_term(self) -> QPoly:
-        return self.coeff((0,) * len(self.quiver.vertices))
+        return self.coeff((0,) * self.rank)
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
         return [(d, self._terms[d]) for d in sorted(self._terms, key=degree_lex)]
@@ -130,11 +125,7 @@ class GradedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return (
-            self.quiver == other.quiver
-            and self.bound == other.bound
-            and self._terms == other._terms
-        )
+        return (self.rank, self.bound, self._terms) == (other.rank, other.bound, other._terms)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {p}" for k, p in self.items()[:6])
@@ -142,8 +133,8 @@ class GradedSeries:
         return f"GradedSeries(N={self.bound}, {{{inner}{suffix}}})"
 
     def _check_compatible(self, other: "GradedSeries") -> None:
-        if self.quiver != other.quiver:
-            raise QuiverError("series over different quivers")
+        if self.rank != other.rank:
+            raise SeriesError("series of different ranks")
         if self.bound != other.bound:
             raise SeriesError("series with different truncation bounds")
 
@@ -154,10 +145,10 @@ class GradedSeries:
         out = dict(self._terms)
         for k, p in other._terms.items():
             out[k] = out.get(k, QPoly.zero()) + p
-        return GradedSeries(self.quiver, self.bound, out)  # drops zero terms
+        return GradedSeries(self.rank, self.bound, out)  # drops zero terms
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(self.quiver, self.bound, {k: -p for k, p in self._terms.items()})
+        return GradedSeries(self.rank, self.bound, {k: -p for k, p in self._terms.items()})
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
@@ -360,7 +351,7 @@ def _series(f: GradedSeries, levels: list, euler: bool = False) -> GradedSeries:
         scale = den * total if euler else den
         for d in sorted(level):
             terms[d] = QPoly._of(level[d], scale)
-    return GradedSeries(f.quiver, f.bound, terms)
+    return GradedSeries(f.rank, f.bound, terms)
 
 
 def pleth_exp(f: GradedSeries, mode: PlethMode) -> GradedSeries:
@@ -368,7 +359,7 @@ def pleth_exp(f: GradedSeries, mode: PlethMode) -> GradedSeries:
     if not f.constant_term().is_zero():
         raise SeriesError("pleth_exp needs zero constant term")
     (levels,) = _levels(f)
-    exp = _pleth_exp_levels(levels, len(f.quiver.vertices), mode is PlethMode.QZ)
+    exp = _pleth_exp_levels(levels, f.rank, mode is PlethMode.QZ)
     return _series(f, exp)
 
 
@@ -380,9 +371,6 @@ def pleth_log(g: GradedSeries, mode: PlethMode) -> GradedSeries:
     return _series(g, _pleth_log_levels(levels, mode is PlethMode.QZ), euler=True)
 
 
-_LINE = Quiver(["u"])
-
-
 def sym_power_coeff(p: QPoly, m: int) -> QPoly:
     """Coefficient of u^m in Exp_{t,u}(p(t) * u).
 
@@ -391,4 +379,4 @@ def sym_power_coeff(p: QPoly, m: int) -> QPoly:
     """
     if m < 0:
         raise SeriesError("symmetric power index must be >= 0")
-    return pleth_exp(GradedSeries(_LINE, m, {(1,): p}), PlethMode.QZ).coeff((m,))
+    return pleth_exp(GradedSeries(1, m, {(1,): p}), PlethMode.QZ).coeff((m,))

@@ -45,7 +45,7 @@ def series_inv(f: GradedSeries) -> GradedSeries:
         raise SeriesError("series_inv needs a unit (monomial) constant term")
     (k0, c0), = u.items()
     u_inv = QPoly.half_power(-k0, Fraction(1) / c0)
-    rank = len(f.quiver.vertices)
+    rank = f.rank
     higher = [(e, p) for e, p in f.items() if any(e)]
     g: dict[tuple[int, ...], QPoly] = {}
     for d in sorted(itertools.product(range(f.bound + 1), repeat=rank), key=sum):
@@ -57,7 +57,7 @@ def series_inv(f: GradedSeries) -> GradedSeries:
             if min(rest) >= 0:
                 total = total - p * g[rest]
         g[d] = u_inv * total
-    return GradedSeries(f.quiver, f.bound, g)
+    return GradedSeries(f.rank, f.bound, g)
 
 
 def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
@@ -70,4 +70,4 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
         if sum(key) > f.bound:
             continue
         out[key] = p.substitute_power(n) if mode is PlethMode.QZ else p
-    return GradedSeries(f.quiver, f.bound, out)
+    return GradedSeries(f.rank, f.bound, out)

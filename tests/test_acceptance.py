@@ -210,7 +210,7 @@ def test_loop_quiver_dual_route_inversion():
         cusp = absolutely_cuspidal(G2, 5)
         kac = hua_kac(G2, 5)
         uea = pleth_exp(kac.to_series(), PlethMode.QZ)
-        generators = GradedSeries.one(G2, 5) - series_inv(uea)
+        generators = GradedSeries.one(1, 5) - series_inv(uea)
         for d in range(1, 6):
             poly = cusp.polynomial((d,))
             assert poly == generators.coeff((d,))
@@ -226,9 +226,9 @@ def test_framed_jordan_partition_block():
         assert [b.vector for b in dec.blocks] == [(0,)]
         block = dec.blocks[0]
         assert block.multiplicity == ONE
-        expected = GradedSeries.one(JORDAN, 6)
+        expected = GradedSeries.one(1, 6)
         for k in range(1, 7):
-            factor = GradedSeries(JORDAN, 6, {(0,): ONE, (k,): QPoly.zero() - Q(-1)})
+            factor = GradedSeries(1, 6, {(0,): ONE, (k,): QPoly.zero() - Q(-1)})
             expected = series_mul(expected, factor)
         expected = series_inv(expected)
         assert block.character.items() == expected.items()

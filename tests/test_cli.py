@@ -380,6 +380,40 @@ def test_verify_computes_the_kac_table_once(kron_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots"],
+        ["kac"],
+        ["kac", "--method", "oracle", "--bound", "2"],
+        ["cuspidal"],
+        ["ip"],
+        ["ip", "--dim", "2,2"],
+        ["canonical-decomp"],
+        ["gkm-dims", "--from-kac"],
+        ["gkm-dims", "--weights", "{weights}"],
+        ["nakajima-decomp", "--framing", "1,0"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_each_command_builds_the_cartan_datum_once(argv, kron_file, tmp_path, monkeypatch, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"weights": {"1,0": {"0": "1"}, "0,1": {"0": "1"}}}))
+    builds = []
+    real = qgk.CartanDatum.__init__
+
+    def counting(self, matrix):
+        builds.append(matrix)
+        real(self, matrix)
+
+    monkeypatch.setattr(qgk.CartanDatum, "__init__", counting)
+    argv = [arg.format(weights=weights) for arg in argv]
+    assert run([argv[0], kron_file, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
 def _verify_rows(capsys) -> dict[str, list[str]]:
     return {line.split("\t")[1]: line.split("\t") for line in _out(capsys).splitlines()}
 

@@ -9,7 +9,10 @@ count.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import qgk
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgk"
 
@@ -84,3 +87,16 @@ def test_only_the_census_and_cartan_data_read_arrows():
             assert module in READS_ARROWS or ".arrows" not in names, f"{module} reads .arrows"
         forms = names & {"euler_form", "sym_form", ".euler_form", ".sym_form"}
         assert not forms, f"{module} uses {sorted(forms)}"
+
+
+def test_series_and_the_gkm_modules_do_not_load_quiver():
+    """A series knows only its rank, and the GKM routes read only a CartanDatum."""
+    trees = _trees()
+    for module in ("series", "gkm", "_presented"):
+        assert "quiver" not in _module_level_imports(trees[module]), module
+
+
+def test_tables_carry_the_cartan_datum_not_the_quiver():
+    for table in (qgk.KacTable, qgk.CuspidalTable, qgk.GkmDimTable):
+        names = {f.name for f in dataclasses.fields(table)}
+        assert "quiver" not in names and "cartan" in names, table.__name__

@@ -33,9 +33,9 @@ def test_framed_jordan_is_the_partition_series(jordan):
     block = dec.blocks[0]
     assert block.multiplicity == ONE
     assert block.weight == (-1,)
-    expected = GradedSeries.one(jordan, 6)
+    expected = GradedSeries.one(1, 6)
     for k in range(1, 7):
-        factor = GradedSeries(jordan, 6, {(0,): ONE, (k,): QPoly.zero() - Q(-1)})
+        factor = GradedSeries(1, 6, {(0,): ONE, (k,): QPoly.zero() - Q(-1)})
         expected = series_mul(expected, factor)
     expected = series_inv(expected)
     assert block.character.items() == expected.items()

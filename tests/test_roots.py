@@ -29,7 +29,7 @@ def sigma_via_positive_roots(quiver: Quiver, bound: int) -> set[tuple[int, ...]]
     the dynamic-programming definition, checked against this one below.
     """
     cartan = CartanDatum.from_quiver(quiver)
-    roots = positive_roots(quiver, bound)
+    roots = positive_roots(cartan, bound)
     root_set = set(roots)
 
     def decompositions(d: tuple[int, ...], allowed: list[tuple[int, ...]]):
@@ -218,6 +218,7 @@ def test_weyl_reflect_involution_and_invariance(a2, kronecker):
 
 
 def test_positive_roots_reference_sets(a2, jordan, g2loop, kronecker):
+    a2, jordan, g2loop, kronecker = map(CartanDatum.from_quiver, (a2, jordan, g2loop, kronecker))
     assert set(positive_roots(a2, 3)) == {(1, 0), (0, 1), (1, 1)}
     assert set(positive_roots(jordan, 3)) == {(1,), (2,), (3,)}
     assert set(positive_roots(g2loop, 3)) == {(1,), (2,), (3,)}
@@ -226,7 +227,7 @@ def test_positive_roots_reference_sets(a2, jordan, g2loop, kronecker):
 
 
 def test_positive_roots_sorted_and_positive(kronecker):
-    roots = positive_roots(kronecker, 5)
+    roots = positive_roots(CartanDatum.from_quiver(kronecker), 5)
     keys = [(sum(r), r) for r in roots]
     assert keys == sorted(keys)
     assert all(min(r) >= 0 and any(r) for r in roots)

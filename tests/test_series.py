@@ -14,7 +14,6 @@ from qgk import (
     GradedSeries,
     PlethMode,
     QPoly,
-    Quiver,
     SeriesError,
     parse_qpoly,
     pleth_exp,
@@ -25,8 +24,8 @@ from qgk import (
 from qgk.qpoly import _add_to, _mul
 from qgk.series import _convolve, _moebius, _ratio, _settle, vectors_of_total
 
-LINE = Quiver(["0"])
-PAIR = Quiver(["0", "1"])
+LINE = 1  # the rank of a one-variable series
+PAIR = 2
 
 
 def small_polys():
@@ -86,12 +85,26 @@ def test_series_mul_unit_and_geometric():
     assert series_mul(one_minus_z, geometric(5)) == one
 
 
+def test_series_of_different_ranks_or_bounds_do_not_combine():
+    f = GradedSeries(LINE, 3, {(1,): QPoly.one()})
+    for other in (GradedSeries(PAIR, 3, {(1, 0): QPoly.one()}), GradedSeries(LINE, 4)):
+        for combine in (operator.add, operator.sub, series_mul):
+            with pytest.raises(SeriesError):
+                combine(f, other)
+
+
+def test_series_keys_must_have_the_series_rank():
+    for key in ((1, 0), (), (-1,)):
+        with pytest.raises(SeriesError, match="bad series key"):
+            GradedSeries(LINE, 3, {key: QPoly.one()})
+
+
 def test_series_inv():
     assert series_inv(GradedSeries.one(LINE, 4)) == GradedSeries.one(LINE, 4)
     one_minus_z = GradedSeries(LINE, 4, {(0,): QPoly.one(), (1,): QPoly.constant(-1)})
     assert series_inv(one_minus_z) == geometric(4)
     with pytest.raises(SeriesError):
-        series_inv(GradedSeries.zero(LINE, 4))
+        series_inv(GradedSeries(LINE, 4))
     half = GradedSeries(LINE, 2, {(0,): QPoly.constant(Fraction(1, 2))})
     assert series_inv(half).constant_term() == QPoly.constant(2)
 
@@ -117,7 +130,7 @@ def test_exp_requires_zero_constant_and_log_requires_one():
     with pytest.raises(SeriesError):
         pleth_exp(GradedSeries.one(LINE, 3), PlethMode.QZ)
     with pytest.raises(SeriesError):
-        pleth_log(GradedSeries.zero(LINE, 3), PlethMode.QZ)
+        pleth_log(GradedSeries(LINE, 3), PlethMode.QZ)
 
 
 def test_adams_composition():
@@ -194,11 +207,11 @@ def _add_product(out, a, b, total):
 def _exp_truncated(s):
     """exp(s), degree by degree: |d| E_d = sum_{0<e<=d} |e| s_e E_{d-e}."""
     euler = _by_degree({e: p * sum(e) for e, p in s.items()}, s.bound)
-    exp = _by_degree({(0,) * len(s.quiver.vertices): QPoly.one()}, s.bound)
+    exp = _by_degree({(0,) * s.rank: QPoly.one()}, s.bound)
     for total in range(1, s.bound + 1):
         level = _add_product({}, euler, exp, total)
         exp[total] = {d: p * Fraction(1, total) for d, p in level.items() if p}
-    return GradedSeries(s.quiver, s.bound, {d: p for level in exp for d, p in level.items()})
+    return GradedSeries(s.rank, s.bound, {d: p for level in exp for d, p in level.items()})
 
 
 def _log_truncated(g):
@@ -209,15 +222,15 @@ def _log_truncated(g):
         level = {d: p * -total for d, p in minus_h[total].items()}
         euler[total] = {d: p for d, p in _add_product(level, euler, minus_h, total).items() if p}
     log = {d: p * Fraction(1, sum(d)) for level in euler for d, p in level.items()}
-    return GradedSeries(g.quiver, g.bound, log)
+    return GradedSeries(g.rank, g.bound, log)
 
 
 def _times(f, c):
-    return GradedSeries(f.quiver, f.bound, {d: p * c for d, p in f.items()})
+    return GradedSeries(f.rank, f.bound, {d: p * c for d, p in f.items()})
 
 
 def reference_pleth_exp(f, mode):
-    total = GradedSeries.zero(f.quiver, f.bound)
+    total = GradedSeries(f.rank, f.bound)
     for n in range(1, f.bound + 1):
         total = total + _times(adams(f, n, mode), Fraction(1, n))
     return _exp_truncated(total)
@@ -225,7 +238,7 @@ def reference_pleth_exp(f, mode):
 
 def reference_pleth_log(g, mode):
     log = _log_truncated(g)
-    result = GradedSeries.zero(g.quiver, g.bound)
+    result = GradedSeries(g.rank, g.bound)
     for n in range(1, g.bound + 1):
         result = result + _times(adams(log, n, mode), Fraction(_moebius(n), n))
     return result
