@@ -29,3 +29,7 @@ show("Jordan quiver", jordan, (1,), 6)
 
 # The fundamental framing on A2 gives one three-dimensional block.
 show("A2", a2, (1, 0), 3)
+
+# Framing 2 on the Jordan quiver: five comparable blocks at bound 4, each
+# carrying the partition series, since no root (n,0) is orthogonal to (d,1).
+show("Jordan quiver", jordan, (2,), 4)

@@ -36,7 +36,6 @@ from .cuspidal import (
     ip_table,
 )
 from .gkm import (
-    AmbiguousDecompositionError,
     GkmError,
     WeightFunction,
     _SimpleRoots,
@@ -564,7 +563,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "verify" and any(r["status"] == "fail" for r in payload["results"]):
             return 2
         return 0
-    except (InputError, QuiverError, BudgetError, AmbiguousDecompositionError) as exc:
+    except (InputError, QuiverError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

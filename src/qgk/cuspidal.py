@@ -90,7 +90,9 @@ class CuspidalTable:
         return [(d, self.table[d]) for d in sorted(self.table, key=degree_lex)]
 
 
-def invert_character(cartan: CartanDatum, target: GradedSeries) -> dict[tuple[int, ...], QPoly]:
+def invert_character(
+    cartan: CartanDatum, target: GradedSeries, roots: set[tuple[int, ...]]
+) -> dict[tuple[int, ...], QPoly]:
     """Simple-root multiplicities of the presented algebra with character target.
 
     Solves Borcherds' denominator identity Exp_{q,z}(-target) = sum_w
@@ -104,10 +106,10 @@ def invert_character(cartan: CartanDatum, target: GradedSeries) -> dict[tuple[in
     they are added in one step.  A nonzero deficit off Phi^+, or on it
     one that is not a polynomial in q with nonnegative integer
     coefficients, aborts: the target is then not a GKM character for this
-    Cartan datum.  The multiplicities run up to the bound of target.
+    Cartan datum.  The multiplicities run up to the bound of target, and
+    roots holds the vectors of Phi^+ that far.
     """
     bound = target.bound
-    roots = {entry.vector for entry in phi_plus(cartan, bound)}
     minus = {d: -p for d, p in target.items() if any(d)}
     exp_minus = pleth_exp(GradedSeries(cartan.rank, bound, minus), PlethMode.QZ)
     denominator = _Denominator(cartan, bound)
@@ -146,23 +148,22 @@ def absolutely_cuspidal(
 
 def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
     """C^abs_d for |d| <= kac.bound, by inverting the character of a Kac table."""
-    weights = invert_character(kac.cartan, kac.to_series())
+    roots = {entry.vector for entry in phi_plus(kac.cartan, kac.bound)}
+    weights = invert_character(kac.cartan, kac.to_series(), roots)
     table = CuspidalTable(kac.cartan, kac.bound, kac.flavour, True, weights)
     if kac.flavour == "plain":
-        _check_plain_shape(table)
+        _check_plain_shape(table, roots)
     return table
 
 
-def _check_plain_shape(table: CuspidalTable) -> None:
+def _check_plain_shape(table: CuspidalTable, roots: set[tuple[int, ...]]) -> None:
     """Plain C^abs is supported exactly on Phi^+, monic of degree 1 - chi(d,d) = p(d)/2."""
-    cartan = table.cartan
     support = set(table.table)
-    expected = {entry.vector for entry in phi_plus(cartan, table.bound)}
-    if support != expected:
-        off = sorted(support ^ expected, key=degree_lex)
+    if support != roots:
+        off = sorted(support ^ roots, key=degree_lex)
         raise CuspidalError(f"C^abs support differs from Phi^+ at {off[0]}")
     for d, poly in table.table.items():
-        degree = cartan.p(d) // 2
+        degree = table.cartan.p(d) // 2
         if poly.degree_q() != degree or not poly.is_monic():
             raise CuspidalError(
                 f"C^abs_{d} = {poly} is not monic of degree {degree}"
@@ -172,21 +173,20 @@ def _check_plain_shape(table: CuspidalTable) -> None:
 def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
     """Cuspidal polynomials from absolutely cuspidal ones.
 
-    Hyperbolic and real entries carry over unchanged; each isotropic ray
-    is converted through the Exp_z / Exp_{z,q} relation on a rank-1
-    series.
+    Entries are classified by CartanDatum.root: hyperbolic and real ones
+    carry over unchanged, and each isotropic ray is converted through the
+    Exp_z / Exp_{z,q} relation on a rank-1 series.
     """
     if not table.absolute:
         raise CuspidalError("input must be a table of absolutely cuspidal polynomials")
     out: dict[tuple[int, ...], QPoly] = {}
     rays: set[tuple[int, ...]] = set()
-    for entry in phi_plus(table.cartan, table.bound):
+    for d, poly in table.table.items():
+        entry = table.cartan.root(d)
         if entry.classification == ISOTROPIC:
             rays.add(entry.primitive)
-            continue
-        poly = table.polynomial(entry.vector)
-        if not poly.is_zero():
-            out[entry.vector] = poly
+        elif not poly.is_zero():
+            out[d] = poly
     for m in sorted(rays, key=degree_lex):
         length = table.bound // sum(m)
         absolutes = {

@@ -33,7 +33,11 @@ simple roots pair positively, so S is orthogonal to a new root r exactly
 when (s(S), r) = 0: the right side keeps one weight per root sum, not one
 per clique.  gkm_dims takes ch n^+ = -Log_{q,z} of the right side, and
 cuspidal.invert_character solves the identity for the multiplicities.
-Both stop past GKM_BUDGET clique-sum extensions and Weyl group elements.
+Begun at l instead of 0 (S orthogonal to l, w* acting on l + s(S)), the
+sum times Exp_{q,z}(ch n^+) is the character of the irreducible module of
+lowest weight l (the Borcherds-Kac character formula), which
+lowest_weight_extract returns.  All three stop past GKM_BUDGET clique-sum
+extensions and Weyl group elements.
 
 GkmEngine, the presented-algebra oracle that closes the relation ideal,
 lives in _presented; verify and the tests load it on first use.
@@ -52,7 +56,7 @@ from .series import (
     degree_lex,
     pleth_exp,
     pleth_log,
-    vectors_of_total,
+    series_mul,
 )
 
 if TYPE_CHECKING:  # a weight function names its quiver; nothing here reads it
@@ -144,15 +148,16 @@ class _SimpleRoots:
 class _Denominator:
     """The right side of the denominator identity for the simple roots added so far.
 
-    Cliques (sets S) are summed by their root sum s(S).  Registered roots
-    never pair positively, so (s(S), r) = sum_m k_m (m, r) is zero exactly
-    when every member of S is orthogonal to r: cliques with one sum extend
-    alike, and one dot product per sum decides it.  Each add carries the
-    sums it changed along their Weyl orbits, or every sum when it brings a
-    real root, so the right side is complete between calls.
+    Cliques (sets S) are summed by start + s(S), start zero unless given.
+    No two simple roots pair positively, start among them, so (start +
+    s(S), r) is zero exactly when start and all of S are orthogonal to r:
+    cliques with one sum extend alike, and one dot product per sum decides
+    it.  Each add carries the sums it changed along their Weyl orbits, or
+    every sum when it brings a real root, so the right side is complete
+    between calls.
     """
 
-    def __init__(self, cartan: CartanDatum, bound: int):
+    def __init__(self, cartan: CartanDatum, bound: int, start: tuple[int, ...] | None = None):
         if bound < 1:
             raise GkmError("bound must be >= 1")
         self.cartan = cartan
@@ -160,8 +165,8 @@ class _Denominator:
         self.roots = _SimpleRoots(cartan)
         #: (root, half degree, row of the form) per real simple root
         self._reals: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-        #: s(S) -> (-1)^{|S|} q^{deg S} summed over the cliques S with that sum
-        self._sums: dict[tuple[int, ...], QPoly] = {(0,) * cartan.rank: QPoly.one()}
+        #: start + s(S) -> (-1)^{|S|} q^{deg S} summed over the cliques S with that sum
+        self._sums: dict[tuple[int, ...], QPoly] = {start or (0,) * cartan.rank: QPoly.one()}
         self._terms: dict[tuple[int, ...], QPoly] = dict(self._sums)
         self.enumerated = 0
 
@@ -273,51 +278,29 @@ def uea_character(chL: GradedSeries) -> GradedSeries:
     return pleth_exp(chL, PlethMode.QZ)
 
 
-# -- lowest weight extraction -------------------------------------------------------
-
-
-class AmbiguousDecompositionError(GkmError):
-    """Raised when block characters cannot be recovered one equation at a time."""
+# -- lowest-weight characters ------------------------------------------------------
 
 
 def lowest_weight_extract(
-    framed: GradedSeries,
-    multiplicities: dict[tuple[int, ...], QPoly],
-) -> dict[tuple[int, ...], GradedSeries]:
-    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d, |e| <= F's bound.
+    cartan: CartanDatum,
+    start: tuple[int, ...],
+    simple: dict[tuple[int, ...], QPoly],
+    envelope: GradedSeries,
+) -> GradedSeries:
+    """z^{-start} ch L(start), truncated at envelope.bound - |start|.
 
-    Each chL_d is pinned to constant term 1 and truncated at N - |d|, N
-    the bound of F.  Equations are scanned in (|e|, lex) order; the
-    unknown chL_d(e - d) appears first in equation e, so there the only
-    known term is V_e, when e is a block, and each block strictly below e
-    brings one unknown.  An equation with none is compared with F, and
-    one with one unknown is solved for it by exact division, so the
-    result satisfies F = sum_d V_d z^d chL_d at every |e| <= N.  Systems
-    with two or more comparable blocks are genuinely underdetermined and
-    raise AmbiguousDecompositionError.
+    L(start) is the irreducible module of lowest weight start over the n^+
+    with simple roots simple and Exp_{q,z}(ch n^+) = envelope; start pairs
+    nonpositively with each simple root.  ch L(start) = envelope D_start,
+    D_start the denominator identity's right side begun at start, whose
+    real roots act by s_i*b = b + (1 - (b, a_i)) a_i.
     """
-    rank = framed.rank
-    blocks = sorted((d for d, v in multiplicities.items() if not v.is_zero()), key=degree_lex)
-    chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
-        d: {tuple([0] * rank): QPoly.one()} for d in blocks
-    }
-    bound = framed.bound
-    for total in range(0, bound + 1):
-        for e in vectors_of_total(rank, total):
-            below = [d for d in blocks if d != e and all(x >= y for x, y in zip(e, d))]
-            if len(below) > 1:
-                raise AmbiguousDecompositionError(
-                    f"equation at {e} involves {len(below)} unknown block terms"
-                )
-            lhs = framed.coeff(e)
-            known = multiplicities[e] if e in chl else QPoly.zero()
-            if below:
-                (d,) = below
-                c = tuple(x - y for x, y in zip(e, d))
-                chl[d][c] = (lhs - known).divexact(multiplicities[d])
-            elif lhs != known:
-                raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {known}")
-    return {d: GradedSeries(rank, bound - sum(d), terms) for d, terms in chl.items()}
+    bound = envelope.bound
+    denominator = _Denominator(cartan, bound, start)
+    denominator.add({r: m for r, m in simple.items() if sum(r) + sum(start) <= bound})
+    terms = series_mul(envelope, denominator.series()).items()
+    shifted = {tuple(x - y for x, y in zip(e, start)): poly for e, poly in terms}
+    return GradedSeries(cartan.rank, bound - sum(start), shifted)
 
 
 # perfbench/tracing.py imports and wraps qgk.gkm.GkmEngine by that path.  This

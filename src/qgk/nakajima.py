@@ -12,16 +12,16 @@ evaluated at q^{-1}.  As a module character it decomposes into blocks
 
 indexed by the d with (d,1) a positive root of Q_f.  The block
 multiplicity V_d is the absolutely cuspidal polynomial of Q_f at (d,1),
-again in q^{-1}, and chL_d is the character of the block's lowest-weight
-module, recovered coefficient by coefficient from F alone.  The lowest
-weight itself is the pairing of (d,1) against the unframed coordinate
-vectors under the symmetrised Euler form of Q_f.
+again in q^{-1}.  chL_d is the character of the irreducible module over
+the BPS Lie algebra n^+ of Q whose lowest weight pairs with 1_i as (d,1)
+does under the symmetrised Euler form of Q_f.  The Borcherds-Kac
+character formula gives it without F (gkm.lowest_weight_extract):
 
-The blocks reconstruct F = sum_d V_d z^d chL_d at every |e| <= N by
-construction: lowest_weight_extract compares each equation without an
-unknown with F and solves each equation with one unknown by exact
-division.  Systems whose blocks are comparable in the dominance order
-cannot be separated this way and raise AmbiguousDecompositionError.
+    chL_d = z^{-(d,1)} Exp_{q,z}(ch n^+) D_{(d,1)},
+
+D_{(d,1)} the denominator identity's right side begun at (d,1) over the
+simple roots (e,0) of Q_f, all in q^{-1}.  So both sides of F = sum_d
+V_d z^d chL_d are computed apart, and lw_decompose checks it at |e| <= N.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cuspidal import absolutely_cuspidal_from_kac
-from .gkm import lowest_weight_extract
+from .gkm import GkmError, lowest_weight_extract, uea_character
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import Quiver, frame
-from .series import GradedSeries, degree_lex, vectors_up_to
+from .series import GradedSeries, vectors_up_to
 
 
 def framed_character(quiver: Quiver, framing: tuple[int, ...], bound: int) -> GradedSeries:
@@ -80,24 +80,37 @@ def lw_decompose(
     Blocks are the unframed d with |d| <= bound and (d,1) in Phi^+ of the
     framed quiver, which is exactly where its C^abs is nonzero
     (absolutely_cuspidal_from_kac checks that support); the zero vector is
-    a block whenever the pure framing unit is (it always is).
+    a block whenever the pure framing unit is (it always is).  Each chL_d
+    comes from lowest_weight_extract at (d,1), and F = sum_d V_d z^d chL_d
+    is checked at every |e| <= bound; a mismatch raises GkmError.
     """
     kac = hua_kac(frame(quiver, framing), bound + 1)
     table = absolutely_cuspidal_from_kac(kac)
     total = _framed_series(kac, bound)
-    rank = total.rank
+    cartan, rank = table.cartan, total.rank
 
-    multiplicities: dict[tuple[int, ...], QPoly] = {}
-    for d in vectors_up_to(rank, bound):
-        mult = table.polynomial(d + (1,)).substitute_power(-1)
-        if not mult.is_zero():
-            multiplicities[d] = mult
-
-    characters = lowest_weight_extract(total, multiplicities)
+    # n^+ is the unframed part of the framed algebra, in q^{-1} like F
+    unframed = {e: poly.substitute_power(-1) for e, poly in kac.items() if not e[-1]}
+    envelope = uea_character(GradedSeries(cartan.rank, bound + 1, unframed))
+    simple = {e: poly.substitute_power(-1) for e, poly in table.items() if not e[-1]}
 
     blocks: list[Block] = []
-    for d in sorted(multiplicities, key=degree_lex):
-        weight = tuple(table.cartan._unit_pairing(i, d + (1,)) for i in range(rank))
-        blocks.append(Block(d, multiplicities[d], weight, characters[d]))
+    rebuilt: dict[tuple[int, ...], QPoly] = {}
+    for d in vectors_up_to(rank, bound):
+        start = d + (1,)
+        multiplicity = table.polynomial(start).substitute_power(-1)
+        if multiplicity.is_zero():
+            continue
+        weight = tuple(cartan._unit_pairing(i, start) for i in range(rank))
+        framed = lowest_weight_extract(cartan, start, simple, envelope)
+        character = GradedSeries(rank, framed.bound, {c[:-1]: p for c, p in framed.items()})
+        blocks.append(Block(d, multiplicity, weight, character))
+        for c, poly in character.items():
+            e = tuple(x + y for x, y in zip(d, c))
+            rebuilt[e] = rebuilt.get(e, QPoly.zero()) + multiplicity * poly
 
+    for e in vectors_up_to(rank, bound):
+        got, want = rebuilt.get(e, QPoly.zero()), total.coeff(e)
+        if got != want:
+            raise GkmError(f"the blocks do not rebuild F at {e}: {got} != {want}")
     return LowestWeightDecomposition(quiver, framing, bound, total, blocks)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from qgk import CartanDatum, GradedSeries, PlethMode, QPoly, Quiver
-from qgk.series import SeriesError
+from qgk import CartanDatum, GkmError, GradedSeries, PlethMode, QPoly, Quiver
+from qgk.series import SeriesError, degree_lex, vectors_of_total
 
 
 def euler_form(quiver: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
@@ -71,3 +71,46 @@ def adams(f: GradedSeries, n: int, mode: PlethMode) -> GradedSeries:
             continue
         out[key] = p.substitute_power(n) if mode is PlethMode.QZ else p
     return GradedSeries(f.rank, f.bound, out)
+
+
+class UnderdeterminedError(GkmError):
+    """An equation of the triangular solve holds two or more unknown block terms."""
+
+
+def triangular_extract(
+    framed: GradedSeries,
+    multiplicities: dict[tuple[int, ...], QPoly],
+) -> dict[tuple[int, ...], GradedSeries]:
+    """Solve F = sum_d V_d z^d chL_d for the block characters chL_d from F alone.
+
+    Each chL_d is pinned to constant term 1 and truncated at N - |d|, N
+    the bound of F.  Equations are scanned in (|e|, lex) order; the
+    unknown chL_d(e - d) appears first in equation e, so there the only
+    known term is V_e, when e is a block, and each block strictly below e
+    brings one unknown.  An equation with none is compared with F, and
+    one with one unknown is solved for it by exact division.  Two or more
+    comparable blocks leave an equation underdetermined, which raises
+    UnderdeterminedError.
+    """
+    rank = framed.rank
+    blocks = sorted((d for d, v in multiplicities.items() if not v.is_zero()), key=degree_lex)
+    chl: dict[tuple[int, ...], dict[tuple[int, ...], QPoly]] = {
+        d: {tuple([0] * rank): QPoly.one()} for d in blocks
+    }
+    bound = framed.bound
+    for total in range(0, bound + 1):
+        for e in vectors_of_total(rank, total):
+            below = [d for d in blocks if d != e and all(x >= y for x, y in zip(e, d))]
+            if len(below) > 1:
+                raise UnderdeterminedError(
+                    f"equation at {e} involves {len(below)} unknown block terms"
+                )
+            lhs = framed.coeff(e)
+            known = multiplicities[e] if e in chl else QPoly.zero()
+            if below:
+                (d,) = below
+                c = tuple(x - y for x, y in zip(e, d))
+                chl[d][c] = (lhs - known).divexact(multiplicities[d])
+            elif lhs != known:
+                raise GkmError(f"inconsistent decomposition at {e}: {lhs} != {known}")
+    return {d: GradedSeries(rank, bound - sum(d), terms) for d, terms in chl.items()}

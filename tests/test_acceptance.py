@@ -238,6 +238,27 @@ def test_framed_jordan_partition_block():
             assert block.multiplicity * block.character.coeff((n,)) == total.coeff((n,))
 
 
+#: The demo framings with the number of blocks each prints at --bound 4.
+FRAMED_BLOCKS = {
+    ("a2", "1,0"): 1, ("a2", "1,1"): 2, ("a2", "2,1"): 3,
+    ("jordan", "1"): 1, ("jordan", "2"): 5,
+    ("kronecker", "1,0"): 1, ("kronecker", "1,1"): 3, ("kronecker", "0,2"): 5,
+    ("two_loop", "1"): 4, ("two_loop", "2"): 5,
+}
+
+
+def test_nakajima_decomp_on_every_demo_framing():
+    demos = Path(__file__).parent.parent / "demos" / "quivers"
+    with gate(f"nakajima-decomp --bound 4 prints blocks on {len(FRAMED_BLOCKS)} framings", 1.0):
+        for (name, framing), blocks in FRAMED_BLOCKS.items():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                argv = ["nakajima-decomp", str(demos / f"{name}.json"), "--framing", framing]
+                code = run([*argv, "--bound", "4"])
+            assert code == 0, (name, framing)
+            assert out.getvalue().count("# block ") == blocks, (name, framing)
+
+
 def test_weyl_invariance():
     with gate("Kac tables constant along Weyl orbits (words up to length 3)", 10.0):
         for quiver in (A2, KRON):
@@ -307,7 +328,7 @@ def test_verify_passes_on_every_demo_quiver():
 #: in what the pipeline computes or prints changes a digest.
 DEMO_DIGESTS = {
     "cuspidal_and_ip.py": "6dc0a98387d83bd8227a3318ec3c819e16d75b67ed5a87b0137a086d2af647ce",
-    "framed_blocks.py": "8e1070ed5515028d16f60db24e7938f4d7a45f38faeabf2b9e03f5c43c8687d6",
+    "framed_blocks.py": "5385ab7dab56358a9de1a84871e4fc17e608119bf75a81dda38ed8440a3c1578",
     "kac_walkthrough.py": "7371ef822fb61ea5d78390e9af6552e94f6ba6a95463ba07194b0bd5043e30a2",
 }
 

@@ -10,6 +10,8 @@ import pytest
 
 import qgk.cli
 import qgk.cuspidal
+import qgk.nakajima
+from qgk import GkmError, lw_decompose
 from qgk.cli import run
 from qgk.series import vectors_up_to
 
@@ -258,8 +260,32 @@ def test_wide_quiver_at_bound_one(qfile, capsys):
     assert rows == [",".join(unit) + "\t1" for unit in units]
 
 
-def test_ambiguous_decomposition_is_invalid_input(jordan_file):
-    assert run(["nakajima-decomp", jordan_file, "--framing", "2", "--bound", "3"]) == 1
+def test_comparable_blocks_decompose(jordan_file, capsys):
+    assert run(["nakajima-decomp", jordan_file, "--framing", "2", "--bound", "3"]) == 0
+    headers = [line for line in _out(capsys).splitlines() if line.startswith("#")]
+    assert headers == [
+        "# block 0\tmultiplicity 1\tweight -2",
+        "# block 1\tmultiplicity q^-2\tweight -2",
+        "# block 2\tmultiplicity q^-4 + q^-2\tweight -2",
+        "# block 3\tmultiplicity q^-6 + q^-4 + q^-2\tweight -2",
+    ]
+
+
+def test_a_shifted_start_is_a_violated_invariant(a2, a2_file, monkeypatch, capsys):
+    """The blocks and F are computed apart, so a wrong lowest weight is caught."""
+    real = qgk.nakajima.lowest_weight_extract
+
+    def shifted(cartan, start, simple, envelope):
+        # (0,0,2) pairs to -2 with the first unit vector, where (0,0,1) pairs to -1
+        return real(cartan, start[:-1] + (2,), simple, envelope)
+
+    monkeypatch.setattr(qgk.nakajima, "lowest_weight_extract", shifted)
+    with pytest.raises(GkmError, match=r"the blocks do not rebuild F at \(2, 0\): 1 != 0"):
+        lw_decompose(a2, (1, 0), 3)
+    assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--bound", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "invariant violated: the blocks do not rebuild F at (2, 0): 1 != 0\n"
+    )
 
 
 def test_budget_error_is_invalid_input(jordan_file, kron_file, qfile, capsys):
@@ -412,6 +438,32 @@ def test_each_command_builds_the_cartan_datum_once(argv, kron_file, tmp_path, mo
     assert run([argv[0], kron_file, *argv[1:]]) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cuspidal"],
+        ["ip"],
+        ["ip", "--dim", "2,2"],
+        ["gkm-dims", "--from-kac"],
+        ["nakajima-decomp", "--framing", "1,0"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_each_cuspidal_table_reads_phi_plus_once(argv, kron_file, monkeypatch, capsys):
+    calls = []
+    real = qgk.cuspidal.phi_plus
+
+    def counting(cartan, bound):
+        calls.append(bound)
+        return real(cartan, bound)
+
+    monkeypatch.setattr(qgk.cuspidal, "phi_plus", counting)
+    assert run([argv[0], kron_file, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def _verify_rows(capsys) -> dict[str, list[str]]:

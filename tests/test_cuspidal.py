@@ -21,6 +21,7 @@ from qgk import (
     invert_character,
     ip_general,
     ip_table,
+    phi_plus,
 )
 from qgk._presented import GkmEngine
 from qgk.series import vectors_up_to
@@ -43,17 +44,21 @@ def _necklace_polynomial(l: int) -> QPoly:
 # -- character inversion ---------------------------------------------------------
 
 
+def _roots(cartan, bound):
+    return {entry.vector for entry in phi_plus(cartan, bound)}
+
+
 def test_invert_character_a2(a2):
     cartan = CartanDatum.from_quiver(a2)
     target = GradedSeries(2, 3, {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE})
-    weights = invert_character(cartan, target)
+    weights = invert_character(cartan, target, _roots(cartan, target.bound))
     assert weights == {(1, 0): ONE, (0, 1): ONE}
 
 
 def test_invert_character_kronecker(kronecker):
     cartan = CartanDatum.from_quiver(kronecker)
     target = hua_kac(kronecker, 4).to_series()
-    weights = invert_character(cartan, target)
+    weights = invert_character(cartan, target, _roots(cartan, target.bound))
     assert weights == {
         (1, 0): ONE,
         (0, 1): ONE,
@@ -66,7 +71,7 @@ def test_invert_character_rejects_deficit_off_roots(a2):
     cartan = CartanDatum.from_quiver(a2)
     target = GradedSeries(2, 2, {(1, 0): ONE, (0, 1): ONE, (2, 0): ONE})
     with pytest.raises(CuspidalError):
-        invert_character(cartan, target)
+        invert_character(cartan, target, _roots(cartan, target.bound))
 
 
 def test_invert_character_rejects_bad_deficits(kronecker):
@@ -75,13 +80,13 @@ def test_invert_character_rejects_bad_deficits(kronecker):
     # the units already generate [e0, e1] at (1,1); deficit -1 there
     target = GradedSeries(2, 2, {**units, (1, 1): QPoly.zero()})
     with pytest.raises(CuspidalError):
-        invert_character(cartan, target)
+        invert_character(cartan, target, _roots(cartan, target.bound))
     target = GradedSeries(2, 2, {**units, (1, 1): ONE + Q(1, Fraction(1, 2))})
     with pytest.raises(CuspidalError):
-        invert_character(cartan, target)
+        invert_character(cartan, target, _roots(cartan, target.bound))
     target = GradedSeries(2, 2, {**units, (1, 1): ONE + QPoly.half_power(1)})
     with pytest.raises(CuspidalError):
-        invert_character(cartan, target)
+        invert_character(cartan, target, _roots(cartan, target.bound))
 
 
 def _presented_inversion(cartan, target, bound):
@@ -122,7 +127,7 @@ def test_inversion_matches_the_presented_algebra(name):
     quiver, bound = INVERSION_QUIVERS[name]
     cartan = CartanDatum.from_quiver(quiver)
     target = hua_kac(quiver, bound).to_series()
-    weights = invert_character(cartan, target)
+    weights = invert_character(cartan, target, _roots(cartan, target.bound))
     assert weights == _presented_inversion(cartan, target, bound)
     assert weights
 

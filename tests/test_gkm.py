@@ -8,13 +8,12 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import series_inv
+from reference import UnderdeterminedError, series_inv, triangular_extract
 
 import qgk._presented
 import qgk.cuspidal
 import qgk.gkm
 from qgk import (
-    AmbiguousDecompositionError,
     BudgetError,
     CartanDatum,
     GkmError,
@@ -23,6 +22,8 @@ from qgk import (
     QPoly,
     Quiver,
     WeightFunction,
+    frame,
+    framed_character,
     gkm_dims,
     lowest_weight_extract,
     pleth_log,
@@ -715,52 +716,79 @@ def test_uea_character_geometric():
         assert u.coeff((n,)) == Q(n)
 
 
-# -- lowest weight extraction ---------------------------------------------------------
+# -- lowest-weight characters ---------------------------------------------------------
+#
+# reference.triangular_extract is the oracle: it solves F = sum_d V_d z^d chL_d
+# from F alone, one equation at a time, where no two blocks are comparable.
 
 
 def test_extract_single_block_is_identity():
     F = GradedSeries(1, 2, {(0,): ONE, (1,): Q(1), (2,): Q(2)})
-    out = lowest_weight_extract(F, {(0,): ONE})
+    out = triangular_extract(F, {(0,): ONE})
     assert set(out) == {(0,)}
     assert out[(0,)].items() == F.items()
 
 
 def test_extract_divides_by_the_multiplicity():
     F = GradedSeries(1, 1, {(0,): Q(1), (1,): Q(1)})
-    out = lowest_weight_extract(F, {(0,): Q(1)})
+    out = triangular_extract(F, {(0,): Q(1)})
     assert out[(0,)].coeff((1,)) == ONE
 
 
 def test_extract_two_block_triangular_system():
     # F = z0 (1 + q z0 + z1) + q z0^2: solvable one equation at a time
     F = GradedSeries(2, 2, {(1, 0): ONE, (2, 0): Q(1, 2), (1, 1): ONE})
-    out = lowest_weight_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
+    out = triangular_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
     assert out[(1, 0)].coeff((1, 0)) == Q(1)
     assert out[(1, 0)].coeff((0, 1)) == ONE
     assert out[(2, 0)].items() == [((0, 0), ONE)]
 
 
-def test_extract_truncates_each_block_below_the_bound_of_f():
+def test_extract_truncates_each_block_below_the_bound_of_f(a2):
     F = GradedSeries(2, 2, {(1, 0): ONE, (2, 0): Q(1, 2), (1, 1): ONE})
-    out = lowest_weight_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
+    out = triangular_extract(F, {(1, 0): ONE, (2, 0): Q(1)})
     assert {d: block.bound for d, block in out.items()} == {(1, 0): 1, (2, 0): 0}
     # Jordan F with N = 1 gives a block that claims N = 1, not more
     F = GradedSeries(1, 1, {(0,): ONE, (1,): Q(1)})
-    assert lowest_weight_extract(F, {(0,): ONE})[(0,)].bound == 1
+    assert triangular_extract(F, {(0,): ONE})[(0,)].bound == 1
+    # the library truncates at the envelope's bound less |start|
+    cartan = CartanDatum.from_quiver(frame(a2, (1, 0)))
+    units = {(1, 0, 0): ONE, (0, 1, 0): ONE}
+    envelope = uea_character(GradedSeries(3, 3, {**units, (1, 1, 0): ONE}))
+    assert lowest_weight_extract(cartan, (0, 0, 1), units, envelope).bound == 2
 
 
-def test_extract_ambiguous_blocks():
-    F = GradedSeries(2, 2, {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE})
+def test_extract_separates_comparable_blocks(a2):
+    # A2 framed at (1,1) has blocks at (0,0) and (1,1): the adjoint module of
+    # sl3 (lowest weight -1,-1) and the trivial one (lowest weight 0,0)
+    cartan = CartanDatum.from_quiver(frame(a2, (1, 1)))
+    units = {(1, 0, 0): ONE, (0, 1, 0): ONE}
+    envelope = uea_character(GradedSeries(3, 4, {**units, (1, 1, 0): ONE}))
+    adjoint = lowest_weight_extract(cartan, (0, 0, 1), units, envelope)
+    two = QPoly.constant(2)
+    assert adjoint.items() == [
+        ((0, 0, 0), ONE),
+        ((0, 1, 0), ONE),
+        ((1, 0, 0), ONE),
+        ((1, 1, 0), two),
+        ((1, 2, 0), ONE),
+        ((2, 1, 0), ONE),
+    ]
+    trivial = lowest_weight_extract(cartan, (1, 1, 1), units, envelope)
+    assert trivial.items() == [((0, 0, 0), ONE)]
+    # F alone does not separate them: its equation at (1, 2) holds both blocks
+    F = framed_character(a2, (1, 1), 3)
+    assert F.coeff((1, 1)) == two + Q(-1)
     with pytest.raises(
-        AmbiguousDecompositionError, match=r"equation at \(1, 1\) involves 2 unknown block terms"
+        UnderdeterminedError, match=r"equation at \(1, 2\) involves 2 unknown block terms"
     ):
-        lowest_weight_extract(F, {(1, 0): ONE, (0, 1): ONE})
+        triangular_extract(F, {(0, 0): ONE, (1, 1): Q(-1)})
 
 
 def test_extract_inconsistent_series():
     F = GradedSeries(1, 1, {(0,): ONE})
     with pytest.raises(GkmError, match=r"inconsistent decomposition at \(0,\): 1 != 0"):
-        lowest_weight_extract(F, {(1,): ONE})
+        triangular_extract(F, {(1,): ONE})
 
 
 # -- seed-pinned order independence ----------------------------------------------------

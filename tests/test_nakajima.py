@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
-from reference import series_inv
+from reference import UnderdeterminedError, series_inv, triangular_extract
 
 import qgk.cuspidal
 import qgk.nakajima
 from qgk import (
-    AmbiguousDecompositionError,
     GradedSeries,
     QPoly,
     Quiver,
@@ -18,6 +19,14 @@ from qgk.series import vectors_up_to
 
 Q = QPoly.q_power
 ONE = QPoly.one()
+
+
+def _partitions(bound: int) -> GradedSeries:
+    """prod_k 1 / (1 - q^{-1} z^k), truncated at bound."""
+    series = GradedSeries.one(1, bound)
+    for k in range(1, bound + 1):
+        series = series_mul(series, GradedSeries(1, bound, {(0,): ONE, (k,): -Q(-1)}))
+    return series_inv(series)
 
 
 def test_framed_character_one_box(a1):
@@ -33,12 +42,7 @@ def test_framed_jordan_is_the_partition_series(jordan):
     block = dec.blocks[0]
     assert block.multiplicity == ONE
     assert block.weight == (-1,)
-    expected = GradedSeries.one(1, 6)
-    for k in range(1, 7):
-        factor = GradedSeries(1, 6, {(0,): ONE, (k,): QPoly.zero() - Q(-1)})
-        expected = series_mul(expected, factor)
-    expected = series_inv(expected)
-    assert block.character.items() == expected.items()
+    assert block.character.items() == _partitions(6).items()
 
 
 def test_framed_a1_gives_the_two_dimensional_block(a1):
@@ -93,9 +97,20 @@ def test_framed_kronecker_single_block_takes_all(kronecker):
     assert dec.total.coeff((1, 1)) == ONE + Q(-1)
 
 
-def test_comparable_blocks_are_ambiguous(jordan):
-    with pytest.raises(AmbiguousDecompositionError):
-        lw_decompose(jordan, (2,), 3)
+def test_comparable_blocks_are_separated(jordan):
+    # framing 2: no root (n,0) is orthogonal to (d,1), and there is no real
+    # root, so every block carries the partition series
+    dec = lw_decompose(jordan, (2,), 3)
+    assert [b.vector for b in dec.blocks] == [(0,), (1,), (2,), (3,)]
+    assert [b.multiplicity for b in dec.blocks] == [
+        ONE, Q(-2), Q(-4) + Q(-2), Q(-6) + Q(-4) + Q(-2)
+    ]
+    for block in dec.blocks:
+        assert block.weight == (-2,)
+        assert block.character.items() == _partitions(3 - block.vector[0]).items()
+    multiplicities = {b.vector: b.multiplicity for b in dec.blocks}
+    with pytest.raises(UnderdeterminedError, match=r"equation at \(2,\)"):
+        triangular_extract(dec.total, multiplicities)
 
 
 def test_comparable_blocks_below_the_horizon(jordan):
@@ -128,3 +143,30 @@ def test_blocks_reconstruct_the_framed_character(name, framing, bound, request):
             if min(c) >= 0:
                 acc = acc + block.multiplicity * block.character.coeff(c)
         assert acc == dec.total.coeff(e), e
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "quivers"
+
+#: The demo framings that nakajima-decomp is run on.
+DEMO_FRAMINGS = [
+    ("a2", (1, 0)), ("a2", (1, 1)), ("a2", (2, 1)),
+    ("jordan", (1,)), ("jordan", (2,)),
+    ("kronecker", (1, 0)), ("kronecker", (1, 1)), ("kronecker", (0, 2)),
+    ("two_loop", (1,)), ("two_loop", (2,)),
+]
+
+
+def test_blocks_agree_with_the_triangular_solve_wherever_it_solves():
+    solved = []
+    for name, framing in DEMO_FRAMINGS:
+        quiver = Quiver.from_json((DEMOS / f"{name}.json").read_text())
+        for bound in (1, 2, 4):
+            dec = lw_decompose(quiver, framing, bound)
+            try:
+                oracle = triangular_extract(dec.total, {b.vector: b.multiplicity for b in dec.blocks})
+            except UnderdeterminedError:
+                continue
+            assert {b.vector: b.character for b in dec.blocks} == oracle, (name, framing, bound)
+            solved.append((name, framing, bound))
+    # every framing at bound 1, and the three without comparable blocks at bound 4
+    assert len(solved) == 19
