@@ -1,115 +1,48 @@
-"""Quiver root systems, Kac polynomials, GKM algebras, and cuspidal inversions."""
+"""Quiver root systems, Kac polynomials, GKM algebras, and cuspidal inversions.
 
-from .cuspidal import (
-    CuspidalError,
-    CuspidalTable,
-    absolutely_cuspidal,
-    absolutely_cuspidal_from_kac,
-    cuspidal_from_abs,
-    invert_character,
-    ip_general,
-    ip_table,
-)
-from .gkm import (
-    GkmDimTable,
-    GkmError,
-    WeightFunction,
-    gkm_dims,
-    lowest_weight_extract,
-    uea_character,
-)
-from .kac import (
-    DEFAULT_FIELDS,
-    FLAVOURS,
-    CountingError,
-    KacTable,
-    brute_force_counts,
-    hua_kac,
-    oracle_kac_full,
-)
-from .nakajima import (
-    Block,
-    LowestWeightDecomposition,
-    framed_character,
-    lw_decompose,
-)
-from .qpoly import QPoly, QPolyError, parse_qpoly
-from .quiver import (
-    FRAMING_VERTEX,
-    Quiver,
-    QuiverError,
-    frame,
-)
-from .roots import (
-    HYPERBOLIC,
-    ISOTROPIC,
-    REAL,
-    BudgetError,
-    CartanDatum,
-    RootError,
-    canonical_decomposition,
-    phi_plus,
-    positive_roots,
-)
-from .series import (
-    GradedSeries,
-    PlethMode,
-    SeriesError,
-    pleth_exp,
-    pleth_log,
-    series_mul,
-    sym_power_coeff,
-)
+Each exported name loads its submodule on first access (PEP 562), so
+``import qgk`` loads no pipeline module and a cache hit of ``python -m qgk``
+loads only qgk._request and qgk.quiver.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Block",
-    "BudgetError",
-    "CartanDatum",
-    "CountingError",
-    "CuspidalError",
-    "CuspidalTable",
-    "DEFAULT_FIELDS",
-    "FLAVOURS",
-    "FRAMING_VERTEX",
-    "GkmDimTable",
-    "GkmError",
-    "GradedSeries",
-    "HYPERBOLIC",
-    "ISOTROPIC",
-    "KacTable",
-    "LowestWeightDecomposition",
-    "PlethMode",
-    "QPoly",
-    "QPolyError",
-    "Quiver",
-    "QuiverError",
-    "REAL",
-    "RootError",
-    "SeriesError",
-    "WeightFunction",
-    "absolutely_cuspidal",
-    "absolutely_cuspidal_from_kac",
-    "brute_force_counts",
-    "canonical_decomposition",
-    "cuspidal_from_abs",
-    "frame",
-    "framed_character",
-    "gkm_dims",
-    "hua_kac",
-    "invert_character",
-    "ip_general",
-    "ip_table",
-    "lowest_weight_extract",
-    "lw_decompose",
-    "oracle_kac_full",
-    "parse_qpoly",
-    "phi_plus",
-    "pleth_exp",
-    "pleth_log",
-    "positive_roots",
-    "series_mul",
-    "sym_power_coeff",
-    "uea_character",
-]
+#: Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "cuspidal": (
+        "CuspidalError", "CuspidalTable", "absolutely_cuspidal", "absolutely_cuspidal_from_kac",
+        "cuspidal_from_abs", "invert_character", "ip_general", "ip_table",
+    ),
+    "gkm": (
+        "GkmDimTable", "GkmError", "WeightFunction", "gkm_dims", "lowest_weight_extract",
+        "uea_character",
+    ),
+    "kac": ("KacTable", "brute_force_counts", "hua_kac", "oracle_kac_full"),
+    "nakajima": ("Block", "LowestWeightDecomposition", "framed_character", "lw_decompose"),
+    "qpoly": ("QPoly", "QPolyError", "parse_qpoly"),
+    "quiver": (
+        "DEFAULT_FIELDS", "FLAVOURS", "FRAMING_VERTEX", "CountingError", "Quiver", "QuiverError",
+        "frame",
+    ),
+    "roots": (
+        "HYPERBOLIC", "ISOTROPIC", "REAL", "BudgetError", "CartanDatum", "RootError",
+        "canonical_decomposition", "phi_plus", "positive_roots",
+    ),
+    "series": (
+        "GradedSeries", "PlethMode", "SeriesError", "pleth_exp", "pleth_log", "series_mul",
+        "sym_power_coeff",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -37,8 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kac import FLAVOURS, CountingError, _prime_power, conjugate_partition
-from .quiver import Quiver
+from .kac import conjugate_partition
+from .quiver import FLAVOURS, CountingError, Quiver, _prime_power
 from .roots import BudgetError
 
 ENUM_BUDGET = 8_000_000

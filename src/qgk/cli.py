@@ -4,10 +4,9 @@ Command-line front end.
 Every command reads a quiver from a JSON file ({"vertices": [...],
 "arrows": [[s, t], ...]}), computes one table, and prints it sorted by
 (|d|, lex) either as TSV (dimension vector, tab, value columns) or as a
-JSON document.  Both formats carry the same data.  The on-disk cache
-stores the exact text a command printed under its request (schema
-version, quiver, every parsed option), behind a checksum, written
-atomically; an entry is served only when both match, and never parsed.
+JSON document.  Both formats carry the same data.  Parsing, option
+checks and the on-disk cache live in _request, which answers a cache hit
+without this module; run, and python -m qgk on a miss, compute here.
 
 Exit codes: 0 success, 1 invalid input or exceeded size budgets, 2 a
 violated internal invariant (positivity, integrality, reconstruction),
@@ -16,16 +15,12 @@ reported with the offending dimension vector.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import functools
 import itertools
 import json
-import os
 import sys
-import tempfile
-import zlib
 
+from ._request import InputError, _cache_read, _cache_write, serve
 from .cuspidal import (
     CuspidalError,
     CuspidalTable,
@@ -43,19 +38,15 @@ from .gkm import (
     uea_character,
 )
 from .kac import (
-    DEFAULT_FIELDS,
-    FLAVOURS,
-    CountingError,
     KacTable,
     _OraclePeel,
-    _prime_power,
     check_hua_budget,
     hua_kac,
     oracle_kac_full,
 )
 from .nakajima import lw_decompose
 from .qpoly import QPoly, QPolyError
-from .quiver import Quiver, QuiverError
+from .quiver import CountingError, Quiver, QuiverError
 from .roots import (
     BudgetError,
     CartanDatum,
@@ -67,29 +58,10 @@ from .roots import (
 )
 from .series import PlethMode, SeriesError, degree_lex, pleth_exp, pleth_log, vectors_up_to
 
-#: Part of every cache key; raise it when a command's output changes.
-CACHE_SCHEMA = 3
-
 IP_CONVENTION = (
     "coefficients of v^j count IH^j classes, shifted so a smooth n-dimensional "
     "component contributes v^-n; the printed variable q stands for v"
 )
-
-
-class InputError(ValueError):
-    pass
-
-
-# -- plumbing ---------------------------------------------------------------------
-
-
-def _load_quiver(path: str) -> Quiver:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read quiver file: {exc}") from None
-    return Quiver.from_json(text)
 
 
 def _parse_dim(quiver: Quiver, text: str) -> tuple[int, ...]:
@@ -101,78 +73,12 @@ def _parse_dim(quiver: Quiver, text: str) -> tuple[int, ...]:
     return quiver.vector(values)
 
 
-def _parse_fields(text: str) -> tuple[int, ...]:
-    try:
-        fields = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise InputError(f"bad prime-power list {text!r}") from None
-    if len(set(fields)) != len(fields) or any(v < 2 or v > 16 for v in fields):
-        raise InputError("prime powers must be distinct and between 2 and 16")
-    for v in fields:
-        try:
-            _prime_power(v)
-        except CountingError as exc:
-            raise InputError(f"bad --fields: {exc}") from None
-    return fields
-
-
 def _csv(d: tuple[int, ...]) -> str:
     return ",".join(str(n) for n in d)
 
 
 def _poly_rows(items) -> list[list[str]]:
     return [[_csv(d), str(p)] for d, p in items]
-
-
-# -- cache ------------------------------------------------------------------------
-
-
-def _cache_dir(cli_value: str | None) -> str | None:
-    return os.environ.get("QGK_CACHE_DIR") or cli_value
-
-
-def _cache_key(quiver: Quiver, args) -> str:
-    """The request as one line: schema, quiver and every parsed option.
-
-    Only the quiver's path and the cache directory are left out; a weight
-    file enters by its text.
-    """
-    options = {k: v for k, v in vars(args).items() if k not in ("quiver", "cache_dir")}
-    if options.get("weights"):
-        try:
-            with open(options["weights"], "r", encoding="utf-8") as fh:
-                options["weights"] = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read weight file: {exc}") from None
-    return json.dumps([CACHE_SCHEMA, quiver.to_json_dict(), options], sort_keys=True)
-
-
-def _cache_read(path: str) -> str | None:
-    """The text after the entry's checksum line; None if missing, unreadable or damaged."""
-    try:
-        with open(path, "rb") as fh:
-            crc, _, rest = fh.read().partition(b"\n")
-        if crc == b"%08x" % zlib.crc32(rest):
-            return rest.decode("utf-8")
-    except (OSError, UnicodeDecodeError):
-        pass
-    return None
-
-
-def _cache_write(path: str, text: str) -> None:
-    """Store the text atomically under its checksum; a cache that cannot be written is skipped."""
-    body = text.encode("utf-8")
-    temp = None
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"%08x\n" % zlib.crc32(body) + body)
-        os.replace(temp, path)
-    except OSError:
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
 
 
 # -- command payloads -------------------------------------------------------------
@@ -480,44 +386,6 @@ def _render(args, payload: dict) -> str:
 # -- entry point ------------------------------------------------------------------
 
 
-#: The commands that read --flavour; these and verify read --fields.
-_FLAVOURED = ("kac", "cuspidal", "ip", "gkm-dims")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qgk",
-        description="Quiver root systems, Kac polynomials, cuspidal inversions, "
-        "GKM dimensions, and framed character decompositions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("quiver", help="path to a quiver JSON file")
-        p.add_argument("--bound", type=int, default=4, help="total-degree bound N")
-        if name in _FLAVOURED:
-            p.add_argument("--flavour", choices=FLAVOURS, default="plain")
-        if name in _FLAVOURED or name == "verify":
-            p.add_argument(
-                "--fields",
-                type=str,
-                default=",".join(str(v) for v in DEFAULT_FIELDS),
-                help="comma-separated prime powers for counting oracles",
-            )
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--cache-dir", default=None)
-        if name == "kac":
-            p.add_argument("--method", choices=("hua", "oracle"), default="hua")
-        if name in ("ip", "canonical-decomp"):
-            p.add_argument("--dim", default=None, help="single dimension vector d1,d2,...")
-        if name == "gkm-dims":
-            p.add_argument("--from-kac", action="store_true")
-            p.add_argument("--weights", default=None, help="weight-function JSON file")
-        if name == "nakajima-decomp":
-            p.add_argument("--framing", default=None, help="framing vector f1,f2,...")
-    return parser
-
-
 _HANDLERS = {
     "roots": _cmd_roots,
     "kac": _cmd_kac,
@@ -531,34 +399,17 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        if args.bound < 1:
-            raise InputError("--bound must be >= 1")
-        if "fields" in args:
-            args.fields = _parse_fields(args.fields)
-        quiver = _load_quiver(args.quiver)
+    """Answer a command line in this process; returns the exit code."""
+    return serve(argv, answer, _cache_read)
 
-        cache_file = None
-        directory = _cache_dir(args.cache_dir)
-        if directory is not None and args.command != "verify":
-            key = _cache_key(quiver, args)
-            cache_file = os.path.join(
-                directory, f"qgk-{args.command}-{zlib.crc32(key.encode()):08x}.txt"
-            )
-            stored, _, text = (_cache_read(cache_file) or "").partition("\n")
-            if stored == key:
-                sys.stdout.write(text)
-                return 0
 
+def answer(args, quiver: Quiver, entry: tuple[str, str] | None) -> int:
+    """Compute and print what the cache did not hold, and store it at entry (path, key)."""
+    try:
         payload = _HANDLERS[args.command](quiver, args)
         text = _render(args, payload)
-        if cache_file is not None:
-            _cache_write(cache_file, f"{key}\n{text}")
+        if entry is not None:
+            _cache_write(entry[0], f"{entry[1]}\n{text}")
         sys.stdout.write(text)
         if args.command == "verify" and any(r["status"] == "fail" for r in payload["results"]):
             return 2
@@ -578,9 +429,5 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main() -> None:
-    sys.exit(run())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(run())

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gkm import _Denominator
-from .kac import DEFAULT_FIELDS, KacTable, hua_kac, oracle_kac_full
+from .kac import KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
-from .quiver import Quiver
+from .quiver import DEFAULT_FIELDS, Quiver
 from .roots import (
     ISOTROPIC,
     CartanDatum,

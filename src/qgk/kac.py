@@ -58,9 +58,10 @@ touches (see _burnside), so a d such as (4, 0) on the Kronecker quiver
 counts 1 without enumerating a matrix.
 
 _burnside is the only module that imports numpy, and nothing imports it
-at load time: brute_force_counts loads it on first call.  The exceptions,
-FLAVOURS and _prime_power live here so that the CLI, and _burnside itself,
-use them without that import.
+at load time: brute_force_counts loads it on first call.  CountingError,
+FLAVOURS, DEFAULT_FIELDS and _prime_power live in quiver, so that the
+CLI's request parser, this module and _burnside share them without
+loading numpy or the pipeline.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
-from .quiver import Quiver
+from .quiver import DEFAULT_FIELDS, FLAVOURS, CountingError, Quiver
 from .roots import BudgetError, CartanDatum
 from .series import (
     GradedSeries,
@@ -89,10 +90,7 @@ from .series import (
 )
 
 __all__ = [
-    "DEFAULT_FIELDS",
-    "FLAVOURS",
     "HUA_BUDGET",
-    "CountingError",
     "KacTable",
     "brute_force_counts",
     "check_hua_budget",
@@ -101,38 +99,11 @@ __all__ = [
     "partitions",
 ]
 
-FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
-DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 #: The most multipartitions hua_kac sums over.  Jordan N=28 (18,459 of them)
 #: takes about 0.6 s on a shared 2-vCPU VM, and Jordan N=32 (43,819), the
 #: largest Jordan bound inside the budget, about 1.3 s: the time grows faster
 #: than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
-
-
-class CountingError(RuntimeError):
-    pass
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k; raises CountingError unless q is a prime power."""
-    if q < 2:
-        raise CountingError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise CountingError(f"{q} is not a prime power")
-    return p, k
 
 
 # -- partitions -------------------------------------------------------------------

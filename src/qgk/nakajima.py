@@ -81,8 +81,9 @@ def lw_decompose(
     framed quiver, which is exactly where its C^abs is nonzero
     (absolutely_cuspidal_from_kac checks that support); the zero vector is
     a block whenever the pure framing unit is (it always is).  Each chL_d
-    comes from lowest_weight_extract at (d,1), and F = sum_d V_d z^d chL_d
-    is checked at every |e| <= bound; a mismatch raises GkmError.
+    comes from lowest_weight_extract at (d,1) and must have nonnegative
+    integer coefficients, and F = sum_d V_d z^d chL_d is checked at every
+    |e| <= bound; either failure raises GkmError.
     """
     kac = hua_kac(frame(quiver, framing), bound + 1)
     table = absolutely_cuspidal_from_kac(kac)
@@ -106,6 +107,8 @@ def lw_decompose(
         character = GradedSeries(rank, framed.bound, {c[:-1]: p for c, p in framed.items()})
         blocks.append(Block(d, multiplicity, weight, character))
         for c, poly in character.items():
+            if not (poly.has_integer_coefficients() and poly.has_nonnegative_coefficients()):
+                raise GkmError(f"chL_{d} has a negative or fractional coefficient at {c}: {poly}")
             e = tuple(x + y for x, y in zip(d, c))
             rebuilt[e] = rebuilt.get(e, QPoly.zero()) + multiplicity * poly
 

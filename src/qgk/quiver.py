@@ -44,6 +44,39 @@ class QuiverError(ValueError):
     """Malformed quiver data or mismatched quiver/vector combinations."""
 
 
+# -- counting vocabulary ----------------------------------------------------------
+# Here rather than in kac, so that the CLI's request parser (_request) checks
+# --flavour and --fields without loading the pipeline.
+
+FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
+DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+class CountingError(RuntimeError):
+    pass
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; raises CountingError unless q is a prime power."""
+    if q < 2:
+        raise CountingError(f"{q} is not a prime power")
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise CountingError(f"{q} is not a prime power")
+    return p, k
+
+
 class Quiver:
     """A finite directed graph with loops and parallel arrows allowed.
 

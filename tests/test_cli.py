@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+import qgk._request
 import qgk.cli
 import qgk.cuspidal
 import qgk.nakajima
-from qgk import GkmError, lw_decompose
+from qgk import GkmError, GradedSeries, lw_decompose
 from qgk.cli import run
 from qgk.series import vectors_up_to
 
@@ -286,6 +288,21 @@ def test_a_shifted_start_is_a_violated_invariant(a2, a2_file, monkeypatch, capsy
     assert capsys.readouterr().err == (
         "invariant violated: the blocks do not rebuild F at (2, 0): 1 != 0\n"
     )
+
+
+def test_a_negative_block_coefficient_is_a_violated_invariant(a2, a2_file, monkeypatch, capsys):
+    real = qgk.nakajima.lowest_weight_extract
+
+    def negated(cartan, start, simple, envelope):
+        framed = real(cartan, start, simple, envelope)
+        return GradedSeries(framed.rank, framed.bound, {c: -p for c, p in framed.items()})
+
+    monkeypatch.setattr(qgk.nakajima, "lowest_weight_extract", negated)
+    message = "chL_(0, 0) has a negative or fractional coefficient at (0, 0): -1"
+    with pytest.raises(GkmError, match=re.escape(message)):
+        lw_decompose(a2, (1, 0), 3)
+    assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--bound", "3"]) == 2
+    assert capsys.readouterr().err == f"invariant violated: {message}\n"
 
 
 def test_budget_error_is_invalid_input(jordan_file, kron_file, qfile, capsys):
@@ -663,6 +680,10 @@ def test_cache_keys_cover_every_option(kron_file, tmp_path, capsys):
     assert len(list(cache.glob("qgk-*.txt"))) == 6
 
 
+def test_every_command_has_a_handler():
+    assert tuple(qgk.cli._HANDLERS) == qgk._request.COMMANDS
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qgk.cli", "--help"],
@@ -699,15 +720,19 @@ print(seen, repr(cold), warm == cold, oracle == cold)
 """
 
 
-def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH, for child interpreters."""
     src = os.path.dirname(os.path.dirname(qgk.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
     cache = tmp_path / "cache"
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, jordan_file, str(cache)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     # (numpy, the relation engine, OpenSSL) loaded after import, a Hua run, a
@@ -719,3 +744,43 @@ def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
         "'1\\tq\\n2\\tq\\n' True True\n"
     )
     assert len(list(cache.glob("qgk-kac-*.txt"))) == 1
+
+
+def _python_m_qgk(*argv: str, options: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """python [options] -m qgk argv in a child interpreter; output as bytes."""
+    command = [sys.executable, *options, "-m", "qgk", *argv]
+    return subprocess.run(command, capture_output=True, env=_src_env())
+
+
+def test_a_cache_hit_loads_only_the_request_module(kron_file, tmp_path):
+    argv = ["cuspidal", kron_file, "--bound", "3", "--cache-dir", str(tmp_path / "cache")]
+    cold = _python_m_qgk(*argv)
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.startswith(b"# C^abs\n")
+    (entry,) = (tmp_path / "cache").glob("qgk-*.txt")
+    good = entry.read_bytes()
+    warm = _python_m_qgk(*argv, options=("-X", "importtime"))
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    # -X importtime writes one "import time: self | cumulative | name" line per module
+    loaded = {line.rsplit(b"|", 1)[1].strip().decode() for line in warm.stderr.splitlines()}
+    ours = {name for name in loaded if name == "qgk" or name.startswith("qgk.")}
+    assert ours == {"qgk", "qgk._request", "qgk.quiver"}
+    # a corrupt entry is a miss: the pipeline runs and the entry is rebuilt
+    entry.write_bytes(good.replace(b"q", b"2*q", 1))
+    rebuilt = _python_m_qgk(*argv)
+    assert rebuilt.returncode == 0, rebuilt.stderr
+    assert rebuilt.stdout == cold.stdout
+    assert entry.read_bytes() == good
+
+
+def test_usage_and_help_print_once():
+    usage = _python_m_qgk("kac")
+    assert usage.returncode == 1
+    assert usage.stdout == b""
+    assert usage.stderr.count(b"usage: qgk kac") == 1
+    assert usage.stderr.count(b"error: the following arguments are required: quiver") == 1
+    helped = _python_m_qgk("--help")
+    assert helped.returncode == 0
+    assert helped.stderr == b""
+    assert helped.stdout.count(b"usage: qgk") == 1

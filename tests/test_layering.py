@@ -18,10 +18,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qgk"
 
 #: The pipeline order.  A module imports at load time only modules before
 #: it; kac loads _burnside (and numpy) and verify loads _presented inside a
-#: function.
+#: function.  _request, the CLI's parser and cache, comes before the
+#: pipeline so that a cache hit loads none of it.
 ORDER = [
-    "quiver", "qpoly", "series", "roots", "kac", "_burnside", "gkm", "_presented", "cuspidal",
-    "nakajima", "cli",
+    "quiver", "_request", "qpoly", "series", "roots", "kac", "_burnside", "gkm", "_presented",
+    "cuspidal", "nakajima", "cli",
 ]
 
 #: The cross-check oracles, which their callers load on first use.
@@ -87,6 +88,14 @@ def test_only_the_census_and_cartan_data_read_arrows():
             assert module in READS_ARROWS or ".arrows" not in names, f"{module} reads .arrows"
         forms = names & {"euler_form", "sym_form", ".euler_form", ".sym_form"}
         assert not forms, f"{module} uses {sorted(forms)}"
+
+
+def test_the_request_module_loads_only_quiver():
+    """python -m qgk answers a cache hit with _request, quiver and the standard library."""
+    trees = _trees()
+    assert _module_level_imports(trees["_request"]) == {"quiver"}
+    assert _module_level_imports(trees["__main__"]) == {"_request"}
+    assert _module_level_imports(trees["__init__"]) == set()
 
 
 def test_series_and_the_gkm_modules_do_not_load_quiver():
