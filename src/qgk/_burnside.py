@@ -14,31 +14,36 @@ enter G.  Any other GL_{d_v} acts trivially, so it multiplies sum_g #Fix(g)
 and |G| by the same |GL_{d_v}| and cancels; a d that no arrow acts on
 counts 1 without a census.
 
-Types are enumerated by vectorised brute force: all n x n matrices at once
-(numpy, field arithmetic through lookup tables), bucketed by characteristic
-polynomial, with buckets of non-squarefree charpoly refined by the nullity
-sequences of p(g)^j.  This keeps the count an independent census rather
-than a formula imported from the theory being tested.
+Types are enumerated by batched brute force: all n x n matrices at once,
+bucketed by characteristic polynomial, with buckets of non-squarefree
+charpoly refined by the nullity sequences of p(g)^j.  This keeps the count
+an independent census rather than a formula imported from the theory being
+tested.
 
 Nilpotent flavours enumerate the fixed subspace of one representative per
 type tuple and test the nilpotency condition directly on each point.
 
-This is the only module of the package that imports numpy.  It is loaded
-on first use, through kac.brute_force_counts, so that importing qgk and
-running the CLI without the oracle do not pay for numpy.
+A batch is held in byte lanes: one bytes object per matrix entry, with
+byte i the entry of the i-th matrix.  Field elements are codes below
+q <= MAX_FIELD = 16, so a_i * q + b_i < 256 fits one byte, and one big-int
+multiply-add followed by bytes.translate through a 256-byte table applies
+F_q's addition or multiplication to every lane at once with no carry
+between lanes.  The census needs only the standard library.  It is loaded
+on first use, through kac.brute_force_counts.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .kac import conjugate_partition
-from .quiver import FLAVOURS, CountingError, Quiver, _prime_power
+from .quiver import FLAVOURS, MAX_FIELD, CountingError, Quiver, _prime_power
 from .roots import BudgetError
 
 ENUM_BUDGET = 8_000_000
@@ -46,19 +51,31 @@ FIX_BUDGET = 2_000_000
 PATH_BUDGET = 20_000
 TYPE_TUPLE_BUDGET = 200_000
 
+#: bytes.translate tables: 1 where a lane byte is nonzero, the byte itself, its low 7 bits.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+_IDENTITY, _LOW7 = bytes(range(256)), bytes(b & 127 for b in range(256))
+
+
+def _table(values) -> bytes:
+    return bytes(values).ljust(256, b"\0")
+
 
 class _Field:
-    """F_q scalar arithmetic via lookup tables; elements are codes 0..q-1.
+    """F_q arithmetic via 256-byte lookup tables; elements are codes 0..q-1.
 
-    For q = p^k with k > 1, codes are base-p digit strings of polynomial
-    coefficients modulo the lexicographically first monic irreducible of
-    degree k (constant coefficient first).
+    add and mul hold a + b and a * b at index a * q + b, neg and inv at
+    index a, and scale[c] holds c * a at index a.  For q = p^k with k > 1,
+    codes are base-p digit strings of polynomial coefficients modulo the
+    lexicographically first monic irreducible of degree k (constant
+    coefficient first).
     """
 
-    __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv", "_irr_cache")
+    __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv", "scale", "_irr_cache")
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
+        if q > MAX_FIELD:
+            raise CountingError(f"F_{q}: the census runs over fields of size at most {MAX_FIELD}")
         self.q, self.p, self.k = q, p, k
         if k == 1:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
@@ -73,29 +90,27 @@ class _Field:
                     db = _digits(b, p, k)
                     add[a][b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
                     mul[a][b] = _undigits(_polymulmod(da, db, modulus, p), p)
-        self.add = np.array(add, dtype=np.int16)
-        self.mul = np.array(mul, dtype=np.int16)
-        neg = [0] * q
-        inv = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if add[a][b] == 0:
-                    neg[a] = b
-                if mul[a][b] == 1:
-                    inv[a] = b
-        self.neg = np.array(neg, dtype=np.int16)
-        self.inv = np.array(inv, dtype=np.int16)
+        self.add = _table(x for row in add for x in row)
+        self.mul = _table(x for row in mul for x in row)
+        self.scale = [_table(row) for row in mul]
+        self.neg = _table(row.index(0) for row in add)
+        self.inv = _table([0] + [row.index(1) for row in mul[1:]])
         self._irr_cache: dict[int, list[tuple[int, ...]]] = {}
 
-    # scalar helpers (python ints)
     def s_add(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
+        return self.add[a * self.q + b]
 
     def s_mul(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
+        return self.mul[a * self.q + b]
 
-    def s_neg(self, a: int) -> int:
-        return int(self.neg[a])
+    def lanes(self, table: bytes, a: bytes, b: bytes) -> bytes:
+        """table[a_i * q + b_i] in every byte lane i; no carry crosses lanes below 256."""
+        ab = int.from_bytes(a, "big") * self.q + int.from_bytes(b, "big")
+        return ab.to_bytes(len(a), "big").translate(table)
+
+    def fold(self, table: bytes, lanes) -> bytes:
+        """The lane-wise sum (table add) or product (table mul) of a nonempty iterable."""
+        return functools.reduce(functools.partial(self.lanes, table), lanes)
 
     def irreducibles(self, degree: int) -> list[tuple[int, ...]]:
         """Monic irreducible polynomials of exact degree, constant first."""
@@ -187,13 +202,13 @@ def _poly_divmod(F: _Field, a: tuple[int, ...], b: tuple[int, ...]):
     b = _poly_norm(b)
     rem = list(a)
     quo = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = int(F.inv[b[-1]])
+    inv_lead = F.inv[b[-1]]
     for i in range(len(a) - len(b), -1, -1):
         c = F.s_mul(rem[i + len(b) - 1], inv_lead)
         if c:
             quo[i] = c
             for j, bj in enumerate(b):
-                rem[i + j] = F.s_add(rem[i + j], F.s_neg(F.s_mul(c, bj)))
+                rem[i + j] = F.s_add(rem[i + j], F.neg[F.s_mul(c, bj)])
     return _poly_norm(tuple(quo)), _poly_norm(tuple(rem))
 
 
@@ -212,80 +227,84 @@ def _poly_div(F: _Field, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, .
 # -- batched matrix linear algebra over F_q -------------------------------------
 
 
-def _all_matrices(F: _Field, n: int) -> np.ndarray:
-    count = F.q ** (n * n)
-    codes = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, n * n), dtype=np.int16)
-    for pos in range(n * n):
-        digits[:, pos] = codes % F.q
-        codes //= F.q
-    return digits.reshape(count, n, n)
+#: A batch of n x m matrices: n rows of m byte lanes, one lane per entry.
+Batch = list[list[bytes]]
 
 
-def _batch_det_sub(F: _Field, mats: np.ndarray, rows, cols) -> np.ndarray:
-    out = np.zeros(mats.shape[0], dtype=np.int16)
-    for perm in itertools.permutations(range(len(rows))):
-        term = mats[:, rows[0], cols[perm[0]]]
-        for i in range(1, len(rows)):
-            term = F.mul[term, mats[:, rows[i], cols[perm[i]]]]
-        parity = sum(
-            1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-        )
-        if parity % 2:
-            term = F.neg[term]
-        out = F.add[out, term]
-    return out
+def _digit_lanes(q: int, width: int) -> list[bytes]:
+    """Lane pos holds digit pos (least significant first) of each of 0 .. q^width - 1."""
+    return [
+        b"".join(bytes([v]) * q**pos for v in range(q)) * q ** (width - pos - 1)
+        for pos in range(width)
+    ]
 
 
-def _batch_charpoly(F: _Field, mats: np.ndarray) -> np.ndarray:
+def _select(mats: Batch, mask: bytes) -> Batch:
+    """The matrices where mask is 1: kept bytes (all below 128) gain bit 7, the rest drop."""
+    keep, size = int.from_bytes(mask, "big") << 7, len(mask)
+    marked = ([(int.from_bytes(x, "big") | keep).to_bytes(size, "big") for x in r] for r in mats)
+    return [[x.translate(_LOW7, _IDENTITY[:128]) for x in row] for row in marked]
+
+
+def _nonzero(mats: Batch) -> int:
+    """An int whose byte i is nonzero exactly when matrix i is nonzero."""
+    return functools.reduce(operator.or_, (int.from_bytes(x, "big") for row in mats for x in row))
+
+
+def _batch_det_sub(F: _Field, mats: Batch, rows, cols) -> bytes:
+    """The rows x cols minor of every matrix, by the Leibniz sum."""
+    terms = []
+    for perm in itertools.permutations(cols):
+        term = F.fold(F.mul, (mats[r][c] for r, c in zip(rows, perm)))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        terms.append(term.translate(F.neg) if inversions % 2 else term)
+    return F.fold(F.add, terms)
+
+
+def _batch_charpoly(F: _Field, mats: Batch) -> list[bytes]:
     """Non-leading charpoly coefficients c_0..c_{n-1} of det(tI - g)."""
-    n = mats.shape[-1]
-    coeffs = np.zeros((mats.shape[0], n), dtype=np.int16)
-    for k in range(1, n + 1):
-        ek = np.zeros(mats.shape[0], dtype=np.int16)
-        for subset in itertools.combinations(range(n), k):
-            ek = F.add[ek, _batch_det_sub(F, mats, list(subset), list(subset))]
-        if k % 2:
-            ek = F.neg[ek]
-        coeffs[:, n - k] = ek
+    n = len(mats)
+    coeffs = []
+    for k in range(n, 0, -1):
+        minors = (_batch_det_sub(F, mats, s, s) for s in itertools.combinations(range(n), k))
+        ek = F.fold(F.add, minors)
+        coeffs.append(ek.translate(F.neg) if k % 2 else ek)
     return coeffs
 
 
-def _batch_matmul(F: _Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[-2]
-    m = B.shape[-1]
-    out = np.zeros(A.shape[:-2] + (n, m), dtype=np.int16)
-    for k in range(A.shape[-1]):
-        prod = F.mul[A[..., :, k][..., :, None], B[..., k, :][..., None, :]]
-        out = F.add[out, prod]
-    return out
+def _batch_matmul(F: _Field, A: Batch, B: Batch) -> Batch:
+    mul = functools.partial(F.lanes, F.mul)
+    return [[F.fold(F.add, map(mul, row, col)) for col in zip(*B)] for row in A]
 
 
-def _batch_poly_eval(F: _Field, poly: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    out = np.zeros_like(mats)
-    diag = np.arange(n)
-    out[:, diag, diag] = poly[-1]
-    for c in reversed(poly[:-1]):
-        out = _batch_matmul(F, out, mats)
+def _batch_poly_eval(F: _Field, poly: tuple[int, ...], mats: Batch) -> Batch:
+    """p(g) for a monic p, by Horner's rule."""
+    out = mats
+    for step, c in enumerate(reversed(poly[:-1])):
+        if step:
+            out = _batch_matmul(F, out, mats)
         if c:
-            out[:, diag, diag] = F.add[out[:, diag, diag], np.int16(c)]
+            shift = bytes([c]) * len(mats[0][0])
+            out = [[*r[:i], F.lanes(F.add, r[i], shift), *r[i + 1 :]] for i, r in enumerate(out)]
     return out
 
 
-def _batch_rank(F: _Field, mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    rank = np.zeros(mats.shape[0], dtype=np.int16)
-    undecided = np.ones(mats.shape[0], dtype=bool)
+def _batch_rank(F: _Field, mats: Batch) -> bytes:
+    n, size = len(mats), len(mats[0][0])
+    rank, undecided = 0, int.from_bytes(bytes([1]) * size, "big")
     for k in range(n, 0, -1):
-        nonzero = np.zeros(mats.shape[0], dtype=bool)
+        nonzero = 0
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.combinations(range(n), k):
-                nonzero |= _batch_det_sub(F, mats, list(rows), list(cols)) != 0
-        hit = undecided & nonzero
-        rank[hit] = k
-        undecided &= ~hit
-    return rank
+                nonzero |= int.from_bytes(_batch_det_sub(F, mats, rows, cols), "big")
+        hit = undecided & int.from_bytes(nonzero.to_bytes(size, "big").translate(_NONZERO), "big")
+        rank += k * hit
+        undecided ^= hit
+    return rank.to_bytes(size, "big")
+
+
+def _entry(mats: Batch, index: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(lane[index] for lane in row) for row in mats)
 
 
 # -- similarity types ------------------------------------------------------------
@@ -299,7 +318,7 @@ class MatType:
 
     sig: Sig
     count: int
-    rep: np.ndarray
+    rep: tuple[tuple[int, ...], ...]
 
     def __hash__(self):
         return hash(self.sig)
@@ -337,54 +356,49 @@ def matrix_types(q: int, n: int) -> list[MatType]:
         return _TYPE_CACHE[key]
     F = get_field(q)
     if n == 0:
-        types = [MatType((), 1, np.zeros((0, 0), dtype=np.int16))]
+        types = [MatType((), 1, ())]
         _TYPE_CACHE[key] = types
         return types
     if q ** (n * n) > ENUM_BUDGET:
         raise BudgetError(
             f"enumerating {q}^{n * n} matrices exceeds the budget of {ENUM_BUDGET}"
         )
-    mats = _all_matrices(F, n)
-    mats = mats[_batch_det_sub(F, mats, range(n), range(n)) != 0]
+    if q**n > 256:
+        raise BudgetError(f"degree-{n} charpolys over F_{q} do not fit a byte lane")
+    lanes = _digit_lanes(q, n * n)
+    mats = [lanes[i * n : (i + 1) * n] for i in range(n)]
+    mats = _select(mats, _batch_det_sub(F, mats, range(n), range(n)).translate(_NONZERO))
     cps = _batch_charpoly(F, mats)
-    codes = np.zeros(mats.shape[0], dtype=np.int64)
-    for i in range(n):
-        codes = codes * F.q + cps[:, n - 1 - i]
-    uniq, first, inverse, counts = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True
-    )
+    horner = functools.partial(F.lanes, _IDENTITY)
+    # each matrix's charpoly as one byte, c_0 + c_1 q + ... + c_{n-1} q^(n-1) < q^n
+    code = functools.reduce(horner, reversed(cps))
     types: list[MatType] = []
-    for u in range(len(uniq)):
-        coeffs = []
-        c = int(uniq[u])
-        for _ in range(n):
-            coeffs.append(c % F.q)
-            c //= F.q
-        charpoly = tuple(coeffs) + (1,)
-        factors = F.factor_monic(charpoly)
-        if all(mult == 1 for _, mult in factors):
-            sig = tuple(sorted((p, (1,)) for p, _ in factors))
-            types.append(MatType(sig, int(counts[u]), mats[first[u]].copy()))
+    refine = {}
+    for value in sorted(set(code)):
+        factors = F.factor_monic(tuple(value // q**i % q for i in range(n)) + (1,))
+        if any(mult > 1 for _, mult in factors):
+            refine[value] = factors
             continue
-        subset = mats[inverse == u]
+        sig = tuple(sorted((p, (1,)) for p, _ in factors))
+        types.append(MatType(sig, code.count(value), _entry(mats, code.index(value))))
+    # one pass keeps the matrices whose charpoly has a repeated factor, then split those
+    *mats, cps = _select(mats + [cps], code.translate(bytes(b in refine for b in range(256))))
+    code = functools.reduce(horner, reversed(cps))
+    for value, factors in refine.items():
+        subset = _select(mats, code.translate(bytes(b == value for b in range(256))))
         repeated = [(p, m) for p, m in factors if m > 1]
         keycols = []
         for p, m in repeated:
             pg = _batch_poly_eval(F, p, subset)
-            power = pg
-            for _ in range(m):
-                keycols.append(subset.shape[1] - _batch_rank(F, power))
-                power = _batch_matmul(F, power, pg)
-        keys = np.stack(keycols, axis=1)
-        sub_uniq, sub_first, sub_counts = np.unique(
-            keys, axis=0, return_index=True, return_counts=True
-        )
-        for row in range(sub_uniq.shape[0]):
+            powers = itertools.accumulate(itertools.repeat(pg, m), functools.partial(_batch_matmul, F))
+            keycols += [_batch_rank(F, power) for power in powers]
+        columns = list(zip(*keycols))
+        for ranks, sub_count in collections.Counter(columns).items():
             sig_parts = [(p, (1,)) for p, m in factors if m == 1]
             col = 0
             for p, m in repeated:
                 e = len(p) - 1
-                nulls = [0] + [int(x) for x in sub_uniq[row, col : col + m]]
+                nulls = [0] + [n - r for r in ranks[col : col + m]]
                 col += m
                 diffs = []
                 for j in range(1, m + 1):
@@ -397,9 +411,7 @@ def matrix_types(q: int, n: int) -> list[MatType]:
                     raise CountingError("partition recovery failed")
                 sig_parts.append((p, lam))
             sig = tuple(sorted(sig_parts))
-            types.append(
-                MatType(sig, int(sub_counts[row]), subset[sub_first[row]].copy())
-            )
+            types.append(MatType(sig, sub_count, _entry(subset, columns.index(ranks))))
     if sum(t.count for t in types) != gl_order(q, n):
         raise CountingError("similarity types do not exhaust GL_n")
     _TYPE_CACHE[key] = types
@@ -423,11 +435,11 @@ def _nullspace(F: _Field, rows: list[list[int]], width: int) -> list[list[int]]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = int(F.inv[mat[r][c]])
+        inv = F.inv[mat[r][c]]
         mat[r] = [F.s_mul(inv, x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = F.s_neg(mat[i][c])
+                f = F.neg[mat[i][c]]
                 mat[i] = [F.s_add(x, F.s_mul(f, y)) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
@@ -437,23 +449,23 @@ def _nullspace(F: _Field, rows: list[list[int]], width: int) -> list[list[int]]:
         vec = [0] * width
         vec[c] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = F.s_neg(mat[i][c])
+            vec[pc] = F.neg[mat[i][c]]
         basis.append(vec)
     return basis
 
 
-def _commutant_kernel(F: _Field, gt: np.ndarray, gs: np.ndarray) -> list[list[int]]:
+def _commutant_kernel(F: _Field, gt, gs) -> list[list[int]]:
     """Basis of {X : gt X = X gs}, X flattened row-major as (dt, ds)."""
-    dt, ds = gt.shape[0], gs.shape[0]
+    dt, ds = len(gt), len(gs)
     width = dt * ds
     rows = []
     for i in range(dt):
         for j in range(ds):
             row = [0] * width
             for k in range(dt):
-                row[k * ds + j] = F.s_add(row[k * ds + j], int(gt[i, k]))
+                row[k * ds + j] = F.s_add(row[k * ds + j], gt[i][k])
             for k in range(ds):
-                row[i * ds + k] = F.s_add(row[i * ds + k], F.s_neg(int(gs[k, j])))
+                row[i * ds + k] = F.s_add(row[i * ds + k], F.neg[gs[k][j]])
             rows.append(row)
     return _nullspace(F, rows, width)
 
@@ -542,22 +554,20 @@ def _flavoured_fix_count(F, quiver, dims, combo, position, active, flavour) -> i
     if F.q**kdim > FIX_BUDGET:
         raise BudgetError(f"fixed subspace of size {F.q}^{kdim} exceeds the budget")
     count = F.q**kdim
-    coeffs = np.empty((count, kdim), dtype=np.int16)
-    codes = np.arange(count, dtype=np.int64)
-    for pos in range(kdim):
-        coeffs[:, pos] = codes % F.q
-        codes //= F.q
-    points: dict[int, np.ndarray] = {}
+    coeffs = _digit_lanes(F.q, kdim)
+    zero = bytes(count)
+    points: dict[int, Batch] = {}
     offset = 0
     for a, basis in zip(active, bases):
         s, t = quiver.arrows[a]
-        flat = np.zeros((count, dims[t] * dims[s]), dtype=np.int16)
-        for j, vec in enumerate(basis):
-            term = F.mul[coeffs[:, offset + j][:, None], np.array(vec, dtype=np.int16)[None, :]]
-            flat = F.add[flat, term]
-        points[a] = flat.reshape(count, dims[t], dims[s])
+        terms = list(zip(coeffs[offset : offset + len(basis)], basis))
+        flat = [
+            F.fold(F.add, [zero, *(x.translate(F.scale[v[e]]) for x, v in terms if v[e])])
+            for e in range(dims[t] * dims[s])
+        ]
+        points[a] = [flat[r * dims[s] : (r + 1) * dims[s]] for r in range(dims[t])]
         offset += len(basis)
-    good = np.ones(count, dtype=bool)
+    nonzero = 0
     if flavour == "one_nilpotent":
         for a in active:
             s, t = quiver.arrows[a]
@@ -566,12 +576,12 @@ def _flavoured_fix_count(F, quiver, dims, combo, position, active, flavour) -> i
             power = points[a]
             for _ in range(dims[s] - 1):
                 power = _batch_matmul(F, power, points[a])
-            good &= ~power.any(axis=(1, 2))
+            nonzero |= _nonzero(power)
     else:
         length = sum(dims[v] for v in position)
         for path in _paths_of_length(quiver, active, length):
             prod = points[path[0]]
             for a in path[1:]:
                 prod = _batch_matmul(F, points[a], prod)
-            good &= ~prod.any(axis=(1, 2))
-    return int(np.count_nonzero(good))
+            nonzero |= _nonzero(prod)
+    return nonzero.to_bytes(count, "big").count(0)

@@ -19,7 +19,9 @@ import sys
 import tempfile
 import zlib
 
-from .quiver import DEFAULT_FIELDS, FLAVOURS, CountingError, Quiver, QuiverError, _prime_power
+from .quiver import (
+    DEFAULT_FIELDS, FLAVOURS, MAX_FIELD, CountingError, Quiver, QuiverError, _prime_power
+)
 
 #: Part of every cache key; raise it when a command's output changes.
 CACHE_SCHEMA = 3
@@ -76,8 +78,8 @@ def _parse_fields(text: str) -> tuple[int, ...]:
         fields = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"bad prime-power list {text!r}") from None
-    if len(set(fields)) != len(fields) or any(v < 2 or v > 16 for v in fields):
-        raise InputError("prime powers must be distinct and between 2 and 16")
+    if len(set(fields)) != len(fields) or any(v < 2 or v > MAX_FIELD for v in fields):
+        raise InputError(f"prime powers must be distinct and between 2 and {MAX_FIELD}")
     for v in fields:
         try:
             _prime_power(v)

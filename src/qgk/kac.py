@@ -57,11 +57,10 @@ The census over F_q runs only over the vertices that an acting arrow
 touches (see _burnside), so a d such as (4, 0) on the Kronecker quiver
 counts 1 without enumerating a matrix.
 
-_burnside is the only module that imports numpy, and nothing imports it
-at load time: brute_force_counts loads it on first call.  CountingError,
-FLAVOURS, DEFAULT_FIELDS and _prime_power live in quiver, so that the
-CLI's request parser, this module and _burnside share them without
-loading numpy or the pipeline.
+Nothing imports _burnside at load time: brute_force_counts loads it on
+first call.  CountingError, FLAVOURS, DEFAULT_FIELDS, MAX_FIELD and
+_prime_power live in quiver, so that the CLI's request parser, this
+module and _burnside share them without loading the pipeline.
 """
 
 from __future__ import annotations
@@ -321,8 +320,9 @@ def brute_force_counts(quiver: Quiver, d: tuple[int, ...], q: int, flavour: str 
 
     flavour selects the counted class: "plain" counts all representations,
     "nilpotent" those where every length-|d| path acts by zero, and
-    "one_nilpotent" those where each loop arrow acts nilpotently.  The
-    census runs in _burnside, which is loaded (with numpy) on first use.
+    "one_nilpotent" those where each loop arrow acts nilpotently, over
+    F_q with q <= MAX_FIELD.  The census runs in _burnside, which is
+    loaded on first use.
     """
     from . import _burnside
 

@@ -50,6 +50,8 @@ class QuiverError(ValueError):
 
 FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
 DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+#: The largest field the Burnside census runs over: its byte lanes need a * q + b < 256.
+MAX_FIELD = 16
 
 
 class CountingError(RuntimeError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from qgk import (
@@ -67,14 +69,40 @@ def test_zero_vector_rejected(jordan):
         brute_force_counts(jordan, (0,), 2)
 
 
-def test_budget_guard(jordan):
+def test_budget_guard(jordan, monkeypatch):
     with pytest.raises(BudgetError):
         brute_force_counts(jordan, (6,), 5)
+    # past the enumeration budget, a charpoly's code would not fit its byte
+    monkeypatch.setattr(_burnside, "ENUM_BUDGET", 10**9)
+    with pytest.raises(BudgetError, match="byte lane"):
+        matrix_types(7, 3)
 
 
 def test_non_prime_power_rejected(jordan):
     with pytest.raises(CountingError):
         brute_force_counts(jordan, (1,), 6)
+
+
+def test_fields_past_the_byte_lanes_rejected(jordan):
+    # the census packs a * q + b into one byte, so F_17 would carry across lanes
+    with pytest.raises(CountingError, match="at most 16"):
+        brute_force_counts(jordan, (1,), 17)
+
+
+def test_lane_arithmetic_matches_the_scalar_tables():
+    # every pair (a, b) in one lane each; at q = 16, a * q + b reaches 255
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        F = get_field(q)
+        pairs = list(itertools.product(range(q), repeat=2))
+        a, b = bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
+        assert F.lanes(F.add, a, b) == bytes(F.s_add(x, y) for x, y in pairs)
+        assert F.lanes(F.mul, a, b) == bytes(F.s_mul(x, y) for x, y in pairs)
+        assert F.lanes(F.add, a, a.translate(F.neg)) == bytes(len(a))
+        for c in range(q):
+            assert b.translate(F.scale[c]) == bytes(F.s_mul(c, y) for y in b)
+        if F.k == 1:
+            assert [F.s_add(x, y) for x, y in pairs] == [(x + y) % q for x, y in pairs]
+            assert [F.s_mul(x, y) for x, y in pairs] == [x * y % q for x, y in pairs]
 
 
 def test_field_arithmetic_tables():

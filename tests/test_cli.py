@@ -715,6 +715,7 @@ loaded()
 cold = run("kac", "--cache-dir", cache)
 warm = run("kac", "--cache-dir", cache)
 oracle = run("kac", "--method", "oracle")
+run("cuspidal", "--flavour", "nilpotent")
 run("verify")
 print(seen, repr(cold), warm == cold, oracle == cold)
 """
@@ -736,11 +737,11 @@ def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     # (numpy, the relation engine, OpenSSL) loaded after import, a Hua run, a
-    # cache hit, the Burnside oracle and verify: only the oracles' callers load
-    # the first two, and nothing loads OpenSSL.
+    # cache hit, the Burnside oracle, a nilpotent census and verify: only
+    # verify loads the relation engine, and nothing loads numpy or OpenSSL.
     assert proc.stdout == (
         "[(False, False, False), (False, False, False), (False, False, False), "
-        "(True, False, False), (True, True, False)] "
+        "(False, False, False), (False, False, False), (False, True, False)] "
         "'1\\tq\\n2\\tq\\n' True True\n"
     )
     assert len(list(cache.glob("qgk-kac-*.txt"))) == 1

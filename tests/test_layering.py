@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import qgk
@@ -17,9 +18,9 @@ import qgk
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgk"
 
 #: The pipeline order.  A module imports at load time only modules before
-#: it; kac loads _burnside (and numpy) and verify loads _presented inside a
-#: function.  _request, the CLI's parser and cache, comes before the
-#: pipeline so that a cache hit loads none of it.
+#: it; kac loads _burnside and verify loads _presented inside a function.
+#: _request, the CLI's parser and cache, comes before the pipeline so that
+#: a cache hit loads none of it.
 ORDER = [
     "quiver", "_request", "qpoly", "series", "roots", "kac", "_burnside", "gkm", "_presented",
     "cuspidal", "nakajima", "cli",
@@ -73,6 +74,20 @@ def test_modules_import_in_pipeline_order():
     for module in ORDER:
         later = _module_level_imports(trees[module]) & set(ORDER[ORDER.index(module) :])
         assert not later, f"{module} imports {sorted(later)} at load time"
+
+
+def test_the_package_imports_only_the_standard_library():
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "qgk" or top in sys.stdlib_module_names, f"{module} imports {name}"
 
 
 def test_no_module_loads_an_oracle_at_load_time():
