@@ -267,7 +267,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def weyl():
         table, cartan = kac().to_series(), kac().cartan
-        free = cartan._loop_free
+        free = cartan.loop_free
         seen = 0
         for d in vectors:
             for length in range(1, 4):

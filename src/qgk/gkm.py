@@ -89,22 +89,21 @@ class GkmDimTable:
     bound: int
     dims: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
 
-    def character(self, d) -> QPoly:
-        return QPoly(self.dims.get(tuple(d), {}))
-
 
 class _SimpleRoots:
     """The simple roots registered so far, checked as they arrive.
 
-    ``horizon`` is the largest total degree already read off; a root below
-    it arrives too late to be seen there.
+    Each keeps its norm and its CartanDatum.row, so a new root pairs with
+    them over its own support.  ``horizon`` is the largest total degree
+    already read off; a root below it arrives too late to be seen there.
     """
 
-    __slots__ = ("cartan", "norms", "horizon")
+    __slots__ = ("cartan", "norms", "rows", "horizon")
 
     def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
         self.norms: dict[tuple[int, ...], int] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.horizon = 0
 
     def admit(self, root: tuple[int, ...], multiplicity: QPoly) -> dict | None:
@@ -121,7 +120,8 @@ class _SimpleRoots:
             return None
         if sum(root) < self.horizon:
             raise GkmError("generators must arrive in nondecreasing degree order")
-        diag = self.cartan.form(root, root)
+        row, support = self.cartan.row(root), [(j, n) for j, n in enumerate(root) if n]
+        diag = sum(row[j] * n for j, n in support)
         if diag > 2:
             raise GkmError(f"(m,m) = {diag} > 2 is not a valid simple root")
         if not multiplicity.has_integral_exponents():
@@ -130,15 +130,14 @@ class _SimpleRoots:
             multiplicity.has_integer_coefficients() and multiplicity.has_nonnegative_coefficients()
         ):
             raise GkmError(f"multiplicity {multiplicity} is not a nonnegative integer")
-        if diag == 2:
-            if multiplicity.eval_at(1) > 1 or root in self.norms:
-                raise GkmError("a real simple root must have multiplicity one")
-        pairings = {r: self.cartan.form(r, root) for r in self.norms if r != root}
+        if diag == 2 and (multiplicity.eval_at(1) > 1 or root in self.norms):
+            raise GkmError("a real simple root must have multiplicity one")
+        pairings = {r: sum(x[j] * n for j, n in support) for r, x in self.rows.items() if r != root}
         for r, pairing in pairings.items():
             if pairing > 0:
                 raise GkmError(f"simple roots {r} and {root} pair positively ({pairing})")
-        pairings[root] = diag
-        self.norms[root] = diag
+        pairings[root] = self.norms[root] = diag
+        self.rows[root] = row
         return pairings
 
 
@@ -151,10 +150,10 @@ class _Denominator:
     Cliques (sets S) are summed by start + s(S), start zero unless given.
     No two simple roots pair positively, start among them, so (start +
     s(S), r) is zero exactly when start and all of S are orthogonal to r:
-    cliques with one sum extend alike, and one dot product per sum decides
-    it.  Each add carries the sums it changed along their Weyl orbits, or
-    every sum when it brings a real root, so the right side is complete
-    between calls.
+    cliques with one sum extend alike, and one dot product per sum with
+    r's kept row decides it.  Each add carries the sums it changed along
+    their Weyl orbits, or every sum when it brings a real root, so the
+    right side is complete between calls.
     """
 
     def __init__(self, cartan: CartanDatum, bound: int, start: tuple[int, ...] | None = None):
@@ -163,8 +162,8 @@ class _Denominator:
         self.cartan = cartan
         self.bound = bound
         self.roots = _SimpleRoots(cartan)
-        #: (root, half degree, row of the form) per real simple root
-        self._reals: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+        #: (root, half degree, row of pairings, |root|) per real simple root
+        self._reals: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = []
         #: start + s(S) -> (-1)^{|S|} q^{deg S} summed over the cliques S with that sum
         self._sums: dict[tuple[int, ...], QPoly] = {start or (0,) * cartan.rank: QPoly.one()}
         self._terms: dict[tuple[int, ...], QPoly] = dict(self._sums)
@@ -179,11 +178,10 @@ class _Denominator:
             pairings = self.roots.admit(root, multiplicity)
             if pairings is None:
                 continue
-            norm = pairings[root]
-            row = tuple(sum(a * x for a, x in zip(root, line)) for line in self.cartan.matrix)
+            norm, row = pairings[root], self.roots.rows[root]
             if norm == 2:
                 ((half, _),) = multiplicity.items()
-                self._reals.append((root, half, row))
+                self._reals.append((root, half, row, sum(root)))
                 real = True
                 continue
             # Lambda^k of an n-dimensional space is zero for k > n
@@ -226,7 +224,8 @@ class _Denominator:
 
         rho - source is regular dominant, so the orbit is free: a step by
         k = 1 - (b, a_i) > 0 lengthens w, and w is keyed by how many times
-        each real root was added, which distinct w never share.
+        each real root was added, which distinct w never share.  As k >= 1,
+        a real root larger than the room left under the bound is not paired.
         """
         terms = self._terms
         layer = {(0,) * len(self._reals): source}
@@ -234,12 +233,14 @@ class _Denominator:
             following = {}
             for steps, beta in layer.items():
                 self._count()
-                shift = sum(c * half for c, (_, half, _) in zip(steps, self._reals))
+                shift = sum(c * half for c, (_, half, _, _) in zip(steps, self._reals))
                 term = weight * QPoly.half_power(shift) if shift else weight
                 terms[beta] = terms[beta] + term if beta in terms else term
-                for i, (alpha, _, row) in enumerate(self._reals):
-                    k = 1 - sum(b * r for b, r in zip(beta, row))
-                    if k <= 0 or sum(beta) + k * sum(alpha) > self.bound:
+                room = self.bound - sum(beta)
+                support = [(j, b) for j, b in enumerate(beta) if b]
+                for i, (alpha, _, row, size) in enumerate(self._reals):
+                    k = 1 - sum(row[j] * b for j, b in support) if size <= room else 0
+                    if k <= 0 or k * size > room:
                         continue
                     image = tuple(b + k * a for b, a in zip(beta, alpha))
                     following[steps[:i] + (steps[i] + k,) + steps[i + 1 :]] = image
@@ -262,14 +263,13 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
     character = pleth_log(denominator.series(), PlethMode.QZ)
     dims: dict[tuple[int, ...], dict[int, int]] = {}
     for d, poly in character.items():
-        block = {}
+        dims[d] = block = {}
         for j, coeff in poly.items():
             if coeff.denominator != 1 or coeff > 0:
                 raise GkmError(
                     f"dimension {-coeff} at block {d}, degree {j} is not a nonnegative integer"
                 )
             block[j] = -int(coeff)
-        dims[d] = block
     return GkmDimTable(cartan, bound, dims)
 
 

@@ -88,16 +88,6 @@ from .series import (
     vectors_up_to,
 )
 
-__all__ = [
-    "HUA_BUDGET",
-    "KacTable",
-    "brute_force_counts",
-    "check_hua_budget",
-    "hua_kac",
-    "oracle_kac_full",
-    "partitions",
-]
-
 #: The most multipartitions hua_kac sums over.  Jordan N=28 (18,459 of them)
 #: takes about 0.6 s on a shared 2-vCPU VM, and Jordan N=32 (43,819), the
 #: largest Jordan bound inside the budget, about 1.3 s: the time grows faster

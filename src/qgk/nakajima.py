@@ -102,7 +102,7 @@ def lw_decompose(
         multiplicity = table.polynomial(start).substitute_power(-1)
         if multiplicity.is_zero():
             continue
-        weight = tuple(cartan._unit_pairing(i, start) for i in range(rank))
+        weight = cartan.row(start)[:rank]
         framed = lowest_weight_extract(cartan, start, simple, envelope)
         character = GradedSeries(rank, framed.bound, {c[:-1]: p for c, p in framed.items()})
         blocks.append(Block(d, multiplicity, weight, character))

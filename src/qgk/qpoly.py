@@ -321,10 +321,6 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({str(self)!r})"
 
-    def to_json_dict(self) -> dict[str, str]:
-        """Map half-exponent (as decimal string) to coefficient string."""
-        return {str(k): str(c) for k, c in self.items()}
-
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "QPoly":
         try:

@@ -13,14 +13,16 @@ even though, for quiver Cartan data, it is implied by the strict
 dominance clause (unit vectors have p(1_i) = 2 g_i >= 0); the test
 suite asserts that redundancy.
 
-CartanDatum answers every root question over tuples and its matrix.  It
-fills one table bottom-up: for each d, the best sum of p over
-decompositions of d, whether d lies in Sigma, and a proper split attaining
-that best.  Sigma membership, Phi^+ membership and the canonical
-decomposition are read off it.  Positive roots are decided by Kac's
-descent: reflect at loop-free vertices while that lowers |d|, and look at
-where the walk stops (Kac, *Infinite root systems, representations of
-graphs and invariant theory*, Invent. Math. 56 (1980)).
+CartanDatum answers every root question over tuples and its matrix.  Its
+row(d), the pairings (d, 1_i) in vertex order, is the one pairing routine;
+only Hua's exponents in kac read the matrix as well.  CartanDatum fills one
+table bottom-up: for each d, the best sum of p over decompositions of d,
+whether d lies in Sigma, and a proper split attaining that best.  Sigma
+membership, Phi^+ membership and the canonical decomposition are read off
+it.  Positive roots are decided by Kac's descent: reflect at loop-free
+vertices while that lowers |d|, and look at where the walk stops (Kac,
+*Infinite root systems, representations of graphs and invariant theory*,
+Invent. Math. 56 (1980)).
 
 The budgets of the tables over dimension vectors live here too:
 VECTOR_BUDGET for the vectors with |d| <= N, SPLIT_BUDGET for the pairs of
@@ -105,7 +107,7 @@ def _classification(form_value: int) -> str:
 class CartanDatum:
     """The symmetrised Euler form on a fixed basis, as an integer matrix."""
 
-    __slots__ = ("rank", "matrix", "_loop_free", "_splits")
+    __slots__ = ("rank", "matrix", "loop_free", "_splits")
 
     def __init__(self, matrix: list[list[int]]):
         rank = len(matrix)
@@ -120,7 +122,7 @@ class CartanDatum:
         self.rank = rank
         self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
         # (1_i, 1_i) = 2 - 2 g_i, so the vertices without loops are those at 2
-        self._loop_free = tuple(i for i in range(rank) if self.matrix[i][i] == 2)
+        self.loop_free = tuple(i for i in range(rank) if self.matrix[i][i] == 2)
         self._splits: dict[tuple[int, ...], tuple[int, bool, "tuple[int, ...] | None"]] = {}
 
     @classmethod
@@ -133,14 +135,15 @@ class CartanDatum:
             matrix[index[t]][index[s]] -= 1
         return cls(matrix)
 
+    def row(self, d: tuple[int, ...]) -> tuple[int, ...]:
+        """((d, 1_i))_i in vertex order, summed over the matrix rows of supp(d)."""
+        scaled = [[n * x for x in self.matrix[i]] for i, n in enumerate(d) if n]
+        return tuple(map(sum, zip(*scaled))) if scaled else (0,) * self.rank
+
     def form(self, d: tuple[int, ...], e: tuple[int, ...]) -> int:
-        total = 0
-        for i, di in enumerate(d):
-            if di == 0:
-                continue
-            row = self.matrix[i]
-            total += di * sum(row[j] * ej for j, ej in enumerate(e) if ej)
-        return total
+        """(d, e): row(d) dotted with e over supp(e)."""
+        row = self.row(d)
+        return sum(row[j] * n for j, n in enumerate(e) if n)
 
     def p(self, d: tuple[int, ...]) -> int:
         """p(d) = 2 - (d, d)."""
@@ -148,15 +151,11 @@ class CartanDatum:
 
     # -- the Weyl group and positive roots -----------------------------------
 
-    def _unit_pairing(self, i: int, d: tuple[int, ...]) -> int:
-        """(d, 1_i)."""
-        return sum(map(operator.mul, self.matrix[i], d))
-
     def reflect(self, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
         """s_i(d) = d - (d, 1_i) 1_i; a vertex with a loop has no reflection."""
         if self.matrix[i][i] != 2:
             raise RootError(f"vertex {i} has a loop, so there is no reflection s_{i}")
-        return d[:i] + (d[i] - self._unit_pairing(i, d),) + d[i + 1 :]
+        return d[:i] + (d[i] - self.row(d)[i],) + d[i + 1 :]
 
     def _support_connected(self, d: tuple[int, ...]) -> bool:
         """Whether supp(d) is nonempty and connected through arrows in either direction."""
@@ -183,15 +182,15 @@ class CartanDatum:
         which no root has.
         """
         while self._support_connected(d):
-            for i in self._loop_free:
-                k = self._unit_pairing(i, d)
-                if k > 0:
+            row = self.row(d)
+            for i in self.loop_free:
+                if (k := row[i]) > 0:
                     break
             else:
                 return True
             if k > d[i]:
                 return sum(d) == 1
-            d = self.reflect(i, d)
+            d = d[:i] + (d[i] - k,) + d[i + 1 :]
         return False
 
     def root(self, d: tuple[int, ...]) -> RootEntry | None:

@@ -171,6 +171,15 @@ def test_wide_weight_span_stays_sparse():
     }
 
 
+def test_wide_arrowless_quiver_is_fast():
+    """Each unit is a real simple root orthogonal to every other one, so C^abs is 1 at each."""
+    rank = 240
+    wide = Quiver([str(i) for i in range(rank)], [])
+    with gate(f"C^abs on {rank} arrowless vertices at bound 1", 2):
+        cusp = absolutely_cuspidal(wide, 1)
+    assert cusp.table == {tuple(int(i == k) for i in range(rank)): ONE for k in range(rank)}
+
+
 def test_oracle_reaches_kronecker_5():
     with gate("oracle Kronecker N=5 agrees with Hua", 3):
         oracle = oracle_kac_full(KRON, 5)
@@ -196,8 +205,7 @@ def test_a2_relation_sentinel():
                 assert cusp.polynomial(d).is_zero()
         weights = WeightFunction(A2, dict(cusp.table))
         dims = gkm_dims(CartanDatum.from_quiver(A2), weights, 4)
-        assert dims.character((2, 1)).is_zero()
-        assert dims.character((1, 2)).is_zero()
+        assert not dims.dims.get((2, 1)) and not dims.dims.get((1, 2))
         assert {d: b for d, b in dims.dims.items() if b} == {
             (1, 0): {0: 1},
             (0, 1): {0: 1},

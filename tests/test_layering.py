@@ -105,6 +105,22 @@ def test_only_the_census_and_cartan_data_read_arrows():
         assert not forms, f"{module} uses {sorted(forms)}"
 
 
+def test_pairings_are_read_off_cartan_rows():
+    """Outside roots, only Hua's exponents in kac read the Cartan matrix, and
+    no module reaches into CartanDatum's private attributes."""
+    private = {
+        "." + name
+        for name in [*vars(qgk.CartanDatum), *qgk.CartanDatum.__slots__]
+        if name.startswith("_") and not name.startswith("__")
+    }
+    for module, tree in _trees().items():
+        if module == "roots":
+            continue
+        names = _names(tree)
+        assert module == "kac" or ".matrix" not in names, f"{module} reads .matrix"
+        assert not names & private, f"{module} reads {sorted(names & private)}"
+
+
 def test_the_request_module_loads_only_quiver():
     """python -m qgk answers a cache hit with _request, quiver and the standard library."""
     trees = _trees()
