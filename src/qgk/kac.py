@@ -156,8 +156,8 @@ class KacTable:
     """A_d for all stored dimension vectors, validated on construction.
 
     Every entry must be a polynomial in q (integral exponents) with
-    nonnegative integer coefficients; for the plain flavour the degree is
-    also checked against 1 - chi(d, d) = p(d)/2.
+    nonnegative integer coefficients; for the plain flavour a nonzero A_d
+    must also be monic of degree 1 - chi(d, d) = p(d)/2 (Kac, 1983).
     """
 
     cartan: CartanDatum
@@ -174,9 +174,9 @@ class KacTable:
             if not poly.is_nonnegative_integer_polynomial():
                 raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
             if self.flavour == "plain":
-                bound = self.cartan.p(d) // 2
-                if poly.degree_q() > bound:
-                    raise CountingError(f"A_{d} exceeds degree bound {bound}: {poly}")
+                degree = self.cartan.p(d) // 2
+                if poly.degree_q() != degree or not poly.is_monic():
+                    raise CountingError(f"A_{d} is not monic of degree {degree}: {poly}")
 
     def polynomial(self, d) -> QPoly:
         key = tuple(d)

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from qgk import CartanDatum, GkmError, GradedSeries, PlethMode, QPoly, Quiver
-from qgk.series import SeriesError, degree_lex, vectors_of_total
+from qgk.series import SeriesError, degree_lex, vectors_of_total, vectors_up_to
 
 
 def euler_form(quiver: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
@@ -33,6 +33,25 @@ def in_sigma(cartan: CartanDatum, d: tuple[int, ...]) -> bool:
     """Whether a nonzero d lies in Sigma: Sigma is Phi^+ at multiplier 1."""
     entry = cartan.root(d)
     return entry is not None and entry.multiplier == 1
+
+
+def weyl_word_pairs(cartan: CartanDatum, bound: int):
+    """Each (d, w d) with 0 < |d| <= bound, w a word of 1 to 3 reflections at
+    loop-free vertices, and w d >= 0 with |w d| <= bound: the pairs that
+    `verify` compared when it applied every such word to every d.
+    """
+    words = [
+        word for n in range(1, 4) for word in itertools.product(cartan.loop_free, repeat=n)
+    ]
+    for d in vectors_up_to(cartan.rank, bound):
+        if not any(d):
+            continue
+        for word in words:
+            image = d
+            for i in word:
+                image = cartan.reflect(i, image)
+            if min(image) >= 0 and sum(image) <= bound:
+                yield d, image
 
 
 def series_inv(f: GradedSeries) -> GradedSeries:

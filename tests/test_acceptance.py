@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +20,7 @@ from pathlib import Path
 import test_gkm
 import test_roots
 import test_series
-from reference import in_sigma, series_inv
+from reference import in_sigma, series_inv, weyl_word_pairs
 
 from qgk import (
     CartanDatum,
@@ -68,6 +68,15 @@ def gate(label: str, budget: float | None = None):
         raise AssertionError(f"{label} took {elapsed:.2f}s, budget {budget:.0f}s")
     note = "" if budget is None else f" < {budget:.0f}s"
     print(f"PASS {label} ({elapsed:.2f}s{note})")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python_env() -> dict[str, str]:
+    """os.environ with this checkout's src first on PYTHONPATH, for a child python."""
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def test_jordan_kac_line():
@@ -271,22 +280,11 @@ def test_weyl_invariance():
     with gate("Kac tables constant along Weyl orbits (words up to length 3)", 10.0):
         for quiver in (A2, KRON):
             table = hua_kac(quiver, 4)
-            cartan = CartanDatum.from_quiver(quiver)
-            words = [
-                word
-                for length in range(1, 4)
-                for word in itertools.product(range(cartan.rank), repeat=length)
-            ]
+            series = table.to_series()
             checked = 0
-            for d, poly in table.items():
-                for word in words:
-                    out = d
-                    for i in word:
-                        out = cartan.reflect(i, out)
-                    if any(x < 0 for x in out) or sum(out) > 4:
-                        continue
-                    assert table.polynomial(out) == poly
-                    checked += 1
+            for d, image in weyl_word_pairs(table.cartan, 4):
+                assert series.coeff(image) == series.coeff(d)
+                checked += 1
             assert checked
 
 
@@ -331,6 +329,36 @@ def test_verify_passes_on_every_demo_quiver():
             assert code == 0, f"{path.name}:\n{out.getvalue()}"
 
 
+def _path(n: int) -> tuple[list[str], list[list[str]]]:
+    return [str(i) for i in range(n)], [[str(i), str(i + 1)] for i in range(n - 1)]
+
+
+#: Quivers with many loop-free vertices.  While the weyl row applied every
+#: word of up to three reflections to every vector, verify --bound 2 took
+#: 48 s on the 20-vertex path and over 120 s on the 30-vertex one.
+LONG_QUIVERS = {
+    "20-vertex path": _path(20),
+    "30-vertex path": _path(30),
+    "30-leaf star": (["c", *map(str, range(30))], [[str(i), "c"] for i in range(30)]),
+    "30-cycle": ([str(i) for i in range(30)], [[str(i), str((i + 1) % 30)] for i in range(30)]),
+}
+
+
+def test_verify_on_long_quivers(tmp_path):
+    for name, (vertices, arrows) in LONG_QUIVERS.items():
+        path = tmp_path / f"{name.replace(' ', '_')}.json"
+        path.write_text(json.dumps({"vertices": vertices, "arrows": arrows}))
+        argv = [sys.executable, "-m", "qgk", "verify", str(path), "--bound", "2"]
+        with gate(f"qgk verify --bound 2 on the {name}", 2):
+            proc = subprocess.run(
+                argv, capture_output=True, text=True, env=_python_env(), timeout=2
+            )
+        assert proc.returncode == 0, f"{name}:\n{proc.stdout}{proc.stderr}"
+        statuses = {row.split("\t")[1]: row.split("\t")[0] for row in proc.stdout.splitlines()}
+        assert "FAIL" not in statuses.values(), proc.stdout
+        assert statuses["weyl-invariance"] == "PASS", proc.stdout
+
+
 #: SHA-256 of each demo's standard output, recorded while the Hua sum still
 #: walked the arrow list.  The demos print exact values only, so any change
 #: in what the pipeline computes or prints changes a digest.
@@ -342,14 +370,11 @@ DEMO_DIGESTS = {
 
 
 def test_demos_print_what_they_printed():
-    root = Path(__file__).resolve().parent.parent
-    src = str(root / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    assert sorted(p.name for p in (root / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
     with gate(f"the {len(DEMO_DIGESTS)} demos print their recorded output", 15.0):
         for name, digest in DEMO_DIGESTS.items():
             proc = subprocess.run(
-                [sys.executable, str(root / "demos" / name)], capture_output=True, env=env
+                [sys.executable, str(ROOT / "demos" / name)], capture_output=True, env=_python_env()
             )
             assert proc.returncode == 0, proc.stderr.decode()
             assert hashlib.sha256(proc.stdout).hexdigest() == digest, name

@@ -8,12 +8,14 @@ import sys
 import time
 
 import pytest
+import test_roots
+from reference import weyl_word_pairs
 
 import qgk._request
 import qgk.cli
 import qgk.cuspidal
 import qgk.nakajima
-from qgk import GkmError, GradedSeries, lw_decompose
+from qgk import CartanDatum, GkmError, GradedSeries, Quiver, hua_kac, lw_decompose
 from qgk.cli import run
 from qgk.series import vectors_up_to
 
@@ -388,6 +390,78 @@ def test_verify_presentation_check_catches_wrong_dims(a2_file, monkeypatch, caps
     ]
 
 
+def test_verify_weyl_row_names_the_edge_where_a_differs(a2_file, monkeypatch, capsys):
+    real = qgk.cli.hua_kac
+
+    def bent(quiver, bound):
+        table = real(quiver, bound)
+        table.table[(1, 1)] = table.table[(1, 1)] * 2  # A is 1 at (0,1) and (1,0)
+        return table
+
+    monkeypatch.setattr(qgk.cli, "hua_kac", bent)
+    assert run(["verify", a2_file, "--bound", "3"]) == 2
+    rows = _verify_rows(capsys)
+    assert rows["weyl-invariance"] == [
+        "FAIL", "weyl-invariance", "A differs across s_0: 1,1 vs 0,1"
+    ]
+    assert rows["hua-vs-oracle"] == ["FAIL", "hua-vs-oracle", "mismatch at 1,1"]
+
+
+def _components(edges):
+    """Union-find over the edges' ends; returns the find function."""
+    parent = {}
+
+    def find(d):
+        parent.setdefault(d, d)
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        return d
+
+    for _, d, image in edges:
+        parent[find(d)] = find(image)
+    return find
+
+
+PATH5 = Quiver(list("01234"), [(str(i), str(i + 1)) for i in range(4)])
+CYCLE3 = Quiver(list("012"), [("0", "1"), ("1", "2"), ("2", "0")])
+A2 = Quiver(["0", "1"], [("0", "1")])
+KRONECKER = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
+
+
+@pytest.mark.parametrize(
+    "quiver, bounds",
+    [
+        (A2, range(2, 7)),
+        (KRONECKER, range(1, 9)),
+        (PATH5, [3]),
+        (test_roots.AFFINE_D4, [4]),
+        (CYCLE3, [5]),
+    ],
+    ids=["a2", "kronecker", "path5", "affine_d4", "cycle3"],
+)
+def test_weyl_edges_join_every_pair_the_words_compared(quiver, bounds):
+    cartan = CartanDatum.from_quiver(quiver)
+    for bound in bounds:
+        vectors = [d for d in vectors_up_to(cartan.rank, bound) if any(d)]
+        edges = list(qgk.cli._reflection_edges(cartan, vectors))
+        # each edge d -- s_i d with both ends in the table comes exactly once
+        found = [(i, frozenset((d, image))) for i, d, image in edges]
+        inside = set()
+        for d in vectors:
+            for i in cartan.loop_free:
+                image = cartan.reflect(i, d)
+                if image != d and min(image) >= 0 and sum(image) <= bound:
+                    inside.add((i, frozenset((d, image))))
+        assert len(found) == len(set(found)) and set(found) == inside
+        # A constant along the edges is constant on every pair a word of
+        # length <= 3 reaches, wherever A is nonzero
+        series = hua_kac(quiver, bound).to_series()
+        find = _components(edges)
+        for d, image in weyl_word_pairs(cartan, bound):
+            if series.coeff(d) or series.coeff(image):
+                assert find(d) == find(image), (bound, d, image)
+
+
 def test_verify_presentation_check_stops_at_the_oracle_budget(kron_file, monkeypatch, capsys):
     import qgk._presented
 
@@ -487,12 +561,22 @@ def _verify_rows(capsys) -> dict[str, list[str]]:
     return {line.split("\t")[1]: line.split("\t") for line in _out(capsys).splitlines()}
 
 
-def test_verify_statuses(jordan_file, qfile, capsys):
+def test_verify_statuses(jordan_file, a2_file, kron_file, qfile, capsys):
     # Jordan has no loop-free vertex: Weyl invariance covers nothing
     assert run(["verify", jordan_file, "--bound", "3"]) == 0
     rows = _verify_rows(capsys)
     assert rows["weyl-invariance"][0] == "VACUOUS"
     assert rows["hua-vs-oracle"][0] == "PASS"
+    # nor does it where no reflection edge lies inside the bound; at A2
+    # --bound 1, (1,0) and (0,1) meet only through (1,1)
+    cases = ((a2_file, 1, 0), (kron_file, 1, 0), (kron_file, 2, 0), (kron_file, 6, 6))
+    for path, bound, edges in cases:
+        assert run(["verify", path, "--bound", str(bound)]) == 0
+        assert _verify_rows(capsys)["weyl-invariance"] == [
+            "PASS" if edges else "VACUOUS",
+            "weyl-invariance",
+            f"compared A across {edges} reflection edges with |d| <= {bound}",
+        ]
     # A_(3) of the two-loop quiver needs 11 field sizes; |d| <= 2 is still checked
     two_loop = qfile("two_loop", ["0"], [["0", "0"], ["0", "0"]])
     assert run(["verify", two_loop]) == 0

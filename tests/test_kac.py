@@ -400,6 +400,13 @@ def test_table_rejects_bad_entries(a2):
         KacTable(cartan, 1, "plain", {(1, 0): QPoly.half_power(1)})
     with pytest.raises(CountingError):
         KacTable(cartan, 1, "plain", {(1, 0): Q(2)})
+    # Kac: a nonzero plain A_d is monic of degree exactly p(d)/2
+    with pytest.raises(CountingError, match="not monic of degree 0"):
+        KacTable(cartan, 2, "plain", {(1, 1): ONE + ONE})
+    kronecker = CartanDatum([[2, -2], [-2, 2]])
+    with pytest.raises(CountingError, match="not monic of degree 1"):
+        KacTable(kronecker, 2, "plain", {(1, 1): ONE})
+    KacTable(kronecker, 2, "plain", {(1, 1): Q(1) + ONE, (2, 0): QPoly.zero()})
     with pytest.raises(CountingError):
         KacTable(cartan, 1, "fancy", {})
     # nilpotent flavour has no plain degree bound
