@@ -39,8 +39,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kac import conjugate_partition
 from .quiver import FLAVOURS, MAX_FIELD, CountingError, Quiver, _prime_power
@@ -312,8 +312,7 @@ def _entry(mats: Batch, index: int) -> tuple[tuple[int, ...], ...]:
 Sig = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class MatType:
+class MatType(NamedTuple):
     """One GL_n(F_q) conjugacy class: (irreducible, partition) pairs + size."""
 
     sig: Sig

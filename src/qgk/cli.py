@@ -43,7 +43,6 @@ from .kac import (
     hua_kac,
     oracle_kac_full,
 )
-from .nakajima import lw_decompose
 from .qpoly import QPoly, QPolyError
 from .quiver import CountingError, Quiver, QuiverError
 from .roots import (
@@ -207,6 +206,8 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
 def _cmd_nakajima(quiver: Quiver, args) -> dict:
     if args.framing is None:
         raise InputError("nakajima-decomp requires --framing")
+    from .nakajima import lw_decompose
+
     framing = _parse_dim(quiver, args.framing)
     decomposition = lw_decompose(quiver, framing, args.bound)
     blocks = []
@@ -314,7 +315,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         for d in vectors:
             p = env.coeff(d)
             if not p.is_nonnegative_integer_polynomial():
-                return "fail", f"bad enveloping coefficient at {d}"
+                return "fail", f"bad enveloping coefficient at {_csv(d)}"
         return "pass", "enveloping character has nonnegative integer coefficients"
 
     def exp_log():

@@ -30,8 +30,6 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .gkm import _Denominator
 from .kac import KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
@@ -57,21 +55,21 @@ class CuspidalError(ValueError):
     pass
 
 
-@dataclass
 class CuspidalTable:
     """C^abs_d (absolute=True) or C_d (absolute=False) on Phi^+ members."""
 
-    cartan: CartanDatum
-    bound: int
-    flavour: str
-    absolute: bool
-    table: dict[tuple[int, ...], QPoly] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for d, poly in self.table.items():
+    def __init__(
+        self,
+        cartan: CartanDatum,
+        bound: int,
+        flavour: str,
+        absolute: bool,
+        table: dict[tuple[int, ...], QPoly],
+    ):
+        for d, poly in table.items():
             if poly.is_zero():
                 continue
-            if self.absolute:
+            if absolute:
                 if not poly.is_nonnegative_integer_polynomial():
                     raise CuspidalError(
                         f"C^abs_{d} is not a nonnegative integer polynomial in q: {poly}"
@@ -82,6 +80,8 @@ class CuspidalTable:
                 for v in range(int(poly.degree_q()) + 1):
                     if poly.eval_at(v).denominator != 1:
                         raise CuspidalError(f"C_{d} is not integer valued at q = {v}: {poly}")
+        self.cartan, self.bound, self.flavour = cartan, bound, flavour
+        self.absolute, self.table = absolute, table
 
     def polynomial(self, d) -> QPoly:
         return self.table.get(tuple(d), QPoly.zero())

@@ -45,7 +45,6 @@ lives in _presented; verify and the tests load it on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .qpoly import QPoly
@@ -70,24 +69,23 @@ class GkmError(ValueError):
     pass
 
 
-@dataclass
 class WeightFunction:
     """Simple-root multiplicities: root -> polynomial in q^{1/2}."""
 
-    quiver: Quiver
-    table: dict[tuple[int, ...], QPoly] = field(default_factory=dict)
+    def __init__(self, quiver: Quiver, table: dict[tuple[int, ...], QPoly]):
+        self.quiver, self.table = quiver, table
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
         return [(r, self.table[r]) for r in sorted(self.table, key=degree_lex)]
 
 
-@dataclass
 class GkmDimTable:
     """dim n_{d,j} for |d| <= bound, keyed d -> {half degree j: dim}."""
 
-    cartan: CartanDatum
-    bound: int
-    dims: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
+    def __init__(
+        self, cartan: CartanDatum, bound: int, dims: dict[tuple[int, ...], dict[int, int]]
+    ):
+        self.cartan, self.bound, self.dims = cartan, bound, dims
 
 
 class _SimpleRoots:

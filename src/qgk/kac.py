@@ -70,7 +70,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
@@ -151,7 +150,6 @@ def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 # -- the Kac table ----------------------------------------------------------------
 
 
-@dataclass
 class KacTable:
     """A_d for all stored dimension vectors, validated on construction.
 
@@ -160,23 +158,21 @@ class KacTable:
     must also be monic of degree 1 - chi(d, d) = p(d)/2 (Kac, 1983).
     """
 
-    cartan: CartanDatum
-    bound: int
-    flavour: str
-    table: dict[tuple[int, ...], QPoly] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.flavour not in FLAVOURS:
-            raise CountingError(f"unknown flavour {self.flavour!r}")
-        for d, poly in self.table.items():
+    def __init__(
+        self, cartan: CartanDatum, bound: int, flavour: str, table: dict[tuple[int, ...], QPoly]
+    ):
+        if flavour not in FLAVOURS:
+            raise CountingError(f"unknown flavour {flavour!r}")
+        for d, poly in table.items():
             if poly.is_zero():
                 continue
             if not poly.is_nonnegative_integer_polynomial():
                 raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
-            if self.flavour == "plain":
-                degree = self.cartan.p(d) // 2
+            if flavour == "plain":
+                degree = cartan.p(d) // 2
                 if poly.degree_q() != degree or not poly.is_monic():
                     raise CountingError(f"A_{d} is not monic of degree {degree}: {poly}")
+        self.cartan, self.bound, self.flavour, self.table = cartan, bound, flavour, table
 
     def polynomial(self, d) -> QPoly:
         key = tuple(d)

@@ -26,7 +26,7 @@ V_d z^d chL_d are computed apart, and lw_decompose checks it at |e| <= N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cuspidal import absolutely_cuspidal_from_kac
 from .gkm import GkmError, lowest_weight_extract, uea_character
@@ -53,8 +53,7 @@ def _framed_series(framed_kac: KacTable, bound: int) -> GradedSeries:
     return GradedSeries(rank, bound, terms)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One lowest-weight constituent of a framed character."""
 
     vector: tuple[int, ...]
@@ -63,13 +62,17 @@ class Block:
     character: GradedSeries
 
 
-@dataclass
 class LowestWeightDecomposition:
-    quiver: Quiver
-    framing: tuple[int, ...]
-    bound: int
-    total: GradedSeries
-    blocks: list[Block]
+    def __init__(
+        self,
+        quiver: Quiver,
+        framing: tuple[int, ...],
+        bound: int,
+        total: GradedSeries,
+        blocks: list[Block],
+    ):
+        self.quiver, self.framing, self.bound = quiver, framing, bound
+        self.total, self.blocks = total, blocks
 
 
 def lw_decompose(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quiver import Quiver
 from .series import degree_lex, vectors_up_to
@@ -85,8 +85,7 @@ ISOTROPIC = "isotropic"
 HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class RootEntry:
+class RootEntry(NamedTuple):
     vector: tuple[int, ...]
     classification: str
     p_value: int

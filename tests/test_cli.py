@@ -15,7 +15,7 @@ import qgk._request
 import qgk.cli
 import qgk.cuspidal
 import qgk.nakajima
-from qgk import CartanDatum, GkmError, GradedSeries, Quiver, hua_kac, lw_decompose
+from qgk import CartanDatum, GkmError, GradedSeries, QPoly, Quiver, hua_kac, lw_decompose
 from qgk.cli import run
 from qgk.series import vectors_up_to
 
@@ -407,6 +407,21 @@ def test_verify_weyl_row_names_the_edge_where_a_differs(a2_file, monkeypatch, ca
     assert rows["hua-vs-oracle"] == ["FAIL", "hua-vs-oracle", "mismatch at 1,1"]
 
 
+def test_verify_uea_row_names_the_vector_as_the_tables_do(kron_file, monkeypatch, capsys):
+    real = qgk.cli.uea_character
+
+    def negative(series):
+        envelope = real(series)
+        terms = {**dict(envelope.items()), (1, 1): -QPoly.one()}
+        return GradedSeries(envelope.rank, envelope.bound, terms)
+
+    monkeypatch.setattr(qgk.cli, "uea_character", negative)
+    assert run(["verify", kron_file, "--bound", "2"]) == 2
+    assert _verify_rows(capsys)["uea-positivity"] == [
+        "FAIL", "uea-positivity", "bad enveloping coefficient at 1,1"
+    ]
+
+
 def _components(edges):
     """Union-find over the edges' ends; returns the find function."""
     parent = {}
@@ -786,7 +801,8 @@ quiver, cache = sys.argv[1:]
 seen = []
 
 def loaded():
-    seen.append(tuple(m in sys.modules for m in ("numpy", "qgk._presented", "_hashlib")))
+    modules = ("dataclasses", "inspect", "qgk.nakajima", "qgk._presented", "_hashlib")
+    seen.append(tuple(m in sys.modules for m in modules))
 
 def run(*argv):
     out = io.StringIO()
@@ -811,7 +827,7 @@ def _src_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
+def test_startup_and_hua_path_load_only_what_they_use(jordan_file, tmp_path):
     cache = tmp_path / "cache"
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, jordan_file, str(cache)],
@@ -820,12 +836,13 @@ def test_startup_and_hua_path_do_not_load_numpy(jordan_file, tmp_path):
         env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    # (numpy, the relation engine, OpenSSL) loaded after import, a Hua run, a
-    # cache hit, the Burnside oracle, a nilpotent census and verify: only
-    # verify loads the relation engine, and nothing loads numpy or OpenSSL.
+    # (dataclasses, inspect, the framed blocks, the relation engine, OpenSSL)
+    # loaded after import, a Hua run, a cache hit, the Burnside oracle, a
+    # nilpotent census and verify: only verify loads the relation engine, and
+    # none of them loads the others.
+    clean, engine = "(False, False, False, False, False)", "(False, False, False, True, False)"
     assert proc.stdout == (
-        "[(False, False, False), (False, False, False), (False, False, False), "
-        "(False, False, False), (False, False, False), (False, True, False)] "
+        f"[{clean}, {clean}, {clean}, {clean}, {clean}, {engine}] "
         "'1\\tq\\n2\\tq\\n' True True\n"
     )
     assert len(list(cache.glob("qgk-kac-*.txt"))) == 1
@@ -835,6 +852,32 @@ def _python_m_qgk(*argv: str, options: tuple[str, ...] = ()) -> subprocess.Compl
     """python [options] -m qgk argv in a child interpreter; output as bytes."""
     command = [sys.executable, *options, "-m", "qgk", *argv]
     return subprocess.run(command, capture_output=True, env=_src_env())
+
+
+def _imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """The modules a python -X importtime child loaded."""
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: self | cumulative | name" line per module
+    return {line.rsplit(b"|", 1)[1].strip().decode() for line in proc.stderr.splitlines()}
+
+
+def _ours(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name == "qgk" or name.startswith("qgk.")}
+
+
+def test_a_miss_loads_only_the_modules_its_command_uses(kron_file, tmp_path):
+    pipeline = {
+        "qgk", "qgk._request", "qgk.quiver", "qgk.cli", "qgk.qpoly", "qgk.series", "qgk.roots",
+        "qgk.kac", "qgk.gkm", "qgk.cuspidal",
+    }
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for argv, extra in (
+        (["kac", kron_file, "--bound", "2"], set()),
+        (["nakajima-decomp", kron_file, "--bound", "2", "--framing", "1,0"], {"qgk.nakajima"}),
+    ):
+        loaded = _imported(_python_m_qgk(*argv, *cache, options=("-X", "importtime")))
+        assert _ours(loaded) == pipeline | extra, argv[0]
+        assert not loaded & {"dataclasses", "inspect"}, argv[0]
 
 
 def test_a_cache_hit_loads_only_the_request_module(kron_file, tmp_path):
@@ -847,10 +890,7 @@ def test_a_cache_hit_loads_only_the_request_module(kron_file, tmp_path):
     warm = _python_m_qgk(*argv, options=("-X", "importtime"))
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
-    # -X importtime writes one "import time: self | cumulative | name" line per module
-    loaded = {line.rsplit(b"|", 1)[1].strip().decode() for line in warm.stderr.splitlines()}
-    ours = {name for name in loaded if name == "qgk" or name.startswith("qgk.")}
-    assert ours == {"qgk", "qgk._request", "qgk.quiver"}
+    assert _ours(_imported(warm)) == {"qgk", "qgk._request", "qgk.quiver"}
     # a corrupt entry is a miss: the pipeline runs and the entry is rebuilt
     entry.write_bytes(good.replace(b"q", b"2*q", 1))
     rebuilt = _python_m_qgk(*argv)

@@ -9,7 +9,6 @@ count.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,7 +17,8 @@ import qgk
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgk"
 
 #: The pipeline order.  A module imports at load time only modules before
-#: it; kac loads _burnside and verify loads _presented inside a function.
+#: it; kac loads _burnside, verify loads _presented and nakajima-decomp loads
+#: nakajima inside a function.
 #: _request, the CLI's parser and cache, comes before the pipeline so that
 #: a cache hit loads none of it.
 ORDER = [
@@ -76,18 +76,22 @@ def test_modules_import_in_pipeline_order():
         assert not later, f"{module} imports {sorted(later)} at load time"
 
 
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Every module a module imports by absolute name, at load time or inside a function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
 def test_the_package_imports_only_the_standard_library():
     for module, tree in _trees().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                assert top == "qgk" or top in sys.stdlib_module_names, f"{module} imports {name}"
+        for name in _absolute_imports(tree):
+            top = name.split(".")[0]
+            assert top == "qgk" or top in sys.stdlib_module_names, f"{module} imports {name}"
 
 
 def test_no_module_loads_an_oracle_at_load_time():
@@ -137,6 +141,25 @@ def test_series_and_the_gkm_modules_do_not_load_quiver():
 
 
 def test_tables_carry_the_cartan_datum_not_the_quiver():
-    for table in (qgk.KacTable, qgk.CuspidalTable, qgk.GkmDimTable):
-        names = {f.name for f in dataclasses.fields(table)}
-        assert "quiver" not in names and "cartan" in names, table.__name__
+    kronecker = qgk.Quiver(["0", "1"], [("0", "1"), ("0", "1")])
+    kac = qgk.hua_kac(kronecker, 2)
+    cabs = qgk.absolutely_cuspidal_from_kac(kac)
+    dims = qgk.gkm_dims(cabs.cartan, qgk.WeightFunction(kronecker, cabs.table), 2)
+    for table in (kac, cabs, dims):
+        assert hasattr(table, "cartan") and not hasattr(table, "quiver"), type(table).__name__
+
+
+def test_no_module_imports_dataclasses():
+    """A miss of python -m qgk pays for no dataclasses, inspect or ast at start-up."""
+    for module, tree in _trees().items():
+        assert "dataclasses" not in _absolute_imports(tree), module
+
+
+def test_the_cli_loads_nakajima_and_presented_inside_a_function():
+    """import qgk.cli loads kac, gkm and cuspidal, but not the framed blocks or the oracle."""
+    tree = _trees()["cli"]
+    loaded = _module_level_imports(tree)
+    assert {"kac", "gkm", "cuspidal"} <= loaded
+    assert not loaded & {"nakajima", "_presented"}
+    anywhere = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {"nakajima", "_presented"} <= anywhere
