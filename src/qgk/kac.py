@@ -36,6 +36,13 @@ norm is at most l!/prod_k m_k! 2^(|lam| - l); summed over lam |- n, that is
 sum_l C(n-1, l-1) 2^(n-l) = 3^(n-1).  So every coefficient of N_d is below
 prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2), which fixes w, and N_d is unpacked once.
 
+The sum runs over lam' in place of lam: both range over the partitions of
+|lam|, and m_k(lam) = lam'_k - lam'_{k+1}.  N(lam) depends on lam only
+through |lam| and the multiplicities, and w only through |d| - |supp d|, so
+one hua_kac call divides once per (w, |lam|, multiplicities), with the
+largest (x;x)_{m_k} cancelled against (x;x)_{|lam|} first, and every d reads
+lam', <lam, lam> and m(lam) from one table built for the call.
+
 Before summing, hua_kac counts the multipartitions and raises BudgetError
 past HUA_BUDGET, as roots' check_vector_budget does for the tables that
 range over every d with |d| <= N.
@@ -69,7 +76,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
@@ -87,10 +93,10 @@ from .series import (
     vectors_up_to,
 )
 
-#: The most multipartitions hua_kac sums over.  Jordan N=28 (18,459 of them)
-#: takes about 0.6 s on a shared 2-vCPU VM, and Jordan N=32 (43,819), the
-#: largest Jordan bound inside the budget, about 1.3 s: the time grows faster
-#: than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
+#: The most multipartitions hua_kac sums over.  In a fresh process on a shared
+#: 2-vCPU VM, Jordan N=28 (18,459 of them) takes about 0.2 s, and Jordan N=32
+#: (43,819), the largest Jordan bound inside the budget, about 0.5 s: the time
+#: grows faster than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
 
 
@@ -140,13 +146,6 @@ def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(conjugate)
 
 
-def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """<lam, mu> = sum_i lam'_i mu'_i."""
-    lc = conjugate_partition(lam)
-    mc = conjugate_partition(mu)
-    return sum(a * b for a, b in zip(lc, mc))
-
-
 # -- the Kac table ----------------------------------------------------------------
 
 
@@ -190,31 +189,19 @@ class KacTable:
 # -- Hua's formula ----------------------------------------------------------------
 
 @functools.cache
-def _multiplicities(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """The multiplicities m_k(lam) of lam's distinct parts, sorted."""
-    return tuple(sorted(Counter(lam).values()))
+def _multiplicities(conjugate: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiplicities m_k(lam) = lam'_k - lam'_{k+1} > 0 of lam's distinct parts, sorted."""
+    return tuple(sorted(a - b for a, b in zip(conjugate, conjugate[1:] + (0,)) if a != b))
 
 
-def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> dict:
-    """N_d = D_d [z^d] of Hua's sum, summed at x = 2^w (see the module docstring)."""
+def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], vertex) -> dict:
+    """N_d = D_d [z^d] of Hua's sum, summed at x = 2^w (see the module docstring).
+
+    vertex(w, n) gives (N(lam), lam', <lam, lam>) at x = 2^w for every lam |- n.
+    """
     support = [v for v, n in enumerate(d) if n]
     # every coefficient of N_d is below prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2)
     w = (3 ** (sum(d) - len(support))).bit_length() + 2
-    q_factorial = [1]  # (x;x)_j at x = 2^w
-    for j in range(1, max(d) + 1):
-        q_factorial.append(q_factorial[-1] * (1 - (1 << w * j)))
-    # N(lam) = (x;x)_{|lam|} / prod_k (x;x)_{m_k(lam)} at x = 2^w, one per |lam| and multiplicities
-    shared: dict[tuple, int] = {}
-    vertex = {}
-    for n in set(d):
-        for lam in partitions(n):
-            key = n, _multiplicities(lam)
-            if key not in shared:
-                below = math.prod(map(q_factorial.__getitem__, key[1]))
-                shared[key], rest = divmod(q_factorial[n], below)
-                if rest:
-                    raise SeriesError(f"inexact vertex numerator for {lam}")
-            vertex[lam] = shared[key]
     # -(pi, pi)/2 on supp(d); the vertex with the most partitions is summed
     # innermost, by shifts alone
     last = max(support, key=lambda v: _partition_count(d[v]))
@@ -224,27 +211,23 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> d
     pairs = [pair for pair in pairs if pair[2]]
     crossing = [(a, -matrix[last][v]) for a, v in enumerate(others) if matrix[last][v]]
     half = matrix[last][last] // 2
-    inner = [
-        (vertex[lam], conjugate_partition(lam), partition_pairing(lam, lam))
-        for lam in partitions(d[last])
-    ]
+    inner = [(numerator, conj, half * square) for numerator, conj, square in vertex(w, d[last])]
     sums: dict[int, int] = {}  # the packed terms by their lowest exponent
-    for outer in itertools.product(*(partitions(d[v]) for v in others)):
-        exponent = sum(map(operator.mul, diagonal, map(partition_pairing, outer, outer)))
+    for outer in itertools.product(*(vertex(w, d[v]) for v in others)):
+        exponent = sum(weight * square for weight, (_, _, square) in zip(diagonal, outer))
         for a, b, weight in pairs:
-            exponent += weight * partition_pairing(outer[a], outer[b])
+            exponent += weight * sum(map(operator.mul, outer[a][1], outer[b][1]))
         column = [0] * d[last]  # the crossing terms add sum_i column_i lam'_i
         for a, weight in crossing:
-            for i, c in enumerate(conjugate_partition(outer[a])[: d[last]]):
+            for i, c in enumerate(outer[a][1][: d[last]]):
                 column[i] += weight * c
         shifts = [
-            half * square - exponent - sum(map(operator.mul, column, conj))
-            for _, conj, square in inner
+            square - exponent - sum(map(operator.mul, column, conj)) for _, conj, square in inner
         ]
         lo, term = min(shifts), 0
         for (numerator, _, _), k in zip(inner, shifts):
             term += numerator << w * (k - lo)
-        sums[lo] = sums.get(lo, 0) + term * math.prod(map(vertex.__getitem__, outer))
+        sums[lo] = sums.get(lo, 0) + term * math.prod(numerator for numerator, _, _ in outer)
     lo, total = min(sums), 0
     for k, v in sums.items():
         total += v << w * (k - lo)
@@ -253,9 +236,36 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> d
 
 def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
     """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
+    # shapes[n]: (lam', <lam, lam>, m(lam)) for every lam |- n; as lam runs over
+    # the partitions of n, so does lam', so no partition is conjugated
+    shapes = [
+        [(c, sum(map(operator.mul, c, c)), _multiplicities(c)) for c in partitions(n)]
+        for n in range(bound + 1)
+    ]
+    stored: dict[tuple[int, int], list] = {}  # (w, n) -> vertex(w, n)
+
+    def vertex(w: int, n: int) -> list:
+        """(N(lam), lam', <lam, lam>) at x = 2^w for every lam |- n."""
+        if (w, n) not in stored:
+            q_factorial, tail = [1] * (n + 1), [1] * (n + 1)  # (x;x)_j and (x;x)_n / (x;x)_j
+            for j in range(1, n + 1):
+                q_factorial[j] = q_factorial[j - 1] - (q_factorial[j - 1] << w * j)
+            for j in range(n, 0, -1):
+                tail[j - 1] = tail[j] - (tail[j] << w * j)
+            shared: dict[tuple[int, ...], int] = {}  # N(lam) by m(lam)
+            for _, _, m in shapes[n]:
+                if m not in shared:
+                    # m is sorted, so (x;x)_{m[-1]} cancels against (x;x)_n without a division
+                    below = math.prod(map(q_factorial.__getitem__, m[:-1]))
+                    shared[m], rest = divmod(tail[m[-1]], below)
+                    if rest:
+                        raise SeriesError(f"inexact vertex numerator at n = {n}, m = {m}")
+            stored[w, n] = [(shared[m], conj, square) for conj, square, m in shapes[n]]
+        return stored[w, n]
+
     levels = [(1, {(0,) * len(matrix): {0: 1}})]
     for total in range(1, bound + 1):
-        level = {d: _hua_numerator(d, matrix) for d in vectors_of_total(len(matrix), total)}
+        level = {d: _hua_numerator(d, matrix, vertex) for d in vectors_of_total(len(matrix), total)}
         levels.append((1, level))
     return levels
 

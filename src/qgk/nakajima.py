@@ -63,15 +63,7 @@ class Block(NamedTuple):
 
 
 class LowestWeightDecomposition:
-    def __init__(
-        self,
-        quiver: Quiver,
-        framing: tuple[int, ...],
-        bound: int,
-        total: GradedSeries,
-        blocks: list[Block],
-    ):
-        self.quiver, self.framing, self.bound = quiver, framing, bound
+    def __init__(self, total: GradedSeries, blocks: list[Block]):
         self.total, self.blocks = total, blocks
 
 
@@ -119,4 +111,4 @@ def lw_decompose(
         got, want = rebuilt.get(e, QPoly.zero()), total.coeff(e)
         if got != want:
             raise GkmError(f"the blocks do not rebuild F at {e}: {got} != {want}")
-    return LowestWeightDecomposition(quiver, framing, bound, total, blocks)
+    return LowestWeightDecomposition(total, blocks)

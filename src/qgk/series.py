@@ -244,30 +244,30 @@ def _kernel_convolve(pairs, acc: dict) -> dict:
     """acc_d + sum factor a_e b_f prod_v [d_v choose e_v]_t over d = e + f, at t = 2^w.
 
     [n choose k]_t = D_n / (D_k D_{n-k}) has nonnegative coefficients summing
-    to C(n, k), so w covers the l1 norm of every result, l1(acc_d) +
-    sum |factor| l1(a_e) l1(b_f) prod_v C(d_v, e_v).  Each operand and each
-    kernel is packed once.
+    to C(n, k), and sum_{|e| = s, e <= d} prod_v C(d_v, e_v) = C(|d|, s)
+    (Vandermonde).  So w covers the l1 norm of every result, which is at most
+    max l1(acc) + sum |factor| max l1(a) max l1(b) C(|a| + |b|, |a|) over the
+    levels a, b of the pairs.  Each operand and each kernel is packed once.
     """
-    bound, lo = {}, {}  # per result: its l1 bound and its lowest exponent
-    for d, p in acc.items():
-        bound[d], lo[d] = _l1(p), min(p)
+    top = max(map(_l1, acc.values()), default=0)
+    lo = min(map(min, acc.values()), default=0)
+    size = 0  # the largest |d| that a pair reaches
     for factor, a, b in pairs:
-        b_norms = [(f, abs(factor) * _l1(r), min(r)) for f, r in b.items()]
-        for e, p in a.items():
-            e_l1, e_lo = _l1(p), min(p)
-            for f, f_l1, f_lo in b_norms:
-                d = tuple(map(operator.add, e, f))
-                bound[d] = bound.get(d, 0) + e_l1 * f_l1 * math.prod(map(math.comb, d, e))
-                lo[d] = min(lo.get(d, e_lo + f_lo), e_lo + f_lo)
-    w = max(bound.values(), default=0).bit_length() + 2
+        if a and b:
+            s, t = sum(next(iter(a))), sum(next(iter(b)))
+            a_l1, b_l1 = max(map(_l1, a.values())), max(map(_l1, b.values()))
+            top += abs(factor) * a_l1 * b_l1 * math.comb(s + t, s)
+            lo = min(lo, min(map(min, a.values())) + min(map(min, b.values())))
+            size = max(size, s + t)
+    w = top.bit_length() + 2
     gauss = [[1]]  # gauss[n][k] = [n choose k]_t at t = 2^w, by the q-Pascal rule
-    for n in range(1, max(map(max, lo), default=0) + 1):
+    for n in range(1, size + 1):
         row = gauss[-1] + [0]
         gauss.append([1] + [row[k - 1] + (row[k] << w * k) for k in range(1, n + 1)])
-    total = dict.fromkeys(lo, 0)
+    total = {}
     for d, p in acc.items():
         p_lo, v = _pack(p, w)
-        total[d] = v << w * (p_lo - lo[d])
+        total[d] = v << w * (p_lo - lo)
     for factor, a, b in pairs:
         a = [(e, *_pack(p, w)) for e, p in a.items()]
         for f, r in b.items():
@@ -278,8 +278,8 @@ def _kernel_convolve(pairs, acc: dict) -> dict:
                 for n, k in zip(d, e):
                     if 0 < k < n:
                         v *= gauss[n][k]
-                total[d] += v << w * (e_lo + f_lo - lo[d])
-    return {d: _unpack(lo[d], v, w) for d, v in total.items()}
+                total[d] = total.get(d, 0) + (v << w * (e_lo + f_lo - lo))
+    return {d: _unpack(lo, v, w) for d, v in total.items()}
 
 
 def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) -> list:

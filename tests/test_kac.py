@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from reference import euler_form
+from test_gkm import LEG_PLUS_LOOP
 
 from qgk import (
     BudgetError,
@@ -25,7 +26,7 @@ from qgk.kac import (
     _OraclePeel,
     _partition_count,
     check_hua_budget,
-    partition_pairing,
+    conjugate_partition,
     partitions,
 )
 from qgk.series import SeriesError, _moebius, _ratio, vectors_of_total
@@ -243,6 +244,11 @@ def _den_poly(exponents: dict[int, int]) -> QPoly:
     return result
 
 
+def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """<lam, mu> = sum_i lam'_i mu'_i."""
+    return sum(a * b for a, b in zip(conjugate_partition(lam), conjugate_partition(mu)))
+
+
 def _hua_term(quiver: Quiver, parts: tuple[tuple[int, ...], ...]) -> _RatQ:
     exponent = 0
     by_vertex = dict(zip(quiver.vertices, parts))
@@ -310,6 +316,7 @@ def _ratq_hua_kac(quiver: Quiver, bound: int) -> KacTable:
 
 
 KRONECKER = Quiver(["0", "1"], [("0", "1"), ("0", "1")])
+WILD3 = Quiver(["0", "1", "2"], [("0", "1"), ("0", "1"), ("1", "2"), ("1", "2"), ("0", "2")])
 
 DIFFERENTIAL_CASES = [
     (KRONECKER, 7),
@@ -319,13 +326,18 @@ DIFFERENTIAL_CASES = [
     (Quiver(["0", "1"], [("0", "0"), ("0", "1")]), 6),
     (Quiver(["c", "a", "b", "d", "e"], [("a", "c"), ("b", "c"), ("d", "c"), ("e", "c")]), 4),
     (frame(KRONECKER, (1, 2)), 5),
+    (LEG_PLUS_LOOP, 6),
+    (WILD3, 5),
 ]
 
 
 @pytest.mark.parametrize(
     "quiver, bound",
     DIFFERENTIAL_CASES,
-    ids=["kronecker", "cycle3", "jordan", "two_loop", "loop_plus_leg", "affine_d4", "framed"],
+    ids=[
+        "kronecker", "cycle3", "jordan", "two_loop", "loop_plus_leg", "affine_d4", "framed",
+        "leg_plus_loop", "wild3",
+    ],
 )
 def test_hua_matches_explicit_denominator_log(quiver, bound):
     assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
@@ -374,7 +386,7 @@ LOOP_FREE_CASES = {
     "a3": (Quiver(["0", "1", "2"], [("0", "1"), ("1", "2")]), 6),
     "affine_d4": (DIFFERENTIAL_CASES[5][0], 7),
     "cycle3": (DIFFERENTIAL_CASES[1][0], 7),
-    "wild3": (Quiver(["0", "1", "2"], [("0", "1"), ("0", "1"), ("1", "2"), ("1", "2"), ("0", "2")]), 6),
+    "wild3": (WILD3, 6),
 }
 
 

@@ -285,13 +285,13 @@ def sparse_kernel_convolve(pairs, sign, start, divisor):
 
 @st.composite
 def convolution_levels(draw):
-    """(pairs, sign, start, divisor) for one level of total t over rank 2, with random numerators."""
+    """(pairs, sign, start, divisor) for one level of total t over rank 3, with random numerators."""
     poly = st.dictionaries(
-        st.integers(-4, 6), st.integers(-30, 30).filter(bool), min_size=1, max_size=5
+        st.integers(-4, 6), st.integers(-(2**40), 2**40).filter(bool), min_size=1, max_size=5
     )
 
     def level(total):
-        keys = st.sampled_from(list(vectors_of_total(2, total)))
+        keys = st.sampled_from(list(vectors_of_total(3, total)))
         return draw(st.integers(1, 6)), draw(st.dictionaries(keys, poly, max_size=3))
 
     total = draw(st.integers(2, 6))
