@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .gkm import GkmDimTable, GkmError, WeightFunction, _SimpleRoots
 from .qpoly import QPoly
 from .roots import BudgetError, CartanDatum
-from .series import GradedSeries, PlethMode, pleth_log, vectors_of_total
+from .series import GradedSeries, PlethMode, _csv, pleth_log, vectors_of_total
 
 #: The most work one GkmEngine may do: tensor terms touched by reduction
 #: plus letters registered.  A reduction term costs about 3 us on Jordan and
@@ -209,7 +209,7 @@ class GkmEngine:
     def dims_at(self, d) -> dict[int, int]:
         d = tuple(d)
         if sum(d) > self.bound:
-            raise GkmError(f"block {d} is beyond the bound {self.bound}")
+            raise GkmError(f"block {_csv(d)} is beyond the bound {self.bound}")
         if not any(d) or any(x < 0 for x in d):
             raise GkmError("blocks are indexed by nonzero nonnegative vectors")
         self._roots.horizon = max(self._roots.horizon, sum(d))
@@ -217,14 +217,16 @@ class GkmEngine:
             self._free = self._free_lie()
         free = self._free.coeff(d)
         if not free.is_nonnegative_integer_polynomial():
-            raise GkmError(f"free Lie character {free} at block {d} is not a nonnegative integer")
+            raise GkmError(
+                f"free Lie character {free} at block {_csv(d)} is not a nonnegative integer"
+            )
         dims = {j: int(dim) for j, dim in free.items()}
         for content, echelon in self._ideal_at(d).items():
             j = sum(l.half_degree for l in content)
             dims[j] = dims.get(j, 0) - len(echelon.pivots)
         for j, dim in dims.items():
             if dim < 0:
-                raise GkmError(f"negative dimension at block {d}, degree {j}")
+                raise GkmError(f"negative dimension at block {_csv(d)}, degree {j}")
         return {j: dim for j, dim in dims.items() if dim}
 
     def _free_lie(self) -> GradedSeries:

@@ -54,7 +54,7 @@ from .roots import (
     phi_plus,
     positive_roots,
 )
-from .series import PlethMode, SeriesError, degree_lex, pleth_exp, pleth_log, vectors_up_to
+from .series import PlethMode, SeriesError, _csv, degree_lex, pleth_exp, pleth_log, vectors_up_to
 
 IP_CONVENTION = (
     "coefficients of v^j count IH^j classes, shifted so a smooth n-dimensional "
@@ -69,10 +69,6 @@ def _parse_dim(quiver: Quiver, text: str) -> tuple[int, ...]:
     except ValueError:
         raise InputError(f"bad dimension vector {text!r}") from None
     return quiver.vector(values)
-
-
-def _csv(d: tuple[int, ...]) -> str:
-    return ",".join(str(n) for n in d)
 
 
 def _poly_rows(items) -> list[list[str]]:

@@ -42,6 +42,7 @@ from .roots import (
 from .series import (
     GradedSeries,
     PlethMode,
+    _csv,
     degree_lex,
     pleth_exp,
     pleth_log,
@@ -72,14 +73,14 @@ class CuspidalTable:
             if absolute:
                 if not poly.is_nonnegative_integer_polynomial():
                     raise CuspidalError(
-                        f"C^abs_{d} is not a nonnegative integer polynomial in q: {poly}"
+                        f"C^abs_{_csv(d)} is not a nonnegative integer polynomial in q: {poly}"
                     )
             elif not poly.has_integral_exponents() or poly.min_half < 0:
-                raise CuspidalError(f"C_{d} is not a polynomial in q: {poly}")
+                raise CuspidalError(f"C_{_csv(d)} is not a polynomial in q: {poly}")
             elif not poly.has_integer_coefficients():
                 for v in range(int(poly.degree_q()) + 1):
                     if poly.eval_at(v).denominator != 1:
-                        raise CuspidalError(f"C_{d} is not integer valued at q = {v}: {poly}")
+                        raise CuspidalError(f"C_{_csv(d)} is not integer valued at q = {v}: {poly}")
         self.cartan, self.bound, self.flavour = cartan, bound, flavour
         self.absolute, self.table = absolute, table
 
@@ -121,9 +122,9 @@ def invert_character(
             if deficit.is_zero():
                 continue
             if d not in roots:
-                raise CuspidalError(f"character deficit {deficit} at non-root {d}")
+                raise CuspidalError(f"character deficit {deficit} at non-root {_csv(d)}")
             if not deficit.is_nonnegative_integer_polynomial():
-                raise CuspidalError(f"deficit at root {d} is not admissible: {deficit}")
+                raise CuspidalError(f"deficit at root {_csv(d)} is not admissible: {deficit}")
             deficits[d] = deficit
         denominator.add(deficits)
         weights.update(deficits)
@@ -161,12 +162,12 @@ def _check_plain_shape(table: CuspidalTable, roots: set[tuple[int, ...]]) -> Non
     support = set(table.table)
     if support != roots:
         off = sorted(support ^ roots, key=degree_lex)
-        raise CuspidalError(f"C^abs support differs from Phi^+ at {off[0]}")
+        raise CuspidalError(f"C^abs support differs from Phi^+ at {_csv(off[0])}")
     for d, poly in table.table.items():
         degree = table.cartan.p(d) // 2
         if poly.degree_q() != degree or not poly.is_monic():
             raise CuspidalError(
-                f"C^abs_{d} = {poly} is not monic of degree {degree}"
+                f"C^abs_{_csv(d)} = {poly} is not monic of degree {degree}"
             )
 
 

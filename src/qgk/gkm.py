@@ -52,6 +52,7 @@ from .roots import BudgetError, CartanDatum, check_vector_budget
 from .series import (
     GradedSeries,
     PlethMode,
+    _csv,
     degree_lex,
     pleth_exp,
     pleth_log,
@@ -133,7 +134,9 @@ class _SimpleRoots:
         pairings = {r: sum(x[j] * n for j, n in support) for r, x in self.rows.items() if r != root}
         for r, pairing in pairings.items():
             if pairing > 0:
-                raise GkmError(f"simple roots {r} and {root} pair positively ({pairing})")
+                raise GkmError(
+                    f"simple roots {_csv(r)} and {_csv(root)} pair positively ({pairing})"
+                )
         pairings[root] = self.norms[root] = diag
         self.rows[root] = row
         return pairings
@@ -265,7 +268,8 @@ def gkm_dims(cartan: CartanDatum, weights: WeightFunction, bound: int) -> GkmDim
         for j, coeff in poly.items():
             if coeff.denominator != 1 or coeff > 0:
                 raise GkmError(
-                    f"dimension {-coeff} at block {d}, degree {j} is not a nonnegative integer"
+                    f"dimension {-coeff} at block {_csv(d)}, degree {j} "
+                    "is not a nonnegative integer"
                 )
             block[j] = -int(coeff)
     return GkmDimTable(cartan, bound, dims)

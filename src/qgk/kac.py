@@ -85,6 +85,7 @@ from .series import (
     GradedSeries,
     PlethMode,
     SeriesError,
+    _csv,
     _pleth_log_levels,
     _ratio,
     degree_lex,
@@ -94,8 +95,8 @@ from .series import (
 )
 
 #: The most multipartitions hua_kac sums over.  In a fresh process on a shared
-#: 2-vCPU VM, Jordan N=28 (18,459 of them) takes about 0.2 s, and Jordan N=32
-#: (43,819), the largest Jordan bound inside the budget, about 0.5 s: the time
+#: 2-vCPU VM, Jordan N=28 (18,459 of them) takes about 0.25 s, and Jordan N=32
+#: (43,819), the largest Jordan bound inside the budget, 0.45-0.65 s: the time
 #: grows faster than the count.  The largest benchmark case, affine D4 N=6, has 2,051.
 HUA_BUDGET = 50_000
 
@@ -166,17 +167,19 @@ class KacTable:
             if poly.is_zero():
                 continue
             if not poly.is_nonnegative_integer_polynomial():
-                raise CountingError(f"A_{d} is not a nonnegative integer polynomial in q: {poly}")
+                raise CountingError(
+                    f"A_{_csv(d)} is not a nonnegative integer polynomial in q: {poly}"
+                )
             if flavour == "plain":
                 degree = cartan.p(d) // 2
                 if poly.degree_q() != degree or not poly.is_monic():
-                    raise CountingError(f"A_{d} is not monic of degree {degree}: {poly}")
+                    raise CountingError(f"A_{_csv(d)} is not monic of degree {degree}: {poly}")
         self.cartan, self.bound, self.flavour, self.table = cartan, bound, flavour, table
 
     def polynomial(self, d) -> QPoly:
         key = tuple(d)
         if key not in self.table:
-            raise KeyError(f"no Kac polynomial stored for {key}")
+            raise KeyError(f"no Kac polynomial stored for {_csv(key)}")
         return self.table[key]
 
     def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
@@ -302,8 +305,9 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
     table: dict[tuple[int, ...], QPoly] = {}
     for total, (den, level) in enumerate(levels):
         for d in sorted(level):
-            # q - 1 = (1 - x) / x, and one exact division by D_d
-            num = _ratio(level[d], [1], [j for a in d for j in range(1, a + 1)])
+            # q - 1 = (1 - x) / x, and one exact division by D_d, whose first
+            # factor is 1 - x as d != 0, so the two cancel
+            num = _ratio(level[d], (), [j for a in d for j in range(1, a + 1)][1:])
             table[d] = QPoly._of({2 * (1 - k): c for k, c in num.items()}, den * total)
     return KacTable(cartan, bound, "plain", table)
 
@@ -369,7 +373,7 @@ class _OraclePeel:
         below = sorted(itertools.product(*(range(n + 1) for n in e)), key=degree_lex)[1:-1]
         missing = next((b for b in below if b not in self.known), None)
         if missing is not None:
-            raise BudgetError(f"need A at {','.join(map(str, missing))} first")
+            raise BudgetError(f"need A at {_csv(missing)} first")
         if self._exp.bound != sum(e):
             known = GradedSeries(self.cartan.rank, sum(e), self.known)
             self._exp = pleth_exp(known, PlethMode.QZ)
@@ -380,7 +384,7 @@ class _OraclePeel:
             points.append((v, Fraction(m_count) - base.eval_at(v)))
         poly = _lagrange(points)
         if degree_bound < 0 and not poly.is_zero():
-            raise CountingError(f"A_{e} should vanish (degree bound {degree_bound}): {poly}")
+            raise CountingError(f"A_{_csv(e)} should vanish (degree bound {degree_bound}): {poly}")
         self.known[e] = poly
 
 

@@ -33,7 +33,7 @@ from .gkm import GkmError, lowest_weight_extract, uea_character
 from .kac import KacTable, hua_kac
 from .qpoly import QPoly
 from .quiver import Quiver, frame
-from .series import GradedSeries, vectors_up_to
+from .series import GradedSeries, _csv, vectors_up_to
 
 
 def framed_character(quiver: Quiver, framing: tuple[int, ...], bound: int) -> GradedSeries:
@@ -103,12 +103,14 @@ def lw_decompose(
         blocks.append(Block(d, multiplicity, weight, character))
         for c, poly in character.items():
             if not (poly.has_integer_coefficients() and poly.has_nonnegative_coefficients()):
-                raise GkmError(f"chL_{d} has a negative or fractional coefficient at {c}: {poly}")
+                raise GkmError(
+                    f"chL_{_csv(d)} has a negative or fractional coefficient at {_csv(c)}: {poly}"
+                )
             e = tuple(x + y for x, y in zip(d, c))
             rebuilt[e] = rebuilt.get(e, QPoly.zero()) + multiplicity * poly
 
     for e in vectors_up_to(rank, bound):
         got, want = rebuilt.get(e, QPoly.zero()), total.coeff(e)
         if got != want:
-            raise GkmError(f"the blocks do not rebuild F at {e}: {got} != {want}")
+            raise GkmError(f"the blocks do not rebuild F at {_csv(e)}: {got} != {want}")
     return LowestWeightDecomposition(total, blocks)

@@ -37,7 +37,7 @@ import operator
 from typing import NamedTuple
 
 from .quiver import Quiver
-from .series import degree_lex, vectors_up_to
+from .series import _csv, degree_lex, vectors_up_to
 
 
 class RootError(ValueError):
@@ -234,7 +234,7 @@ class CartanDatum:
         of a in that order, reversed, are their complements a - b, so one
         pass over the box visits each pair b <= a once.
         """
-        _refuse_pairs(math.prod(math.comb(n + 2, 2) for n in d), f"the box under {d}")
+        _refuse_pairs(math.prod(math.comb(n + 2, 2) for n in d), f"the box under {_csv(d)}")
         table = self._splits
         box = itertools.product(*(range(n + 1) for n in d))
         for a in [a for a in box if a not in table][1:]:  # the zero vector comes first

@@ -24,10 +24,11 @@ coefficient.
 
 hua_kac runs the same Log over numerators in x = q^{-1} with its
 q-factorial kernel.  There every operand is dense, so that Log packs each
-operand and each Gaussian binomial once per level into one integer, its
-value at x = 2^w (Kronecker substitution, qpoly._pack), and each pair of
-terms costs a few big-integer products.  w comes from the l1 norms of the
-operands, so every coefficient of the result unpacks exactly.
+term into one integer, its value at x = 2^w (Kronecker substitution,
+qpoly._pack), and each pair of terms costs a few big-integer products.
+w covers the l1 norm of every result, rounded up to a whole step of
+_WIDTH_STEP bits, and each operand level is packed once per step it is
+read at, not once per level.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections import Counter
 from typing import Iterator, Mapping
 
 from .qpoly import QPoly, _add_to, _mul, _pack, _unpack
@@ -77,6 +77,11 @@ def degree_lex(d: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sum(d), d
 
 
+def _csv(d: tuple[int, ...]) -> str:
+    """d as tables and messages print it: 1,1."""
+    return ",".join(str(n) for n in d)
+
+
 class GradedSeries:
     """A power series over the rank-r dimension lattice, truncated at |d| <= N."""
 
@@ -97,7 +102,7 @@ class GradedSeries:
             for key, poly in terms.items():
                 key = tuple(int(n) for n in key)
                 if len(key) != rank or any(n < 0 for n in key):
-                    raise SeriesError(f"bad series key {key}")
+                    raise SeriesError(f"bad series key {_csv(key)}")
                 if sum(key) <= bound and not poly.is_zero():
                     clean[key] = poly
         self._terms = clean
@@ -189,18 +194,16 @@ def _ratio(c: dict, top=(), bottom=()) -> dict:
 
     Raises SeriesError unless the division is exact.
     """
-    top, bottom = Counter(top), Counter(bottom)
-    top, bottom = top - bottom, bottom - top
     low = min(c, default=0)
     size = max(c, default=0) - low + 1  # dense[size:] is zero
-    dense = [0] * (size + sum(top.elements()))
+    dense = [0] * (size + sum(top))
     for k, v in c.items():
         dense[k - low] = v
-    for j in top.elements():
+    for j in top:
         size += j
         for i in range(size - 1, j - 1, -1):
             dense[i] -= dense[i - j]
-    for j in bottom.elements():
+    for j in bottom:
         for i in range(j, size):
             dense[i] += dense[i - j]
         size = max(size - j, 0)
@@ -221,7 +224,8 @@ def _settle(level: dict, den: int) -> tuple[int, dict]:
 def _convolve(pairs, sign=1, start=(1, {}), divisor=1, qfactorial=False) -> tuple[int, dict]:
     """The settled level start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor.
 
-    The q-factorial kernel also multiplies each a_e b_{d-e} by D_d / (D_e D_{d-e}).
+    The q-factorial kernel also multiplies each a_e b_{d-e} by D_d / (D_e D_{d-e}),
+    and reads the operands of the pairs as _Packed levels.
     """
     den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
     acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
@@ -240,26 +244,53 @@ def _l1(poly: dict) -> int:
     return sum(map(abs, poly.values()))
 
 
-def _kernel_convolve(pairs, acc: dict) -> dict:
-    """acc_d + sum factor a_e b_f prod_v [d_v choose e_v]_t over d = e + f, at t = 2^w.
+#: The q-factorial Log's packing widths are whole multiples of this many bits,
+#: so that each operand is packed once per step it is read at, not once per level.
+_WIDTH_STEP = 16
+
+
+class _Packed:
+    """A level of the q-factorial Log, packed at x = 2^w once per width w it is read at.
+
+    size is its total degree, l1 its terms' largest l1 norm and lo their lowest exponent.
+    """
+
+    def __init__(self, terms: dict):
+        self.terms, self.size, self._at = terms, sum(next(iter(terms), ())), {}
+        self.l1 = max(map(_l1, terms.values()), default=0)
+        self.lo = min(map(min, terms.values()), default=0)
+
+    def at(self, w: int) -> list:
+        """(e, lowest exponent, value at x = 2^w) for every term e, as _pack gives them."""
+        if w not in self._at:
+            self._at[w] = [(e, *_pack(p, w)) for e, p in self.terms.items()]
+        return self._at[w]
+
+
+def _kernel_bound(pairs, acc: dict) -> int:
+    """max l1(acc) + sum |factor| l1(a) l1(b) C(|a| + |b|, |a|) over the pairs (factor, a, b).
 
     [n choose k]_t = D_n / (D_k D_{n-k}) has nonnegative coefficients summing
     to C(n, k), and sum_{|e| = s, e <= d} prod_v C(d_v, e_v) = C(|d|, s)
-    (Vandermonde).  So w covers the l1 norm of every result, which is at most
-    max l1(acc) + sum |factor| max l1(a) max l1(b) C(|a| + |b|, |a|) over the
-    levels a, b of the pairs.  Each operand and each kernel is packed once.
+    (Vandermonde), so this bounds the l1 norm of every coefficient of
+    _kernel_convolve's result.
     """
     top = max(map(_l1, acc.values()), default=0)
-    lo = min(map(min, acc.values()), default=0)
-    size = 0  # the largest |d| that a pair reaches
     for factor, a, b in pairs:
-        if a and b:
-            s, t = sum(next(iter(a))), sum(next(iter(b)))
-            a_l1, b_l1 = max(map(_l1, a.values())), max(map(_l1, b.values()))
-            top += abs(factor) * a_l1 * b_l1 * math.comb(s + t, s)
-            lo = min(lo, min(map(min, a.values())) + min(map(min, b.values())))
-            size = max(size, s + t)
-    w = top.bit_length() + 2
+        top += abs(factor) * a.l1 * b.l1 * math.comb(a.size + b.size, a.size)
+    return top
+
+
+def _kernel_convolve(pairs, acc: dict) -> dict:
+    """acc_d + sum factor a_e b_f prod_v [d_v choose e_v]_t over d = e + f, at t = 2^w.
+
+    w, _kernel_bound's bit length plus 2 rounded up to a whole _WIDTH_STEP,
+    unpacks every coefficient exactly.
+    """
+    pairs = [(factor, a, b) for factor, a, b in pairs if a.terms and b.terms]
+    w = -(-(_kernel_bound(pairs, acc).bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
+    lo = min([min(map(min, acc.values()), default=0)] + [a.lo + b.lo for _, a, b in pairs])
+    size = max((a.size + b.size for _, a, b in pairs), default=0)  # the largest |d| a pair reaches
     gauss = [[1]]  # gauss[n][k] = [n choose k]_t at t = 2^w, by the q-Pascal rule
     for n in range(1, size + 1):
         row = gauss[-1] + [0]
@@ -269,12 +300,12 @@ def _kernel_convolve(pairs, acc: dict) -> dict:
         p_lo, v = _pack(p, w)
         total[d] = v << w * (p_lo - lo)
     for factor, a, b in pairs:
-        a = [(e, *_pack(p, w)) for e, p in a.items()]
-        for f, r in b.items():
-            f_lo, r = _pack(r, w)
+        a = a.at(w)
+        for f, f_lo, r in b.at(w):
+            r *= factor
             for e, e_lo, p in a:
                 d = tuple(map(operator.add, e, f))
-                v = factor * p * r
+                v = p * r
                 for n, k in zip(d, e):
                     if 0 < k < n:
                         v *= gauss[n][k]
@@ -322,13 +353,17 @@ def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> 
 
     The Euler form Lambda_d = |d| log_d solves Lambda_d = |d| h_d - sum_{0<e<d}
     Lambda_e h_{d-e}, and |d| Log_d = sum_{n | d} mu(n) psi_n(Lambda_{d/n}).
+    Under the q-factorial kernel every Lambda_s and h_s is read as one
+    _Packed level, by its index, for the whole Log.
     """
-    log = [(1, {})]
+    log, lam = [(1, {})], [None]  # Lambda_0 is never read
+    h = [(den, _Packed(terms)) for den, terms in levels] if qfactorial else levels
     for total in range(1, len(levels)):
-        den, h = levels[total]
-        start = (den, {d: {k: total * c for k, c in poly.items()} for d, poly in h.items()})
-        pairs = [(log[s], levels[total - s]) for s in range(1, total)]
+        den, terms = levels[total]
+        start = (den, {d: {k: total * c for k, c in poly.items()} for d, poly in terms.items()})
+        pairs = [(lam[s], h[total - s]) for s in range(1, total)]
         log.append(_convolve(pairs, -1, start, qfactorial=qfactorial))
+        lam.append((log[-1][0], _Packed(log[-1][1])) if qfactorial else log[-1])
     return _adams_sum(log, stretch, lambda n, size: _moebius(n), qfactorial)
 
 

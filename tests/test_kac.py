@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import euler_form
 from test_gkm import LEG_PLUS_LOOP
 
@@ -321,6 +323,8 @@ WILD3 = Quiver(["0", "1", "2"], [("0", "1"), ("0", "1"), ("1", "2"), ("1", "2"),
 DIFFERENTIAL_CASES = [
     (KRONECKER, 7),
     (Quiver(["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "0")]), 5),
+    # Jordan's Log needs 25 bits by |d| = 10, so its packing width steps from
+    # 16 to 32 partway through the call and early levels are packed again
     (Quiver(["0"], [("0", "0")]), 10),
     (Quiver(["0"], [("0", "0"), ("0", "0")]), 6),
     (Quiver(["0", "1"], [("0", "0"), ("0", "1")]), 6),
@@ -340,6 +344,23 @@ DIFFERENTIAL_CASES = [
     ],
 )
 def test_hua_matches_explicit_denominator_log(quiver, bound):
+    assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
+
+
+@st.composite
+def small_quivers(draw):
+    """(quiver, bound): rank <= 3, at most 5 arrows, loops and parallel arrows included."""
+    rank = draw(st.integers(1, 3))
+    vertices = [str(v) for v in range(rank)]
+    arrow = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = draw(st.lists(arrow, max_size=5))
+    return Quiver(vertices, arrows), draw(st.integers(1, {1: 8, 2: 5, 3: 4}[rank]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_quivers())
+def test_hua_matches_explicit_denominator_log_on_random_quivers(case):
+    quiver, bound = case
     assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
 
 

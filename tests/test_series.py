@@ -22,7 +22,16 @@ from qgk import (
     sym_power_coeff,
 )
 from qgk.qpoly import _add_to, _mul
-from qgk.series import _convolve, _moebius, _ratio, _settle, vectors_of_total
+from qgk.series import (
+    _convolve,
+    _kernel_bound,
+    _l1,
+    _moebius,
+    _Packed,
+    _ratio,
+    _settle,
+    vectors_of_total,
+)
 
 LINE = 1  # the rank of a one-variable series
 PAIR = 2
@@ -303,5 +312,32 @@ def convolution_levels(draw):
 @given(convolution_levels())
 def test_packed_kernel_convolve_matches_the_sparse_loop(case):
     pairs, sign, start, divisor = case
-    packed = _convolve(pairs, sign, start, divisor, qfactorial=True)
+    kernel_pairs = [((a_den, _Packed(a)), (b_den, _Packed(b))) for (a_den, a), (b_den, b) in pairs]
+    packed = _convolve(kernel_pairs, sign, start, divisor, qfactorial=True)
     assert packed == sparse_kernel_convolve(pairs, sign, start, divisor)
+
+
+@st.composite
+def full_levels(draw):
+    """(pairs, start) for one level of total t over rank 3, each level full.
+
+    Every vector of a level carries the same polynomial, with positive coefficients.
+    """
+    poly = st.dictionaries(st.integers(-4, 6), st.integers(1, 2**40), min_size=1, max_size=5)
+
+    def level(total):
+        return dict.fromkeys(vectors_of_total(3, total), draw(poly))
+
+    total = draw(st.integers(2, 6))
+    return [(level(s), level(total - s)) for s in range(1, total)], level(total)
+
+
+@settings(max_examples=50, derandomize=True)
+@given(full_levels())
+def test_kernel_bound_is_the_largest_l1_norm_of_a_result(case):
+    # nonnegative operands cancel nothing, and on full levels every d meets each
+    # pair C(|d|, s) times (Vandermonde), so the bound is attained at every d
+    pairs, start = case
+    _, result = sparse_kernel_convolve([((1, a), (1, b)) for a, b in pairs], 1, (1, start), 1)
+    bound = _kernel_bound([(1, _Packed(a), _Packed(b)) for a, b in pairs], start)
+    assert {_l1(poly) for poly in result.values()} == {bound}
