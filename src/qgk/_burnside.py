@@ -3,11 +3,14 @@ Exact isomorphism-class counts of quiver representations over F_q.
 
 Burnside count over G = prod_i GL_{d_i}(F_q) acting on the representation
 space: M = (1/|G|) sum_g #Fix(g).  Elements are grouped by similarity type
-(multiset of (irreducible charpoly factor, Jordan-block partition) per
-vertex), since #Fix(g) only depends on the type:
+(per vertex, the irreducible charpoly factors p, each with the conjugate
+lambda' of its Jordan-block partition lambda), since #Fix(g) only depends
+on the type:
 
   dim Fix(g) = sum_a dim Hom_{F_q[T]}(M_{s(a)}, M_{t(a)}),
-  dim Hom(M_tau, M_sigma) = sum_{p} deg(p) * sum_{i,j} min(lambda_i, mu_j).
+  dim Hom(M_tau, M_sigma) = sum_{p} deg(p) * sum_k lambda'_k mu'_k,
+
+the pairing <lambda, mu> = sum_{i,j} min(lambda_i, mu_j) of Hua's formula.
 
 Only the vertices that an acting arrow (both ends with d > 0) touches
 enter G.  Any other GL_{d_v} acts trivially, so it multiplies sum_g #Fix(g)
@@ -16,9 +19,12 @@ counts 1 without a census.
 
 Types are enumerated by batched brute force: all n x n matrices at once,
 bucketed by characteristic polynomial, with buckets of non-squarefree
-charpoly refined by the nullity sequences of p(g)^j.  This keeps the count
-an independent census rather than a formula imported from the theory being
-tested.
+charpoly refined by the nullity sequences of p(g)^j, which grow by deg(p)
+times lambda'_j.  This keeps the count an independent census rather than a
+formula imported from the theory being tested.  Charpolys are factored by
+a table that a sieve fills once per field, degree by degree: each product
+of an irreducible f with a factored g whose factors all come no later than
+f is recorded once, and what no product reaches is irreducible.
 
 Nilpotent flavours enumerate the fixed subspace of one representative per
 type tuple and test the nilpotency condition directly on each point.
@@ -42,7 +48,6 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kac import conjugate_partition
 from .quiver import FLAVOURS, MAX_FIELD, CountingError, Quiver, _prime_power
 from .roots import BudgetError
 
@@ -54,6 +59,10 @@ TYPE_TUPLE_BUDGET = 200_000
 #: bytes.translate tables: 1 where a lane byte is nonzero, the byte itself, its low 7 bits.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 _IDENTITY, _LOW7 = bytes(range(256)), bytes(b & 127 for b in range(256))
+
+
+#: A polynomial over the field: its coefficient codes, constant first.
+Poly = tuple[int, ...]
 
 
 def _table(values) -> bytes:
@@ -70,7 +79,7 @@ class _Field:
     coefficient first).
     """
 
-    __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv", "scale", "_irr_cache")
+    __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv", "scale", "_factors")
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
@@ -81,7 +90,8 @@ class _Field:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            modulus = get_field(p).irreducibles(k)[0]
+            base = get_field(p)
+            modulus = base.irreducibles(k)[0]
             add = [[0] * q for _ in range(q)]
             mul = [[0] * q for _ in range(q)]
             for a in range(q):
@@ -89,13 +99,13 @@ class _Field:
                 for b in range(q):
                     db = _digits(b, p, k)
                     add[a][b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
-                    mul[a][b] = _undigits(_polymulmod(da, db, modulus, p), p)
+                    mul[a][b] = _undigits(_polymulmod(base, da, db, modulus), p)
         self.add = _table(x for row in add for x in row)
         self.mul = _table(x for row in mul for x in row)
         self.scale = [_table(row) for row in mul]
         self.neg = _table(row.index(0) for row in add)
         self.inv = _table([0] + [row.index(1) for row in mul[1:]])
-        self._irr_cache: dict[int, list[tuple[int, ...]]] = {}
+        self._factors: list[dict[Poly, tuple[Poly, ...]]] = [{(1,): ()}]
 
     def s_add(self, a: int, b: int) -> int:
         return self.add[a * self.q + b]
@@ -112,51 +122,30 @@ class _Field:
         """The lane-wise sum (table add) or product (table mul) of a nonempty iterable."""
         return functools.reduce(functools.partial(self.lanes, table), lanes)
 
-    def irreducibles(self, degree: int) -> list[tuple[int, ...]]:
-        """Monic irreducible polynomials of exact degree, constant first."""
-        cached = self._irr_cache.get(degree)
-        if cached is not None:
-            return cached
-        result = []
-        for tail in itertools.product(range(self.q), repeat=degree):
-            poly = tail + (1,)
-            if self._is_irreducible(poly):
-                result.append(poly)
-        self._irr_cache[degree] = result
-        return result
+    def factors(self, degree: int) -> dict[Poly, tuple[Poly, ...]]:
+        """Every monic polynomial of the degree, in lex order, to its irreducible factors.
 
-    def _is_irreducible(self, poly: tuple[int, ...]) -> bool:
-        degree = len(poly) - 1
-        if degree == 0:
-            return False
-        for d in range(1, degree // 2 + 1):
-            for p in self.irreducibles(d):
-                if not _poly_mod(self, poly, p):
-                    return False
-        return True
+        The factors come with multiplicity in (degree, lex) order.  A sieve
+        fills one degree m at a time: each product f * g, with f irreducible
+        of degree k < m and g of degree m - k with no factor after f, is
+        recorded once, as g's factors then f.  The monic polynomials of
+        degree m that no product reaches are the irreducibles.
+        """
+        table = self._factors
+        while len(table) <= degree:
+            m, products = len(table), {}
+            for k in range(1, m):
+                for f in self.irreducibles(k):
+                    for g, factors in table[m - k].items():
+                        if (len(factors[-1]), factors[-1]) <= (len(f), f):
+                            products[_poly_mul(self, f, g)] = factors + (f,)
+            monic = (tail + (1,) for tail in itertools.product(range(self.q), repeat=m))
+            table.append({poly: products.get(poly, (poly,)) for poly in monic})
+        return table[degree]
 
-    def factor_monic(self, poly: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        if poly[-1] != 1:
-            raise CountingError("can only factor monic polynomials")
-        factors = []
-        rest = poly
-        degree = 1
-        while len(rest) > 1:
-            for p in self.irreducibles(degree):
-                mult = 0
-                while len(rest) > len(p) - 1 and not _poly_mod(self, rest, p):
-                    rest = _poly_div(self, rest, p)
-                    mult += 1
-                if mult:
-                    factors.append((p, mult))
-                if len(rest) == 1:
-                    break
-            degree += 1
-            if degree > len(poly):
-                raise CountingError("factorisation did not terminate")
-        if rest != (1,):
-            raise CountingError("factorisation left a non-unit")
-        return factors
+    def irreducibles(self, degree: int) -> list[Poly]:
+        """Monic irreducible polynomials of exact degree, constant first, in lex order."""
+        return [poly for poly, factors in self.factors(degree).items() if factors == (poly,)]
 
 
 def _digits(code: int, p: int, k: int) -> list[int]:
@@ -174,54 +163,24 @@ def _undigits(digits: list[int], p: int) -> int:
     return code
 
 
-def _polymulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+def _poly_mul(F: _Field, a, b) -> Poly:
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % p
+            prod[i + j] = F.s_add(prod[i + j], F.s_mul(x, y))
+    return tuple(prod)
+
+
+def _polymulmod(F: _Field, a: list[int], b: list[int], modulus: Poly) -> list[int]:
+    """a * b modulo a monic modulus of degree k, over a prime field F."""
+    prod = list(_poly_mul(F, a, b))
     k = len(modulus) - 1
     for i in range(len(prod) - 1, k - 1, -1):
         c = prod[i]
         if c:
             for j in range(k + 1):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % F.p
     return prod[:k]
-
-
-# -- polynomial scalars over the field (tuples, constant coefficient first) ----
-
-
-def _poly_norm(poly: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(poly)
-    while n > 1 and poly[n - 1] == 0:
-        n -= 1
-    return poly[:n]
-
-
-def _poly_divmod(F: _Field, a: tuple[int, ...], b: tuple[int, ...]):
-    b = _poly_norm(b)
-    rem = list(a)
-    quo = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = F.inv[b[-1]]
-    for i in range(len(a) - len(b), -1, -1):
-        c = F.s_mul(rem[i + len(b) - 1], inv_lead)
-        if c:
-            quo[i] = c
-            for j, bj in enumerate(b):
-                rem[i + j] = F.s_add(rem[i + j], F.neg[F.s_mul(c, bj)])
-    return _poly_norm(tuple(quo)), _poly_norm(tuple(rem))
-
-
-def _poly_mod(F: _Field, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    rem = _poly_divmod(F, a, b)[1]
-    return () if rem == (0,) else rem
-
-
-def _poly_div(F: _Field, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    quo, rem = _poly_divmod(F, a, b)
-    if rem != (0,):
-        raise CountingError("inexact polynomial division")
-    return quo
 
 
 # -- batched matrix linear algebra over F_q -------------------------------------
@@ -309,18 +268,15 @@ def _entry(mats: Batch, index: int) -> tuple[tuple[int, ...], ...]:
 
 # -- similarity types ------------------------------------------------------------
 
-Sig = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+Sig = tuple[tuple[Poly, tuple[int, ...]], ...]
 
 
 class MatType(NamedTuple):
-    """One GL_n(F_q) conjugacy class: (irreducible, partition) pairs + size."""
+    """One GL_n(F_q) conjugacy class: (irreducible, conjugate partition) pairs + size."""
 
     sig: Sig
     count: int
     rep: tuple[tuple[int, ...], ...]
-
-    def __hash__(self):
-        return hash(self.sig)
 
 
 def gl_order(q: int, n: int) -> int:
@@ -333,8 +289,7 @@ def hom_dim(sig1: Sig, sig2: Sig) -> int:
     for poly1, lam in sig1:
         for poly2, mu in sig2:
             if poly1 == poly2:
-                deg = len(poly1) - 1
-                total += deg * sum(min(a, b) for a in lam for b in mu)
+                total += (len(poly1) - 1) * sum(map(operator.mul, lam, mu))
     return total
 
 
@@ -354,10 +309,6 @@ def matrix_types(q: int, n: int) -> list[MatType]:
     if key in _TYPE_CACHE:
         return _TYPE_CACHE[key]
     F = get_field(q)
-    if n == 0:
-        types = [MatType((), 1, ())]
-        _TYPE_CACHE[key] = types
-        return types
     if q ** (n * n) > ENUM_BUDGET:
         raise BudgetError(
             f"enumerating {q}^{n * n} matrices exceeds the budget of {ENUM_BUDGET}"
@@ -374,43 +325,42 @@ def matrix_types(q: int, n: int) -> list[MatType]:
     types: list[MatType] = []
     refine = {}
     for value in sorted(set(code)):
-        factors = F.factor_monic(tuple(value // q**i % q for i in range(n)) + (1,))
-        if any(mult > 1 for _, mult in factors):
+        charpoly = tuple(value // q**i % q for i in range(n)) + (1,)
+        factors = collections.Counter(F.factors(n)[charpoly])
+        if max(factors.values()) > 1:
             refine[value] = factors
             continue
-        sig = tuple(sorted((p, (1,)) for p, _ in factors))
+        sig = tuple((p, (1,)) for p in factors)
         types.append(MatType(sig, code.count(value), _entry(mats, code.index(value))))
     # one pass keeps the matrices whose charpoly has a repeated factor, then split those
     *mats, cps = _select(mats + [cps], code.translate(bytes(b in refine for b in range(256))))
     code = functools.reduce(horner, reversed(cps))
+    matmul = functools.partial(_batch_matmul, F)
     for value, factors in refine.items():
         subset = _select(mats, code.translate(bytes(b == value for b in range(256))))
-        repeated = [(p, m) for p, m in factors if m > 1]
         keycols = []
-        for p, m in repeated:
-            pg = _batch_poly_eval(F, p, subset)
-            powers = itertools.accumulate(itertools.repeat(pg, m), functools.partial(_batch_matmul, F))
-            keycols += [_batch_rank(F, power) for power in powers]
+        for p, m in factors.items():
+            if m > 1:
+                pg = _batch_poly_eval(F, p, subset)
+                powers = itertools.accumulate(itertools.repeat(pg, m), matmul)
+                keycols += [_batch_rank(F, power) for power in powers]
         columns = list(zip(*keycols))
         for ranks, sub_count in collections.Counter(columns).items():
-            sig_parts = [(p, (1,)) for p, m in factors if m == 1]
-            col = 0
-            for p, m in repeated:
-                e = len(p) - 1
-                nulls = [0] + [n - r for r in ranks[col : col + m]]
-                col += m
-                diffs = []
-                for j in range(1, m + 1):
-                    step = nulls[j] - nulls[j - 1]
-                    if step % e:
+            # the nullity of p(g)^j grows by deg p times lam'_j, the number of blocks of size >= j
+            col, sig = 0, []
+            for p, m in factors.items():
+                conj = (1,)
+                if m > 1:
+                    e, nulls = len(p) - 1, [0] + [n - r for r in ranks[col : col + m]]
+                    col += m
+                    steps = [b - a for a, b in zip(nulls, nulls[1:])]
+                    if any(step % e for step in steps):
                         raise CountingError("nullity sequence not divisible by degree")
-                    diffs.append(step // e)
-                lam = conjugate_partition(tuple(x for x in diffs if x))
-                if sum(lam) != m:
-                    raise CountingError("partition recovery failed")
-                sig_parts.append((p, lam))
-            sig = tuple(sorted(sig_parts))
-            types.append(MatType(sig, sub_count, _entry(subset, columns.index(ranks))))
+                    conj = tuple(step // e for step in steps if step)
+                    if sum(conj) != m:
+                        raise CountingError("partition recovery failed")
+                sig.append((p, conj))
+            types.append(MatType(tuple(sig), sub_count, _entry(subset, columns.index(ranks))))
     if sum(t.count for t in types) != gl_order(q, n):
         raise CountingError("similarity types do not exhaust GL_n")
     _TYPE_CACHE[key] = types
@@ -519,7 +469,9 @@ def brute_force_counts(quiver: Quiver, d: tuple[int, ...], q: int, flavour: str 
     per_vertex = [matrix_types(q, dims[v]) for v in touched]
     tuple_count = math.prod(len(types) for types in per_vertex)
     if tuple_count > TYPE_TUPLE_BUDGET:
-        raise BudgetError(f"{tuple_count} similarity type tuples exceed the budget")
+        raise BudgetError(
+            f"{tuple_count} similarity type tuples exceed the budget of {TYPE_TUPLE_BUDGET}"
+        )
     position = {v: i for i, v in enumerate(touched)}
 
     total = 0
@@ -551,7 +503,9 @@ def _flavoured_fix_count(F, quiver, dims, combo, position, active, flavour) -> i
         bases.append(_commutant_kernel(F, gt, gs))
     kdim = sum(len(b) for b in bases)
     if F.q**kdim > FIX_BUDGET:
-        raise BudgetError(f"fixed subspace of size {F.q}^{kdim} exceeds the budget")
+        raise BudgetError(
+            f"fixed subspace of size {F.q}^{kdim} exceeds the budget of {FIX_BUDGET}"
+        )
     count = F.q**kdim
     coeffs = _digit_lanes(F.q, kdim)
     zero = bytes(count)

@@ -34,7 +34,6 @@ from .gkm import (
     WeightFunction,
     _SimpleRoots,
     gkm_dims,
-    uea_character,
 )
 from .kac import (
     KacTable,
@@ -306,14 +305,6 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
         status = "pass" if compared else "vacuous"
         return status, f"presented algebra and denominator identity agree on {horizon}"
 
-    def uea_positive():
-        env = uea_character(kac().to_series())
-        for d in vectors:
-            p = env.coeff(d)
-            if not p.is_nonnegative_integer_polynomial():
-                return "fail", f"bad enveloping coefficient at {_csv(d)}"
-        return "pass", "enveloping character has nonnegative integer coefficients"
-
     def exp_log():
         series = kac().to_series()
         for mode in (PlethMode.Z_ONLY, PlethMode.QZ):
@@ -332,7 +323,6 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     check("kac-support-is-positive-roots", kac_support)
     check("cuspidal-shape", cuspidal_shape)
     check("gkm-presentation", gkm_presentation)
-    check("uea-positivity", uea_positive)
     check("exp-log-roundtrip", exp_log)
     check("cuspidal-integer-valued", c_integer_valued)
     return {"results": results}

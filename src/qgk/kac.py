@@ -138,15 +138,6 @@ def _partition_count(n: int) -> int:
     return counts[n]
 
 
-@functools.cache
-def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """lam' with lam'_k = #{i : lam_i >= k}, for lam in descending order."""
-    conjugate: list[int] = []
-    for i in range(len(lam), 0, -1):  # lam_i >= k exactly for k <= lam_i
-        conjugate += [i] * (lam[i - 1] - len(conjugate))
-    return tuple(conjugate)
-
-
 # -- the Kac table ----------------------------------------------------------------
 
 

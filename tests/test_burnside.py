@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -13,7 +14,10 @@ from qgk import (
     oracle_kac_full,
 )
 from qgk import _burnside
-from qgk._burnside import get_field, gl_order, matrix_types
+from qgk._burnside import _commutant_kernel, _poly_mul, get_field, gl_order, hom_dim, matrix_types
+from qgk.series import _moebius
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def test_single_vertex_no_loops_counts_one(a1):
@@ -76,6 +80,14 @@ def test_budget_guard(jordan, monkeypatch):
     monkeypatch.setattr(_burnside, "ENUM_BUDGET", 10**9)
     with pytest.raises(BudgetError, match="byte lane"):
         matrix_types(7, 3)
+    # the refusals name their budgets: 255^3 type tuples, and all of M_2(F_7)^2
+    a3 = Quiver(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    tuples = "16581375 similarity type tuples exceed the budget of 200000"
+    with pytest.raises(BudgetError, match=tuples):
+        brute_force_counts(a3, (2, 2, 2), 16)
+    two_loop = Quiver(["0"], [("0", "0"), ("0", "0")])
+    with pytest.raises(BudgetError, match=r"size 7\^8 exceeds the budget of 2000000"):
+        brute_force_counts(two_loop, (2,), 7, "one_nilpotent")
 
 
 def test_non_prime_power_rejected(jordan):
@@ -91,7 +103,7 @@ def test_fields_past_the_byte_lanes_rejected(jordan):
 
 def test_lane_arithmetic_matches_the_scalar_tables():
     # every pair (a, b) in one lane each; at q = 16, a * q + b reaches 255
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+    for q in FIELDS:
         F = get_field(q)
         pairs = list(itertools.product(range(q), repeat=2))
         a, b = bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
@@ -128,6 +140,32 @@ def test_field_arithmetic_tables():
         for a in range(q):
             for b in range(q):
                 assert frob(F.s_add(a, b)) == F.s_add(frob(a), frob(b))
+
+
+def test_the_sieve_factors_every_monic_polynomial():
+    for q in FIELDS:
+        F = get_field(q)
+        n = 1
+        while q**n <= 256:
+            table = F.factors(n)
+            assert len(table) == q**n
+            for poly, factors in table.items():
+                assert functools.reduce(functools.partial(_poly_mul, F), factors) == poly
+                assert list(factors) == sorted(factors, key=lambda f: (len(f), f))
+                assert all(F.factors(len(f) - 1)[f] == (f,) for f in factors)
+            # Gauss: n * #{monic irreducibles of degree n} = sum_{e | n} mu(e) q^(n/e)
+            gauss = sum(_moebius(e) * q ** (n // e) for e in range(1, n + 1) if n % e == 0)
+            assert n * len(F.irreducibles(n)) == gauss
+            n += 1
+
+
+def test_hom_dim_is_the_dimension_of_the_commutant():
+    # the plain flavour's pairing of conjugate partitions against linear algebra
+    for q, sizes in ((2, (1, 2, 3)), (3, (1, 2)), (4, (1, 2))):
+        F = get_field(q)
+        types = [t for n in sizes for t in matrix_types(q, n)]
+        for a, b in itertools.product(types, repeat=2):
+            assert hom_dim(a.sig, b.sig) == len(_commutant_kernel(F, a.rep, b.rep))
 
 
 def test_gl_order():

@@ -28,7 +28,6 @@ from qgk.kac import (
     _OraclePeel,
     _partition_count,
     check_hua_budget,
-    conjugate_partition,
     partitions,
 )
 from qgk.series import SeriesError, _moebius, _ratio, vectors_of_total
@@ -244,6 +243,14 @@ def _den_poly(exponents: dict[int, int]) -> QPoly:
         for _ in range(e):
             result = result * factor
     return result
+
+
+def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """lam' with lam'_k = #{i : lam_i >= k}, for lam in descending order."""
+    conjugate: list[int] = []
+    for i in range(len(lam), 0, -1):  # lam_i >= k exactly for k <= lam_i
+        conjugate += [i] * (lam[i - 1] - len(conjugate))
+    return tuple(conjugate)
 
 
 def partition_pairing(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:

@@ -133,6 +133,11 @@ def test_the_request_module_loads_only_quiver():
     assert _module_level_imports(trees["__init__"]) == set()
 
 
+def test_the_census_loads_only_quiver_and_roots():
+    """The Burnside census reads no formula from the pipeline it checks."""
+    assert _module_level_imports(_trees()["_burnside"]) == {"quiver", "roots"}
+
+
 def test_series_and_the_gkm_modules_do_not_load_quiver():
     """A series knows only its rank, and the GKM routes read only a CartanDatum."""
     trees = _trees()
