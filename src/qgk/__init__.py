@@ -22,10 +22,7 @@ _EXPORTS = {
     "kac": ("KacTable", "brute_force_counts", "hua_kac", "oracle_kac_full"),
     "nakajima": ("Block", "LowestWeightDecomposition", "framed_character", "lw_decompose"),
     "qpoly": ("QPoly", "QPolyError", "parse_qpoly"),
-    "quiver": (
-        "DEFAULT_FIELDS", "FLAVOURS", "FRAMING_VERTEX", "CountingError", "Quiver", "QuiverError",
-        "frame",
-    ),
+    "quiver": ("FLAVOURS", "FRAMING_VERTEX", "CountingError", "Quiver", "QuiverError", "frame"),
     "roots": (
         "HYPERBOLIC", "ISOTROPIC", "REAL", "BudgetError", "CartanDatum", "RootError",
         "canonical_decomposition", "phi_plus", "positive_roots",

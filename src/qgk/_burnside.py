@@ -34,8 +34,10 @@ byte i the entry of the i-th matrix.  Field elements are codes below
 q <= MAX_FIELD = 16, so a_i * q + b_i < 256 fits one byte, and one big-int
 multiply-add followed by bytes.translate through a 256-byte table applies
 F_q's addition or multiplication to every lane at once with no carry
-between lanes.  The census needs only the standard library.  It is loaded
-on first use, through kac.brute_force_counts.
+between lanes.  MAX_FIELD and the prime-power check live here, their only
+reader; kac.FIELDS lists every field size they admit.  The census needs
+only the standard library.  It is loaded on first use, through
+kac.brute_force_counts.
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quiver import FLAVOURS, MAX_FIELD, CountingError, Quiver, _prime_power
+from .quiver import FLAVOURS, CountingError, Quiver
 from .roots import BudgetError
 
+#: The largest field the census runs over: its byte lanes need a * q + b < 256.
+MAX_FIELD = 16
 ENUM_BUDGET = 8_000_000
 FIX_BUDGET = 2_000_000
 PATH_BUDGET = 20_000
@@ -63,6 +67,27 @@ _IDENTITY, _LOW7 = bytes(range(256)), bytes(b & 127 for b in range(256))
 
 #: A polynomial over the field: its coefficient codes, constant first.
 Poly = tuple[int, ...]
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; raises CountingError unless q is a prime power."""
+    if q < 2:
+        raise CountingError(f"{q} is not a prime power")
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise CountingError(f"{q} is not a prime power")
+    return p, k
 
 
 def _table(values) -> bytes:

@@ -19,9 +19,7 @@ import sys
 import tempfile
 import zlib
 
-from .quiver import (
-    DEFAULT_FIELDS, FLAVOURS, MAX_FIELD, CountingError, Quiver, QuiverError, _prime_power
-)
+from .quiver import FLAVOURS, Quiver, QuiverError
 
 #: Part of every cache key; raise it when a command's output changes.
 CACHE_SCHEMA = 3
@@ -31,7 +29,7 @@ COMMANDS = (
     "roots", "kac", "cuspidal", "ip", "canonical-decomp", "gkm-dims", "nakajima-decomp", "verify",
 )
 
-#: The commands that read --flavour; these and verify read --fields.
+#: The commands that read --flavour.
 _FLAVOURED = ("kac", "cuspidal", "ip", "gkm-dims")
 
 
@@ -52,13 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=4, help="total-degree bound N")
         if name in _FLAVOURED:
             p.add_argument("--flavour", choices=FLAVOURS, default="plain")
-        if name in _FLAVOURED or name == "verify":
-            p.add_argument(
-                "--fields",
-                type=str,
-                default=",".join(str(v) for v in DEFAULT_FIELDS),
-                help="comma-separated prime powers for counting oracles",
-            )
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--cache-dir", default=None)
         if name == "kac":
@@ -71,21 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "nakajima-decomp":
             p.add_argument("--framing", default=None, help="framing vector f1,f2,...")
     return parser
-
-
-def _parse_fields(text: str) -> tuple[int, ...]:
-    try:
-        fields = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise InputError(f"bad prime-power list {text!r}") from None
-    if len(set(fields)) != len(fields) or any(v < 2 or v > MAX_FIELD for v in fields):
-        raise InputError(f"prime powers must be distinct and between 2 and {MAX_FIELD}")
-    for v in fields:
-        try:
-            _prime_power(v)
-        except CountingError as exc:
-            raise InputError(f"bad --fields: {exc}") from None
-    return fields
 
 
 def _load_quiver(path: str) -> Quiver:
@@ -161,8 +137,6 @@ def serve(argv: list[str] | None, miss, read=_cache_read) -> int:
     try:
         if args.bound < 1:
             raise InputError("--bound must be >= 1")
-        if "fields" in args:
-            args.fields = _parse_fields(args.fields)
         quiver = _load_quiver(args.quiver)
         entry = None
         directory = os.environ.get("QGK_CACHE_DIR") or args.cache_dir

@@ -107,12 +107,12 @@ def _cmd_kac(quiver: Quiver, args) -> dict:
             raise InputError("nilpotent flavours are oracle-only; use --method oracle")
         table = hua_kac(quiver, args.bound)
     else:
-        table = oracle_kac_full(quiver, args.bound, args.flavour, args.fields)
+        table = oracle_kac_full(quiver, args.bound, args.flavour)
     return {"rows": _poly_rows(table.items())}
 
 
 def _cmd_cuspidal(quiver: Quiver, args) -> dict:
-    table = absolutely_cuspidal(quiver, args.bound, args.flavour, args.fields)
+    table = absolutely_cuspidal(quiver, args.bound, args.flavour)
     derived = cuspidal_from_abs(table)
     return {"cabs": _poly_rows(table.items()), "c": _poly_rows(derived.items())}
 
@@ -122,9 +122,9 @@ def _cmd_ip(quiver: Quiver, args) -> dict:
         d = _parse_dim(quiver, args.dim)
         if not any(d):
             raise InputError("--dim must be nonzero")
-        rows = _poly_rows([(d, ip_general(quiver, d, args.flavour, args.fields))])
+        rows = _poly_rows([(d, ip_general(quiver, d, args.flavour))])
     else:
-        rows = _poly_rows(ip_table(quiver, args.bound, args.flavour, args.fields).items())
+        rows = _poly_rows(ip_table(quiver, args.bound, args.flavour).items())
     return {"convention": IP_CONVENTION, "rows": rows}
 
 
@@ -178,7 +178,7 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
     if args.from_kac == (args.weights is not None):
         raise InputError("exactly one of --from-kac and --weights is required")
     if args.from_kac:
-        table = absolutely_cuspidal(quiver, args.bound, args.flavour, args.fields)
+        table = absolutely_cuspidal(quiver, args.bound, args.flavour)
         cartan, weights = table.cartan, WeightFunction(quiver, table.table)
     else:
         cartan, weights = CartanDatum.from_quiver(quiver), _load_weights(quiver, args.weights)
@@ -250,7 +250,7 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
 
     def hua_vs_oracle():
         horizon = min(bound, 3 if rank == 1 else 2)
-        peel = _OraclePeel(quiver, kac().cartan, "plain", args.fields)
+        peel = _OraclePeel(quiver, kac().cartan, "plain")
         skipped: dict[tuple[int, ...], str] = {}
         for d in (d for d in vectors if sum(d) <= horizon):
             try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from .gkm import _Denominator
 from .kac import KacTable, hua_kac, oracle_kac_full
 from .qpoly import QPoly
-from .quiver import DEFAULT_FIELDS, Quiver
+from .quiver import Quiver
 from .roots import (
     ISOTROPIC,
     CartanDatum,
@@ -131,12 +131,7 @@ def invert_character(
     return weights
 
 
-def absolutely_cuspidal(
-    quiver: Quiver,
-    bound: int,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> CuspidalTable:
+def absolutely_cuspidal(quiver: Quiver, bound: int, flavour: str = "plain") -> CuspidalTable:
     """C^abs_d for |d| <= bound, by inverting the Kac-polynomial character.
 
     The plain flavour reads Kac polynomials off Hua's formula; nilpotent
@@ -144,7 +139,7 @@ def absolutely_cuspidal(
     """
     if flavour == "plain":
         return absolutely_cuspidal_from_kac(hua_kac(quiver, bound))
-    return absolutely_cuspidal_from_kac(oracle_kac_full(quiver, bound, flavour, fields))
+    return absolutely_cuspidal_from_kac(oracle_kac_full(quiver, bound, flavour))
 
 
 def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
@@ -205,12 +200,7 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
 # -- IP polynomials --------------------------------------------------------------
 
 
-def ip_general(
-    quiver: Quiver,
-    d: tuple[int, ...],
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> QPoly:
+def ip_general(quiver: Quiver, d: tuple[int, ...], flavour: str = "plain") -> QPoly:
     """IP data at arbitrary d: symmetric powers over the canonical decomposition.
 
     For d = sum_j m_j d_j (canonical), the result is
@@ -221,7 +211,7 @@ def ip_general(
     d = quiver.vector(d)
     if not any(d):
         raise CuspidalError("IP data is defined for nonzero dimension vectors")
-    return _ip_from_table(absolutely_cuspidal(quiver, sum(d), flavour, fields), d)
+    return _ip_from_table(absolutely_cuspidal(quiver, sum(d), flavour), d)
 
 
 def _ip_from_table(table: CuspidalTable, d: tuple[int, ...]) -> QPoly:
@@ -232,12 +222,7 @@ def _ip_from_table(table: CuspidalTable, d: tuple[int, ...]) -> QPoly:
     return result
 
 
-def ip_table(
-    quiver: Quiver,
-    bound: int,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> dict[tuple[int, ...], QPoly]:
+def ip_table(quiver: Quiver, bound: int, flavour: str = "plain") -> dict[tuple[int, ...], QPoly]:
     """IP data for every nonzero d with |d| <= bound off one shared C^abs table."""
-    table = absolutely_cuspidal(quiver, bound, flavour, fields)
+    table = absolutely_cuspidal(quiver, bound, flavour)
     return {d: _ip_from_table(table, d) for d in vectors_up_to(table.cartan.rank, bound) if any(d)}

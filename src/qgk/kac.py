@@ -54,20 +54,21 @@ brute-force isomorphism-class counts M_e(q) over small finite fields
     sum_d M_d z^d = Exp_{q,z}( sum_d A_d z^d ),
 
 peeling one dimension vector at a time and interpolating A_e from its
-values at deg + 1 field sizes, with deg = 1 - chi(e, e).  Fewer field
-sizes than that is a BudgetError, as is a census past _burnside's
-budgets: both are limits of the input, not failed invariants, and
-verify skips such an e, and every e above it, by name.  The coefficient
-of the Exp at e, less its A_e term, involves only A at vectors below e,
-so _OraclePeel runs one Exp per total degree rather than one per stage.
+values at the first deg + 1 sizes in FIELDS, with deg = 1 - chi(e, e).
+FIELDS lists every field size the census admits, so a degree past 9 is a
+BudgetError, as is a census past _burnside's budgets: both are limits of
+the input, not failed invariants, and verify skips such an e, and every
+e above it, by name.  The coefficient of the Exp at e, less its A_e
+term, involves only A at vectors below e, so _OraclePeel runs one Exp
+per total degree rather than one per stage.
 The census over F_q runs only over the vertices that an acting arrow
 touches (see _burnside), so a d such as (4, 0) on the Kronecker quiver
 counts 1 without enumerating a matrix.
 
 Nothing imports _burnside at load time: brute_force_counts loads it on
-first call.  CountingError, FLAVOURS, DEFAULT_FIELDS, MAX_FIELD and
-_prime_power live in quiver, so that the CLI's request parser, this
-module and _burnside share them without loading the pipeline.
+first call.  CountingError and FLAVOURS live in quiver, so that the CLI's
+request parser, this module and _burnside share them without loading the
+pipeline.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ import operator
 from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
-from .quiver import DEFAULT_FIELDS, FLAVOURS, CountingError, Quiver
+from .quiver import FLAVOURS, CountingError, Quiver
 from .roots import BudgetError, CartanDatum
 from .series import (
     GradedSeries,
@@ -332,6 +333,11 @@ def _lagrange(points: list[tuple[int, Fraction]]) -> QPoly:
     return result
 
 
+#: Every prime power q <= _burnside.MAX_FIELD, smallest first: the field sizes
+#: the census can sample.
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
 class _OraclePeel:
     """Peels A_e off the class-count series, one stage e at a time.
 
@@ -341,15 +347,15 @@ class _OraclePeel:
     total serves the whole run; a stage of another total takes a new Exp.
     """
 
-    def __init__(self, quiver: Quiver, cartan: CartanDatum, flavour: str, fields: tuple[int, ...]):
+    def __init__(self, quiver: Quiver, cartan: CartanDatum, flavour: str):
         if flavour not in FLAVOURS:
             raise CountingError(f"unknown flavour {flavour!r}")
-        self.quiver, self.cartan, self.flavour, self.fields = quiver, cartan, flavour, fields
+        self.quiver, self.cartan, self.flavour = quiver, cartan, flavour
         self.known: dict[tuple[int, ...], QPoly] = {}
         self._exp = GradedSeries(cartan.rank, 0)
 
     def add(self, e: tuple[int, ...]) -> None:
-        """Store A_e, from its census over the first max(1, 2 - chi(e, e)) field sizes.
+        """Store A_e, from its census over the first max(1, 2 - chi(e, e)) of FIELDS.
 
         Too few field sizes, a stage below e not yet added, or a census past
         its budget raise BudgetError and leave the peel as it was: later
@@ -357,9 +363,9 @@ class _OraclePeel:
         """
         degree_bound = self.cartan.p(e) // 2
         samples = max(1, degree_bound + 1)
-        if samples > len(self.fields):
+        if samples > len(FIELDS):
             raise BudgetError(
-                f"need {samples} field sizes for degree {degree_bound}, have {len(self.fields)}"
+                f"need {samples} field sizes for degree {degree_bound}, have {len(FIELDS)}"
             )
         below = sorted(itertools.product(*(range(n + 1) for n in e)), key=degree_lex)[1:-1]
         missing = next((b for b in below if b not in self.known), None)
@@ -370,7 +376,7 @@ class _OraclePeel:
             self._exp = pleth_exp(known, PlethMode.QZ)
         base = self._exp.coeff(e)
         points = []
-        for v in self.fields[:samples]:
+        for v in FIELDS[:samples]:
             m_count = brute_force_counts(self.quiver, e, v, self.flavour)
             points.append((v, Fraction(m_count) - base.eval_at(v)))
         poly = _lagrange(points)
@@ -379,17 +385,12 @@ class _OraclePeel:
         self.known[e] = poly
 
 
-def oracle_kac_full(
-    quiver: Quiver,
-    bound: int,
-    flavour: str = "plain",
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-) -> KacTable:
+def oracle_kac_full(quiver: Quiver, bound: int, flavour: str = "plain") -> KacTable:
     """A_e for every 0 < |e| <= bound, from brute-force counts, peeled in (|d|, lex) order."""
     if bound < 1:
         raise CountingError("bound must be >= 1")
     cartan = CartanDatum.from_quiver(quiver)
-    peel = _OraclePeel(quiver, cartan, flavour, fields)
+    peel = _OraclePeel(quiver, cartan, flavour)
     for e in vectors_up_to(cartan.rank, bound):
         if any(e):
             peel.add(e)

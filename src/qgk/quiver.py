@@ -10,7 +10,7 @@ casing.  The pipeline reads a quiver through its Cartan matrix, which
 roots.CartanDatum.from_quiver builds from the arrows once per run; the
 series know only a rank and the tables carry that CartanDatum.  A Quiver
 stays where vertex names are printed or arrows are read: frame, the
-Burnside census, WeightFunction, LowestWeightDecomposition and the CLI.
+Burnside census, WeightFunction and the CLI.
 
 EXAMPLES::
 
@@ -46,37 +46,13 @@ class QuiverError(ValueError):
 
 # -- counting vocabulary ----------------------------------------------------------
 # Here rather than in kac, so that the CLI's request parser (_request) checks
-# --flavour and --fields without loading the pipeline.
+# --flavour without loading the pipeline.
 
 FLAVOURS = ("plain", "nilpotent", "one_nilpotent")
-DEFAULT_FIELDS = (2, 3, 4, 5, 7, 8, 9)
-#: The largest field the Burnside census runs over: its byte lanes need a * q + b < 256.
-MAX_FIELD = 16
 
 
 class CountingError(RuntimeError):
     pass
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k; raises CountingError unless q is a prime power."""
-    if q < 2:
-        raise CountingError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise CountingError(f"{q} is not a prime power")
-    return p, k
 
 
 class Quiver:

@@ -84,7 +84,7 @@ def test_jordan_kac_line():
         table = hua_kac(JORDAN, 6)
         for n in range(1, 7):
             assert table.polynomial((n,)) == Q(1)
-        oracle = oracle_kac_full(JORDAN, 3, fields=(2, 3, 4, 5))
+        oracle = oracle_kac_full(JORDAN, 3)
         for n in range(1, 4):
             assert oracle.polynomial((n,)) == table.polynomial((n,))
 

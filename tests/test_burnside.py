@@ -15,9 +15,8 @@ from qgk import (
 )
 from qgk import _burnside
 from qgk._burnside import _commutant_kernel, _poly_mul, get_field, gl_order, hom_dim, matrix_types
+from qgk.kac import FIELDS
 from qgk.series import _moebius
-
-FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def test_single_vertex_no_loops_counts_one(a1):

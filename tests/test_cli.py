@@ -11,6 +11,7 @@ import pytest
 import test_roots
 from reference import weyl_word_pairs
 
+import qgk._burnside
 import qgk._request
 import qgk.cli
 import qgk.cuspidal
@@ -226,11 +227,6 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     assert run(["kac", str(nested)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid JSON")
     assert run(["kac", jordan_file, "--bound", "0"]) == 1
-    assert run(["kac", jordan_file, "--fields", "1,2"]) == 1
-    assert run(["kac", jordan_file, "--fields", "2,2"]) == 1
-    assert run(["kac", jordan_file, "--fields", "x"]) == 1
-    assert run(["kac", jordan_file, "--method", "oracle", "--fields", "6,10"]) == 1
-    assert run(["verify", jordan_file, "--fields", "2,3,12"]) == 1
     assert run(["kac", jordan_file, "--flavour", "nilpotent"]) == 1  # hua is plain-only
     assert run(["ip", a2_file, "--dim", "0,0"]) == 1
     assert run(["ip", a2_file, "--dim", "1,borken"]) == 1
@@ -238,7 +234,6 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     # options are offered only to the commands that read them
     assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--flavour", "nilpotent"]) == 1
     assert run(["verify", jordan_file, "--flavour", "nilpotent"]) == 1
-    assert run(["roots", jordan_file, "--fields", "2,3"]) == 1
 
 
 def test_bad_dimension_vectors_exit_one(a2_file, jordan_file, capsys):
@@ -563,7 +558,7 @@ def _verify_rows(capsys) -> dict[str, list[str]]:
     return {line.split("\t")[1]: line.split("\t") for line in _out(capsys).splitlines()}
 
 
-def test_verify_statuses(jordan_file, a2_file, kron_file, qfile, capsys):
+def test_verify_statuses(jordan_file, a2_file, kron_file, qfile, monkeypatch, capsys):
     # Jordan has no loop-free vertex: Weyl invariance covers nothing
     assert run(["verify", jordan_file, "--bound", "3"]) == 0
     rows = _verify_rows(capsys)
@@ -586,31 +581,37 @@ def test_verify_statuses(jordan_file, a2_file, kron_file, qfile, capsys):
     assert status == "PASS"
     assert detail == (
         "agree on 2 vectors with |d| <= 3; "
-        "skipped 3 (need 11 field sizes for degree 10, have 7)"
+        "skipped 3 (need 11 field sizes for degree 10, have 10)"
     )
-    assert run(["verify", two_loop, "--fields", "2"]) == 0
+    # A_(1) of the ten-loop quiver has degree 10: no stage is checked
+    ten_loops = [["0", "0"]] * 10
+    assert run(["verify", qfile("ten_loop", ["0"], ten_loops), "--bound", "1"]) == 0
     assert _verify_rows(capsys)["hua-vs-oracle"][0] == "VACUOUS"
-    # (1,1) is cheap but the oracle reaches it through the skipped (1,0)
-    loop_and_point = qfile("loop_and_point", ["0", "1"], [["0", "0"]])
-    assert run(["verify", loop_and_point, "--bound", "2", "--fields", "2"]) == 0
+    # (1,1) has degree 9 but the oracle reaches it through the skipped (1,0)
+    loop_and_point = qfile("ten_loop_and_point", ["0", "1"], ten_loops)
+    assert run(["verify", loop_and_point, "--bound", "2"]) == 0
     detail = _verify_rows(capsys)["hua-vs-oracle"][2]
-    assert "skipped 1,0 (need 2 field sizes for degree 1, have 1)" in detail
+    assert "skipped 1,0 (need 11 field sizes for degree 10, have 10)" in detail
     assert "skipped 1,1 (need A at 1,0 first)" in detail
-    # A_(3) over F_13 would enumerate 13^9 matrices; (1) and (2) are still checked
-    assert run(["verify", jordan_file, "--bound", "3", "--fields", "13,16"]) == 0
+    # A_(3) over F_3 would enumerate 3^9 matrices; (1) and (2) are still checked
+    monkeypatch.setattr(qgk._burnside, "ENUM_BUDGET", 10_000)
+    monkeypatch.setattr(qgk._burnside, "_TYPE_CACHE", {})
+    assert run(["verify", jordan_file, "--bound", "3"]) == 0
     status, _, detail = _verify_rows(capsys)["hua-vs-oracle"]
     assert status == "PASS"
     assert detail == (
         "agree on 2 vectors with |d| <= 3; "
-        "skipped 3 (enumerating 13^9 matrices exceeds the budget of 8000000)"
+        "skipped 3 (enumerating 3^9 matrices exceeds the budget of 10000)"
     )
 
 
-def test_too_few_fields_is_invalid_input(kron_file, jordan_file, capsys):
-    assert run(["kac", kron_file, "--method", "oracle", "--fields", "2", "--bound", "2"]) == 1
-    assert capsys.readouterr().err == "error: need 2 field sizes for degree 1, have 1\n"
-    assert run(["cuspidal", jordan_file, "--flavour", "nilpotent", "--fields", "2"]) == 1
-    assert capsys.readouterr().err == "error: need 2 field sizes for degree 1, have 1\n"
+def test_too_few_fields_is_invalid_input(qfile, capsys):
+    # A_(1) of the ten-loop quiver has degree 10, one more than the fields can fix
+    ten_loop = qfile("ten_loop", ["0"], [["0", "0"]] * 10)
+    assert run(["kac", ten_loop, "--method", "oracle", "--bound", "1"]) == 1
+    assert capsys.readouterr().err == "error: need 11 field sizes for degree 10, have 10\n"
+    assert run(["cuspidal", ten_loop, "--flavour", "nilpotent", "--bound", "1"]) == 1
+    assert capsys.readouterr().err == "error: need 11 field sizes for degree 10, have 10\n"
 
 
 def test_verify_json_statuses(a2_file, capsys):
@@ -756,14 +757,13 @@ def test_cache_keys_cover_every_option(kron_file, tmp_path, capsys):
         ["ip", kron_file, "--dim", "1,1"],
         ["ip", kron_file, "--dim", "1,1", "--format", "json"],
         ["ip", kron_file, "--dim", "1,0"],
-        ["ip", kron_file, "--dim", "1,1", "--fields", "2,3"],
         ["kac", kron_file, "--method", "oracle", "--bound", "2"],
         ["kac", kron_file, "--bound", "2"],
     ]
     for argv in argvs:
         assert run([*argv, "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
-    assert len(list(cache.glob("qgk-*.txt"))) == 6
+    assert len(list(cache.glob("qgk-*.txt"))) == 5
 
 
 def test_every_command_has_a_handler():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import doctest
 import importlib
 import io
 import pkgutil
+import re
 from pathlib import Path
 
 import qgk
+from qgk._request import _build_parser
 from qgk.cli import run
 
 
@@ -26,10 +29,27 @@ def test_docstring_examples():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    """The text of README.md's section headed `title`."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
 def _fenced_blocks(after: str) -> list[str]:
     """The fenced code blocks of README.md's section headed `after`."""
-    section = README.read_text(encoding="utf-8").split(f"\n## {after}\n")[1].split("\n## ")[0]
-    return section.split("```")[1::2]
+    return _section(after).split("```")[1::2]
+
+
+def test_readme_names_the_options_the_parser_offers():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    named = set(re.findall(r"--[a-z][a-z-]*", _section("Command line")))
+    assert named == offered - {"--help"}
 
 
 def test_readme_library_snippet_prints_what_it_shows():

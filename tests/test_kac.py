@@ -23,7 +23,9 @@ from qgk import (
     oracle_kac_full,
     positive_roots,
 )
+from qgk import _burnside, kac
 from qgk.kac import (
+    FIELDS,
     HUA_BUDGET,
     _OraclePeel,
     _partition_count,
@@ -86,7 +88,7 @@ def test_one_nilpotent_matches_nilpotent_on_jordan(jordan):
 
 
 def test_peel_refuses_a_stage_before_the_stages_below_it(kronecker):
-    peel = _OraclePeel(kronecker, CartanDatum.from_quiver(kronecker), "plain", (2, 3))
+    peel = _OraclePeel(kronecker, CartanDatum.from_quiver(kronecker), "plain")
     with pytest.raises(BudgetError, match="need A at 0,1 first"):
         peel.add((1, 1))
     assert peel.known == {}
@@ -100,11 +102,37 @@ def test_peel_refuses_a_stage_before_the_stages_below_it(kronecker):
 
 def test_peel_out_of_total_order_matches_hua(kronecker):
     """A stage of smaller total after a larger one still sees every stage below."""
-    peel = _OraclePeel(kronecker, CartanDatum.from_quiver(kronecker), "plain", (2, 3))
+    peel = _OraclePeel(kronecker, CartanDatum.from_quiver(kronecker), "plain")
     for e in ((1, 0), (2, 0), (0, 1), (1, 1)):
         peel.add(e)
     hua = hua_kac(kronecker, 2)
     assert peel.known == {e: hua.table.get(e, QPoly.zero()) for e in peel.known}
+
+
+def test_fields_are_every_size_the_census_admits():
+    def prime_divisors(q):
+        return {p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))}
+
+    prime_powers = [q for q in range(2, _burnside.MAX_FIELD + 1) if len(prime_divisors(q)) == 1]
+    assert FIELDS == tuple(prime_powers)
+
+
+def test_each_stage_samples_the_smallest_fields_it_needs(kronecker, monkeypatch):
+    sampled: dict[tuple[int, ...], list[int]] = {}
+    real = kac.brute_force_counts
+
+    def recording(quiver, d, q, flavour):
+        sampled.setdefault(d, []).append(q)
+        return real(quiver, d, q, flavour)
+
+    monkeypatch.setattr(kac, "brute_force_counts", recording)
+    oracle_kac_full(kronecker, 2)
+    assert sampled[(1, 0)] == [2]
+    assert sampled[(1, 1)] == [2, 3]
+    three_loop = Quiver(["0"], [("0", "0")] * 3)
+    # A_(2) has degree 1 - chi = 1 + 2 * 2^2 = 9, so every field size is sampled
+    assert _tables_equal(oracle_kac_full(three_loop, 2), hua_kac(three_loop, 2))
+    assert sampled[(2,)] == list(FIELDS)
 
 
 # -- Hua's formula against the oracle ----------------------------------------------
