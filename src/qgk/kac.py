@@ -41,7 +41,8 @@ The sum runs over lam' in place of lam: both range over the partitions of
 through |lam| and the multiplicities, and w only through |d| - |supp d|, so
 one hua_kac call divides once per (w, |lam|, multiplicities), with the
 largest (x;x)_{m_k} cancelled against (x;x)_{|lam|} first, and every d reads
-lam', <lam, lam> and m(lam) from one table built for the call.
+lam', <lam, lam> and m(lam) from one table per |lam|, built once per process
+by one recursion over heads and tails.
 
 Before summing, hua_kac counts the multipartitions and raises BudgetError
 past HUA_BUDGET, as roots' check_vector_budget does for the tables that
@@ -73,7 +74,6 @@ pipeline.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -104,21 +104,31 @@ HUA_BUDGET = 50_000
 
 # -- partitions -------------------------------------------------------------------
 
-_PARTITION_CACHE: dict[int, list[tuple[int, ...]]] = {0: [()]}
+_SHAPES = [[((), 0, ())]]
 
 
-def partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n as descending tuples."""
-    if n < 0:
-        raise ValueError("partitions of negative integers do not exist")
-    if n not in _PARTITION_CACHE:
-        _PARTITION_CACHE[n] = [
-            (head,) + tail
-            for head in range(n, 0, -1)
-            for tail in partitions(n - head)
-            if not tail or tail[0] <= head
-        ]
-    return _PARTITION_CACHE[n]
+def _shapes(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """(lam', <lam, lam>, m(lam)) for every lam |- n, by lam'_1 ascending.
+
+    As lam runs over the partitions of n, so does lam', so no partition is
+    conjugated.  <lam, lam> = sum_k lam'_k^2, and m(lam) sorts lam's
+    multiplicities m_k(lam) = lam'_k - lam'_{k+1} > 0.  Each lam' is a head
+    before a tail of n - head with parts <= head, which the tail's list holds
+    first; the head adds head - tail[0] to the tail's multiplicities when that
+    is nonzero.
+    """
+    while len(_SHAPES) <= n:
+        out = []
+        for head in range(1, len(_SHAPES) + 1):
+            for tail, square, m in _SHAPES[len(_SHAPES) - head]:
+                first = tail[0] if tail else 0
+                if first > head:
+                    break
+                if first < head:
+                    m = tuple(sorted(m + (head - first,)))
+                out.append(((head,) + tail, square + head * head, m))
+        _SHAPES.append(out)
+    return _SHAPES[n]
 
 
 _PARTITION_COUNTS = [1]
@@ -183,12 +193,6 @@ class KacTable:
 
 # -- Hua's formula ----------------------------------------------------------------
 
-@functools.cache
-def _multiplicities(conjugate: tuple[int, ...]) -> tuple[int, ...]:
-    """The multiplicities m_k(lam) = lam'_k - lam'_{k+1} > 0 of lam's distinct parts, sorted."""
-    return tuple(sorted(a - b for a, b in zip(conjugate, conjugate[1:] + (0,)) if a != b))
-
-
 def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], vertex) -> dict:
     """N_d = D_d [z^d] of Hua's sum, summed at x = 2^w (see the module docstring).
 
@@ -231,12 +235,6 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], vert
 
 def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
     """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
-    # shapes[n]: (lam', <lam, lam>, m(lam)) for every lam |- n; as lam runs over
-    # the partitions of n, so does lam', so no partition is conjugated
-    shapes = [
-        [(c, sum(map(operator.mul, c, c)), _multiplicities(c)) for c in partitions(n)]
-        for n in range(bound + 1)
-    ]
     stored: dict[tuple[int, int], list] = {}  # (w, n) -> vertex(w, n)
 
     def vertex(w: int, n: int) -> list:
@@ -248,14 +246,14 @@ def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
             for j in range(n, 0, -1):
                 tail[j - 1] = tail[j] - (tail[j] << w * j)
             shared: dict[tuple[int, ...], int] = {}  # N(lam) by m(lam)
-            for _, _, m in shapes[n]:
+            for _, _, m in _shapes(n):
                 if m not in shared:
                     # m is sorted, so (x;x)_{m[-1]} cancels against (x;x)_n without a division
                     below = math.prod(map(q_factorial.__getitem__, m[:-1]))
                     shared[m], rest = divmod(tail[m[-1]], below)
                     if rest:
                         raise SeriesError(f"inexact vertex numerator at n = {n}, m = {m}")
-            stored[w, n] = [(shared[m], conj, square) for conj, square, m in shapes[n]]
+            stored[w, n] = [(shared[m], conj, square) for conj, square, m in _shapes(n)]
         return stored[w, n]
 
     levels = [(1, {(0,) * len(matrix): {0: 1}})]
@@ -357,9 +355,11 @@ class _OraclePeel:
     def add(self, e: tuple[int, ...]) -> None:
         """Store A_e, from its census over the first max(1, 2 - chi(e, e)) of FIELDS.
 
-        Too few field sizes, a stage below e not yet added, or a census past
-        its budget raise BudgetError and leave the peel as it was: later
-        stages not above e can still be added.
+        The census samples them largest first.  Every census budget grows with
+        q, so a stage that a budget refuses is refused at its largest field,
+        before a smaller one is counted.  Too few field sizes, a stage below e
+        not yet added, or a census past its budget raise BudgetError and leave
+        the peel as it was: later stages not above e can still be added.
         """
         degree_bound = self.cartan.p(e) // 2
         samples = max(1, degree_bound + 1)
@@ -376,7 +376,7 @@ class _OraclePeel:
             self._exp = pleth_exp(known, PlethMode.QZ)
         base = self._exp.coeff(e)
         points = []
-        for v in FIELDS[:samples]:
+        for v in reversed(FIELDS[:samples]):
             m_count = brute_force_counts(self.quiver, e, v, self.flavour)
             points.append((v, Fraction(m_count) - base.eval_at(v)))
         poly = _lagrange(points)

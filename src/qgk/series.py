@@ -27,8 +27,10 @@ q-factorial kernel.  There every operand is dense, so that Log packs each
 term into one integer, its value at x = 2^w (Kronecker substitution,
 qpoly._pack), and each pair of terms costs a few big-integer products.
 w covers the l1 norm of every result, rounded up to a whole step of
-_WIDTH_STEP bits, and each operand level is packed once per step it is
-read at, not once per level.
+_WIDTH_STEP bits.  Each input level h_s is packed once per step it is read
+at, as an operand and as the start term s h_s of its own level alike.  Each
+Euler-form level Lambda_s comes back from the kernel that summed it already
+packed at that kernel's width, and is packed again only at a wider step.
 """
 
 from __future__ import annotations
@@ -221,22 +223,22 @@ def _settle(level: dict, den: int) -> tuple[int, dict]:
     return den // g, level
 
 
-def _convolve(pairs, sign=1, start=(1, {}), divisor=1, qfactorial=False) -> tuple[int, dict]:
-    """The settled level start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor.
+def _convolve(pairs, sign=1, start=(1, {}), scale=1, divisor=1, qfactorial=False) -> tuple:
+    """The settled level scale * start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor.
 
     The q-factorial kernel also multiplies each a_e b_{d-e} by D_d / (D_e D_{d-e}),
-    and reads the operands of the pairs as _Packed levels.
+    reads start and the operands of the pairs as _Packed levels, and returns one.
     """
     den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
-    acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
+    scale *= den // start[0]
     pairs = [(sign * (den // (a_den * b_den)), a, b) for (a_den, a), (b_den, b) in pairs]
     if qfactorial:
-        acc = _kernel_convolve(pairs, acc)
-    else:
-        for factor, a, b in pairs:
-            for e, p in a.items():
-                for f, r in b.items():
-                    _add_to(acc.setdefault(tuple(map(operator.add, e, f)), {}), _mul(p, r), factor)
+        return _kernel_convolve(pairs, scale, start[1], divisor * den)
+    acc = {d: {k: scale * c for k, c in poly.items()} for d, poly in start[1].items()}
+    for factor, a, b in pairs:
+        for e, p in a.items():
+            for f, r in b.items():
+                _add_to(acc.setdefault(tuple(map(operator.add, e, f)), {}), _mul(p, r), factor)
     return _settle(acc, divisor * den)
 
 
@@ -253,6 +255,7 @@ class _Packed:
     """A level of the q-factorial Log, packed at x = 2^w once per width w it is read at.
 
     size is its total degree, l1 its terms' largest l1 norm and lo their lowest exponent.
+    A level that _kernel_convolve returns holds its packing at the kernel's width.
     """
 
     def __init__(self, terms: dict):
@@ -267,38 +270,38 @@ class _Packed:
         return self._at[w]
 
 
-def _kernel_bound(pairs, acc: dict) -> int:
-    """max l1(acc) + sum |factor| l1(a) l1(b) C(|a| + |b|, |a|) over the pairs (factor, a, b).
+def _kernel_bound(pairs, scale: int, start: _Packed) -> int:
+    """|scale| l1(start) + sum |factor| l1(a) l1(b) C(|a| + |b|, |a|) over the pairs (factor, a, b).
 
     [n choose k]_t = D_n / (D_k D_{n-k}) has nonnegative coefficients summing
     to C(n, k), and sum_{|e| = s, e <= d} prod_v C(d_v, e_v) = C(|d|, s)
     (Vandermonde), so this bounds the l1 norm of every coefficient of
     _kernel_convolve's result.
     """
-    top = max(map(_l1, acc.values()), default=0)
+    top = abs(scale) * start.l1
     for factor, a, b in pairs:
         top += abs(factor) * a.l1 * b.l1 * math.comb(a.size + b.size, a.size)
     return top
 
 
-def _kernel_convolve(pairs, acc: dict) -> dict:
-    """acc_d + sum factor a_e b_f prod_v [d_v choose e_v]_t over d = e + f, at t = 2^w.
+def _kernel_convolve(pairs, scale: int, start: _Packed, den: int) -> tuple[int, _Packed]:
+    """The settled level, over den, of scale start_d + sum factor a_e b_f prod_v [d_v choose e_v]_t.
 
-    w, _kernel_bound's bit length plus 2 rounded up to a whole _WIDTH_STEP,
-    unpacks every coefficient exactly.
+    d runs over e + f.  Everything is summed at t = 2^w, with w _kernel_bound's
+    bit length plus 2 rounded up to a whole _WIDTH_STEP, so every coefficient
+    unpacks exactly.  The result is a _Packed level that already holds its
+    packing at w: settling divides every coefficient by one g, so it divides
+    each packed value exactly.
     """
     pairs = [(factor, a, b) for factor, a, b in pairs if a.terms and b.terms]
-    w = -(-(_kernel_bound(pairs, acc).bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
-    lo = min([min(map(min, acc.values()), default=0)] + [a.lo + b.lo for _, a, b in pairs])
+    w = -(-(_kernel_bound(pairs, scale, start).bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
+    lo = min([start.lo] + [a.lo + b.lo for _, a, b in pairs])
     size = max((a.size + b.size for _, a, b in pairs), default=0)  # the largest |d| a pair reaches
     gauss = [[1]]  # gauss[n][k] = [n choose k]_t at t = 2^w, by the q-Pascal rule
     for n in range(1, size + 1):
         row = gauss[-1] + [0]
         gauss.append([1] + [row[k - 1] + (row[k] << w * k) for k in range(1, n + 1)])
-    total = {}
-    for d, p in acc.items():
-        p_lo, v = _pack(p, w)
-        total[d] = v << w * (p_lo - lo)
+    total = {d: scale * v << w * (d_lo - lo) for d, d_lo, v in start.at(w)}
     for factor, a, b in pairs:
         a = a.at(w)
         for f, f_lo, r in b.at(w):
@@ -310,7 +313,10 @@ def _kernel_convolve(pairs, acc: dict) -> dict:
                     if 0 < k < n:
                         v *= gauss[n][k]
                 total[d] = total.get(d, 0) + (v << w * (e_lo + f_lo - lo))
-    return {d: _unpack(lo, v, w) for d, v in total.items()}
+    settled, level = _settle({d: _unpack(lo, v, w) for d, v in total.items()}, den)
+    g, out = den // settled, _Packed(level)
+    out._at[w] = [(d, min(p), total[d] // g >> w * (min(p) - lo)) for d, p in level.items()]
+    return settled, out
 
 
 def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) -> list:
@@ -353,17 +359,16 @@ def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> 
 
     The Euler form Lambda_d = |d| log_d solves Lambda_d = |d| h_d - sum_{0<e<d}
     Lambda_e h_{d-e}, and |d| Log_d = sum_{n | d} mu(n) psi_n(Lambda_{d/n}).
-    Under the q-factorial kernel every Lambda_s and h_s is read as one
-    _Packed level, by its index, for the whole Log.
+    Under the q-factorial kernel every h_s, the start term's included, is
+    read as one _Packed level for the whole Log, and every Lambda_s is the
+    _Packed level its kernel returned.
     """
     log, lam = [(1, {})], [None]  # Lambda_0 is never read
     h = [(den, _Packed(terms)) for den, terms in levels] if qfactorial else levels
     for total in range(1, len(levels)):
-        den, terms = levels[total]
-        start = (den, {d: {k: total * c for k, c in poly.items()} for d, poly in terms.items()})
         pairs = [(lam[s], h[total - s]) for s in range(1, total)]
-        log.append(_convolve(pairs, -1, start, qfactorial=qfactorial))
-        lam.append((log[-1][0], _Packed(log[-1][1])) if qfactorial else log[-1])
+        lam.append(_convolve(pairs, -1, h[total], total, qfactorial=qfactorial))
+        log.append((lam[-1][0], lam[-1][1].terms) if qfactorial else lam[-1])
     return _adams_sum(log, stretch, lambda n, size: _moebius(n), qfactorial)
 
 

@@ -8,11 +8,25 @@ this module (its name does not start with ``test_``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from qgk import CartanDatum, GkmError, GradedSeries, PlethMode, QPoly, Quiver
 from qgk.series import SeriesError, degree_lex, vectors_of_total, vectors_up_to
+
+
+@functools.cache
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n as descending tuples, by head descending, then tail."""
+    if not n:
+        return [()]
+    return [
+        (head,) + tail
+        for head in range(n, 0, -1)
+        for tail in partitions(n - head)
+        if not tail or tail[0] <= head
+    ]
 
 
 def euler_form(quiver: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import test_roots
 from reference import weyl_word_pairs
 
@@ -612,6 +617,58 @@ def test_too_few_fields_is_invalid_input(qfile, capsys):
     assert capsys.readouterr().err == "error: need 11 field sizes for degree 10, have 10\n"
     assert run(["cuspidal", ten_loop, "--flavour", "nilpotent", "--bound", "1"]) == 1
     assert capsys.readouterr().err == "error: need 11 field sizes for degree 10, have 10\n"
+
+
+@st.composite
+def cli_cases(draw):
+    """(vertices, arrows, bound, dim, framing): rank <= 4 and <= 7 arrows, loops and
+    parallel arrows included, at bounds small enough for every command."""
+    rank = draw(st.sampled_from([4, 3, 2, 1]))
+    vertices = [str(v) for v in range(rank)]
+    arrow = st.lists(st.sampled_from(vertices), min_size=2, max_size=2)
+    arrows = draw(st.lists(arrow, min_size=1, max_size=7))
+    top = {1: 6, 2: 4, 3: 3, 4: 2}[rank]
+    bound = top - draw(st.integers(0, top // 2))
+    dim = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank).filter(any))
+    framing = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank).filter(any))
+    return vertices, arrows, bound, dim, framing
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cli_cases())
+def test_random_quivers_through_every_command(case):
+    # every command answers (0) or refuses with a budget (1): no invariant
+    # fails, no traceback, no verify row FAILs, and no call runs away
+    vertices, arrows, bound, dim, framing = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "quiver.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"vertices": vertices, "arrows": arrows}, f)
+        commands = [
+            ["verify"],
+            ["cuspidal"],
+            ["ip", "--dim", ",".join(map(str, dim))],
+            ["gkm-dims", "--from-kac"],
+            ["nakajima-decomp", "--framing", ",".join(map(str, framing))],
+            ["canonical-decomp", "--dim", ",".join(map(str, dim))],
+            ["kac", "--method", "oracle"],
+        ]
+        for command in commands:
+            argv = [command[0], path, "--bound", str(bound), *command[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert time.perf_counter() - start < 5, argv
+            assert code in (0, 1), (argv, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+            if command[0] == "verify":
+                assert not re.search(r"^FAIL", out.getvalue(), re.M), out.getvalue()
 
 
 def test_verify_json_statuses(a2_file, capsys):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import euler_form
+from reference import euler_form, partitions
 from test_gkm import LEG_PLUS_LOOP
 
 from qgk import (
@@ -23,14 +24,13 @@ from qgk import (
     oracle_kac_full,
     positive_roots,
 )
-from qgk import _burnside, kac
+from qgk import _burnside, kac, series
 from qgk.kac import (
     FIELDS,
     HUA_BUDGET,
     _OraclePeel,
     _partition_count,
     check_hua_budget,
-    partitions,
 )
 from qgk.series import SeriesError, _moebius, _ratio, vectors_of_total
 
@@ -117,7 +117,8 @@ def test_fields_are_every_size_the_census_admits():
     assert FIELDS == tuple(prime_powers)
 
 
-def test_each_stage_samples_the_smallest_fields_it_needs(kronecker, monkeypatch):
+def _record_fields(monkeypatch) -> dict[tuple[int, ...], list[int]]:
+    """The field sizes each stage's census is run at, in order, from now on."""
     sampled: dict[tuple[int, ...], list[int]] = {}
     real = kac.brute_force_counts
 
@@ -126,13 +127,27 @@ def test_each_stage_samples_the_smallest_fields_it_needs(kronecker, monkeypatch)
         return real(quiver, d, q, flavour)
 
     monkeypatch.setattr(kac, "brute_force_counts", recording)
+    return sampled
+
+
+def test_each_stage_samples_the_fields_it_needs_largest_first(kronecker, monkeypatch):
+    sampled = _record_fields(monkeypatch)
     oracle_kac_full(kronecker, 2)
     assert sampled[(1, 0)] == [2]
-    assert sampled[(1, 1)] == [2, 3]
+    assert sampled[(1, 1)] == [3, 2]
     three_loop = Quiver(["0"], [("0", "0")] * 3)
     # A_(2) has degree 1 - chi = 1 + 2 * 2^2 = 9, so every field size is sampled
     assert _tables_equal(oracle_kac_full(three_loop, 2), hua_kac(three_loop, 2))
-    assert sampled[(2,)] == list(FIELDS)
+    assert sampled[(2,)] == list(reversed(FIELDS))
+
+
+def test_a_refused_stage_counts_no_smaller_field(monkeypatch):
+    # every census budget grows with q, so the largest field is refused first
+    sampled = _record_fields(monkeypatch)
+    three_loop = Quiver(["0"], [("0", "0")] * 3)
+    with pytest.raises(BudgetError, match="fixed subspace of size 16\\^6"):
+        oracle_kac_full(three_loop, 2, "nilpotent")
+    assert sampled[(2,)] == [16]
 
 
 # -- Hua's formula against the oracle ----------------------------------------------
@@ -382,6 +397,27 @@ def test_hua_matches_explicit_denominator_log(quiver, bound):
     assert hua_kac(quiver, bound).items() == _ratq_hua_kac(quiver, bound).items()
 
 
+@pytest.mark.parametrize(
+    "case, widths",
+    [(2, {16: 6, 32: 16}), (0, {16: 35})],
+    ids=["jordan", "kronecker"],
+)
+def test_hua_log_packs_each_operand_once_per_width(case, widths, monkeypatch):
+    # The Log packs every h_s once per width it is read at, as the start term of
+    # level s too, and every Lambda_s comes back from its kernel packed at that
+    # kernel's width; one _pack call packs one term.
+    # Jordan N=10 sums levels 1-6 at 16 bits and 7-10 at 32 (one term a level):
+    # h_1..h_6 at 16 bits, h_1..h_10 at 32, and Lambda_1..Lambda_6 at 32 for
+    # levels 7-10, so 6 + 10 + 6 = 22 calls.
+    # Kronecker N=7 sums every level at 16 bits: the 2 + 3 + ... + 8 = 35 terms
+    # of h_1..h_7 once each, and no Lambda_s again.
+    packed: list[int] = []
+    real = series._pack
+    monkeypatch.setattr(series, "_pack", lambda poly, w: packed.append(w) or real(poly, w))
+    hua_kac(*DIFFERENTIAL_CASES[case])
+    assert Counter(packed) == widths
+
+
 @st.composite
 def small_quivers(draw):
     """(quiver, bound): rank <= 3, at most 5 arrows, loops and parallel arrows included."""
@@ -407,7 +443,7 @@ def test_numerator_division_must_be_exact(jordan, monkeypatch):
     with pytest.raises(SeriesError):
         _ratio({0: 1, 3: -2}, (), [3])
     # the packed vertex numerator of (1) with multiplicities (1, 1): (x;x)_1 / (x;x)_1^2 = 1 / (1 - x)
-    monkeypatch.setattr("qgk.kac._multiplicities", lambda lam: (1,) * (len(lam) + 1))
+    monkeypatch.setattr("qgk.kac._shapes", lambda n: [((1,) * n, n, (1,) * (n + 1))])
     with pytest.raises(SeriesError, match="inexact vertex numerator"):
         hua_kac(jordan, 1)
 
@@ -415,6 +451,18 @@ def test_numerator_division_must_be_exact(jordan, monkeypatch):
 def test_partition_count_matches_enumeration():
     assert [_partition_count(n) for n in range(25)] == [len(partitions(n)) for n in range(25)]
     assert _partition_count(100) == 190_569_292
+
+
+def test_shape_table_is_read_off_each_partition():
+    # every lam' |- n once, with <lam, lam> = sum_k lam'_k^2 and the sorted
+    # multiplicities of the parts of lam = (lam')'
+    for n in range(21):
+        shapes = kac._shapes(n)
+        assert len(shapes) == _partition_count(n)
+        assert sorted(shapes) == sorted(
+            (c, sum(k * k for k in c), tuple(sorted(Counter(conjugate_partition(c)).values())))
+            for c in partitions(n)
+        )
 
 
 def test_hua_budget(jordan, kronecker):

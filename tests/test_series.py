@@ -21,7 +21,7 @@ from qgk import (
     series_mul,
     sym_power_coeff,
 )
-from qgk.qpoly import _add_to, _mul
+from qgk.qpoly import _add_to, _mul, _pack
 from qgk.series import (
     _convolve,
     _kernel_bound,
@@ -313,8 +313,13 @@ def convolution_levels(draw):
 def test_packed_kernel_convolve_matches_the_sparse_loop(case):
     pairs, sign, start, divisor = case
     kernel_pairs = [((a_den, _Packed(a)), (b_den, _Packed(b))) for (a_den, a), (b_den, b) in pairs]
-    packed = _convolve(kernel_pairs, sign, start, divisor, qfactorial=True)
-    assert packed == sparse_kernel_convolve(pairs, sign, start, divisor)
+    kernel_start = (start[0], _Packed(start[1]))
+    den, level = _convolve(kernel_pairs, sign, kernel_start, divisor=divisor, qfactorial=True)
+    assert (den, level.terms) == sparse_kernel_convolve(pairs, sign, start, divisor)
+    # the level comes back packed at the width it was summed at, as _pack packs
+    # it, whatever content settling cancelled
+    ((w, packing),) = level._at.items()
+    assert packing == [(e, *_pack(p, w)) for e, p in level.terms.items()]
 
 
 @st.composite
@@ -339,5 +344,5 @@ def test_kernel_bound_is_the_largest_l1_norm_of_a_result(case):
     # pair C(|d|, s) times (Vandermonde), so the bound is attained at every d
     pairs, start = case
     _, result = sparse_kernel_convolve([((1, a), (1, b)) for a, b in pairs], 1, (1, start), 1)
-    bound = _kernel_bound([(1, _Packed(a), _Packed(b)) for a, b in pairs], start)
+    bound = _kernel_bound([(1, _Packed(a), _Packed(b)) for a, b in pairs], 1, _Packed(start))
     assert {_l1(poly) for poly in result.values()} == {bound}
