@@ -57,10 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("ip", "canonical-decomp"):
             p.add_argument("--dim", default=None, help="single dimension vector d1,d2,...")
         if name == "gkm-dims":
-            p.add_argument("--from-kac", action="store_true")
-            p.add_argument("--weights", default=None, help="weight-function JSON file")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--from-kac", action="store_true")
+            source.add_argument("--weights", default=None, help="weight-function JSON file")
         if name == "nakajima-decomp":
-            p.add_argument("--framing", default=None, help="framing vector f1,f2,...")
+            p.add_argument("--framing", required=True, help="framing vector f1,f2,...")
     return parser
 
 
@@ -139,11 +140,10 @@ def serve(argv: list[str] | None, miss, read=_cache_read) -> int:
             raise InputError("--bound must be >= 1")
         quiver = _load_quiver(args.quiver)
         entry = None
-        directory = os.environ.get("QGK_CACHE_DIR") or args.cache_dir
-        if directory is not None and args.command != "verify":
+        if args.cache_dir is not None and args.command != "verify":
             key = _cache_key(quiver, args)
             name = f"qgk-{args.command}-{zlib.crc32(key.encode()):08x}.txt"
-            entry = (os.path.join(directory, name), key)
+            entry = (os.path.join(args.cache_dir, name), key)
     except (InputError, QuiverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -175,8 +175,6 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
 
 
 def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
-    if args.from_kac == (args.weights is not None):
-        raise InputError("exactly one of --from-kac and --weights is required")
     if args.from_kac:
         table = absolutely_cuspidal(quiver, args.bound, args.flavour)
         cartan, weights = table.cartan, WeightFunction(quiver, table.table)
@@ -199,8 +197,6 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
 
 
 def _cmd_nakajima(quiver: Quiver, args) -> dict:
-    if args.framing is None:
-        raise InputError("nakajima-decomp requires --framing")
     from .nakajima import lw_decompose
 
     framing = _parse_dim(quiver, args.framing)

@@ -18,11 +18,11 @@ normalisation is pinned by the one-loop quiver at d = 1: the degree-1
 coefficient of the sum is q/(q-1) = A_1/(q-1) with A_1 = q, while reading
 the sum as the class count itself would make A_1 non-polynomial.
 
-The coefficient at z^d of the sum, of its products and of their Adams
-images has denominator dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}.  So
-the sum goes into series' Exp/Log core as integer numerators in x over D_d,
-the core's Log runs with that q-factorial kernel, and each A_d takes one
-exact division by |d| D_d at the end.
+The coefficient at z^d of the sum and of its products has denominator
+dividing D_d = prod_v (x;x)_{d_v}, x = q^{-1}, so series' q-factorial Log
+takes the sum as integer numerators in x over D_d.  It gives |d| (1 - x^g)
+Log_d, g = gcd(d), so as q - 1 = (1 - x)/x, A_d takes one exact division by
+|d| [g]_x = |d| (1 - x^g)/(1 - x), by |d| alone when g = 1.
 
 The numerator N_d = D_d [z^d] of the sum is the sum over multipartitions
 pi of x^{-e(pi)} prod_v N(pi_v), with e(pi) the exponent above and
@@ -87,7 +87,7 @@ from .series import (
     PlethMode,
     SeriesError,
     _csv,
-    _pleth_log_levels,
+    _qfactorial_log_levels,
     _ratio,
     degree_lex,
     pleth_exp,
@@ -234,7 +234,7 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], vert
 
 
 def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
-    """Levels of N_d = D_d * [z^d] of Hua's sum for |d| <= bound, as series levels."""
+    """{d: N_d} with N_d = D_d * [z^d] of Hua's sum, for each total |d| <= bound."""
     stored: dict[tuple[int, int], list] = {}  # (w, n) -> vertex(w, n)
 
     def vertex(w: int, n: int) -> list:
@@ -256,10 +256,10 @@ def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
             stored[w, n] = [(shared[m], conj, square) for conj, square, m in _shapes(n)]
         return stored[w, n]
 
-    levels = [(1, {(0,) * len(matrix): {0: 1}})]
+    levels = [{(0,) * len(matrix): {0: 1}}]
     for total in range(1, bound + 1):
-        level = {d: _hua_numerator(d, matrix, vertex) for d in vectors_of_total(len(matrix), total)}
-        levels.append((1, level))
+        vectors = vectors_of_total(len(matrix), total)
+        levels.append({d: _hua_numerator(d, matrix, vertex) for d in vectors})
     return levels
 
 
@@ -291,14 +291,14 @@ def hua_kac(quiver: Quiver, bound: int) -> KacTable:
         raise CountingError("bound must be >= 1")
     cartan = CartanDatum.from_quiver(quiver)
     check_hua_budget(cartan.rank, bound)
-    levels = _pleth_log_levels(_hua_numerators(cartan.matrix, bound), stretch=True, qfactorial=True)
+    levels = _qfactorial_log_levels(_hua_numerators(cartan.matrix, bound))
     table: dict[tuple[int, ...], QPoly] = {}
-    for total, (den, level) in enumerate(levels):
+    for total, (_, level) in enumerate(levels):
         for d in sorted(level):
-            # q - 1 = (1 - x) / x, and one exact division by D_d, whose first
-            # factor is 1 - x as d != 0, so the two cancel
-            num = _ratio(level[d], (), [j for a in d for j in range(1, a + 1)][1:])
-            table[d] = QPoly._of({2 * (1 - k): c for k, c in num.items()}, den * total)
+            # the level is |d| (1 - x^g) Log_d and A_d = (1 - x) Log_d / x
+            g = math.gcd(*d)
+            num = _ratio(level[d], [1], [g]) if g > 1 else level[d]
+            table[d] = QPoly._of({2 * (1 - k): c for k, c in num.items()}, total)
     return KacTable(cartan, bound, "plain", table)
 
 

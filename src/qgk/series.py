@@ -22,15 +22,15 @@ denominator, and the core multiplies and adds with its _mul and _add_to,
 so a series goes in and comes out by rescaling, not coefficient by
 coefficient.
 
-hua_kac runs the same Log over numerators in x = q^{-1} with its
-q-factorial kernel.  There every operand is dense, so that Log packs each
-term into one integer, its value at x = 2^w (Kronecker substitution,
-qpoly._pack), and each pair of terms costs a few big-integer products.
-w covers the l1 norm of every result, rounded up to a whole step of
-_WIDTH_STEP bits.  Each input level h_s is packed once per step it is read
-at, as an operand and as the start term s h_s of its own level alike.  Each
-Euler-form level Lambda_s comes back from the kernel that summed it already
-packed at that kernel's width, and is packed again only at a wider step.
+hua_kac's Log, _qfactorial_log_levels, is its own: integer numerators in
+x = q^{-1} over D_d = prod_v (x;x)_{d_v}, on a q-factorial kernel.  Every
+operand there is dense, so the kernel packs each term into one integer, its
+value at x = 2^w (Kronecker substitution, qpoly._pack), and each pair of
+terms costs a few big-integer products.  w covers the l1 norm of every
+result, rounded up to a whole step of _WIDTH_STEP bits.  Each level h_s is
+packed once per step it is read at, its start term s h_s included, and each
+Lambda_s comes back packed at its kernel's width.  Each Lambda_e takes one
+exact division by D_e / (1 - x^g), g = gcd(e), before the Moebius sum.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _moebius(n: int) -> int:
 # -- the Exp/Log core -------------------------------------------------------------
 #
 # A level is (den, {d: numerator}) for the d of one total degree; a numerator is
-# a sparse {exponent of t: int} standing for numerator / den, and over D_d =
-# prod_v (t;t)_{d_v} too under the q-factorial kernel.  QZ's psi_n sends t to t^n.
+# a sparse {exponent of t: int} standing for numerator / den.  QZ's psi_n sends
+# t to t^n.
 
 
 def _ratio(c: dict, top=(), bottom=()) -> dict:
@@ -223,19 +223,13 @@ def _settle(level: dict, den: int) -> tuple[int, dict]:
     return den // g, level
 
 
-def _convolve(pairs, sign=1, start=(1, {}), scale=1, divisor=1, qfactorial=False) -> tuple:
-    """The settled level scale * start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor.
-
-    The q-factorial kernel also multiplies each a_e b_{d-e} by D_d / (D_e D_{d-e}),
-    reads start and the operands of the pairs as _Packed levels, and returns one.
-    """
+def _convolve(pairs, sign=1, start=(1, {}), scale=1, divisor=1) -> tuple:
+    """The settled level scale * start + sign * sum_{(a, b) in pairs} a_e b_{d-e}, over divisor."""
     den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
     scale *= den // start[0]
-    pairs = [(sign * (den // (a_den * b_den)), a, b) for (a_den, a), (b_den, b) in pairs]
-    if qfactorial:
-        return _kernel_convolve(pairs, scale, start[1], divisor * den)
     acc = {d: {k: scale * c for k, c in poly.items()} for d, poly in start[1].items()}
-    for factor, a, b in pairs:
+    for (a_den, a), (b_den, b) in pairs:
+        factor = sign * (den // (a_den * b_den))
         for e, p in a.items():
             for f, r in b.items():
                 _add_to(acc.setdefault(tuple(map(operator.add, e, f)), {}), _mul(p, r), factor)
@@ -271,7 +265,7 @@ class _Packed:
 
 
 def _kernel_bound(pairs, scale: int, start: _Packed) -> int:
-    """|scale| l1(start) + sum |factor| l1(a) l1(b) C(|a| + |b|, |a|) over the pairs (factor, a, b).
+    """|scale| l1(start) + sum l1(a) l1(b) C(|a| + |b|, |a|) over the pairs (a, b).
 
     [n choose k]_t = D_n / (D_k D_{n-k}) has nonnegative coefficients summing
     to C(n, k), and sum_{|e| = s, e <= d} prod_v C(d_v, e_v) = C(|d|, s)
@@ -279,52 +273,45 @@ def _kernel_bound(pairs, scale: int, start: _Packed) -> int:
     _kernel_convolve's result.
     """
     top = abs(scale) * start.l1
-    for factor, a, b in pairs:
-        top += abs(factor) * a.l1 * b.l1 * math.comb(a.size + b.size, a.size)
+    for a, b in pairs:
+        top += a.l1 * b.l1 * math.comb(a.size + b.size, a.size)
     return top
 
 
-def _kernel_convolve(pairs, scale: int, start: _Packed, den: int) -> tuple[int, _Packed]:
-    """The settled level, over den, of scale start_d + sum factor a_e b_f prod_v [d_v choose e_v]_t.
+def _kernel_convolve(pairs, scale: int, start: _Packed) -> _Packed:
+    """The level scale start_d - sum_{(a, b) in pairs} a_e b_f prod_v [d_v choose e_v]_t.
 
     d runs over e + f.  Everything is summed at t = 2^w, with w _kernel_bound's
     bit length plus 2 rounded up to a whole _WIDTH_STEP, so every coefficient
     unpacks exactly.  The result is a _Packed level that already holds its
-    packing at w: settling divides every coefficient by one g, so it divides
-    each packed value exactly.
+    packing at w.
     """
-    pairs = [(factor, a, b) for factor, a, b in pairs if a.terms and b.terms]
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
     w = -(-(_kernel_bound(pairs, scale, start).bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
-    lo = min([start.lo] + [a.lo + b.lo for _, a, b in pairs])
-    size = max((a.size + b.size for _, a, b in pairs), default=0)  # the largest |d| a pair reaches
+    lo = min([start.lo] + [a.lo + b.lo for a, b in pairs])
+    size = max((a.size + b.size for a, b in pairs), default=0)  # the largest |d| a pair reaches
     gauss = [[1]]  # gauss[n][k] = [n choose k]_t at t = 2^w, by the q-Pascal rule
     for n in range(1, size + 1):
         row = gauss[-1] + [0]
         gauss.append([1] + [row[k - 1] + (row[k] << w * k) for k in range(1, n + 1)])
     total = {d: scale * v << w * (d_lo - lo) for d, d_lo, v in start.at(w)}
-    for factor, a, b in pairs:
+    for a, b in pairs:
         a = a.at(w)
         for f, f_lo, r in b.at(w):
-            r *= factor
             for e, e_lo, p in a:
                 d = tuple(map(operator.add, e, f))
                 v = p * r
                 for n, k in zip(d, e):
                     if 0 < k < n:
                         v *= gauss[n][k]
-                total[d] = total.get(d, 0) + (v << w * (e_lo + f_lo - lo))
-    settled, level = _settle({d: _unpack(lo, v, w) for d, v in total.items()}, den)
-    g, out = den // settled, _Packed(level)
-    out._at[w] = [(d, min(p), total[d] // g >> w * (min(p) - lo)) for d, p in level.items()]
-    return settled, out
+                total[d] = total.get(d, 0) - (v << w * (e_lo + f_lo - lo))
+    out = _Packed({d: _unpack(lo, v, w) for d, v in total.items() if v})
+    out._at[w] = [(d, min(p), total[d] >> w * (min(p) - lo)) for d, p in out.terms.items()]
+    return out
 
 
-def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) -> list:
-    """out_d = sum_{n | d} weight(n, |d|/n) psi_n(in_{d/n}), level by level.
-
-    The q-factorial kernel multiplies psi_n(in_{d/n}) by D_d / psi_n(D_{d/n})
-    = prod_v prod_{j <= d_v, n does not divide j} (1 - t^j), so it needs stretch.
-    """
+def _adams_sum(levels: list, stretch: bool, weight) -> list:
+    """out_d = sum_{n | d} weight(n, |d|/n) psi_n(in_{d/n}), level by level."""
     out = [(1, {})]
     for total in range(1, len(levels)):
         parts = [(n, total // n) for n in range(1, total + 1) if not total % n]
@@ -337,8 +324,6 @@ def _adams_sum(levels: list, stretch: bool, weight, qfactorial: bool = False) ->
                 d = tuple(n * a for a in e)
                 if stretch and n > 1:
                     poly = {n * k: c for k, c in poly.items()}
-                if qfactorial and n > 1:
-                    poly = _ratio(poly, [j for a in d for j in range(1, a + 1) if j % n])
                 _add_to(acc.setdefault(d, {}), poly, w * (den // sub_den))
         out.append(_settle(acc, den))
     return out
@@ -354,22 +339,37 @@ def _pleth_exp_levels(levels: list, rank: int, stretch: bool) -> list:
     return exp
 
 
-def _pleth_log_levels(levels: list, stretch: bool, qfactorial: bool = False) -> list:
+def _pleth_log_levels(levels: list, stretch: bool) -> list:
     """|d| times Log at d of 1 + levels 1..N, level by level.
 
     The Euler form Lambda_d = |d| log_d solves Lambda_d = |d| h_d - sum_{0<e<d}
     Lambda_e h_{d-e}, and |d| Log_d = sum_{n | d} mu(n) psi_n(Lambda_{d/n}).
-    Under the q-factorial kernel every h_s, the start term's included, is
-    read as one _Packed level for the whole Log, and every Lambda_s is the
-    _Packed level its kernel returned.
     """
-    log, lam = [(1, {})], [None]  # Lambda_0 is never read
-    h = [(den, _Packed(terms)) for den, terms in levels] if qfactorial else levels
+    lam = [(1, {})]  # Lambda_0 is never read
     for total in range(1, len(levels)):
-        pairs = [(lam[s], h[total - s]) for s in range(1, total)]
-        lam.append(_convolve(pairs, -1, h[total], total, qfactorial=qfactorial))
-        log.append((lam[-1][0], lam[-1][1].terms) if qfactorial else lam[-1])
-    return _adams_sum(log, stretch, lambda n, size: _moebius(n), qfactorial)
+        pairs = [(lam[s], levels[total - s]) for s in range(1, total)]
+        lam.append(_convolve(pairs, -1, levels[total], total))
+    return _adams_sum(lam, stretch, lambda n, size: _moebius(n))
+
+
+def _qfactorial_log_levels(numerators: list) -> list:
+    """|d| (1 - x^g) Log_d, g = gcd(d), of sum_d N_d z^d / D_d, with numerators[s] = {d: N_d}.
+
+    The kernel solves D_d Lambda_d = |d| N_d - sum_{0<e<d} D_e Lambda_e N_{d-e} [d choose e]_x
+    for the Euler form Lambda_d = sum_{n | d} (|d|/n) psi_n(Log_{d/n}).  Each (1 - x) Log is
+    a Laurent polynomial and each such n divides g, so Lambda_d (1 - x^g) is one, and its
+    psi_n carries 1 - x^{gcd(nd)}: the Moebius sum of these needs nothing more.
+    """
+    h, lam, log = [_Packed(level) for level in numerators], [None], [(1, {})]
+    for t in range(1, len(numerators)):
+        lam.append(_kernel_convolve([(lam[s], h[t - s]) for s in range(1, t)], t, h[t]))
+        quotients = {}
+        for e, poly in lam[-1].terms.items():
+            factors = [j for a in e for j in range(1, a + 1)]
+            factors.remove(math.gcd(*e))  # D_e / (1 - x^g)
+            quotients[e] = _ratio(poly, (), factors)
+        log.append((1, quotients))
+    return _adams_sum(log, True, lambda n, size: _moebius(n))
 
 
 def _levels(*series: GradedSeries) -> list:

@@ -26,11 +26,6 @@ from qgk.cli import run
 from qgk.series import vectors_up_to
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("QGK_CACHE_DIR", raising=False)
-
-
 @pytest.fixture
 def qfile(tmp_path):
     def write(name, vertices, arrows):
@@ -678,21 +673,30 @@ def test_verify_json_statuses(a2_file, capsys):
     assert set(results[0]) == {"property", "status", "detail"}
 
 
-def test_cache_cold_and_warm_agree(kron_file, tmp_path, monkeypatch, capsys):
+def test_cache_cold_and_warm_agree(kron_file, tmp_path, capsys):
     cache = tmp_path / "cache"
-    monkeypatch.setenv("QGK_CACHE_DIR", str(cache))
-    assert run(["cuspidal", kron_file, "--bound", "3"]) == 0
+    argv = ["cuspidal", kron_file, "--bound", "3", "--cache-dir", str(cache)]
+    assert run(argv) == 0
     cold = _out(capsys)
     entries = list(cache.glob("qgk-*.txt"))
     assert len(entries) == 1
     entry = entries[0].read_bytes()
-    assert run(["cuspidal", kron_file, "--bound", "3"]) == 0
+    assert run(argv) == 0
     assert _out(capsys) == cold
     # a corrupt cache entry is ignored and rebuilt
     entries[0].write_text("{ not json")
-    assert run(["cuspidal", kron_file, "--bound", "3"]) == 0
+    assert run(argv) == 0
     assert _out(capsys) == cold
     assert entries[0].read_bytes() == entry
+
+
+def test_the_environment_names_no_cache_directory(kron_file, tmp_path, monkeypatch, capsys):
+    # only --cache-dir names a cache; QGK_CACHE_DIR once did, and won over it
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("QGK_CACHE_DIR", str(cache))
+    assert run(["kac", kron_file, "--bound", "2"]) == 0
+    assert _out(capsys) == "0,1\t1\n1,0\t1\n1,1\t1 + q\n"
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize(
@@ -758,14 +762,11 @@ def test_missing_weight_file_with_cache_is_invalid_input(a2_file, tmp_path, caps
     assert "Traceback" not in err
 
 
-def test_unwritable_cache_still_prints_the_table(kron_file, tmp_path, monkeypatch, capsys):
+def test_unwritable_cache_still_prints_the_table(kron_file, tmp_path, capsys):
     blocker = tmp_path / "a-regular-file"
     blocker.write_text("")
     assert run(["kac", kron_file, "--bound", "2", "--cache-dir", str(blocker)]) == 0
-    table = _out(capsys)
-    monkeypatch.setenv("QGK_CACHE_DIR", str(blocker))
-    assert run(["kac", kron_file, "--bound", "2"]) == 0
-    assert _out(capsys) == table == "0,1\t1\n1,0\t1\n1,1\t1 + q\n"
+    assert _out(capsys) == "0,1\t1\n1,0\t1\n1,1\t1 + q\n"
     assert blocker.read_text() == ""
 
 

@@ -63,7 +63,6 @@ def test_readme_library_snippet_prints_what_it_shows():
 
 def test_readme_cli_examples_print_what_they_show(monkeypatch):
     """README aligns columns with spaces where the CLI prints tabs."""
-    monkeypatch.delenv("QGK_CACHE_DIR", raising=False)
     monkeypatch.chdir(README.parent)
     examples = [
         example

@@ -168,3 +168,20 @@ def test_the_cli_loads_nakajima_and_presented_inside_a_function():
     assert not loaded & {"nakajima", "_presented"}
     anywhere = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert {"nakajima", "_presented"} <= anywhere
+
+
+def test_the_q_factorial_log_is_its_own_function():
+    """No shared Exp/Log function takes a qfactorial switch; kac reads its own Log."""
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                names = {a.arg for a in arguments}
+                assert "qfactorial" not in names, f"{module} line {node.lineno}"
+    imported = {
+        alias.name
+        for node in ast.walk(_trees()["kac"])
+        if isinstance(node, ast.ImportFrom) and node.module == "series"
+        for alias in node.names
+    }
+    assert "_qfactorial_log_levels" in imported and "_pleth_log_levels" not in imported

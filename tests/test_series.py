@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -23,8 +22,8 @@ from qgk import (
 )
 from qgk.qpoly import _add_to, _mul, _pack
 from qgk.series import (
-    _convolve,
     _kernel_bound,
+    _kernel_convolve,
     _l1,
     _moebius,
     _Packed,
@@ -277,47 +276,42 @@ def test_sym_power_coeff_matches_newton(p, m):
     assert sym_power_coeff(p, m) == newton_sym_powers(p, m)[m]
 
 
-def sparse_kernel_convolve(pairs, sign, start, divisor):
-    """_convolve under the q-factorial kernel, one sparse product per pair and Gaussian binomial."""
-    den = math.lcm(start[0], *(a[0] * b[0] for a, b in pairs))
-    acc = {d: {k: c * (den // start[0]) for k, c in poly.items()} for d, poly in start[1].items()}
-    for (a_den, a), (b_den, b) in pairs:
-        factor = sign * (den // (a_den * b_den))
+def sparse_kernel_convolve(pairs, scale, start):
+    """_kernel_convolve's level, one sparse product per pair and Gaussian binomial."""
+    acc = {d: {k: scale * c for k, c in poly.items()} for d, poly in start.items()}
+    for a, b in pairs:
         for e, p in a.items():
             for f, r in b.items():
                 d = tuple(map(operator.add, e, f))
                 for n, k in zip(d, e):  # [n choose k]_t
                     r = _mul(r, _ratio({0: 1}, range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)]))
-                _add_to(acc.setdefault(d, {}), _mul(p, r), factor)
-    return _settle(acc, divisor * den)
+                _add_to(acc.setdefault(d, {}), _mul(p, r), -1)
+    return _settle(acc, 1)[1]
 
 
 @st.composite
 def convolution_levels(draw):
-    """(pairs, sign, start, divisor) for one level of total t over rank 3, with random numerators."""
+    """(pairs, scale, start) for one level of total t over rank 3, with random numerators."""
     poly = st.dictionaries(
         st.integers(-4, 6), st.integers(-(2**40), 2**40).filter(bool), min_size=1, max_size=5
     )
 
     def level(total):
         keys = st.sampled_from(list(vectors_of_total(3, total)))
-        return draw(st.integers(1, 6)), draw(st.dictionaries(keys, poly, max_size=3))
+        return draw(st.dictionaries(keys, poly, max_size=3))
 
     total = draw(st.integers(2, 6))
     pairs = [(level(s), level(total - s)) for s in range(1, total)]
-    return pairs, draw(st.sampled_from([1, -1])), level(total), draw(st.integers(1, 4))
+    return pairs, draw(st.integers(-6, 6)), level(total)
 
 
 @settings(max_examples=100, derandomize=True)
 @given(convolution_levels())
 def test_packed_kernel_convolve_matches_the_sparse_loop(case):
-    pairs, sign, start, divisor = case
-    kernel_pairs = [((a_den, _Packed(a)), (b_den, _Packed(b))) for (a_den, a), (b_den, b) in pairs]
-    kernel_start = (start[0], _Packed(start[1]))
-    den, level = _convolve(kernel_pairs, sign, kernel_start, divisor=divisor, qfactorial=True)
-    assert (den, level.terms) == sparse_kernel_convolve(pairs, sign, start, divisor)
-    # the level comes back packed at the width it was summed at, as _pack packs
-    # it, whatever content settling cancelled
+    pairs, scale, start = case
+    level = _kernel_convolve([(_Packed(a), _Packed(b)) for a, b in pairs], scale, _Packed(start))
+    assert level.terms == sparse_kernel_convolve(pairs, scale, start)
+    # the level comes back packed at the width it was summed at, as _pack packs it
     ((w, packing),) = level._at.items()
     assert packing == [(e, *_pack(p, w)) for e, p in level.terms.items()]
 
@@ -340,9 +334,10 @@ def full_levels(draw):
 @settings(max_examples=50, derandomize=True)
 @given(full_levels())
 def test_kernel_bound_is_the_largest_l1_norm_of_a_result(case):
-    # nonnegative operands cancel nothing, and on full levels every d meets each
-    # pair C(|d|, s) times (Vandermonde), so the bound is attained at every d
+    # with scale -1 every term of the result is subtracted, so nonnegative operands
+    # cancel nothing, and on full levels every d meets each pair C(|d|, s) times
+    # (Vandermonde), so the bound is attained at every d
     pairs, start = case
-    _, result = sparse_kernel_convolve([((1, a), (1, b)) for a, b in pairs], 1, (1, start), 1)
-    bound = _kernel_bound([(1, _Packed(a), _Packed(b)) for a, b in pairs], 1, _Packed(start))
+    result = sparse_kernel_convolve(pairs, -1, start)
+    bound = _kernel_bound([(_Packed(a), _Packed(b)) for a, b in pairs], -1, _Packed(start))
     assert {_l1(poly) for poly in result.values()} == {bound}
