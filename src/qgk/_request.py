@@ -29,8 +29,8 @@ COMMANDS = (
     "roots", "kac", "cuspidal", "ip", "canonical-decomp", "gkm-dims", "nakajima-decomp", "verify",
 )
 
-#: The commands that read --flavour.
-_FLAVOURED = ("kac", "cuspidal", "ip", "gkm-dims")
+#: The commands that read --flavour, and those that answer one --dim in place of --bound.
+_FLAVOURED, _SPANNED = ("kac", "cuspidal"), ("ip", "canonical-decomp")
 
 
 class InputError(ValueError):
@@ -47,15 +47,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("quiver", help="path to a quiver JSON file")
-        p.add_argument("--bound", type=int, default=4, help="total-degree bound N")
+        span = p.add_mutually_exclusive_group() if name in _SPANNED else p
+        span.add_argument("--bound", type=int, default=4, help="total-degree bound N")
+        if name in _SPANNED:
+            span.add_argument("--dim", default=None, help="single dimension vector d1,d2,...")
         if name in _FLAVOURED:
             p.add_argument("--flavour", choices=FLAVOURS, default="plain")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--cache-dir", default=None)
         if name == "kac":
             p.add_argument("--method", choices=("hua", "oracle"), default="hua")
-        if name in ("ip", "canonical-decomp"):
-            p.add_argument("--dim", default=None, help="single dimension vector d1,d2,...")
         if name == "gkm-dims":
             source = p.add_mutually_exclusive_group(required=True)
             source.add_argument("--from-kac", action="store_true")

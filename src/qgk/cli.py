@@ -122,9 +122,9 @@ def _cmd_ip(quiver: Quiver, args) -> dict:
         d = _parse_dim(quiver, args.dim)
         if not any(d):
             raise InputError("--dim must be nonzero")
-        rows = _poly_rows([(d, ip_general(quiver, d, args.flavour))])
+        rows = _poly_rows([(d, ip_general(quiver, d))])
     else:
-        rows = _poly_rows(ip_table(quiver, args.bound, args.flavour).items())
+        rows = _poly_rows(ip_table(quiver, args.bound).items())
     return {"convention": IP_CONVENTION, "rows": rows}
 
 
@@ -176,7 +176,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
 
 def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
     if args.from_kac:
-        table = absolutely_cuspidal(quiver, args.bound, args.flavour)
+        table = absolutely_cuspidal(quiver, args.bound)
         cartan, weights = table.cartan, WeightFunction(quiver, table.table)
     else:
         cartan, weights = CartanDatum.from_quiver(quiver), _load_weights(quiver, args.weights)
@@ -219,8 +219,8 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     """Run the checks; each row's status is pass, fail or vacuous (covered nothing).
 
     Shared tables are computed once, when a check first needs them, so an
-    exception lands in that check's row.  A bound past the Hua budget is
-    refused before any check runs.
+    exception lands in that check's row; a BudgetError refuses the run, and
+    a bound past the Hua budget is refused before any check runs.
     """
     check_hua_budget(len(quiver.vertices), args.bound)
     results = []
@@ -228,6 +228,8 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     def check(name: str, thunk) -> None:
         try:
             status, detail = thunk()
+        except BudgetError:  # a refused table is refused input, as in every command
+            raise
         except Exception as exc:  # noqa: BLE001 - verification must report, not crash
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
         results.append({"property": name, "status": status, "detail": detail})

@@ -60,12 +60,7 @@ class CuspidalTable:
     """C^abs_d (absolute=True) or C_d (absolute=False) on Phi^+ members."""
 
     def __init__(
-        self,
-        cartan: CartanDatum,
-        bound: int,
-        flavour: str,
-        absolute: bool,
-        table: dict[tuple[int, ...], QPoly],
+        self, cartan: CartanDatum, bound: int, absolute: bool, table: dict[tuple[int, ...], QPoly]
     ):
         for d, poly in table.items():
             if poly.is_zero():
@@ -81,8 +76,7 @@ class CuspidalTable:
                 for v in range(int(poly.degree_q()) + 1):
                     if poly.eval_at(v).denominator != 1:
                         raise CuspidalError(f"C_{_csv(d)} is not integer valued at q = {v}: {poly}")
-        self.cartan, self.bound, self.flavour = cartan, bound, flavour
-        self.absolute, self.table = absolute, table
+        self.cartan, self.bound, self.absolute, self.table = cartan, bound, absolute, table
 
     def polynomial(self, d) -> QPoly:
         return self.table.get(tuple(d), QPoly.zero())
@@ -146,7 +140,7 @@ def absolutely_cuspidal_from_kac(kac: KacTable) -> CuspidalTable:
     """C^abs_d for |d| <= kac.bound, by inverting the character of a Kac table."""
     roots = {entry.vector for entry in phi_plus(kac.cartan, kac.bound)}
     weights = invert_character(kac.cartan, kac.to_series(), roots)
-    table = CuspidalTable(kac.cartan, kac.bound, kac.flavour, True, weights)
+    table = CuspidalTable(kac.cartan, kac.bound, True, weights)
     if kac.flavour == "plain":
         _check_plain_shape(table, roots)
     return table
@@ -194,24 +188,24 @@ def cuspidal_from_abs(table: CuspidalTable) -> CuspidalTable:
             poly = ray_cusp.coeff((l,))
             if not poly.is_zero():
                 out[tuple(l * x for x in m)] = poly
-    return CuspidalTable(table.cartan, table.bound, table.flavour, False, out)
+    return CuspidalTable(table.cartan, table.bound, False, out)
 
 
 # -- IP polynomials --------------------------------------------------------------
 
 
-def ip_general(quiver: Quiver, d: tuple[int, ...], flavour: str = "plain") -> QPoly:
+def ip_general(quiver: Quiver, d: tuple[int, ...]) -> QPoly:
     """IP data at arbitrary d: symmetric powers over the canonical decomposition.
 
     For d = sum_j m_j d_j (canonical), the result is
     prod_j [u^{m_j}] Exp_{t,u}(IP_{d_j} u), which reduces to C^abs_d(v^{-2})
-    when d lies in Sigma.  The output variable is rendered as q but stands
-    for v.
+    when d lies in Sigma, with the plain C^abs of Hua's formula.  The output
+    variable is rendered as q but stands for v.
     """
     d = quiver.vector(d)
     if not any(d):
         raise CuspidalError("IP data is defined for nonzero dimension vectors")
-    return _ip_from_table(absolutely_cuspidal(quiver, sum(d), flavour), d)
+    return _ip_from_table(absolutely_cuspidal(quiver, sum(d)), d)
 
 
 def _ip_from_table(table: CuspidalTable, d: tuple[int, ...]) -> QPoly:
@@ -222,7 +216,7 @@ def _ip_from_table(table: CuspidalTable, d: tuple[int, ...]) -> QPoly:
     return result
 
 
-def ip_table(quiver: Quiver, bound: int, flavour: str = "plain") -> dict[tuple[int, ...], QPoly]:
-    """IP data for every nonzero d with |d| <= bound off one shared C^abs table."""
-    table = absolutely_cuspidal(quiver, bound, flavour)
+def ip_table(quiver: Quiver, bound: int) -> dict[tuple[int, ...], QPoly]:
+    """IP data for every nonzero d with |d| <= bound off one shared plain C^abs table."""
+    table = absolutely_cuspidal(quiver, bound)
     return {d: _ip_from_table(table, d) for d in vectors_up_to(table.cartan.rank, bound) if any(d)}

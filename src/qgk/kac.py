@@ -201,9 +201,9 @@ def _hua_numerator(d: tuple[int, ...], matrix: tuple[tuple[int, ...], ...], vert
     support = [v for v, n in enumerate(d) if n]
     # every coefficient of N_d is below prod_{d_v > 0} 3^(d_v - 1) < 2^(w-2)
     w = (3 ** (sum(d) - len(support))).bit_length() + 2
-    # -(pi, pi)/2 on supp(d); the vertex with the most partitions is summed
-    # innermost, by shifts alone
-    last = max(support, key=lambda v: _partition_count(d[v]))
+    # -(pi, pi)/2 on supp(d); the vertex with the largest d_v, so the most
+    # partitions, is summed innermost, by shifts alone
+    last = max(support, key=d.__getitem__)
     others = [v for v in support if v != last]
     diagonal = [-matrix[v][v] // 2 for v in others]
     pairs = [(a, b, -matrix[v][u]) for a, v in enumerate(others) for b, u in enumerate(others[:a])]

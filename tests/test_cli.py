@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,6 +22,7 @@ import qgk._request
 import qgk.cli
 import qgk.cuspidal
 import qgk.nakajima
+import qgk.roots
 from qgk import CartanDatum, GkmError, GradedSeries, Quiver, hua_kac, lw_decompose
 from qgk.cli import run
 from qgk.series import vectors_up_to
@@ -137,11 +139,13 @@ def test_gkm_dims_from_kac(a2_file, capsys):
 
 def test_gkm_dims_weights_file(kron_file, tmp_path, capsys):
     weights = tmp_path / "weights.json"
-    weights.write_text(json.dumps({"weights": {"1,0": {"0": "1"}, "0,1": {"0": "1"}}}))
-    assert run(["gkm-dims", kron_file, "--weights", str(weights), "--bound", "3"]) == 0
-    assert _out(capsys) == (
-        "0,1\t0\t1\n1,0\t0\t1\n1,1\t0\t1\n1,2\t0\t1\n2,1\t0\t1\n"
-    )
+    table = {"1,0": {"0": "1"}, "0,1": {"0": "1"}}
+    for entries in (table, {**table, "1,1": {}}):  # a zero weight is no generator
+        weights.write_text(json.dumps({"weights": entries}))
+        assert run(["gkm-dims", kron_file, "--weights", str(weights), "--bound", "3"]) == 0
+        assert _out(capsys) == (
+            "0,1\t0\t1\n1,0\t0\t1\n1,1\t0\t1\n1,2\t0\t1\n2,1\t0\t1\n"
+        )
 
 
 def test_gkm_dims_weight_file_validation(kron_file, tmp_path, capsys):
@@ -155,12 +159,38 @@ def test_gkm_dims_weight_file_validation(kron_file, tmp_path, capsys):
         json.dumps({"weights": {"2,0": {"0": "1"}}}),  # (m,m) = 8
         json.dumps({"weights": {"1,0": {"0": "1"}, "2,1": {"0": "1"}}}),  # pair positively
         json.dumps({"weights": {"0,0": {"0": "1"}}}),  # zero root
+        json.dumps({"weights": {"1,0": 5}}),  # not an object
+        json.dumps({"weights": {"1,0": {"0": "x"}}}),  # not a coefficient
     ]
     # last two: not UTF-8, and nested deeper than json recurses
     for text in [t.encode() for t in bad_texts] + [b"\xff\xfe{}", b"[" * 200_000]:
         path = tmp_path / "w.json"
         path.write_bytes(text)
         assert run(["gkm-dims", kron_file, "--weights", str(path)]) == 1
+
+
+def test_gkm_dims_weight_file_enters_the_cache_key_by_its_text(
+    kron_file, tmp_path, monkeypatch, capsys
+):
+    cache, weights = tmp_path / "cache", tmp_path / "weights.json"
+    table = {"1,0": {"0": "1"}, "0,1": {"0": "1"}}
+    weights.write_text(json.dumps({"weights": table}))
+    argv = ["gkm-dims", kron_file, "--weights", str(weights), "--bound", "3"]
+    argv += ["--cache-dir", str(cache)]
+    assert run(argv) == 0
+    cold = _out(capsys)
+    # the same text, written again, is a hit: nothing is computed
+    weights.write_text(json.dumps({"weights": table}))
+    real = qgk.cli.gkm_dims
+    monkeypatch.setattr(qgk.cli, "gkm_dims", None)
+    assert run(argv) == 0
+    assert _out(capsys) == cold
+    monkeypatch.setattr(qgk.cli, "gkm_dims", real)
+    table["1,1"] = {"2": "1"}
+    weights.write_text(json.dumps({"weights": table}))
+    assert run(argv) == 0
+    assert _out(capsys) != cold
+    assert len(list(cache.glob("qgk-gkm-dims-*.txt"))) == 2
 
 
 def test_gkm_dims_requires_one_source(a2_file):
@@ -234,6 +264,11 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     # options are offered only to the commands that read them
     assert run(["nakajima-decomp", a2_file, "--framing", "1,0", "--flavour", "nilpotent"]) == 1
     assert run(["verify", jordan_file, "--flavour", "nilpotent"]) == 1
+    assert run(["ip", jordan_file, "--flavour", "nilpotent"]) == 1
+    assert run(["gkm-dims", jordan_file, "--from-kac", "--flavour", "nilpotent"]) == 1
+    # one --dim is answered in place of every d up to --bound, never beside it
+    assert run(["ip", a2_file, "--dim", "1,1", "--bound", "2"]) == 1
+    assert run(["canonical-decomp", a2_file, "--dim", "1,1", "--bound", "2"]) == 1
 
 
 def test_bad_dimension_vectors_exit_one(a2_file, jordan_file, capsys):
@@ -325,15 +360,16 @@ def test_budget_error_is_invalid_input(jordan_file, kron_file, qfile, capsys):
 def test_vector_budget_is_invalid_input(jordan_file, tmp_path, capsys):
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({"weights": {"1": {"2": "1"}}}))
+    huge = ["--bound", "100000000"]
     commands = [
-        ["roots", jordan_file],
-        ["canonical-decomp", jordan_file],
+        ["roots", jordan_file, *huge],
+        ["canonical-decomp", jordan_file, *huge],
         ["canonical-decomp", jordan_file, "--dim", "100000000"],
-        ["gkm-dims", jordan_file, "--weights", str(weights)],
+        ["gkm-dims", jordan_file, "--weights", str(weights), *huge],
     ]
     start = time.perf_counter()
     for argv in commands:  # each would build every vector up to the bound
-        assert run([*argv, "--bound", "100000000"]) == 1
+        assert run(argv) == 1
     assert time.perf_counter() - start < 5
     expected = "error: |d| <= 100000000 in rank 1 spans 100000001 dimension vectors (budget 10000)"
     # --dim builds only the box under d, so the split table's budget refuses it
@@ -367,6 +403,16 @@ def test_verify_passes(a2_file, capsys):
         "PASS\tgkm-presentation\tpresented algebra and denominator identity agree on "
         "9 blocks with |d| <= 3"
     ) in lines
+
+
+def test_verify_budget_refusal_is_invalid_input(qfile, monkeypatch, capsys):
+    # a table that a budget refuses is refused input, not a failed check
+    a3_file = qfile("a3", ["0", "1", "2"], [["0", "1"], ["1", "2"]])
+    monkeypatch.setattr(qgk.roots, "VECTOR_BUDGET", 5)
+    assert run(["verify", a3_file, "--bound", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |d| <= 2 in rank 3 spans 10 dimension vectors (budget 5)\n"
 
 
 def test_verify_presentation_check_catches_wrong_dims(a2_file, monkeypatch, capsys):
@@ -654,7 +700,9 @@ def test_random_quivers_through_every_command(case):
             ["kac", "--method", "oracle"],
         ]
         for command in commands:
-            argv = [command[0], path, "--bound", str(bound), *command[1:]]
+            # --dim answers one vector and takes no --bound
+            span = [] if "--dim" in command else ["--bound", str(bound)]
+            argv = [command[0], path, *span, *command[1:]]
             out, err = io.StringIO(), io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -822,6 +870,32 @@ def test_cache_keys_cover_every_option(kron_file, tmp_path, capsys):
         assert run([*argv, "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     assert len(list(cache.glob("qgk-*.txt"))) == 5
+
+
+def test_each_command_offers_only_the_options_it_reads():
+    """The options and mutually exclusive groups of every subcommand; a new one needs an edit."""
+    common = {"--bound", "--format", "--cache-dir"}
+    span = [{"--bound", "--dim"}]
+    expected = {
+        "roots": (common, []),
+        "kac": (common | {"--flavour", "--method"}, []),
+        "cuspidal": (common | {"--flavour"}, []),
+        "ip": (common | {"--dim"}, span),
+        "canonical-decomp": (common | {"--dim"}, span),
+        "gkm-dims": (common | {"--from-kac", "--weights"}, [{"--from-kac", "--weights"}]),
+        "nakajima-decomp": (common | {"--framing"}, []),
+        "verify": (common, []),
+    }
+    parser = qgk._request._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(expected)
+    for name, command in commands.choices.items():
+        options = {o for a in command._actions for o in a.option_strings} - {"-h", "--help"}
+        groups = [
+            {o for a in group._group_actions for o in a.option_strings}
+            for group in command._mutually_exclusive_groups
+        ]
+        assert (options, groups) == expected[name], name
 
 
 def test_every_command_has_a_handler():

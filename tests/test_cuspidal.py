@@ -226,17 +226,17 @@ def test_cuspidal_from_abs_rejects_non_absolute(jordan):
 def test_table_validation(jordan):
     cartan = CartanDatum.from_quiver(jordan)
     with pytest.raises(CuspidalError):
-        CuspidalTable(cartan, 1, "plain", True, {(1,): Q(1) - ONE})
+        CuspidalTable(cartan, 1, True, {(1,): Q(1) - ONE})
     with pytest.raises(CuspidalError):
-        CuspidalTable(cartan, 1, "plain", True, {(1,): QPoly.half_power(1)})
+        CuspidalTable(cartan, 1, True, {(1,): QPoly.half_power(1)})
     with pytest.raises(CuspidalError):
-        CuspidalTable(cartan, 1, "plain", True, {(1,): Q(1, Fraction(1, 2))})
+        CuspidalTable(cartan, 1, True, {(1,): Q(1, Fraction(1, 2))})
     # integer valued, not integer coefficients, is what a non-absolute entry needs
-    CuspidalTable(cartan, 2, "plain", False, {(2,): Q(2, Fraction(1, 2)) + Q(1, Fraction(1, 2))})
+    CuspidalTable(cartan, 2, False, {(2,): Q(2, Fraction(1, 2)) + Q(1, Fraction(1, 2))})
     with pytest.raises(CuspidalError):
-        CuspidalTable(cartan, 1, "plain", False, {(1,): Q(1, Fraction(1, 2))})
+        CuspidalTable(cartan, 1, False, {(1,): Q(1, Fraction(1, 2))})
     with pytest.raises(CuspidalError):
-        CuspidalTable(cartan, 1, "plain", False, {(1,): Q(-1) + ONE})
+        CuspidalTable(cartan, 1, False, {(1,): Q(-1) + ONE})
 
 
 def _falling(shifts, denominator):
@@ -249,14 +249,14 @@ def _falling(shifts, denominator):
 def test_integer_valued_check_is_exact(jordan):
     cartan = CartanDatum.from_quiver(jordan)
     # binomial(q, 5) is integer valued everywhere
-    CuspidalTable(cartan, 5, "plain", False, {(5,): _falling(range(5), 120)})
+    CuspidalTable(cartan, 5, False, {(5,): _falling(range(5), 120)})
     # vanishes at q = 2..6, so it is integral at 2..5, but equals -1/2 at q = 1
     bad = _falling(range(2, 7), 240)
     assert bad.degree_q() == 5
     assert all(bad.eval_at(v).denominator == 1 for v in (2, 3, 4, 5))
     assert bad.eval_at(1) == Fraction(-1, 2)
     with pytest.raises(CuspidalError, match="integer valued"):
-        CuspidalTable(cartan, 5, "plain", False, {(5,): bad})
+        CuspidalTable(cartan, 5, False, {(5,): bad})
 
 
 # -- IP polynomials -------------------------------------------------------------------
