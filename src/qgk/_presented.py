@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .gkm import GkmDimTable, GkmError, WeightFunction, _SimpleRoots
 from .qpoly import QPoly
-from .roots import BudgetError, CartanDatum
+from .roots import BudgetError, CartanDatum, _refuse
 from .series import GradedSeries, PlethMode, _csv, pleth_log, vectors_of_total
 
 #: The most work one GkmEngine may do: tensor terms touched by reduction
@@ -137,10 +137,8 @@ class GkmEngine:
     def _spend(self, amount: int) -> None:
         self.work += amount
         if self.work > PRESENTED_BUDGET:
-            raise BudgetError(
-                f"the presented algebra up to |d| = {self.bound} passed its budget of "
-                f"{PRESENTED_BUDGET} reduction terms and letters"
-            )
+            what = f"the presented algebra up to |d| = {self.bound} stopped after"
+            _refuse(f"{what} {self.work} reduction terms and letters", PRESENTED_BUDGET)
 
     # -- registration -------------------------------------------------------
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .qpoly import QPoly
-from .roots import BudgetError, CartanDatum, check_vector_budget
+from .roots import CartanDatum, _refuse, check_vector_budget
 from .series import (
     GradedSeries,
     PlethMode,
@@ -215,10 +215,8 @@ class _Denominator:
     def _count(self) -> None:
         self.enumerated += 1
         if self.enumerated > GKM_BUDGET:
-            raise BudgetError(
-                f"the denominator identity up to |d| = {self.bound} stopped after "
-                f"{self.enumerated} cliques and Weyl group elements (budget {GKM_BUDGET})"
-            )
+            what = f"the denominator identity up to |d| = {self.bound} stopped after"
+            _refuse(f"{what} {self.enumerated} cliques and Weyl group elements", GKM_BUDGET)
 
     def _orbit(self, source: tuple[int, ...], weight: QPoly) -> None:
         """Add sum_w eps(w) weight q^{shift} z^{w*source}, one length at a time.

@@ -44,9 +44,9 @@ largest (x;x)_{m_k} cancelled against (x;x)_{|lam|} first, and every d reads
 lam', <lam, lam> and m(lam) from one table per |lam|, built once per process
 by one recursion over heads and tails.
 
-Before summing, hua_kac counts the multipartitions and raises BudgetError
-past HUA_BUDGET, as roots' check_vector_budget does for the tables that
-range over every d with |d| <= N.
+Before summing, hua_kac tallies the multipartitions, the lengths of the
+shape tables the sum reads, and refuses past HUA_BUDGET, as roots'
+check_vector_budget does for the tables over every d with |d| <= N.
 
 oracle_kac_full never touches Hua's formula: it recovers A_d from
 brute-force isomorphism-class counts M_e(q) over small finite fields
@@ -81,7 +81,7 @@ from fractions import Fraction
 
 from .qpoly import QPoly, _unpack
 from .quiver import FLAVOURS, CountingError, Quiver
-from .roots import BudgetError, CartanDatum
+from .roots import BudgetError, CartanDatum, _refuse
 from .series import (
     GradedSeries,
     PlethMode,
@@ -129,24 +129,6 @@ def _shapes(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
                 out.append(((head,) + tail, square + head * head, m))
         _SHAPES.append(out)
     return _SHAPES[n]
-
-
-_PARTITION_COUNTS = [1]
-
-
-def _partition_count(n: int) -> int:
-    """p(n), by Euler's pentagonal number recurrence."""
-    counts = _PARTITION_COUNTS
-    while len(counts) <= n:
-        m, k, total = len(counts), 1, 0
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * counts[m - k * (3 * k + 1) // 2]
-            k += 1
-        counts.append(total)
-    return counts[n]
 
 
 # -- the Kac table ----------------------------------------------------------------
@@ -266,19 +248,17 @@ def _hua_numerators(matrix: tuple[tuple[int, ...], ...], bound: int) -> list:
 def check_hua_budget(rank: int, bound: int) -> None:
     """Raise BudgetError if Hua's sum up to |d| <= bound exceeds HUA_BUDGET.
 
-    The sum runs over sum_{0<|d|<=bound} prod_v p(d_v) multipartitions; the
-    tally stops as soon as it passes the budget, so a huge bound costs
-    no more than the budget.
+    Each 0 < |d| <= bound adds prod_{v in supp d} len(_shapes(d_v)), the
+    multipartitions _hua_numerator sums over; the tally stops once past the
+    budget, so a huge bound costs no more than the budget.
     """
     tally = 0
     for total in range(1, bound + 1):
         for d in vectors_of_total(rank, total):
-            tally += math.prod(map(_partition_count, d))
+            tally += math.prod(len(_shapes(n)) for n in d if n)
             if tally > HUA_BUDGET:
-                raise BudgetError(
-                    f"Hua's sum up to |d| = {bound} runs over at least {tally} "
-                    f"multipartitions (budget {HUA_BUDGET})"
-                )
+                what = f"Hua's sum up to |d| = {bound} runs over at least {tally} multipartitions"
+                _refuse(what, HUA_BUDGET)
 
 
 def hua_kac(quiver: Quiver, bound: int) -> KacTable:

@@ -26,7 +26,8 @@ Invent. Math. 56 (1980)).
 
 The budgets of the tables over dimension vectors live here too:
 VECTOR_BUDGET for the vectors with |d| <= N, SPLIT_BUDGET for the pairs of
-the Sigma split table.
+the Sigma split table.  So does _refuse, the one refusal of every cap in qgk:
+each caller tests its own count, and "<what> (budget N)" names the count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .quiver import Quiver
 from .series import _csv, degree_lex, vectors_up_to
@@ -48,9 +49,8 @@ class BudgetError(RuntimeError):
     """The requested computation exceeds its size budget."""
 
 
-def _refuse(count: int, budget: int, what: str) -> None:
-    if count > budget:
-        raise BudgetError(f"{what} (budget {budget})")
+def _refuse(what: str, budget: int) -> NoReturn:
+    raise BudgetError(f"{what} (budget {budget})")
 
 
 #: The most dimension vectors (|d| <= N, zero included) a table may range
@@ -61,7 +61,8 @@ VECTOR_BUDGET = 10_000
 def check_vector_budget(rank: int, bound: int) -> None:
     """Raise BudgetError if the C(N + rank, rank) vectors with |d| <= N exceed VECTOR_BUDGET."""
     count = math.comb(bound + rank, rank)
-    _refuse(count, VECTOR_BUDGET, f"|d| <= {bound} in rank {rank} spans {count} dimension vectors")
+    if count > VECTOR_BUDGET:
+        _refuse(f"|d| <= {bound} in rank {rank} spans {count} dimension vectors", VECTOR_BUDGET)
 
 
 #: The most pairs b <= a the Sigma split table may visit before it is built.
@@ -72,7 +73,8 @@ SPLIT_BUDGET = 1_000_000
 
 
 def _refuse_pairs(pairs: int, span: str) -> None:
-    _refuse(pairs, SPLIT_BUDGET, f"{span} needs {pairs} pairs b <= a in the Sigma split table")
+    if pairs > SPLIT_BUDGET:
+        _refuse(f"{span} needs {pairs} pairs b <= a in the Sigma split table", SPLIT_BUDGET)
 
 
 def check_split_budget(rank: int, bound: int) -> None:

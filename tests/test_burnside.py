@@ -81,11 +81,11 @@ def test_budget_guard(jordan, monkeypatch):
         matrix_types(7, 3)
     # the refusals name their budgets: 255^3 type tuples, and all of M_2(F_7)^2
     a3 = Quiver(["0", "1", "2"], [("0", "1"), ("1", "2")])
-    tuples = "16581375 similarity type tuples exceed the budget of 200000"
+    tuples = r"^16581375 similarity type tuples \(budget 200000\)$"
     with pytest.raises(BudgetError, match=tuples):
         brute_force_counts(a3, (2, 2, 2), 16)
     two_loop = Quiver(["0"], [("0", "0"), ("0", "0")])
-    with pytest.raises(BudgetError, match=r"size 7\^8 exceeds the budget of 2000000"):
+    with pytest.raises(BudgetError, match=r"size 7\^8 = 5764801 \(budget 2000000\)$"):
         brute_force_counts(two_loop, (2,), 7, "one_nilpotent")
 
 
@@ -207,6 +207,26 @@ def test_untouched_vertices_leave_the_census(jordan, a2):
     # here, not 2^15 of length 15
     two_loop_and_point = Quiver(["0", "1"], [("0", "0"), ("0", "0")])
     assert brute_force_counts(two_loop_and_point, (1, 14), 2, "nilpotent") == 1
+
+
+def test_a_nilpotent_census_builds_its_paths_once(kronecker, monkeypatch):
+    # the paths depend on the quiver, the acting arrows and |d|, not on the type tuple
+    built = []
+    real = _burnside._paths_of_length
+
+    def paths_of_length(quiver, arrows, length):
+        built.append(length)
+        return real(quiver, arrows, length)
+
+    monkeypatch.setattr(_burnside, "_paths_of_length", paths_of_length)
+    cycle = Quiver(["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "0")])
+    cases = [(kronecker, (2, 2), 3, 24), (cycle, (1, 1, 2), 3, 9), (cycle, (2, 2, 1), 2, 16)]
+    for quiver, d, q, count in cases:
+        assert brute_force_counts(quiver, d, q, "nilpotent") == count
+    assert built == [4, 4, 5]
+    for flavour in ("plain", "one_nilpotent"):
+        brute_force_counts(cycle, (1, 1, 2), 3, flavour)
+    assert built == [4, 4, 5]
 
 
 def test_oracle_requests_no_census_it_does_not_need(kronecker, monkeypatch):

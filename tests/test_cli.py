@@ -431,6 +431,14 @@ def test_verify_presentation_check_catches_wrong_dims(a2_file, monkeypatch, caps
     ]
 
 
+def test_verify_exp_log_row_fails_on_a_broken_roundtrip(a2_file, monkeypatch, capsys):
+    # a Log that returns its input leaves Exp(A), which differs from A at 1,1
+    monkeypatch.setattr(qgk.cli, "pleth_log", lambda series, mode: series)
+    assert run(["verify", a2_file, "--bound", "3"]) == 2
+    failed = [line for line in _out(capsys).splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL\texp-log-roundtrip\tExp/Log roundtrip failed in Z_ONLY"]
+
+
 def test_verify_weyl_row_names_the_edge_where_a_differs(a2_file, monkeypatch, capsys):
     real = qgk.cli.hua_kac
 
@@ -647,7 +655,7 @@ def test_verify_statuses(jordan_file, a2_file, kron_file, qfile, monkeypatch, ca
     assert status == "PASS"
     assert detail == (
         "agree on 2 vectors with |d| <= 3; "
-        "skipped 3 (enumerating 3^9 matrices exceeds the budget of 10000)"
+        "skipped 3 (enumerating 3^9 = 19683 matrices (budget 10000))"
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from reference import euler_form
 from test_gkm import character_at
 
+import qgk.cuspidal
 from qgk import (
     CartanDatum,
     CuspidalError,
@@ -87,6 +88,28 @@ def test_invert_character_rejects_bad_deficits(kronecker):
     target = GradedSeries(2, 2, {**units, (1, 1): ONE + QPoly.half_power(1)})
     with pytest.raises(CuspidalError):
         invert_character(cartan, target, _roots(cartan, target.bound))
+
+
+def test_plain_shape_refuses_a_wrong_support_or_degree(kronecker, monkeypatch):
+    # plain C^abs of the Kronecker quiver up to |d| = 2 is 1 at the units and q at 1,1
+    kac = hua_kac(kronecker, 2)
+    real = qgk.cuspidal.invert_character
+
+    def edited(edit):
+        def invert(cartan, target, roots):
+            weights = real(cartan, target, roots)
+            edit(weights)
+            return weights
+
+        return invert
+
+    monkeypatch.setattr(qgk.cuspidal, "invert_character", edited(lambda w: w.pop((1, 1))))
+    with pytest.raises(CuspidalError, match=r"^C\^abs support differs from Phi\^\+ at 1,1$"):
+        absolutely_cuspidal_from_kac(kac)
+    doubled = edited(lambda w: w.update({(1, 1): w[(1, 1)] * 2}))
+    monkeypatch.setattr(qgk.cuspidal, "invert_character", doubled)
+    with pytest.raises(CuspidalError, match=r"^C\^abs_1,1 = 2\*q is not monic of degree 1$"):
+        absolutely_cuspidal_from_kac(kac)
 
 
 def _presented_inversion(cartan, target, bound):

@@ -29,7 +29,6 @@ from qgk.kac import (
     FIELDS,
     HUA_BUDGET,
     _OraclePeel,
-    _partition_count,
     check_hua_budget,
 )
 from qgk.series import SeriesError, _moebius, _ratio, vectors_of_total
@@ -85,6 +84,18 @@ def test_one_nilpotent_matches_nilpotent_on_jordan(jordan):
         oracle_kac_full(jordan, 3, "one_nilpotent"),
         oracle_kac_full(jordan, 3, "nilpotent"),
     )
+
+
+def test_peel_refuses_a_class_count_where_a_must_vanish(a2, monkeypatch):
+    # p(2,0) = -6, so A_(2,0) vanishes and the census must equal [Exp A]_(2,0)
+    counts = kac.brute_force_counts
+
+    def one_more_at_2_0(quiver, d, q, flavour):
+        return counts(quiver, d, q, flavour) + (d == (2, 0))
+
+    monkeypatch.setattr(kac, "brute_force_counts", one_more_at_2_0)
+    with pytest.raises(CountingError, match=r"^A_2,0 should vanish \(degree bound -3\): 1$"):
+        oracle_kac_full(a2, 2)
 
 
 def test_peel_refuses_a_stage_before_the_stages_below_it(kronecker):
@@ -448,18 +459,13 @@ def test_numerator_division_must_be_exact(jordan, monkeypatch):
         hua_kac(jordan, 1)
 
 
-def test_partition_count_matches_enumeration():
-    assert [_partition_count(n) for n in range(25)] == [len(partitions(n)) for n in range(25)]
-    assert _partition_count(100) == 190_569_292
-
-
 def test_shape_table_is_read_off_each_partition():
+    # each table holds p(n) shapes, the count check_hua_budget tallies
+    assert [len(kac._shapes(n)) for n in range(25)] == [len(partitions(n)) for n in range(25)]
     # every lam' |- n once, with <lam, lam> = sum_k lam'_k^2 and the sorted
     # multiplicities of the parts of lam = (lam')'
     for n in range(21):
-        shapes = kac._shapes(n)
-        assert len(shapes) == _partition_count(n)
-        assert sorted(shapes) == sorted(
+        assert sorted(kac._shapes(n)) == sorted(
             (c, sum(k * k for k in c), tuple(sorted(Counter(conjugate_partition(c)).values())))
             for c in partitions(n)
         )
@@ -474,7 +480,7 @@ def test_hua_budget(jordan, kronecker):
         hua_kac(kronecker, 10**9)
     # the budget counts the multipartitions of every 0 < |d| <= N: sum_n p(n) on Jordan
     assert HUA_BUDGET == 50_000
-    assert sum(map(_partition_count, range(1, 33))) == 43_819
+    assert sum(len(kac._shapes(n)) for n in range(1, 33)) == 43_819
     check_hua_budget(1, 32)
     with pytest.raises(BudgetError, match=f"at least 53962 multipartitions \\(budget {HUA_BUDGET}\\)"):
         hua_kac(jordan, 33)

@@ -185,3 +185,35 @@ def test_the_q_factorial_log_is_its_own_function():
         for alias in node.names
     }
     assert "_qfactorial_log_levels" in imported and "_pleth_log_levels" not in imported
+
+
+def _budgets_named_by_hand(tree: ast.AST) -> list[int]:
+    """Lines of BudgetError(...) calls with an argument that mentions a budget."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "BudgetError" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any("budget" in ast.unparse(arg).lower() for arg in node.args)
+    ]
+
+
+def test_every_cap_refuses_through_roots():
+    """Outside roots, a BudgetError names no budget: each cap refuses through roots._refuse."""
+    trees = _trees()
+    for module, tree in trees.items():
+        if module != "roots":
+            assert _budgets_named_by_hand(tree) == [], module
+    # it passes the three BudgetErrors built by hand, limits of the input and not
+    # caps on work: the peel's two preconditions and the byte-lane limit
+    kept = [
+        node
+        for module, tree in trees.items()
+        if module != "roots"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetError"
+    ]
+    assert len(kept) == 3
+    by_hand = 'raise BudgetError(f"{steps} steps exceed the budget of {STEP_BUDGET}")'
+    assert _budgets_named_by_hand(ast.parse(by_hand)) == [1]
+    assert _budgets_named_by_hand(ast.parse("raise qgk.BudgetError(STEP_BUDGET)")) == [1]
