@@ -459,9 +459,13 @@ def test_numerator_division_must_be_exact(jordan, monkeypatch):
         hua_kac(jordan, 1)
 
 
-def test_shape_table_is_read_off_each_partition():
+def test_partition_count_matches_enumeration():
     # each table holds p(n) shapes, the count check_hua_budget tallies
     assert [len(kac._shapes(n)) for n in range(25)] == [len(partitions(n)) for n in range(25)]
+    assert len(kac._shapes(32)) == 8_349
+
+
+def test_shape_table_is_read_off_each_partition():
     # every lam' |- n once, with <lam, lam> = sum_k lam'_k^2 and the sorted
     # multiplicities of the parts of lam = (lam')'
     for n in range(21):
