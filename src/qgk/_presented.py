@@ -13,11 +13,11 @@ of gkm's docstring, checked by the same gkm._SimpleRoots.
 
 Its cost grows super-polynomially in the bound.  An engine counts its
 work, the tensor terms that reduction touches plus the letters it
-registers, and raises BudgetError past PRESENTED_BUDGET; presented_dims
-then returns the totals it completed.  verify's gkm-presentation check
-and the tests compare it with the denominator route.  Nothing imports
-this module at load time: verify loads it inside that check, as
-kac.brute_force_counts loads _burnside.
+registers and the letter pairs it walks, and raises BudgetError past
+PRESENTED_BUDGET; presented_dims then returns the totals it completed.
+verify's gkm-presentation check and the tests compare it with the
+denominator route.  Nothing imports this module at load time: verify
+loads it inside that check, as kac.brute_force_counts loads _burnside.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .qpoly import QPoly
 from .roots import BudgetError, CartanDatum, _refuse
 from .series import GradedSeries, PlethMode, _csv, pleth_log, vectors_of_total
 
-#: The most work one GkmEngine may do: tensor terms touched by reduction
-#: plus letters registered.  A reduction term costs about 3 us on Jordan and
-#: Kronecker, and a letter about 0.4 us on two-loop (Python 3.11, Xeon VM),
-#: so the engine stops within a few seconds.
+#: The most work one GkmEngine may do: tensor terms touched by reduction,
+#: letters registered and letter pairs walked.  A reduction term costs about
+#: 3 us on Jordan and Kronecker, and a letter about 0.4 us on two-loop
+#: (Python 3.11, Xeon VM), so the engine stops within a few seconds.
 PRESENTED_BUDGET = 1_000_000
 
 
@@ -118,8 +118,8 @@ class GkmEngine:
 
     Generators must be registered in nondecreasing |root| order before
     querying any block of that total degree; queried blocks only see the
-    generators registered so far.  ``work`` counts reduction terms and
-    letters; past PRESENTED_BUDGET the engine raises BudgetError.
+    generators registered so far.  ``work`` counts reduction terms, letters
+    and letter pairs; past PRESENTED_BUDGET the engine raises BudgetError.
     """
 
     def __init__(self, cartan: CartanDatum, bound: int):
@@ -137,8 +137,8 @@ class GkmEngine:
     def _spend(self, amount: int) -> None:
         self.work += amount
         if self.work > PRESENTED_BUDGET:
-            what = f"the presented algebra up to |d| = {self.bound} stopped after"
-            _refuse(f"{what} {self.work} reduction terms and letters", PRESENTED_BUDGET)
+            what = f"the presented algebra up to |d| = {self.bound} stopped after {self.work}"
+            _refuse(f"{what} reduction terms, letters and letter pairs", PRESENTED_BUDGET)
 
     # -- registration -------------------------------------------------------
 
@@ -175,6 +175,7 @@ class GkmEngine:
             if sum(r) + sum(m) > self.bound:
                 return
             for a, b in pairs:
+                self._spend(1)
                 self._add_relation(_tensor_bracket({(a,): 1}, {(b,): 1}))
             return
         norms = self._roots.norms
@@ -182,6 +183,7 @@ class GkmEngine:
             return
         power = 1 - pairing
         for a, b in pairs:
+            self._spend(1)
             for actor, target in ((a, b), (b, a)):
                 if norms[actor.root] != 2:
                     continue

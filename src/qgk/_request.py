@@ -106,9 +106,10 @@ def _cache_read(path: str) -> str | None:
     return None
 
 
-def _cache_write(path: str, text: str) -> None:
-    """Store the text atomically under its checksum; a cache that cannot be written is skipped."""
-    body = text.encode("utf-8")
+def _cache_write(entry: tuple[str, str], text: str) -> None:
+    """Store entry's key line and the text atomically under a checksum; skip an unwritable cache."""
+    path, key = entry
+    body = f"{key}\n{text}".encode("utf-8")
     temp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -4,9 +4,11 @@ Command-line front end.
 Every command reads a quiver from a JSON file ({"vertices": [...],
 "arrows": [[s, t], ...]}), computes one table, and prints it sorted by
 (|d|, lex) either as TSV (dimension vector, tab, value columns) or as a
-JSON document.  Both formats carry the same data.  Parsing, option
-checks and the on-disk cache live in _request, which answers a cache hit
-without this module; run, and python -m qgk on a miss, compute here.
+JSON document.  Both formats carry the same data: each command's handler
+returns the JSON payload and its TSV lines, built from the same rows.
+Parsing, option checks and the on-disk cache live in _request, which
+answers a cache hit without this module; run, and python -m qgk on a
+miss, compute here.
 
 Exit codes: 0 success, 1 invalid input or exceeded size budgets, 2 a
 violated internal invariant (positivity, integrality, reconstruction),
@@ -74,6 +76,10 @@ def _poly_rows(items) -> list[list[str]]:
     return [[_csv(d), str(p)] for d, p in items]
 
 
+def _tsv(rows) -> list[str]:
+    return ["\t".join(row) for row in rows]
+
+
 def _reflection_edges(cartan: CartanDatum, vectors):
     """(i, d, s_i d) at each loop-free i with 0 < (d, 1_i) <= d_i: each edge once, from above."""
     for d in vectors:
@@ -83,41 +89,37 @@ def _reflection_edges(cartan: CartanDatum, vectors):
                 yield i, d, d[:i] + (d[i] - row[i],) + d[i + 1 :]
 
 
-# -- command payloads -------------------------------------------------------------
+# -- commands: each returns its JSON payload and its TSV lines --------------------
 
 
-def _cmd_roots(quiver: Quiver, args) -> dict:
-    rows = []
+def _cmd_roots(quiver: Quiver, args) -> tuple[dict, list[str]]:
+    rows, lines = [], []
     for entry in phi_plus(CartanDatum.from_quiver(quiver), args.bound):
-        rows.append(
-            {
-                "d": _csv(entry.vector),
-                "class": entry.classification,
-                "sigma": entry.multiplier == 1,
-                "primitive": _csv(entry.primitive),
-                "multiplier": entry.multiplier,
-            }
-        )
-    return {"rows": rows}
+        d, kind, p = _csv(entry.vector), entry.classification, _csv(entry.primitive)
+        m = entry.multiplier
+        rows.append({"d": d, "class": kind, "sigma": m == 1, "primitive": p, "multiplier": m})
+        lines.append("\t".join([d, kind, "sigma" if m == 1 else "phi", p, str(m)]))
+    return {"rows": rows}, lines
 
 
-def _cmd_kac(quiver: Quiver, args) -> dict:
+def _cmd_kac(quiver: Quiver, args) -> tuple[dict, list[str]]:
     if args.method == "hua":
         if args.flavour != "plain":
             raise InputError("nilpotent flavours are oracle-only; use --method oracle")
         table = hua_kac(quiver, args.bound)
     else:
         table = oracle_kac_full(quiver, args.bound, args.flavour)
-    return {"rows": _poly_rows(table.items())}
+    rows = _poly_rows(table.items())
+    return {"rows": rows}, _tsv(rows)
 
 
-def _cmd_cuspidal(quiver: Quiver, args) -> dict:
+def _cmd_cuspidal(quiver: Quiver, args) -> tuple[dict, list[str]]:
     table = absolutely_cuspidal(quiver, args.bound, args.flavour)
-    derived = cuspidal_from_abs(table)
-    return {"cabs": _poly_rows(table.items()), "c": _poly_rows(derived.items())}
+    cabs, c = _poly_rows(table.items()), _poly_rows(cuspidal_from_abs(table).items())
+    return {"cabs": cabs, "c": c}, ["# C^abs", *_tsv(cabs), "# C", *_tsv(c)]
 
 
-def _cmd_ip(quiver: Quiver, args) -> dict:
+def _cmd_ip(quiver: Quiver, args) -> tuple[dict, list[str]]:
     if args.dim is not None:
         d = _parse_dim(quiver, args.dim)
         if not any(d):
@@ -125,10 +127,11 @@ def _cmd_ip(quiver: Quiver, args) -> dict:
         rows = _poly_rows([(d, ip_general(quiver, d))])
     else:
         rows = _poly_rows(ip_table(quiver, args.bound).items())
-    return {"convention": IP_CONVENTION, "rows": rows}
+    header = f"# IP convention: {IP_CONVENTION}"
+    return {"convention": IP_CONVENTION, "rows": rows}, [header, *_tsv(rows)]
 
 
-def _cmd_canonical(quiver: Quiver, args) -> dict:
+def _cmd_canonical(quiver: Quiver, args) -> tuple[dict, list[str]]:
     rank = len(quiver.vertices)
     if args.dim is not None:
         d = _parse_dim(quiver, args.dim)
@@ -144,7 +147,7 @@ def _cmd_canonical(quiver: Quiver, args) -> dict:
     for d in vectors:
         decomposition = cartan.canonical_decomposition(d)
         rows.append([_csv(d), " ".join(f"{_csv(p)}:{m}" for p, m in decomposition)])
-    return {"rows": rows}
+    return {"rows": rows}, _tsv(rows)
 
 
 def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
@@ -174,7 +177,7 @@ def _load_weights(quiver: Quiver, path: str) -> WeightFunction:
     return WeightFunction(quiver, table)
 
 
-def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
+def _cmd_gkm_dims(quiver: Quiver, args) -> tuple[dict, list[str]]:
     if args.from_kac:
         table = absolutely_cuspidal(quiver, args.bound)
         cartan, weights = table.cartan, WeightFunction(quiver, table.table)
@@ -193,29 +196,25 @@ def _cmd_gkm_dims(quiver: Quiver, args) -> dict:
     for d in sorted(dims.dims, key=degree_lex):
         for j in sorted(dims.dims[d]):
             rows.append([_csv(d), str(j), str(dims.dims[d][j])])
-    return {"rows": rows}
+    return {"rows": rows}, _tsv(rows)
 
 
-def _cmd_nakajima(quiver: Quiver, args) -> dict:
+def _cmd_nakajima(quiver: Quiver, args) -> tuple[dict, list[str]]:
     from .nakajima import lw_decompose
 
     framing = _parse_dim(quiver, args.framing)
     decomposition = lw_decompose(quiver, framing, args.bound)
-    blocks = []
+    blocks, lines = [], []
     for block in decomposition.blocks:
+        d, m, weight = _csv(block.vector), str(block.multiplicity), list(block.weight)
         character = {_csv(e): str(p) for e, p in block.character.items()}
-        blocks.append(
-            {
-                "d": _csv(block.vector),
-                "multiplicity": str(block.multiplicity),
-                "weight": list(block.weight),
-                "character": character,
-            }
-        )
-    return {"blocks": blocks}
+        blocks.append({"d": d, "multiplicity": m, "weight": weight, "character": character})
+        lines.append(f"# block {d}\tmultiplicity {m}\tweight {_csv(weight)}")
+        lines += ["\t".join([d, e, p]) for e, p in character.items()]
+    return {"blocks": blocks}, lines
 
 
-def _cmd_verify(quiver: Quiver, args) -> dict:
+def _cmd_verify(quiver: Quiver, args) -> tuple[dict, list[str]]:
     """Run the checks; each row's status is pass, fail or vacuous (covered nothing).
 
     Shared tables are computed once, when a check first needs them, so an
@@ -323,47 +322,8 @@ def _cmd_verify(quiver: Quiver, args) -> dict:
     check("gkm-presentation", gkm_presentation)
     check("exp-log-roundtrip", exp_log)
     check("cuspidal-integer-valued", c_integer_valued)
-    return {"results": results}
-
-
-# -- rendering --------------------------------------------------------------------
-
-
-def _render(args, payload: dict) -> str:
-    if args.format == "json":
-        return json.dumps(payload, indent=1) + "\n"
-    lines: list[str] = []
-    command = args.command
-    if command == "roots":
-        for row in payload["rows"]:
-            member = "sigma" if row["sigma"] else "phi"
-            lines.append(
-                "\t".join(
-                    [row["d"], row["class"], member, row["primitive"], str(row["multiplier"])]
-                )
-            )
-    elif command in ("kac", "canonical-decomp", "gkm-dims"):
-        lines += ["\t".join(row) for row in payload["rows"]]
-    elif command == "cuspidal":
-        lines.append("# C^abs")
-        lines += ["\t".join(row) for row in payload["cabs"]]
-        lines.append("# C")
-        lines += ["\t".join(row) for row in payload["c"]]
-    elif command == "ip":
-        lines.append(f"# IP convention: {payload['convention']}")
-        lines += ["\t".join(row) for row in payload["rows"]]
-    elif command == "nakajima-decomp":
-        for block in payload["blocks"]:
-            weight = ",".join(str(n) for n in block["weight"])
-            lines.append(
-                f"# block {block['d']}\tmultiplicity {block['multiplicity']}\tweight {weight}"
-            )
-            for e, p in block["character"].items():
-                lines.append("\t".join([block["d"], e, p]))
-    else:
-        for row in payload["results"]:
-            lines.append("\t".join([row["status"].upper(), row["property"], row["detail"]]))
-    return "".join(line + "\n" for line in lines)
+    lines = ["\t".join([r["status"].upper(), r["property"], r["detail"]]) for r in results]
+    return {"results": results}, lines
 
 
 # -- entry point ------------------------------------------------------------------
@@ -389,10 +349,13 @@ def run(argv: list[str] | None = None) -> int:
 def answer(args, quiver: Quiver, entry: tuple[str, str] | None) -> int:
     """Compute and print what the cache did not hold, and store it at entry (path, key)."""
     try:
-        payload = _HANDLERS[args.command](quiver, args)
-        text = _render(args, payload)
+        payload, lines = _HANDLERS[args.command](quiver, args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=1) + "\n"
+        else:
+            text = "".join(line + "\n" for line in lines)
         if entry is not None:
-            _cache_write(entry[0], f"{entry[1]}\n{text}")
+            _cache_write(entry, text)
         sys.stdout.write(text)
         if args.command == "verify" and any(r["status"] == "fail" for r in payload["results"]):
             return 2

@@ -79,7 +79,8 @@ ROWS = {
     # verify's gkm-presentation row keeps the totals the engine completed
     "_presented.PRESENTED_BUDGET": (
         1, 2, lambda: _presented_blocks(1),
-        "the presented algebra up to |d| = 1 stopped after 2 reduction terms and letters",
+        "the presented algebra up to |d| = 1 stopped after 2 reduction terms, letters and "
+        "letter pairs",
         None,
     ),
     "_burnside.ENUM_BUDGET": (

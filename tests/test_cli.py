@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -126,10 +127,71 @@ def test_canonical_decomp_single(a2_file, kron_file, qfile, capsys):
     assert _out(capsys) == ",".join("1" * 10) + "\t" + " ".join(f"{u}:1" for u in units) + "\n"
 
 
+#: SHA-256 of what each command line prints on demos/quivers/a2.json, as
+#: (TSV, JSON).  They were recorded while one function laid out every
+#: command's TSV from its JSON payload, so both layouts are pinned to it.
+OUTPUT_DIGESTS = {
+    "roots --bound 2": (
+        "9250483d9942fa4d46bb78243e3b499c56db974a72cfa0fde8c36ec2ad27c1f4",
+        "207fbc58a2a235aa7268a5d7ef26815aaafffaa72bd59f6a320c71257e81f023",
+    ),
+    "kac --bound 2": (
+        "9fe6b6934060fef5cf02ef9a9ee80d6a21265436da28810ca3d5fbab6f2859cc",
+        "017c00eef0dd63ac1865386cb0c3208120acd443b50f3105f89e422a7b5dbba6",
+    ),
+    "kac --method oracle --bound 2": (
+        "fdb57533ac554554d203296be3a95923b20f7c9a3bb139182c033d22b51486f3",
+        "3572f5bbd3d6d4d00edfdbfeb9197beb8a347622b9a10ec34937224f09ece696",
+    ),
+    "cuspidal --bound 2": (
+        "61eae8198e5b61a9ae4bbe4b8840341ab388b5172b200aec5cdeb7c87c017da4",
+        "c9218408fbb8617549fa5026b703bd11419cdb3d8cc7907e163e957cad15a295",
+    ),
+    "ip --bound 2": (
+        "5afbc9b48ce06593fdcefa7d47c92dfdb144ab029af1806680b1c3f26d5c17ff",
+        "c4e3007e81420ba7a7cf532e76d4698a8d686cc164f4ed5b4af1fd16e8dcd019",
+    ),
+    "ip --dim 1,1": (
+        "8fd414a3680b5ba5bfc41f39175f29fab0fedbb81b5672451ba8cdd071b6c0db",
+        "1dadc7b44afadf9184428ececff30672986592dc1add342faba0d3efde68d01e",
+    ),
+    "canonical-decomp --bound 2": (
+        "70306ddd7de429e9bb0a2b40132fa46c7da71c326ca7317e988a1f4e4c158d03",
+        "603236773987338267aa77c2eb7acedfe72564f63336770cdd809e2753f7d06f",
+    ),
+    "canonical-decomp --dim 1,1": (
+        "37c0acded6006d8378774a47d07249b3683f690f9c6a5930d14bf1402f478912",
+        "6e4a56f6e2c513066dd3365c9459a85191c71196bfc8eba534ae92b81e4336a4",
+    ),
+    "gkm-dims --from-kac --bound 2": (
+        "c581fbd5552c7d543635346f4a65ded3fae0c383e98bba051f9aed497aac0ca9",
+        "0d48a818ad837bcd830c8bb18bd4459c7bd43213b91c54ccfb503a8352e07b40",
+    ),
+    "nakajima-decomp --framing 1,0 --bound 2": (
+        "c17fddf7919088ecc486f97a518db5052ba9ae54f3a2f11953192e57c10666cb",
+        "9a8409aaa56eada776cdb1ecbce93e586848f565741cefb3f543dcd170c26e5c",
+    ),
+    "verify --bound 2": (
+        "f2bb33fe25f26e41699a481916c6de816155177c8472005dd369742b999bef16",
+        "4d165672ee2d49b6e6c83cf15edabe16e37e86e9bf536fcec32f5ffa7bb9ca90",
+    ),
+}
+
+
 def test_json_format_matches_tsv_data(jordan_file, capsys):
     assert run(["kac", jordan_file, "--bound", "3", "--format", "json"]) == 0
     payload = json.loads(_out(capsys))
     assert payload["rows"] == [["1", "q"], ["2", "q"], ["3", "q"]]
+    a2 = os.path.join(os.path.dirname(__file__), "..", "demos", "quivers", "a2.json")
+    digests = {}
+    for line in OUTPUT_DIGESTS:
+        command, *options = line.split()
+        for fmt in ("tsv", "json"):
+            assert run([command, a2, *options, "--format", fmt]) == 0, (line, fmt)
+            digest = hashlib.sha256(_out(capsys).encode()).hexdigest()
+            digests[line] = digests.get(line, ()) + (digest,)
+    assert digests == OUTPUT_DIGESTS
+    assert {line.split()[0] for line in OUTPUT_DIGESTS} == set(qgk._request.COMMANDS)
 
 
 def test_gkm_dims_from_kac(a2_file, capsys):
@@ -269,6 +331,22 @@ def test_exit_codes_for_bad_input(jordan_file, a2_file, tmp_path, capsys):
     # one --dim is answered in place of every d up to --bound, never beside it
     assert run(["ip", a2_file, "--dim", "1,1", "--bound", "2"]) == 1
     assert run(["canonical-decomp", a2_file, "--dim", "1,1", "--bound", "2"]) == 1
+    # a malformed quiver file is refused with its reason
+    capsys.readouterr()
+    malformed = tmp_path / "malformed.json"
+    for text, reason in [
+        ("[]", "quiver JSON must be an object"),
+        ('{"vertices": []}', "a quiver needs at least one vertex"),
+        ('{"vertices": [1]}', "'vertices' must be a list of strings"),
+        ('{"vertices": ["0"], "arrows": {}}', "'arrows' must be a list of [source, target] pairs"),
+        ('{"vertices": ["0"], "arrows": [["0"]]}', "bad arrow entry ['0']"),
+    ]:
+        malformed.write_text(text)
+        assert run(["kac", str(malformed)]) == 1, text
+        assert capsys.readouterr().err == f"error: {reason}\n", text
+    malformed.write_text('{"vertices": ["0", "$"], "arrows": []}')
+    assert run(["nakajima-decomp", str(malformed), "--framing", "1,0"]) == 1
+    assert capsys.readouterr().err == "error: vertex name '$' is reserved for framing\n"
 
 
 def test_bad_dimension_vectors_exit_one(a2_file, jordan_file, capsys):

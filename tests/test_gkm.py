@@ -585,10 +585,19 @@ def test_presented_budget_keeps_the_totals_it_completed(kronecker, monkeypatch):
     engine = GkmEngine(cartan, 6)
     for root, poly in weights.items():
         engine.add_generators(root, poly)
-    refusal = r"stopped after 110 reduction terms and letters \(budget 100\)$"
+    refusal = r"stopped after 113 reduction terms, letters and letter pairs \(budget 100\)$"
     with pytest.raises(BudgetError, match=refusal):
         for d in vectors_of_total(2, 6):
             engine.dims_at(d)
+
+
+def test_presented_budget_charges_the_letter_pairs(kronecker, monkeypatch):
+    """Kronecker's C^abs at N = 3 takes 3 units in letters and reduction terms, 6 with its pairs."""
+    cabs = absolutely_cuspidal(kronecker, 3)
+    weights = WeightFunction(kronecker, cabs.table)
+    assert presented_dims(cabs.cartan, weights, 3).bound == 3
+    monkeypatch.setattr(qgk._presented, "PRESENTED_BUDGET", 4)
+    assert presented_dims(cabs.cartan, weights, 3).bound < 3
 
 
 def test_gkm_resolves_only_the_engine_from_the_oracle_module():

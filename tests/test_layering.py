@@ -217,3 +217,37 @@ def test_every_cap_refuses_through_roots():
     by_hand = 'raise BudgetError(f"{steps} steps exceed the budget of {STEP_BUDGET}")'
     assert _budgets_named_by_hand(ast.parse(by_hand)) == [1]
     assert _budgets_named_by_hand(ast.parse("raise qgk.BudgetError(STEP_BUDGET)")) == [1]
+
+
+def _command_dispatches(tree: ast.AST) -> list[str]:
+    """The functions that compare command or args.command with a string literal."""
+
+    def names_the_command(node: ast.AST) -> bool:
+        return getattr(node, "id", getattr(node, "attr", None)) == "command"
+
+    def literal(node: ast.AST) -> bool:
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(item, ast.Constant) and isinstance(item.value, str) for item in items)
+
+    found = []
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(map(names_the_command, sides)) and any(map(literal, sides)):
+                        found.append(function.name)
+    return found
+
+
+def test_the_cli_dispatches_on_the_command_once():
+    """Each command lays out its own rows; only answer reads the name, for verify's exit code."""
+    assert _command_dispatches(_trees()["cli"]) == ["answer"]
+    render = (
+        "def _render(args):\n"
+        "    command = args.command\n"
+        "    if command in ('kac', 'ip'):\n"
+        "        pass\n"
+    )
+    assert _command_dispatches(ast.parse(render)) == ["_render"]
+    assert _command_dispatches(ast.parse('def f(args):\n    return "x" != args.command')) == ["f"]
